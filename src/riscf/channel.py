@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from riscf.correlation import LosComponents, NlosCovariances
-from riscf.linalg import psd_factor, quadratic_block_trace, sample_cn, sample_phases
+from riscf.linalg import psd_factor, sample_cn, sample_phases, standard_cn
 
 
 @dataclass(frozen=True)
@@ -52,36 +52,39 @@ def aggregated_covariance(
 ) -> ChannelStatistics:
     """Mean and covariance of o_mk from the link statistics.
 
-    The covariance is R_mk + Hbar^H Phi Rtilde_k Phi^H Hbar + Q1 + Q2,
-    where Q1 carries the NLoS RIS-to-AP response to the LoS RIS-to-UE
-    direction and Q2 the response to the NLoS RIS-to-UE covariance; both
-    are block traces against rtilde_m.
+    The covariance is R_mk + Hbar^H Phi Rtilde_k Phi^H Hbar + Q1 + Q2.
+    With Rtilde_k = gain_k R the cascade term is gain_k G_m^H R G_m,
+    G_m = Phi^H Hbar_m, one N x L product per AP. Q1 carries the NLoS
+    RIS-to-AP response to the LoS RIS-to-UE direction,
+    gain_m (Phi zbar_k)^H R (Phi zbar_k) R_m, and Q2 the response to the
+    NLoS RIS-to-UE covariance, gain_m gain_k tr(Phi R Phi^H R) R_m.
     """
-    n_aps, n, l = los.hbar.shape
-    n_ues = los.zbar.shape[0]
     obar = np.einsum("mna,n,kn->mka", los.hbar.conj(), los.phi, los.zbar)
-
-    g_phase = los.phi.conj()[None, :, None] * los.hbar
-    cascade = np.einsum("mna,knp,mpb->mkab", g_phase.conj(), nlos.rtilde_k, g_phase)
+    gram = nlos.cascade_gram(los.hbar, los.phi)
+    cascade = nlos.gain_k[None, :, None, None] * gram[:, None]
 
     phi_z = los.phi[None, :] * los.zbar
-    b_k = phi_z[:, :, None] * phi_z.conj()[:, None, :]
-    phi_rk = np.einsum("n,knp,p->knp", los.phi, nlos.rtilde_k, los.phi.conj())
-
-    q1 = np.empty((n_aps, n_ues, l, l), dtype=complex)
-    q2 = np.empty((n_aps, n_ues, l, l), dtype=complex)
-    for m in range(n_aps):
-        for k in range(n_ues):
-            q1[m, k] = quadratic_block_trace(b_k[k], nlos.rtilde_m[m], n, l)
-            q2[m, k] = quadratic_block_trace(phi_rk[k], nlos.rtilde_m[m], n, l)
-
+    z_quad = np.einsum("kn,np,kp->k", phi_z.conj(), nlos.R, phi_z).real
+    q1_scale = nlos.gain_m[:, None] * z_quad[None, :]
+    q2_scale = nlos.gain_m[:, None] * nlos.gain_k[None, :] * nlos.phase_trace(los.phi)
+    q1 = q1_scale[:, :, None, None] * nlos.r_m[:, None]
+    q2 = q2_scale[:, :, None, None] * nlos.r_m[:, None]
     return ChannelStatistics(
         obar=obar, r_o=r_direct + cascade + q1 + q2, q1=q1, q2=q2, r_direct=r_direct
     )
 
 
 class ChannelSampler:
-    """Draws joint (g, H, z, o) batches from precomputed covariance factors."""
+    """Draws joint (g, H, z, o) batches from precomputed covariance factors.
+
+    Setup takes one eigendecomposition of the shared sinc matrix R, one
+    stacked factorization of the M AP-side L x L factors and one of the
+    M K direct-link covariances. The NLoS part of H_m is drawn as
+    sqrt(gain_m) F_R W F_m^T with F_R F_R^H = R and F_m the conjugate of the
+    factor of R_m, so vec(H_m - Hbar_m) keeps covariance
+    gain_m (R_m^T kron R); the NLoS part of z_k is sqrt(gain_k) F_R w.
+    ``ris_factor`` is F_R, which EMI draws can share.
+    """
 
     def __init__(
         self,
@@ -92,12 +95,10 @@ class ChannelSampler:
         self.los = los
         self.n_aps, self.n, self.l = los.hbar.shape
         self.n_ues = los.zbar.shape[0]
-        self.g_factors = [
-            [psd_factor(stats.r_direct[m, k]) for k in range(self.n_ues)]
-            for m in range(self.n_aps)
-        ]
-        self.h_factors = [psd_factor(nlos.rtilde_m[m]) for m in range(self.n_aps)]
-        self.z_factors = [psd_factor(nlos.rtilde_k[k]) for k in range(self.n_ues)]
+        self.g_factors = psd_factor(stats.r_direct)
+        self.ris_factor = psd_factor(nlos.R)
+        self.ap_factors = np.sqrt(nlos.gain_m)[:, None, None] * psd_factor(nlos.r_m).conj()
+        self.ue_scale = np.sqrt(nlos.gain_k)
 
     def draw(
         self, rng: np.random.Generator, trials: int, phase: np.ndarray | None = None
@@ -110,22 +111,15 @@ class ChannelSampler:
         """
         if phase is None:
             phase = sample_phases(rng, (trials, self.n_ues))
-        g = np.empty((trials, self.n_aps, self.n_ues, self.l), dtype=complex)
-        for m in range(self.n_aps):
-            for k in range(self.n_ues):
-                g[:, m, k, :] = sample_cn(rng, self.g_factors[m][k], (trials,))
+        w_g = standard_cn(rng, (trials, self.n_aps, self.n_ues, self.l))
+        g = np.einsum("mkab,tmkb->tmka", self.g_factors, w_g)
         h = np.empty((trials, self.n_aps, self.n, self.l), dtype=complex)
         for m in range(self.n_aps):
-            vec = sample_cn(rng, self.h_factors[m], (trials,))
-            h[:, m] = self.los.hbar[m] + vec.reshape(trials, self.l, self.n).transpose(
-                0, 2, 1
-            )
-        z = np.empty((trials, self.n_ues, self.n), dtype=complex)
-        for k in range(self.n_ues):
-            z[:, k] = self.los.zbar[k] * phase[:, k, None] + sample_cn(
-                rng, self.z_factors[k], (trials,)
-            )
-        o = g + np.einsum("tmna,n,tkn->tmka", h.conj(), self.los.phi, z)
+            w_h = standard_cn(rng, (trials, self.ris_factor.shape[1], self.l))
+            h[:, m] = self.los.hbar[m] + self.ris_factor @ (w_h @ self.ap_factors[m].T)
+        w_z = sample_cn(rng, self.ris_factor, (trials, self.n_ues))
+        z = self.los.zbar * phase[:, :, None] + self.ue_scale[:, None] * w_z
+        o = g + ((self.los.phi * z).conj()[:, None] @ h).conj()
         return ChannelRealization(g=g, h=h, z=z, o=o, phase=phase)
 
 

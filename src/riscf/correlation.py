@@ -50,17 +50,29 @@ class LosComponents:
 
 @dataclass(frozen=True)
 class NlosCovariances:
-    """NLoS covariances of the RIS links.
+    """NLoS covariances of the RIS links, kept in their shared structure.
 
-    rtilde_m stacks the NL x NL covariance of the column-major vectorized
-    RIS-to-AP channel per AP; rtilde_k the N x N RIS-to-UE covariance per
-    UE; r_r and r_m are the RIS-side and AP-side Kronecker factors.
+    Every RIS-side covariance is a scalar times the one sinc matrix R
+    (N x N). The column-major vectorized RIS-to-AP channel of AP m has
+    covariance gain_m[m] (r_m[m]^T kron R), with r_m the (M, L, L) AP-side
+    factors of trace L; the RIS-to-UE channel of UE k has covariance
+    gain_k[k] R. Both gain vectors are zero when the RIS is off, and no
+    (NL x NL) matrix is ever formed.
     """
 
-    rtilde_m: np.ndarray
-    rtilde_k: np.ndarray
-    r_r: np.ndarray
+    R: np.ndarray
     r_m: np.ndarray
+    gain_m: np.ndarray
+    gain_k: np.ndarray
+
+    def cascade_gram(self, hbar: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """G_m^H R G_m with G_m = Phi^H Hbar_m, stacked to (M, L, L)."""
+        g = phi.conj()[None, :, None] * hbar
+        return g.conj().transpose(0, 2, 1) @ (self.R @ g)
+
+    def phase_trace(self, phi: np.ndarray) -> float:
+        """tr(Phi R Phi^H R), the trace shared by Q2 and the EMI term Q_m."""
+        return float(np.sum(phi[:, None] * self.R * phi.conj()[None, :] * self.R.T).real)
 
 
 def ris_element_positions(n_h: int, n_v: int, d_h: float, d_v: float) -> np.ndarray:
@@ -152,7 +164,8 @@ def los_components(
     The RIS-to-AP mean progresses linearly over the element index with the
     horizontal spacing and the azimuth of the AP seen from the RIS; the
     RIS-to-UE mean is the planar-array response toward the UE (or a flat
-    all-ones profile when zbar_planar is off, a debugging aid).
+    all-ones profile when zbar_planar is off, a debugging aid). With the
+    RIS off both means are zero.
     """
     n = config.n_ris_elements
     delta_ap = scenario.ap_positions[:, :2] - scenario.ris_position[:2]
@@ -176,6 +189,9 @@ def los_components(
     else:
         zbar = np.sqrt(scenario.beta_k_los)[:, None] * np.ones((1, n), dtype=complex)
 
+    if config.ris == "off":
+        hbar, zbar = np.zeros_like(hbar), np.zeros_like(zbar)
+
     phi = np.full(n, np.exp(1j * config.ris_phase))
     return LosComponents(hbar=hbar, zbar=zbar, theta_m=theta_m, phi=phi)
 
@@ -183,12 +199,14 @@ def los_components(
 def nlos_covariances(
     ris: RisCorrelation, scenario: Scenario, config: SystemConfig
 ) -> NlosCovariances:
-    """NLoS covariance stacks for the RIS-to-AP and RIS-to-UE channels.
+    """Shared sinc matrix, AP-side factors and per-link gains of the NLoS links.
 
-    The RIS-to-AP covariance is Kronecker: rtilde_m = (R_m^T kron R_r) /
-    (L N beta_m) with the RIS-side factor R_r = beta_m^NLoS A_r R and a
-    unit-trace-per-antenna AP-side factor R_m built from local scattering
-    toward the RIS. The RIS-to-UE covariance is beta_k^NLoS A_r R.
+    The RIS-to-AP covariance is Kronecker, (R_m^T kron R_r,m) / (L N beta_m)
+    with the RIS-side factor R_r,m = beta_m^NLoS A_r R and a
+    unit-trace-per-antenna AP-side factor R_m from local scattering toward
+    the RIS, so gain_m = beta_m^NLoS A_r / (L N beta_m). The RIS-to-UE
+    covariance is beta_k^NLoS A_r R, so gain_k = beta_k^NLoS A_r. With the
+    RIS off both gains are zero.
     """
     m, l, n = config.n_aps, config.n_ap_antennas, config.n_ris_elements
     sigma_phi = np.deg2rad(config.asd_deg)
@@ -204,12 +222,7 @@ def nlos_covariances(
             for i in range(m)
         ]
     )
-    r_r = scenario.beta_m_nlos[:, None, None] * a_r * ris.R[None, :, :]
-    rtilde_m = np.stack(
-        [
-            np.kron(r_m[i].T, r_r[i]) / (l * n * scenario.beta_m[i])
-            for i in range(m)
-        ]
-    )
-    rtilde_k = scenario.beta_k_nlos[:, None, None] * a_r * ris.R[None, :, :]
-    return NlosCovariances(rtilde_m=rtilde_m, rtilde_k=rtilde_k, r_r=r_r, r_m=r_m)
+    on = 0.0 if config.ris == "off" else 1.0
+    gain_m = on * scenario.beta_m_nlos * a_r / (l * n * scenario.beta_m)
+    gain_k = on * scenario.beta_k_nlos * a_r
+    return NlosCovariances(R=ris.R, r_m=r_m, gain_m=gain_m, gain_k=gain_k)

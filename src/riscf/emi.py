@@ -11,16 +11,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riscf.linalg import psd_factor, quadratic_block_trace, sample_cn
+from riscf.correlation import LosComponents, NlosCovariances
+from riscf.linalg import psd_factor, sample_cn
 
 
 @dataclass(frozen=True)
 class EmiSpec:
-    """EMI field parameters: power, element area, and RIS correlation."""
+    """EMI field parameters: power, element area, and RIS correlation.
+
+    ``factor`` optionally holds F with F F^H = R, for instance the
+    ``ChannelSampler.ris_factor`` of the same surface, so draws skip
+    factoring R again.
+    """
 
     sigma_r2: float
     element_area: float
     R: np.ndarray
+    factor: np.ndarray | None = None
 
     @property
     def covariance(self) -> np.ndarray:
@@ -52,29 +59,22 @@ def sigma_r2_from_rho(
 
 
 def emi_noise_covariance(
-    hbar: np.ndarray,
-    phi: np.ndarray,
-    R: np.ndarray,
-    rtilde_m: np.ndarray,
+    los: LosComponents,
+    nlos: NlosCovariances,
     sigma_r2: float,
     element_area: float,
 ) -> EmiNoiseCovariance:
     """EMI covariance R_mm = sigma_r^2 A_r Hbar^H Phi R Phi^H Hbar + Q_m per AP.
 
-    Q_m is the block trace of Phi R Phi^H against the RIS-to-AP NLoS
-    covariance. The pilot-phase noise covariance is tau_p R_mm +
+    The LoS part is sigma_r^2 A_r G_m^H R G_m with G_m = Phi^H Hbar_m; the
+    NLoS part is Q_m = sigma_r^2 A_r gain_m tr(Phi R Phi^H R) R_m, the same
+    trace as in Q2. The pilot-phase noise covariance is tau_p R_mm +
     tau_p sigma^2 I, assembled by the caller.
     """
-    n_aps, n, l = hbar.shape
-    phi_r = phi[:, None] * R * phi.conj()[None, :]
-    los_part = np.einsum("mna,np,mpb->mab", hbar.conj(), phi_r, hbar)
-    q_m = np.stack(
-        [
-            sigma_r2 * element_area * quadratic_block_trace(phi_r, rtilde_m[m], n, l)
-            for m in range(n_aps)
-        ]
-    )
-    return EmiNoiseCovariance(r_mm=sigma_r2 * element_area * los_part + q_m, q_m=q_m)
+    scale = sigma_r2 * element_area
+    q_m = (scale * nlos.gain_m * nlos.phase_trace(los.phi))[:, None, None] * nlos.r_m
+    los_part = nlos.cascade_gram(los.hbar, los.phi)
+    return EmiNoiseCovariance(r_mm=scale * los_part + q_m, q_m=q_m)
 
 
 def sample_emi(
@@ -88,4 +88,5 @@ def sample_emi(
     n = spec.R.shape[0]
     if spec.sigma_r2 == 0.0:
         return np.zeros(shape + (n,), dtype=complex)
-    return sample_cn(rng, psd_factor(spec.covariance), shape)
+    factor = psd_factor(spec.R) if spec.factor is None else spec.factor
+    return np.sqrt(spec.sigma_r2 * spec.element_area) * sample_cn(rng, factor, shape)

@@ -292,8 +292,12 @@ def run_experiment(
 
     ``mc_trials`` overrides the spec's Monte Carlo budget when given.
     Rows are emitted in deterministic task order whatever the thread
-    count; per-task wall time is recorded only in the manifest so the CSV
-    stays byte-stable.
+    count, and the ``runtime_ms`` column is left empty so the CSV stays
+    byte-stable. The manifest holds the schema and package versions, the
+    seed, thread and trial counts, the spec hash, sweep, modes and config
+    echo, the row count, the total ``wall_time_s`` of the run (there is no
+    per-task timing), and the rows whose closed-form and Monte Carlo SE
+    differ by more than 2%.
     """
     spec_path = Path(spec_path)
     spec = load_run_spec(spec_path)

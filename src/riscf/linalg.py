@@ -61,15 +61,24 @@ def solve_hermitian(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
+def standard_cn(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Draw i.i.d. CN(0, 1) entries, built as (x + jy)/sqrt(2).
+
+    The (x, y) pairs are drawn as the trailing axis and reinterpreted in
+    place as complex numbers, so no real-part or imaginary-part copies are
+    made.
+    """
+    w = rng.standard_normal(shape + (2,)).view(np.complex128)[..., 0]
+    w /= np.sqrt(2.0)
+    return w
+
+
 def sample_cn(rng: np.random.Generator, factor: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Draw CN(0, F F^H) vectors given a covariance factor F.
 
     ``factor`` has shape (n, r); the result has shape ``shape + (n,)``.
-    Unit-variance complex Gaussians are built as (x + jy)/sqrt(2).
     """
-    raw = rng.standard_normal(shape + (factor.shape[1], 2))
-    w = (raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(2.0)
-    return np.einsum("...r,nr->...n", w, factor)
+    return standard_cn(rng, shape + (factor.shape[1],)) @ factor.T
 
 
 def sample_phases(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

@@ -102,7 +102,10 @@ def estimate_uatf_terms(
     tau_p = cfg.tau_p
     sampler = ChannelSampler(link.stats, link.los, link.nlos)
     spec = EmiSpec(
-        sigma_r2=link.sigma_r2, element_area=link.ris.element_area, R=link.ris.R
+        sigma_r2=link.sigma_r2,
+        element_area=link.ris.element_area,
+        R=link.ris.R,
+        factor=sampler.ris_factor,
     )
     noise_scale = np.sqrt(cfg.noise_power / 2.0)
     acc_u = RunningMoments((n_ues, n_ues, n_aps))

@@ -94,34 +94,13 @@ def build_link_statistics(scenario: Scenario, config: SystemConfig) -> LinkStati
     los = los_components(scenario, ris, cfg)
     nlos = nlos_covariances(ris, scenario, cfg)
 
-    if cfg.ris == "off":
-        los = LosComponents(
-            hbar=np.zeros_like(los.hbar),
-            zbar=np.zeros_like(los.zbar),
-            theta_m=los.theta_m,
-            phi=los.phi,
-        )
-        nlos = NlosCovariances(
-            rtilde_m=np.zeros_like(nlos.rtilde_m),
-            rtilde_k=np.zeros_like(nlos.rtilde_k),
-            r_r=np.zeros_like(nlos.r_r),
-            r_m=nlos.r_m,
-        )
-
     if cfg.emi == "off" or cfg.ris == "off":
         sigma_r2 = 0.0
     else:
         sigma_r2 = sigma_r2_from_rho(cfg.rho_db, cfg.p_max, scenario.beta_m)
 
     stats = aggregated_covariance(direct.R, los, nlos)
-    emi_cov = emi_noise_covariance(
-        los.hbar,
-        los.phi,
-        ris.R,
-        nlos.rtilde_m,
-        sigma_r2,
-        ris.element_area,
-    )
+    emi_cov = emi_noise_covariance(los, nlos, sigma_r2, ris.element_area)
     assignment = assign_pilots(cfg.n_ues, cfg.tau_p)
     pilot_powers = np.full(cfg.n_ues, cfg.pilot_power_value)
     est = estimation_statistics(

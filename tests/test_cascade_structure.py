@@ -1,0 +1,48 @@
+"""The structured cascade statistics against the dense NL x NL reference."""
+import numpy as np
+import pytest
+
+from riscf.config import SystemConfig
+from riscf.pipeline import build_link_statistics
+from riscf.scenario import generate_scenario
+
+from dense_reference import dense_aggregated, dense_emi, dense_nlos
+
+RTOL = 1e-12
+
+
+def _close(got, want):
+    return np.abs(got - want).max() <= RTOL * np.abs(want).max()
+
+
+@pytest.mark.parametrize("ris", ["on", "off"])
+@pytest.mark.parametrize("emi", ["on", "off"])
+@pytest.mark.parametrize("l, side", [(1, 4), (4, 8)])
+def test_structured_matches_dense(l, side, emi, ris):
+    cfg = SystemConfig(
+        n_aps=4,
+        n_ues=5,
+        n_ap_antennas=l,
+        ris_width_elements=side,
+        ris_height_elements=side,
+        tau_p=3,
+        emi=emi,
+        ris=ris,
+    )
+    scenario = generate_scenario(cfg, np.random.default_rng(11))
+    link = build_link_statistics(scenario, cfg)
+    rtilde_m, rtilde_k = dense_nlos(link.ris, scenario, cfg, link.nlos.r_m)
+
+    dense = dense_aggregated(link.stats.r_direct, link.los, rtilde_m, rtilde_k)
+    for name in ("obar", "r_o", "q1", "q2"):
+        assert _close(getattr(link.stats, name), dense[name]), name
+
+    dense = dense_emi(
+        link.los.hbar, link.los.phi, link.ris.R, rtilde_m, link.sigma_r2, link.ris.element_area
+    )
+    for name in ("r_mm", "q_m"):
+        assert _close(getattr(link.emi_cov, name), dense[name]), name
+
+    if ris == "on":
+        assert np.abs(link.stats.q1).max() > 0.0 and np.abs(link.stats.q2).max() > 0.0
+        assert (emi == "on") == (np.abs(link.emi_cov.q_m).max() > 0.0)

@@ -1,9 +1,17 @@
 """Aggregated channel statistics and the joint channel sampler."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from riscf.channel import ChannelSampler, aggregated_covariance
 from riscf.linalg import hermitize
+
+from dense_reference import dense_nlos
+
+
+def _dense_nlos(link):
+    return dense_nlos(link.ris, link.scenario, link.config, link.nlos.r_m)
 
 
 def test_aggregated_mean_is_cascaded_los(tiny_link):
@@ -61,12 +69,13 @@ def test_sampler_first_moments(tiny_link):
     sampler = ChannelSampler(tiny_link.stats, tiny_link.los, tiny_link.nlos)
     ones = np.ones((n_trials, tiny_link.config.n_ues))
     real = sampler.draw(np.random.default_rng(5), n_trials, phase=ones)
+    rtilde_m, rtilde_k = _dense_nlos(tiny_link)
     se_h = np.sqrt(
-        max(np.diagonal(tiny_link.nlos.rtilde_m, axis1=1, axis2=2).real.max(), 0.0)
+        max(np.diagonal(rtilde_m, axis1=1, axis2=2).real.max(), 0.0)
         / n_trials
     )
     se_z = np.sqrt(
-        np.diagonal(tiny_link.nlos.rtilde_k, axis1=1, axis2=2).real.max() / n_trials
+        np.diagonal(rtilde_k, axis1=1, axis2=2).real.max() / n_trials
     )
     se_o = np.sqrt(
         np.diagonal(tiny_link.stats.r_o, axis1=2, axis2=3).real.max() / n_trials
@@ -102,14 +111,31 @@ def test_aggregated_covariance_zero_ris_reduces_to_direct(tiny_link):
         theta_m=los.theta_m,
         phi=los.phi,
     )
-    zero_nlos = type(nlos)(
-        rtilde_m=np.zeros_like(nlos.rtilde_m),
-        rtilde_k=np.zeros_like(nlos.rtilde_k),
-        r_r=np.zeros_like(nlos.r_r),
-        r_m=nlos.r_m,
+    zero_nlos = dataclasses.replace(
+        nlos, gain_m=np.zeros_like(nlos.gain_m), gain_k=np.zeros_like(nlos.gain_k)
     )
     stats = aggregated_covariance(tiny_link.stats.r_direct, zero_los, zero_nlos)
     assert np.allclose(stats.r_o, tiny_link.stats.r_direct)
     assert np.allclose(stats.obar, 0.0)
     assert np.allclose(stats.q1, 0.0)
     assert np.allclose(stats.q2, 0.0)
+
+
+def test_sampler_h_covariance_is_dense_kronecker(validation_link):
+    """Sample covariance of vec(H_m - Hbar_m) matches the dense Kronecker one.
+
+    Each entry of a circular-Gaussian sample covariance over T draws has
+    standard error sqrt(C_ii C_jj / T).
+    """
+    link = validation_link
+    n_trials = 40000
+    sampler = ChannelSampler(link.stats, link.los, link.nlos)
+    real = sampler.draw(np.random.default_rng(8), n_trials)
+    rtilde_m, _ = _dense_nlos(link)
+    nlos_part = real.h - link.los.hbar
+    vec = nlos_part.transpose(0, 1, 3, 2).reshape(n_trials, link.config.n_aps, -1)
+    for m in range(link.config.n_aps):
+        sample = vec[:, m].T @ vec[:, m].conj() / n_trials
+        var = np.diagonal(rtilde_m[m]).real
+        std_err = np.sqrt(np.outer(var, var) / n_trials)
+        assert np.all(np.abs(sample - rtilde_m[m]) < 5.0 * std_err)

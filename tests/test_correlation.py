@@ -13,6 +13,8 @@ from riscf.correlation import (
 )
 from riscf.scenario import generate_scenario
 
+from dense_reference import dense_nlos
+
 LAM = 299792458.0 / 1.9e9
 
 
@@ -130,6 +132,13 @@ def test_los_flat_ue_profile_flag(drop):
     assert np.allclose(los.zbar, los.zbar[:, :1])
 
 
+def test_los_zero_with_ris_off(drop):
+    cfg, scen, ris = drop
+    los = los_components(scen, ris, cfg.replace(ris="off"))
+    assert np.all(los.hbar == 0.0) and np.all(los.zbar == 0.0)
+    assert np.allclose(los.phi, np.exp(1j * cfg.ris_phase))
+
+
 def test_nlos_ap_side_factor_unit_trace(drop):
     cfg, scen, ris = drop
     nlos = nlos_covariances(ris, scen, cfg)
@@ -137,13 +146,20 @@ def test_nlos_ap_side_factor_unit_trace(drop):
     assert np.allclose(traces, cfg.n_ap_antennas)
 
 
+def _dense_rtilde_m(nlos):
+    """Assemble gain_m (r_m^T kron R) per AP from the structured fields."""
+    return np.stack(
+        [g * np.kron(r.T, nlos.R) for g, r in zip(nlos.gain_m, nlos.r_m)]
+    )
+
+
 def test_nlos_trace_identities(drop):
     """tr rtilde_m = A_r / (1 + kappa_m); tr rtilde_k = N A_r beta_k_nlos."""
     cfg, scen, ris = drop
     nlos = nlos_covariances(ris, scen, cfg)
-    tr_m = np.trace(nlos.rtilde_m, axis1=1, axis2=2).real
+    tr_m = nlos.gain_m * np.trace(nlos.r_m, axis1=1, axis2=2).real * np.trace(nlos.R)
     assert np.allclose(tr_m, ris.element_area / (1.0 + scen.kappa_m), rtol=1e-12)
-    tr_k = np.trace(nlos.rtilde_k, axis1=1, axis2=2).real
+    tr_k = nlos.gain_k * np.trace(nlos.R)
     expect = cfg.n_ris_elements * ris.element_area * scen.beta_k_nlos
     assert np.allclose(tr_k, expect, rtol=1e-12)
 
@@ -151,19 +167,24 @@ def test_nlos_trace_identities(drop):
 def test_nlos_kronecker_assembly(drop):
     cfg, scen, ris = drop
     nlos = nlos_covariances(ris, scen, cfg)
-    n, l = cfg.n_ris_elements, cfg.n_ap_antennas
-    for m in range(cfg.n_aps):
-        manual = np.kron(nlos.r_m[m].T, nlos.r_r[m]) / (l * n * scen.beta_m[m])
-        assert np.allclose(nlos.rtilde_m[m], manual, rtol=1e-12)
-        assert np.allclose(
-            nlos.r_r[m], scen.beta_m_nlos[m] * ris.element_area * ris.R, rtol=1e-12
-        )
+    rtilde_m, rtilde_k = dense_nlos(ris, scen, cfg, nlos.r_m)
+    assert np.allclose(_dense_rtilde_m(nlos), rtilde_m, rtol=1e-12)
+    assert np.allclose(nlos.gain_k[:, None, None] * nlos.R, rtilde_k, rtol=1e-12)
+    assert np.array_equal(nlos.R, ris.R)
+
+
+def test_nlos_gains_vanish_with_ris_off(drop):
+    cfg, scen, ris = drop
+    nlos = nlos_covariances(ris, scen, cfg.replace(ris="off"))
+    assert np.all(nlos.gain_m == 0.0) and np.all(nlos.gain_k == 0.0)
+    assert np.array_equal(nlos.r_m, nlos_covariances(ris, scen, cfg).r_m)
 
 
 def test_nlos_covariances_psd(drop):
     cfg, scen, ris = drop
     nlos = nlos_covariances(ris, scen, cfg)
+    rtilde_m = _dense_rtilde_m(nlos)
     for m in range(cfg.n_aps):
-        assert np.linalg.eigvalsh(nlos.rtilde_m[m]).min() > -1e-18
+        assert np.linalg.eigvalsh(rtilde_m[m]).min() > -1e-18
     for k in range(cfg.n_ues):
-        assert np.linalg.eigvalsh(nlos.rtilde_k[k]).min() > -1e-18
+        assert np.linalg.eigvalsh(nlos.gain_k[k] * nlos.R).min() > -1e-18

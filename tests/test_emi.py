@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from riscf.emi import EmiSpec, emi_noise_covariance, sample_emi, sigma_r2_from_rho
-from riscf.linalg import hermitize
+from riscf.linalg import hermitize, psd_factor
 from riscf.config import SystemConfig
 from riscf.correlation import ris_sinc_correlation
 
@@ -62,6 +62,19 @@ def test_sample_emi_zero_power_preserves_stream(spec):
     assert rng.bit_generator.state == before
 
 
+def test_sample_emi_shared_factor_gives_same_draws(spec):
+    """A precomputed factor of R replaces factoring the covariance per call."""
+    shared = EmiSpec(
+        sigma_r2=spec.sigma_r2,
+        element_area=spec.element_area,
+        R=spec.R,
+        factor=psd_factor(spec.R),
+    )
+    a = sample_emi(spec, np.random.default_rng(4), (6,))
+    b = sample_emi(shared, np.random.default_rng(4), (6,))
+    assert np.array_equal(a, b)
+
+
 def test_sample_emi_extra_axes(spec):
     rng = np.random.default_rng(2)
     draws = sample_emi(spec, rng, (5, 3))
@@ -70,9 +83,7 @@ def test_sample_emi_extra_axes(spec):
 
 def test_emi_noise_covariance_zero_when_quiet(tiny_link):
     los, nlos = tiny_link.los, tiny_link.nlos
-    out = emi_noise_covariance(
-        los.hbar, los.phi, tiny_link.ris.R, nlos.rtilde_m, 0.0, tiny_link.ris.element_area
-    )
+    out = emi_noise_covariance(los, nlos, 0.0, tiny_link.ris.element_area)
     assert np.allclose(out.r_mm, 0.0)
     assert np.allclose(out.q_m, 0.0)
 
@@ -85,9 +96,7 @@ def test_emi_noise_covariance_brute_force(tiny_link):
     emi = EmiSpec(
         sigma_r2=sigma_r2, element_area=tiny_link.ris.element_area, R=tiny_link.ris.R
     )
-    closed = emi_noise_covariance(
-        los.hbar, los.phi, tiny_link.ris.R, nlos.rtilde_m, sigma_r2, emi.element_area
-    )
+    closed = emi_noise_covariance(los, nlos, sigma_r2, emi.element_area)
     from riscf.channel import ChannelSampler
 
     sampler = ChannelSampler(tiny_link.stats, tiny_link.los, tiny_link.nlos)
@@ -104,8 +113,6 @@ def test_emi_noise_covariance_brute_force(tiny_link):
 
 def test_emi_noise_covariance_psd(tiny_link):
     los, nlos = tiny_link.los, tiny_link.nlos
-    out = emi_noise_covariance(
-        los.hbar, los.phi, tiny_link.ris.R, nlos.rtilde_m, 1e-9, tiny_link.ris.element_area
-    )
+    out = emi_noise_covariance(los, nlos, 1e-9, tiny_link.ris.element_area)
     for m in range(out.r_mm.shape[0]):
         assert np.linalg.eigvalsh(hermitize(out.r_mm[m])).min() > -1e-24
