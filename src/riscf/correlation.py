@@ -27,10 +27,13 @@ class RisCorrelation:
 
 @dataclass(frozen=True)
 class ApCorrelation:
-    """Local-scattering correlation of one AP array toward one azimuth."""
+    """Local-scattering correlation of AP arrays toward their azimuths.
+
+    R has shape theta.shape + (L, L); a scalar theta gives one L x L matrix.
+    """
 
     R: np.ndarray
-    theta: float
+    theta: float | np.ndarray
     asd: float
 
 
@@ -110,50 +113,57 @@ def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gaussian_local_scattering(
-    beta_nlos: float,
-    theta: float,
+    beta_nlos: float | np.ndarray,
+    theta: float | np.ndarray,
     sigma_phi: float,
     n_antennas: int,
     spacing: float,
 ) -> ApCorrelation:
-    """ULA correlation under Gaussian angular deviation around theta.
+    """ULA correlations under Gaussian angular deviation around theta.
 
     Entry (l, n) is beta_nlos E{exp(j 2 pi spacing (l - n) sin(theta + d))}
     with d ~ N(0, sigma_phi^2); spacing is in wavelengths and sigma_phi in
-    radians. Evaluated by Gauss-Hermite quadrature with the order doubled
-    until two successive results agree to 1e-9 relative (error beyond the
-    order cap). Entries depend on l - n only, so one offset row suffices.
+    radians. beta_nlos and theta broadcast against each other, and every
+    pair is evaluated in one batched Gauss-Hermite pass: all pairs start at
+    order 30 and double together, and each pair keeps the first result
+    that agrees with its predecessor to 1e-9 relative (error when a pair
+    is still open past the order cap). Zero-beta pairs give zero matrices.
+    Entries depend on l - n only, so one offset row per pair suffices.
     """
     if sigma_phi <= 0.0:
         raise ValueError("sigma_phi must be positive")
-    if beta_nlos == 0.0:
-        zero = np.zeros((n_antennas, n_antennas), dtype=complex)
-        return ApCorrelation(R=zero, theta=theta, asd=sigma_phi)
-
+    beta_b, theta_b = np.broadcast_arrays(np.asarray(beta_nlos, dtype=float), theta)
+    beta_flat, theta_flat = beta_b.ravel(), theta_b.ravel()
     offsets = np.arange(n_antennas)
+    rows = np.zeros((beta_flat.size, n_antennas), dtype=complex)
 
-    def quadrature(order: int) -> np.ndarray:
+    def quadrature(order: int, pairs: np.ndarray) -> np.ndarray:
         nodes, weights = _hermgauss(order)
-        angles = np.sin(theta + np.sqrt(2.0) * sigma_phi * nodes)
-        phases = np.exp(2j * np.pi * spacing * offsets[:, None] * angles[None, :])
-        return beta_nlos * (phases @ weights) / np.sqrt(np.pi)
+        angles = np.sin(theta_flat[pairs][:, None] + np.sqrt(2.0) * sigma_phi * nodes)
+        phases = np.exp(2j * np.pi * spacing * offsets[:, None] * angles[:, None, :])
+        return beta_flat[pairs][:, None] * (phases @ weights) / np.sqrt(np.pi)
 
+    pairs = np.flatnonzero(beta_flat != 0.0)
     order = 30
-    row = quadrature(order)
-    while order <= 480:
-        finer = quadrature(2 * order)
-        if np.linalg.norm(finer - row) <= 1e-9 * np.linalg.norm(finer):
-            row = finer
-            break
-        row, order = finer, 2 * order
-    else:
+    row = quadrature(order, pairs)
+    while pairs.size and order <= 480:
+        finer = quadrature(2 * order, pairs)
+        done = np.linalg.norm(finer - row, axis=1) <= 1e-9 * np.linalg.norm(finer, axis=1)
+        rows[pairs[done]] = finer[done]
+        pairs, row, order = pairs[~done], finer[~done], 2 * order
+    if pairs.size:
         raise RuntimeError(
             f"local-scattering quadrature did not converge by order {order}"
         )
 
     l_idx = offsets[:, None] - offsets[None, :]
-    matrix = np.where(l_idx >= 0, row[np.abs(l_idx)], np.conj(row[np.abs(l_idx)]))
-    return ApCorrelation(R=matrix, theta=theta, asd=sigma_phi)
+    lagged = rows[:, np.abs(l_idx)]
+    matrix = np.where(l_idx >= 0, lagged, np.conj(lagged))
+    return ApCorrelation(
+        R=matrix.reshape(beta_b.shape + (n_antennas, n_antennas)),
+        theta=theta,
+        asd=sigma_phi,
+    )
 
 
 def los_components(
@@ -208,20 +218,14 @@ def nlos_covariances(
     covariance is beta_k^NLoS A_r R, so gain_k = beta_k^NLoS A_r. With the
     RIS off both gains are zero.
     """
-    m, l, n = config.n_aps, config.n_ap_antennas, config.n_ris_elements
-    sigma_phi = np.deg2rad(config.asd_deg)
+    l, n = config.n_ap_antennas, config.n_ris_elements
     a_r = ris.element_area
 
     delta_ris = scenario.ris_position[:2] - scenario.ap_positions[:, :2]
     theta_to_ris = np.arctan2(delta_ris[:, 1], delta_ris[:, 0])
-    r_m = np.stack(
-        [
-            gaussian_local_scattering(
-                1.0, float(theta_to_ris[i]), sigma_phi, l, config.ap_antenna_spacing
-            ).R
-            for i in range(m)
-        ]
-    )
+    r_m = gaussian_local_scattering(
+        1.0, theta_to_ris, np.deg2rad(config.asd_deg), l, config.ap_antenna_spacing
+    ).R
     on = 0.0 if config.ris == "off" else 1.0
     gain_m = on * scenario.beta_m_nlos * a_r / (l * n * scenario.beta_m)
     gain_k = on * scenario.beta_k_nlos * a_r

@@ -2,10 +2,13 @@
 
 A YAML run spec names a base configuration, an optional parameter sweep,
 the number of random scenarios, the mode combinations to evaluate, and
-the Monte Carlo budget.  Every (sweep value, scenario, mode) task is
-seeded independently from the run seed, so the emitted CSV is
-byte-identical for a given (spec, seed) regardless of thread count, and
-scenario draws are shared across sweep values for paired comparisons.
+the Monte Carlo budget.  The unit of work is the drop, one (sweep value,
+scenario) pair: its scenario is drawn once, its link statistics are built
+once per distinct (emi, ris) among the modes, and every mode is evaluated
+on them.  Scenario draws are seeded per scenario index, so they are shared
+across sweep values for paired comparisons, and Monte Carlo draws per
+(sweep value, scenario, mode); the emitted CSV is therefore byte-identical
+for a given (spec, seed) regardless of thread count.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ from .config import (
     config_from_mapping,
 )
 from .montecarlo import estimate_uatf_terms, sinr_from_estimates
-from .pipeline import build_link_statistics
+from .pipeline import LinkStatistics, build_link_statistics
 from .power import aggregate_gain, fractional_power_control, full_power, maxmin_power_control
 from .scenario import generate_scenario
 from .se import (
+    SinrTerms,
     build_sinr_terms,
     optimal_lsfd_weights,
     sinr_lsfd_closed_form,
@@ -73,6 +77,8 @@ CDF_COLUMNS = [
 ]
 
 _SWEEP_ALIASES = ("none", "ris_elements_side", "ris_spacing")
+#: Fields each mode sets; a sweep over one would be overwritten by the modes.
+_MODE_FIELDS = ("combiner", "emi", "power", "ris")
 
 _SCENARIO_STREAM = 0xA
 _MC_STREAM = 0xB
@@ -112,6 +118,11 @@ def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
         raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _is_count(value: object) -> bool:
+    """An int that is not a bool (YAML true/false load as bools, which are ints)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_run_spec(path: str | Path) -> RunSpec:
     """Load and validate a YAML run spec; unknown keys are errors."""
     raw = yaml.safe_load(Path(path).read_text())
@@ -139,15 +150,19 @@ def load_run_spec(path: str | Path) -> RunSpec:
         valid_fields = {f.name for f in SystemConfig.__dataclass_fields__.values()}
         if param not in valid_fields and param not in _SWEEP_ALIASES:
             raise ValueError(f"unknown sweep parameter: {param!r}")
+        if param in _MODE_FIELDS:
+            raise ValueError(
+                f"sweep parameter {param!r} is a mode field; list its values under modes"
+            )
         if not isinstance(values, list) or not values:
             raise ValueError("sweep.values must be a non-empty list")
         values = tuple(values)
 
     n_scenarios = data.get("n_scenarios", 1)
-    if not isinstance(n_scenarios, int) or n_scenarios < 1:
+    if not _is_count(n_scenarios) or n_scenarios < 1:
         raise ValueError("n_scenarios must be a positive integer")
     mc_trials = data.get("mc_trials", 0)
-    if not isinstance(mc_trials, int) or mc_trials < 0:
+    if not _is_count(mc_trials) or mc_trials < 0:
         raise ValueError("mc_trials must be a non-negative integer")
 
     raw_modes = data.get("modes")
@@ -158,7 +173,7 @@ def load_run_spec(path: str | Path) -> RunSpec:
     modes = []
     for entry in raw_modes:
         entry = _require_mapping(entry, "mode")
-        _reject_unknown(entry, {"combiner", "emi", "power", "ris"}, "mode")
+        _reject_unknown(entry, set(_MODE_FIELDS), "mode")
         entry = {
             key: ("on" if value else "off") if isinstance(value, bool) else value
             for key, value in entry.items()
@@ -218,24 +233,16 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _run_task(
-    spec: RunSpec,
-    seed: int,
-    sweep_idx: int,
-    scen_idx: int,
-    mode_idx: int,
+def _evaluate_mode(
+    mode: ModeSpec,
+    link: LinkStatistics,
+    terms: SinrTerms,
     mc_trials: int,
-) -> list[dict]:
-    mode = spec.modes[mode_idx]
-    cfg = apply_sweep(spec.config, spec.sweep_param, spec.sweep_values[sweep_idx])
-    cfg = cfg.replace(
-        combiner=mode.combiner, emi=mode.emi, power=mode.power, ris=mode.ris
-    )
-    scenario = generate_scenario(cfg, _scenario_rng(seed, scen_idx))
-    link = build_link_statistics(scenario, cfg)
-    terms = build_sinr_terms(link)
+    mc_rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Closed-form SINR and, when mc_trials > 0, the simulated SINR of a mode."""
+    cfg = link.config
     noise = cfg.noise_power
-
     if mode.power == "full":
         alloc = full_power(cfg.n_ues, cfg.p_max)
     elif mode.power == "fpc":
@@ -249,35 +256,63 @@ def _run_task(
     else:
         weights = np.ones_like(terms.z, dtype=complex)
     sinr_closed = sinr_lsfd_closed_form(terms, weights, powers, noise)
-    se_closed = spectral_efficiency(sinr_closed, cfg.prelog)
 
-    sinr_mc = se_mc = None
+    sinr_mc = None
     if mc_trials > 0:
-        estimates = estimate_uatf_terms(
-            link, mc_trials, _mc_rng(seed, sweep_idx, scen_idx, mode_idx)
-        )
+        estimates = estimate_uatf_terms(link, mc_trials, mc_rng)
         sinr_mc = sinr_from_estimates(estimates, weights, powers, noise)
-        se_mc = spectral_efficiency(sinr_mc, cfg.prelog)
+    return sinr_closed, sinr_mc
+
+
+def _run_drop(
+    spec: RunSpec, seed: int, sweep_idx: int, scen_idx: int, mc_trials: int
+) -> list[dict]:
+    """Rows of every mode on one (sweep value, scenario) drop, in spec order.
+
+    The scenario is drawn once. Link statistics and SINR terms depend on
+    no mode field but (emi, ris), so they are built once per distinct
+    (emi, ris); the modes are evaluated grouped by that key, and only one
+    bundle is alive at a time.
+    """
+    cfg = apply_sweep(spec.config, spec.sweep_param, spec.sweep_values[sweep_idx])
+    scenario = generate_scenario(cfg, _scenario_rng(seed, scen_idx))
+    groups: dict[tuple[str, str], list[int]] = {}
+    for mode_idx, mode in enumerate(spec.modes):
+        groups.setdefault((mode.emi, mode.ris), []).append(mode_idx)
+    sinrs = {}
+    for (emi, ris), mode_indices in groups.items():
+        link = build_link_statistics(scenario, cfg.replace(emi=emi, ris=ris))
+        terms = build_sinr_terms(link)
+        for mode_idx in mode_indices:
+            mc_rng = _mc_rng(seed, sweep_idx, scen_idx, mode_idx)
+            sinrs[mode_idx] = _evaluate_mode(
+                spec.modes[mode_idx], link, terms, mc_trials, mc_rng
+            )
+        del link, terms  # freed before the next group builds its bundle
 
     rows = []
-    for ue in range(cfg.n_ues):
-        rows.append(
-            {
-                "sweep_param": spec.sweep_param,
-                "sweep_value": _fmt(spec.sweep_values[sweep_idx]),
-                "scenario": str(scen_idx),
-                "mode_combiner": mode.combiner,
-                "mode_emi": mode.emi,
-                "mode_power": mode.power,
-                "mode_ris": mode.ris,
-                "ue": str(ue),
-                "sinr_closed": _fmt(float(sinr_closed[ue])),
-                "se_closed": _fmt(float(se_closed[ue])),
-                "sinr_mc": _fmt(None if sinr_mc is None else float(sinr_mc[ue])),
-                "se_mc": _fmt(None if se_mc is None else float(se_mc[ue])),
-                "runtime_ms": "",
-            }
-        )
+    for mode_idx, mode in enumerate(spec.modes):
+        sinr_closed, sinr_mc = sinrs[mode_idx]
+        se_closed = spectral_efficiency(sinr_closed, cfg.prelog)
+        se_mc = None if sinr_mc is None else spectral_efficiency(sinr_mc, cfg.prelog)
+        for ue in range(cfg.n_ues):
+            rows.append(
+                {
+                    "sweep_param": spec.sweep_param,
+                    "sweep_value": _fmt(spec.sweep_values[sweep_idx]),
+                    "scenario": str(scen_idx),
+                    "mode_combiner": mode.combiner,
+                    "mode_emi": mode.emi,
+                    "mode_power": mode.power,
+                    "mode_ris": mode.ris,
+                    "ue": str(ue),
+                    "sinr_closed": _fmt(float(sinr_closed[ue])),
+                    "se_closed": _fmt(float(se_closed[ue])),
+                    "sinr_mc": _fmt(None if sinr_mc is None else float(sinr_mc[ue])),
+                    "se_mc": _fmt(None if se_mc is None else float(se_mc[ue])),
+                    "runtime_ms": "",
+                }
+            )
     return rows
 
 
@@ -291,9 +326,10 @@ def run_experiment(
     """Execute a run spec and write results.csv plus manifest.json.
 
     ``mc_trials`` overrides the spec's Monte Carlo budget when given.
-    Rows are emitted in deterministic task order whatever the thread
-    count, and the ``runtime_ms`` column is left empty so the CSV stays
-    byte-stable. The manifest holds the schema and package versions, the
+    Each (sweep value, scenario) drop is one unit of work, and ``threads``
+    runs that many drops in parallel. Rows are emitted in sweep, scenario,
+    mode order whatever the thread count, and the ``runtime_ms`` column is
+    left empty so the CSV stays byte-stable. The manifest holds the schema and package versions, the
     seed, thread and trial counts, the spec hash, sweep, modes and config
     echo, the row count, the total ``wall_time_s`` of the run (there is no
     per-task timing), and the rows whose closed-form and Monte Carlo SE
@@ -301,7 +337,7 @@ def run_experiment(
     """
     spec_path = Path(spec_path)
     spec = load_run_spec(spec_path)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+    if not _is_count(seed) or not 0 <= seed < 2**64:
         raise ValueError("seed must be an unsigned 64-bit integer")
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -313,22 +349,20 @@ def run_experiment(
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
-    tasks = [
-        (sweep_idx, scen_idx, mode_idx)
+    drops = [
+        (sweep_idx, scen_idx)
         for sweep_idx in range(len(spec.sweep_values))
         for scen_idx in range(spec.n_scenarios)
-        for mode_idx in range(len(spec.modes))
     ]
 
-    def execute(task: tuple[int, int, int]) -> list[dict]:
-        sweep_idx, scen_idx, mode_idx = task
-        return _run_task(spec, seed, sweep_idx, scen_idx, mode_idx, trials)
+    def execute(drop: tuple[int, int]) -> list[dict]:
+        return _run_drop(spec, seed, *drop, trials)
 
     if threads == 1:
-        outputs = [execute(task) for task in tasks]
+        outputs = [execute(drop) for drop in drops]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(execute, task) for task in tasks]
+            futures = [pool.submit(execute, drop) for drop in drops]
             outputs = [future.result() for future in futures]
 
     rows = [row for chunk in outputs for row in chunk]

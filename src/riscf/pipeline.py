@@ -65,19 +65,13 @@ def direct_link_covariances(scenario: Scenario, config: SystemConfig) -> ApCorre
     ue_xy = scenario.ue_positions[:, :2]
     delta = wrap_displacement(ue_xy[None, :, :] - ap_xy[:, None, :], cfg.area_side)
     theta = np.arctan2(delta[..., 1], delta[..., 0])
-    sigma_phi = np.deg2rad(cfg.asd_deg)
-    n_aps, n_ues = theta.shape
-    r = np.zeros((n_aps, n_ues, cfg.n_ap_antennas, cfg.n_ap_antennas), dtype=complex)
-    for m in range(n_aps):
-        for k in range(n_ues):
-            r[m, k] = gaussian_local_scattering(
-                float(scenario.beta_mk[m, k]),
-                float(theta[m, k]),
-                sigma_phi,
-                cfg.n_ap_antennas,
-                cfg.ap_antenna_spacing,
-            ).R
-    return ApCorrelation(R=r, theta=theta, asd=sigma_phi)
+    return gaussian_local_scattering(
+        scenario.beta_mk,
+        theta,
+        np.deg2rad(cfg.asd_deg),
+        cfg.n_ap_antennas,
+        cfg.ap_antenna_spacing,
+    )
 
 
 def build_link_statistics(scenario: Scenario, config: SystemConfig) -> LinkStatistics:

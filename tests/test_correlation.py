@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from riscf import correlation
 from riscf.config import SystemConfig
 from riscf.correlation import (
     gaussian_local_scattering,
@@ -100,6 +101,51 @@ def test_local_scattering_small_spread_is_nearly_rank_one():
 def test_local_scattering_rejects_zero_spread():
     with pytest.raises(ValueError):
         gaussian_local_scattering(1.0, 0.0, 0.0, 2, 0.5)
+
+
+def test_local_scattering_batch_matches_scalar_calls(monkeypatch):
+    """A batch equals a loop of 0-d calls, though its pairs stop at different orders.
+
+    At a 20 degree spread and 7 antennas the broadside pair (theta = 0),
+    where sin varies fastest across the spread, needs order 240; the pairs
+    off broadside stop at 120. Zero-beta pairs are zero.
+    """
+    orders = []
+    hermgauss = correlation._hermgauss
+    monkeypatch.setattr(
+        correlation, "_hermgauss", lambda order: orders.append(order) or hermgauss(order)
+    )
+    rng = np.random.default_rng(7)
+    sigma, n_ant, spacing = np.deg2rad(20.0), 7, 0.5
+    beta = rng.uniform(1e-9, 1e-6, size=(4, 5))
+    theta = rng.uniform(0.3, 1.5, size=(4, 5))
+    beta[0, 1] = beta[3, 4] = 0.0
+    theta[2, 2] = 0.0
+
+    batch = gaussian_local_scattering(beta, theta, sigma, n_ant, spacing)
+    assert batch.R.shape == (4, 5, n_ant, n_ant)
+    assert batch.theta is theta
+    needed = np.zeros(beta.shape, dtype=int)
+    for idx in np.ndindex(beta.shape):
+        orders.clear()
+        single = gaussian_local_scattering(
+            float(beta[idx]), float(theta[idx]), sigma, n_ant, spacing
+        )
+        assert single.R.shape == (n_ant, n_ant)
+        np.testing.assert_allclose(batch.R[idx], single.R, rtol=1e-15, atol=0.0)
+        needed[idx] = max(orders)
+    assert not batch.R[0, 1].any() and not batch.R[3, 4].any()
+    off_broadside = beta != 0.0
+    off_broadside[2, 2] = False
+    assert needed[2, 2] == 240 and needed[off_broadside].max() == 120
+
+
+def test_local_scattering_raises_at_order_cap():
+    """Pairs still open past the order cap raise, batched or not."""
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="converge"):
+        gaussian_local_scattering(1.0, 0.0, np.deg2rad(40.0), 8, 0.5)
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="converge"):
+        gaussian_local_scattering(np.array([1.0, 0.0]), 0.0, np.deg2rad(40.0), 8, 0.5)
 
 
 @pytest.fixture(scope="module")

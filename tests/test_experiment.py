@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from riscf import experiment
 from riscf.cli import main
 from riscf.config import SystemConfig
 from riscf.experiment import (
@@ -80,6 +81,19 @@ def test_load_run_spec_rejects_bad_sweep(tmp_path):
     bad["sweep"] = {"param": "rho_db", "values": []}
     with pytest.raises(ValueError, match="values"):
         load_run_spec(write_spec(tmp_path / "bad.yaml", bad))
+    for field in ("emi", "ris", "combiner", "power"):
+        bad["sweep"] = {"param": field, "values": ["on", "off"]}
+        with pytest.raises(ValueError, match="modes"):
+            load_run_spec(write_spec(tmp_path / "bad.yaml", bad))
+
+
+@pytest.mark.parametrize("key", ["n_scenarios", "mc_trials"])
+@pytest.mark.parametrize("value", [True, False])
+def test_load_run_spec_rejects_boolean_counts(tmp_path, key, value):
+    bad = dict(MICRO)
+    bad[key] = value
+    with pytest.raises(ValueError, match=key):
+        load_run_spec(write_spec(tmp_path / "bad.yaml", bad))
 
 
 def test_load_run_spec_rejects_bad_mode(tmp_path):
@@ -145,6 +159,45 @@ def test_run_experiment_deterministic_across_threads(micro_spec, tmp_path):
     b = (tmp_path / "b" / "results.csv").read_bytes()
     c = (tmp_path / "c" / "results.csv").read_bytes()
     assert a == b == c
+
+
+def test_run_experiment_builds_links_once_per_emi_ris(tmp_path, monkeypatch):
+    """Each drop builds one link bundle per distinct (emi, ris) of its modes,
+    and its rows equal those of single-mode runs, each on a fresh bundle."""
+    modes = [
+        {"combiner": "lsfd", "emi": "on"},
+        {"combiner": "mr", "emi": "off"},
+        {"combiner": "mr", "emi": "on", "power": "fpc"},
+        {"combiner": "lsfd", "ris": "off", "power": "maxmin"},
+        {"combiner": "lsfd", "emi": "off", "power": "fpc"},
+    ]
+    payload = dict(MICRO, mc_trials=0, modes=modes)
+    payload["sweep"] = {"param": "rho_db", "values": [10.0, 20.0]}
+    calls = []
+    build = experiment.build_link_statistics
+    monkeypatch.setattr(
+        experiment,
+        "build_link_statistics",
+        lambda scenario, cfg: calls.append((cfg.emi, cfg.ris)) or build(scenario, cfg),
+    )
+    run_experiment(write_spec(tmp_path / "all.yaml", payload), seed=4, out_dir=tmp_path / "all")
+    assert len(calls) == 2 * 2 * 3
+    assert set(calls) == {("on", "on"), ("off", "on"), ("on", "off")}
+
+    per_mode = []
+    for i, mode in enumerate(modes):
+        spec = write_spec(tmp_path / f"mode{i}.yaml", dict(payload, modes=[mode]))
+        run_experiment(spec, seed=4, out_dir=tmp_path / f"mode{i}")
+        per_mode.append(read_rows(tmp_path / f"mode{i}" / "results.csv"))
+    reference = [
+        row
+        for sweep_value in ("10", "20")
+        for scenario in ("0", "1")
+        for rows in per_mode
+        for row in rows
+        if (row["sweep_value"], row["scenario"]) == (sweep_value, scenario)
+    ]
+    assert read_rows(tmp_path / "all" / "results.csv") == reference
 
 
 def test_run_experiment_seed_changes_output(micro_spec, tmp_path):
