@@ -125,9 +125,11 @@ def gaussian_local_scattering(
     with d ~ N(0, sigma_phi^2); spacing is in wavelengths and sigma_phi in
     radians. beta_nlos and theta broadcast against each other, and every
     pair is evaluated in one batched Gauss-Hermite pass: all pairs start at
-    order 30 and double together, and each pair keeps the first result
-    that agrees with its predecessor to 1e-9 relative (error when a pair
-    is still open past the order cap). Zero-beta pairs give zero matrices.
+    order 30 and double together up to order 240, and each pair keeps the
+    first result that agrees with its predecessor to 1e-9 relative; a pair
+    still open at order 240 raises RuntimeError. 240 is the last doubling
+    at which numpy's hermgauss stays finite: near order 400 it overflows,
+    and at 480 its weights are NaN. Zero-beta pairs give zero matrices.
     Entries depend on l - n only, so one offset row per pair suffices.
     """
     if sigma_phi <= 0.0:
@@ -146,7 +148,7 @@ def gaussian_local_scattering(
     pairs = np.flatnonzero(beta_flat != 0.0)
     order = 30
     row = quadrature(order, pairs)
-    while pairs.size and order <= 480:
+    while pairs.size and order < 240:
         finer = quadrature(2 * order, pairs)
         done = np.linalg.norm(finer - row, axis=1) <= 1e-9 * np.linalg.norm(finer, axis=1)
         rows[pairs[done]] = finer[done]

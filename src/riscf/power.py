@@ -2,8 +2,11 @@
 
 Two policies on top of the closed-form SINR: a fractional heuristic that
 hands weaker UEs relatively more power, and max-min fairness solved by
-bisecting the common SINR target with a linear feasibility check at each
-candidate.  Both return per-UE data powers in watts, capped at p_max.
+bisecting the common SINR target.  For fixed decoding weights the SINR
+constraints of a target t read (diag(num) - t C) p >= t d with C >= 0
+elementwise, so one K x K linear solve for the least powers that meet
+them with equality decides each candidate exactly (Yates, IEEE JSAC 1995).
+Both policies return per-UE data powers in watts, capped at p_max.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import numpy as np
 from .estimation import _coset_mask
 from .pipeline import LinkStatistics
 from .se import SinrTerms, optimal_lsfd_weights
-from .simplex import feasible_point
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,11 @@ class PowerAllocation:
     iterations: int
     target: float
     weights: np.ndarray | None = None
+
+
+def _check_p_max(p_max: float) -> None:
+    if not p_max > 0:
+        raise ValueError("p_max must be positive")
 
 
 def aggregate_gain(link: LinkStatistics) -> np.ndarray:
@@ -54,6 +61,7 @@ def fractional_power_control(
         raise ValueError("gains must be positive and finite")
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
+    _check_p_max(p_max)
     eta = (gains.min() / gains) ** alpha
     return PowerAllocation(
         powers=eta * p_max, method="fpc", iterations=0, target=float("nan")
@@ -62,6 +70,7 @@ def fractional_power_control(
 
 def full_power(n_ues: int, p_max: float) -> PowerAllocation:
     """Every UE at p_max."""
+    _check_p_max(p_max)
     return PowerAllocation(
         powers=np.full(n_ues, p_max),
         method="full",
@@ -93,6 +102,22 @@ def sinr_decomposition(
     return num, c, d
 
 
+def least_powers(
+    num: np.ndarray, c: np.ndarray, d: np.ndarray, target: float, p_max: float
+) -> np.ndarray | None:
+    """Least powers giving every UE an SINR of at least ``target``.
+
+    Solves (diag(num) - target c) p = target d, with c >= 0 elementwise and
+    d > 0 as from ``sinr_decomposition``.  Returns None when the target is
+    out of reach within 0 < p <= p_max (see ``maxmin_power_control``).
+    """
+    try:
+        p = np.linalg.solve(np.diag(num) - target * c, target * d)
+    except np.linalg.LinAlgError:
+        return None
+    return p if np.all(p > 0) and np.all(p <= p_max) else None
+
+
 def maxmin_power_control(
     terms: SinrTerms,
     noise_power: float,
@@ -101,14 +126,22 @@ def maxmin_power_control(
 ) -> PowerAllocation:
     """Max-min fair powers by bisection on the common SINR target.
 
-    Decoding weights are fixed to the optimum under full power; with them
-    held, feasibility of a target t is a linear program in the powers.
-    Bisection keeps a feasible witness at all times, so the returned
-    allocation certifiably reaches ``target`` and never falls below the
-    full-power minimum.
+    Decoding weights are fixed to the optimum under full power.  With them
+    held, SINR_k >= t for every UE reads A(t) p >= t d with
+    A(t) = diag(num) - t C, and C >= 0 makes A(t) a Z-matrix.  Each
+    candidate t takes one solve of A(t) p = t d (``least_powers``).  If
+    its solution is positive, A(t) is a nonsingular M-matrix, so
+    A(t)^{-1} >= 0 and every p >= 0 meeting the constraints satisfies
+    p >= A(t)^{-1} t d: that solution is the least power vector reaching
+    t.  Conversely, any p >= 0 meeting them is positive and makes A(t) a
+    nonsingular M-matrix.  Hence t is feasible iff the solve succeeds with
+    0 < p <= p_max.  Bisection keeps a feasible witness at all times, so
+    the returned allocation certifiably reaches ``target`` and never falls
+    below the full-power minimum.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    _check_p_max(p_max)
     n_ues = terms.z.shape[1]
     p_full = np.full(n_ues, p_max)
     opt = optimal_lsfd_weights(terms, p_full, noise_power)
@@ -116,23 +149,21 @@ def maxmin_power_control(
     num, c, d = sinr_decomposition(terms, weights, noise_power)
     if np.any(d <= 0):
         raise ValueError("SINR denominator offsets must be positive")
+    if np.any(c < -1e-12 * np.abs(c).max()):
+        raise ValueError("interference coefficients must be non-negative")
     full_sinr = p_full * num / (c @ p_full + d)
     t_lo = float(full_sinr.min())
     t_hi = float(np.max(p_max * num / d))
-    x_best = np.ones(n_ues)
+    powers = p_full
     iterations = 0
     while t_hi - t_lo > tol:
         t = 0.5 * (t_lo + t_hi)
-        g = p_max * (np.diag(num / t) - c)
-        scale = np.maximum(np.abs(g).max(axis=1), np.abs(d))
-        scale[scale == 0] = 1.0
-        result = feasible_point(g / scale[:, None], d / scale)
+        least = least_powers(num, c, d, t, p_max)
         iterations += 1
-        if result.feasible:
-            t_lo, x_best = t, result.x
+        if least is not None:
+            t_lo, powers = t, least
         else:
             t_hi = t
-    powers = x_best * p_max
     achieved = powers * num / (c @ powers + d)
     if achieved.min() < t_lo - 1e-8 * max(t_lo, 1.0):
         raise RuntimeError("bisection witness lost feasibility")

@@ -227,35 +227,27 @@ def optimal_lsfd_weights(
 
     The SINR is a generalized Rayleigh quotient in the weight vector, so
     the maximizer solves B_k a_k = z_k and achieves p_k z_k^H B_k^{-1} z_k.
+    B_k is diagonal plus one rank-1 term p_i p_k^hat p_i^hat tau_p^2
+    varpi_ki varpi_ki^H per coset partner i of UE k; all K matrices are
+    built as one (K, M, M) stack and solved together.
     """
     powers = np.asarray(powers, dtype=float)
-    n_aps, n_ues = terms.z.shape
+    n_ues = terms.z.shape[1]
     p_hat = terms.pilot_powers
-    tau_p = terms.tau_p
-    mask = _coset_mask(terms.assignment)
-    weights = np.zeros((n_aps, n_ues), dtype=complex)
-    sinr = np.zeros(n_ues)
-    for k in range(n_ues):
-        diag = np.einsum("i,im->m", powers, terms.xi[k])
-        diag = (
-            diag
-            - powers[k] * terms.j2[:, k]
-            + noise_power * terms.z[:, k]
-            + terms.w[:, k]
-        )
-        b = np.diag(diag).astype(complex)
-        for i in range(n_ues):
-            if i == k or not mask[k, i]:
-                continue
-            vp = terms.varpi[k, i]
-            b = b + powers[i] * p_hat[k] * p_hat[i] * tau_p**2 * np.outer(
-                vp, vp.conj()
-            )
-        a = solve_hermitian(b, terms.z[:, k].astype(complex))
-        gamma = powers[k] * _real_part(terms.z[:, k] @ a, "optimal SINR")
-        weights[:, k] = a
-        sinr[k] = gamma
-    return LsfdWeights(weights=weights, sinr=sinr)
+    off_coset = _coset_mask(terms.assignment) - np.eye(n_ues)
+    diag = (
+        np.einsum("i,kim->km", powers, terms.xi)
+        - powers[:, None] * terms.j2.T
+        + noise_power * terms.z.T
+        + terms.w.T
+    )
+    coef = terms.tau_p**2 * np.outer(p_hat, powers * p_hat) * off_coset
+    b = (coef[:, :, None] * terms.varpi).transpose(0, 2, 1) @ terms.varpi.conj()
+    idx = np.arange(terms.z.shape[0])
+    b[:, idx, idx] += diag
+    a = solve_hermitian(b, terms.z.T[:, :, None].astype(complex))[:, :, 0]
+    sinr = powers * _real_part(np.einsum("km,km->k", terms.z.T, a), "optimal SINR")
+    return LsfdWeights(weights=a.T, sinr=sinr)
 
 
 def spectral_efficiency(sinr: np.ndarray, prelog: float) -> np.ndarray:

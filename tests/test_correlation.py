@@ -1,4 +1,6 @@
 """Spatial correlation models: sinc kernel, local scattering, LoS terms."""
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -146,6 +148,14 @@ def test_local_scattering_raises_at_order_cap():
         gaussian_local_scattering(1.0, 0.0, np.deg2rad(40.0), 8, 0.5)
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="converge"):
         gaussian_local_scattering(np.array([1.0, 0.0]), 0.0, np.deg2rad(40.0), 8, 0.5)
+
+
+def test_local_scattering_order_cap_raises_without_warnings():
+    """The cap stops at order 240, before hermgauss overflows into NaN weights."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="order 240"):
+            gaussian_local_scattering(1.0, 0.0, np.deg2rad(40.0), 8, 0.5)
 
 
 @pytest.fixture(scope="module")

@@ -3,16 +3,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import linprog
 
+from riscf import power
+from riscf.config import SystemConfig
+from riscf.pipeline import build_link_statistics
 from riscf.power import (
     aggregate_gain,
     fractional_power_control,
     full_power,
+    least_powers,
     maxmin_power_control,
     sinr_decomposition,
 )
-from riscf.se import optimal_lsfd_weights, sinr_lsfd_closed_form
+from riscf.scenario import generate_scenario
+from riscf.se import build_sinr_terms, optimal_lsfd_weights, sinr_lsfd_closed_form
 
 
 def test_full_power_vector():
@@ -138,3 +144,112 @@ def test_maxmin_tolerance_validation(validation_terms, validation_config):
         maxmin_power_control(
             validation_terms, validation_config.noise_power, -0.1, tol=1e-3
         )
+
+
+def test_power_policies_reject_zero_p_max(validation_terms, validation_config):
+    with pytest.raises(ValueError, match="p_max"):
+        full_power(4, 0.0)
+    with pytest.raises(ValueError, match="p_max"):
+        fractional_power_control(np.array([1.0, 2.0]), 0.5, 0.0)
+    with pytest.raises(ValueError, match="p_max"):
+        maxmin_power_control(validation_terms, validation_config.noise_power, 0.0)
+
+
+def _lp_feasible(num, c, d, t, p_max, minimize=False):
+    """Reference: {p : (diag(num) - t c) p >= t d, 0 <= p <= p_max} by LP."""
+    res = linprog(
+        np.ones(num.size) if minimize else np.zeros(num.size),
+        A_ub=-(np.diag(num) - t * c),
+        b_ub=-t * d,
+        bounds=[(0.0, p_max)] * num.size,
+        method="highs",
+    )
+    assert res.status in (0, 2), res.message
+    return res.status == 0, res.x
+
+
+@st.composite
+def _sinr_systems(draw):
+    k = draw(st.integers(1, 5))
+    floats = st.floats(min_value=0.05, max_value=5.0)
+    num = np.array(draw(st.lists(floats, min_size=k, max_size=k)))
+    d = np.array(draw(st.lists(floats, min_size=k, max_size=k)))
+    c = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=k * k, max_size=k * k)))
+    zero = np.array(draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k)))
+    c = np.where(zero, 0.0, c).reshape(k, k)
+    t = draw(st.floats(min_value=0.01, max_value=20.0))
+    p_max = draw(st.floats(min_value=0.1, max_value=10.0))
+    return num, c, d, t, p_max
+
+
+@given(_sinr_systems())
+@settings(max_examples=150, deadline=None)
+def test_least_powers_verdict_matches_linprog(system):
+    """The one-solve verdict is the LP's; its witness is the LP's least power."""
+    num, c, d, t, p_max = system
+    below, _ = _lp_feasible(num, c, d, t * (1 - 1e-6), p_max)
+    above, _ = _lp_feasible(num, c, d, t * (1 + 1e-6), p_max)
+    assume(below == above)  # skip targets within 1e-6 of the feasibility edge
+    least = least_powers(num, c, d, t, p_max)
+    assert (least is not None) == below
+    if least is not None:
+        _, x = _lp_feasible(num, c, d, t, p_max, minimize=True)
+        np.testing.assert_allclose(least, x, rtol=1e-6, atol=1e-9 * p_max)
+        sinr = least * num / (c @ least + d)
+        assert sinr.min() >= t * (1 - 1e-9)
+
+
+@pytest.fixture(scope="module")
+def maxmin_ensemble():
+    """SINR terms of the 25 default-config drops that criterion 7 uses."""
+    cfg = SystemConfig()
+    terms = []
+    for index in range(25):
+        rng = np.random.default_rng(np.random.SeedSequence([77, 0xA, index]))
+        link = build_link_statistics(generate_scenario(cfg, rng), cfg)
+        terms.append(build_sinr_terms(link))
+    return cfg, terms
+
+
+def _perron_target(num, c, d, p_max):
+    """Max-min SINR 1 / max_l rho(diag(1/num) (c + d e_l^T / p_max))."""
+    radii = []
+    for l in range(num.size):
+        b = c.copy()
+        b[:, l] += d / p_max
+        radii.append(np.abs(np.linalg.eigvals(b / num[:, None])).max())
+    return 1.0 / max(radii)
+
+
+def test_maxmin_target_matches_perron_frobenius(
+    validation_terms, validation_config, maxmin_ensemble
+):
+    """The bisection target lies within tol below the Perron-Frobenius optimum."""
+    cfg, ensemble = maxmin_ensemble
+    cases = [(validation_terms, validation_config)] + [(t, cfg) for t in ensemble]
+    for terms, config in cases:
+        noise, p_max, tol = config.noise_power, config.p_max, config.maxmin_tol
+        alloc = maxmin_power_control(terms, noise, p_max, tol=tol)
+        num, c, d = sinr_decomposition(terms, alloc.weights, noise)
+        t_star = _perron_target(num, c, d, p_max)
+        assert alloc.target <= t_star * (1 + 1e-9)
+        assert t_star - alloc.target <= tol
+
+
+def test_interference_coefficients_nonnegative_and_guarded(maxmin_ensemble, monkeypatch):
+    cfg, ensemble = maxmin_ensemble
+    p_full = np.full(cfg.n_ues, cfg.p_max)
+    for terms in ensemble:
+        weights = optimal_lsfd_weights(terms, p_full, cfg.noise_power).weights
+        _, c, _ = sinr_decomposition(terms, weights, cfg.noise_power)
+        assert np.all(c >= 0)
+
+    def one_negative(*args):
+        num, c, d = sinr_decomposition(*args)
+        c = c.copy()
+        c[0, 1] = -1e-6 * np.abs(c).max()
+        return num, c, d
+
+    monkeypatch.setattr(power, "sinr_decomposition", one_negative)
+    with pytest.raises(ValueError, match="non-negative"):
+        maxmin_power_control(ensemble[0], cfg.noise_power, cfg.p_max, tol=cfg.maxmin_tol)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from riscf import se
 from riscf.config import SystemConfig
 from riscf.estimation import _coset_mask
 from riscf.pipeline import build_link_statistics
@@ -239,3 +240,50 @@ def test_plain_system_closed_form_dual_route():
             )
         manual_sinr[k] = (p[k] * z[:, k] @ np.linalg.solve(b, z[:, k])).real
     assert np.allclose(opt.sinr, manual_sinr, rtol=1e-9)
+
+
+def _per_ue_lsfd(terms, powers, noise):
+    """Reference: build each B_k alone and solve it alone."""
+    n_aps, n_ues = terms.z.shape
+    p_hat, tau = terms.pilot_powers, terms.tau_p
+    mask = _coset_mask(terms.assignment)
+    weights = np.zeros((n_aps, n_ues), dtype=complex)
+    sinr = np.zeros(n_ues)
+    for k in range(n_ues):
+        diag = (
+            np.einsum("i,im->m", powers, terms.xi[k])
+            - powers[k] * terms.j2[:, k]
+            + noise * terms.z[:, k]
+            + terms.w[:, k]
+        )
+        b = np.diag(diag).astype(complex)
+        for i in range(n_ues):
+            if i != k and mask[k, i]:
+                vp = terms.varpi[k, i]
+                b += powers[i] * p_hat[k] * p_hat[i] * tau**2 * np.outer(vp, vp.conj())
+        weights[:, k] = np.linalg.solve(b, terms.z[:, k].astype(complex))
+        sinr[k] = powers[k] * (terms.z[:, k] @ weights[:, k]).real
+    return weights, sinr
+
+
+@pytest.mark.parametrize("powers", ["full", "random"])
+def test_batched_lsfd_matches_per_ue_construction(
+    powers, validation_terms, validation_config, monkeypatch
+):
+    """One stacked solve gives the per-UE weights and SINRs, coset terms included."""
+    terms = validation_terms
+    assert (_coset_mask(terms.assignment) - np.eye(terms.z.shape[1])).any()
+    p = np.full(validation_config.n_ues, validation_config.p_max)
+    if powers == "random":
+        p = p * np.random.default_rng(3).uniform(0.05, 1.0, p.size)
+    calls = []
+    solve = se.solve_hermitian
+    monkeypatch.setattr(
+        se, "solve_hermitian", lambda a, b: calls.append(a.shape) or solve(a, b)
+    )
+
+    opt = optimal_lsfd_weights(terms, p, validation_config.noise_power)
+    weights, sinr = _per_ue_lsfd(terms, p, validation_config.noise_power)
+    assert calls == [(validation_config.n_ues,) + (validation_config.n_aps,) * 2]
+    np.testing.assert_allclose(opt.weights, weights, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(opt.sinr, sinr, rtol=1e-12, atol=0.0)
