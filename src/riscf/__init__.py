@@ -41,17 +41,16 @@ from riscf.estimation import (
     mmse_estimate,
 )
 from riscf.pipeline import LinkStatistics, build_link_statistics
-from riscf.se import (
-    SinrTerms,
-    LsfdWeights,
-    SeResult,
-    build_sinr_terms,
-    sinr_lsfd_closed_form,
-    sinr_equal_weights,
+from riscf.uatf import (
+    UatfMoments,
+    Combining,
+    fixed_weight_form,
+    uatf_sinr,
     optimal_lsfd_weights,
-    spectral_efficiency,
+    combine,
 )
-from riscf.montecarlo import OracleEstimate, UatfEstimates, estimate_uatf_terms, sinr_from_estimates
+from riscf.se import SinrTerms, build_sinr_terms, closed_form_moments, spectral_efficiency
+from riscf.montecarlo import OracleEstimate, UatfEstimates, estimate_uatf_terms
 from riscf.power import PowerAllocation, fractional_power_control, maxmin_power_control
 
 __version__ = "0.1.0"

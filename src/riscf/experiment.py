@@ -34,17 +34,12 @@ from .config import (
     SystemConfig,
     config_from_mapping,
 )
-from .montecarlo import estimate_uatf_terms, sinr_from_estimates
+from .montecarlo import estimate_uatf_terms
 from .pipeline import LinkStatistics, build_link_statistics
 from .power import aggregate_gain, fractional_power_control, full_power, maxmin_power_control
 from .scenario import generate_scenario
-from .se import (
-    SinrTerms,
-    build_sinr_terms,
-    optimal_lsfd_weights,
-    sinr_lsfd_closed_form,
-    spectral_efficiency,
-)
+from .se import build_sinr_terms, closed_form_moments, spectral_efficiency
+from .uatf import UatfMoments, combine, uatf_sinr
 
 SCHEMA_VERSION = 1
 
@@ -61,7 +56,6 @@ CSV_COLUMNS = [
     "se_closed",
     "sinr_mc",
     "se_mc",
-    "runtime_ms",
 ]
 
 CDF_COLUMNS = [
@@ -236,7 +230,7 @@ def _fmt(value: object) -> str:
 def _evaluate_mode(
     mode: ModeSpec,
     link: LinkStatistics,
-    terms: SinrTerms,
+    moments: UatfMoments,
     mc_trials: int,
     mc_rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -248,20 +242,15 @@ def _evaluate_mode(
     elif mode.power == "fpc":
         alloc = fractional_power_control(aggregate_gain(link), cfg.fpc_alpha, cfg.p_max)
     else:
-        alloc = maxmin_power_control(terms, noise, cfg.p_max, tol=cfg.maxmin_tol)
+        alloc = maxmin_power_control(moments, noise, cfg.p_max, tol=cfg.maxmin_tol)
     powers = alloc.powers
 
-    if mode.combiner == "lsfd":
-        weights = optimal_lsfd_weights(terms, powers, noise).weights
-    else:
-        weights = np.ones_like(terms.z, dtype=complex)
-    sinr_closed = sinr_lsfd_closed_form(terms, weights, powers, noise)
-
+    closed = combine(moments, mode.combiner, powers, noise)
     sinr_mc = None
     if mc_trials > 0:
         estimates = estimate_uatf_terms(link, mc_trials, mc_rng)
-        sinr_mc = sinr_from_estimates(estimates, weights, powers, noise)
-    return sinr_closed, sinr_mc
+        sinr_mc = uatf_sinr(estimates.moments(), closed.weights, powers, noise)
+    return closed.sinr, sinr_mc
 
 
 def _run_drop(
@@ -269,10 +258,10 @@ def _run_drop(
 ) -> list[dict]:
     """Rows of every mode on one (sweep value, scenario) drop, in spec order.
 
-    The scenario is drawn once. Link statistics and SINR terms depend on
-    no mode field but (emi, ris), so they are built once per distinct
-    (emi, ris); the modes are evaluated grouped by that key, and only one
-    bundle is alive at a time.
+    The scenario is drawn once. Link statistics and the closed-form moments
+    depend on no mode field but (emi, ris), so they are built once per
+    distinct (emi, ris); the modes are evaluated grouped by that key, and
+    only one bundle is alive at a time.
     """
     cfg = apply_sweep(spec.config, spec.sweep_param, spec.sweep_values[sweep_idx])
     scenario = generate_scenario(cfg, _scenario_rng(seed, scen_idx))
@@ -282,13 +271,13 @@ def _run_drop(
     sinrs = {}
     for (emi, ris), mode_indices in groups.items():
         link = build_link_statistics(scenario, cfg.replace(emi=emi, ris=ris))
-        terms = build_sinr_terms(link)
+        moments = closed_form_moments(build_sinr_terms(link))
         for mode_idx in mode_indices:
             mc_rng = _mc_rng(seed, sweep_idx, scen_idx, mode_idx)
             sinrs[mode_idx] = _evaluate_mode(
-                spec.modes[mode_idx], link, terms, mc_trials, mc_rng
+                spec.modes[mode_idx], link, moments, mc_trials, mc_rng
             )
-        del link, terms  # freed before the next group builds its bundle
+        del link, moments  # freed before the next group builds its bundle
 
     rows = []
     for mode_idx, mode in enumerate(spec.modes):
@@ -310,7 +299,6 @@ def _run_drop(
                     "se_closed": _fmt(float(se_closed[ue])),
                     "sinr_mc": _fmt(None if sinr_mc is None else float(sinr_mc[ue])),
                     "se_mc": _fmt(None if se_mc is None else float(se_mc[ue])),
-                    "runtime_ms": "",
                 }
             )
     return rows
@@ -327,23 +315,23 @@ def run_experiment(
 
     ``mc_trials`` overrides the spec's Monte Carlo budget when given.
     Each (sweep value, scenario) drop is one unit of work, and ``threads``
-    runs that many drops in parallel. Rows are emitted in sweep, scenario,
-    mode order whatever the thread count, and the ``runtime_ms`` column is
-    left empty so the CSV stays byte-stable. The manifest holds the schema and package versions, the
-    seed, thread and trial counts, the spec hash, sweep, modes and config
-    echo, the row count, the total ``wall_time_s`` of the run (there is no
-    per-task timing), and the rows whose closed-form and Monte Carlo SE
-    differ by more than 2%.
+    runs that many drops in parallel; both must be integers, not booleans.
+    Rows are emitted in sweep, scenario, mode order whatever the thread
+    count, so the CSV is byte-stable. The manifest holds the schema and
+    package versions, the seed, thread and trial counts, the spec hash,
+    sweep, modes and config echo, the row count, the total ``wall_time_s``
+    of the run (there is no per-task timing), and the rows whose
+    closed-form and Monte Carlo SE differ by more than 2%.
     """
     spec_path = Path(spec_path)
     spec = load_run_spec(spec_path)
     if not _is_count(seed) or not 0 <= seed < 2**64:
         raise ValueError("seed must be an unsigned 64-bit integer")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+    if not _is_count(threads) or threads < 1:
+        raise ValueError("threads must be a positive integer")
     trials = spec.mc_trials if mc_trials is None else mc_trials
-    if trials < 0:
-        raise ValueError("mc_trials must be non-negative")
+    if not _is_count(trials) or trials < 0:
+        raise ValueError("mc_trials must be a non-negative integer")
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,8 +1,10 @@
-"""Monte Carlo estimation of the moments behind the SINR bound.
+"""Monte Carlo producer of the UatF bound's moments.
 
 Samples channels, pilot noise, and reflected interference, runs the actual
 MMSE estimator on each draw, and averages the combined statistics that the
-closed forms predict deterministically.  Work proceeds in fixed-size
+closed forms predict deterministically.  ``UatfEstimates.moments`` hands
+the sample means to ``uatf`` as the same moment bundle the closed form
+produces, with a dense AP-to-AP covariance.  Work proceeds in fixed-size
 chunks from a caller-seeded generator, so an estimate is bit-for-bit
 reproducible no matter how the surrounding run is scheduled.
 """
@@ -17,6 +19,7 @@ from .channel import ChannelSampler
 from .emi import EmiSpec, sample_emi
 from .estimation import mmse_estimate, synthesize_pilot_observation
 from .pipeline import LinkStatistics
+from .uatf import UatfMoments
 
 CHUNK_TRIALS = 4096
 
@@ -76,6 +79,16 @@ class UatfEstimates:
     t: OracleEstimate
     d: OracleEstimate
     u_emi: OracleEstimate
+
+    def moments(self) -> UatfMoments:
+        """The sample means as the bound's moments, with dense cov = t - u u^H."""
+        u = self.u.mean
+        return UatfMoments(
+            u=u,
+            cov=self.t.mean - np.einsum("kim,kin->kimn", u, u.conj()),
+            d=self.d.mean.real,
+            w=self.u_emi.mean.real,
+        )
 
 
 def estimate_uatf_terms(
@@ -140,38 +153,3 @@ def estimate_uatf_terms(
         d=acc_d.finalize(),
         u_emi=acc_e.finalize(),
     )
-
-
-def sinr_from_estimates(
-    estimates: UatfEstimates,
-    weights: np.ndarray,
-    powers: np.ndarray,
-    noise_power: float,
-) -> np.ndarray:
-    """Effective SINR per UE assembled from simulated moments.
-
-    Evaluates the same bound as the closed form but with every moment
-    replaced by its Monte Carlo estimate, for the given decoding weights.
-    """
-    powers = np.asarray(powers, dtype=float)
-    u = estimates.u.mean
-    t = estimates.t.mean
-    d = estimates.d.mean.real
-    w_emi = estimates.u_emi.mean.real
-    n_aps, n_ues = weights.shape
-    sinr = np.zeros(n_ues)
-    for k in range(n_ues):
-        a = weights[:, k]
-        aw2 = np.abs(a) ** 2
-        signal = powers[k] * np.abs(a.conj() @ u[k, k]) ** 2
-        quad = np.einsum("i,m,imn,n->", powers, a.conj(), t[k], a).real
-        denom = (
-            quad
-            - signal
-            + noise_power * float(aw2 @ d[:, k])
-            + float(aw2 @ w_emi[:, k])
-        )
-        if denom <= 0:
-            raise ValueError("estimated SINR denominator is not positive")
-        sinr[k] = signal / denom
-    return sinr

@@ -1,11 +1,12 @@
 """Uplink transmit power control.
 
-Two policies on top of the closed-form SINR: a fractional heuristic that
-hands weaker UEs relatively more power, and max-min fairness solved by
-bisecting the common SINR target.  For fixed decoding weights the SINR
-constraints of a target t read (diag(num) - t C) p >= t d with C >= 0
-elementwise, so one K x K linear solve for the least powers that meet
-them with equality decides each candidate exactly (Yates, IEEE JSAC 1995).
+Two policies: a fractional heuristic that hands weaker UEs relatively
+more power, and max-min fairness solved by bisecting the common SINR
+target of the UatF bound.  For fixed decoding weights the bound's
+fixed-weight form (``uatf.fixed_weight_form``) turns the SINR constraints
+of a target t into (diag(num) - t C) p >= t d with C >= 0 elementwise, so
+one K x K linear solve for the least powers that meet them with equality
+decides each candidate exactly (Yates, IEEE JSAC 1995).
 Both policies return per-UE data powers in watts, capped at p_max.
 """
 
@@ -15,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import _coset_mask
 from .pipeline import LinkStatistics
-from .se import SinrTerms, optimal_lsfd_weights
+from .uatf import UatfMoments, fixed_weight_form, optimal_lsfd_weights, uatf_sinr
 
 
 @dataclass(frozen=True)
@@ -79,36 +79,13 @@ def full_power(n_ues: int, p_max: float) -> PowerAllocation:
     )
 
 
-def sinr_decomposition(
-    terms: SinrTerms, weights: np.ndarray, noise_power: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Write the SINR as p_k num_k / (sum_i c[k, i] p_i + d_k).
-
-    For fixed decoding weights the closed-form SINR is a ratio of a linear
-    numerator to an affine denominator in the data powers, which is what
-    both the bisection feasibility subproblem and its certificates need.
-    """
-    aw2 = np.abs(weights) ** 2
-    num = np.abs(np.einsum("mk,mk->k", weights.conj(), terms.z)) ** 2
-    c = np.einsum("kim,mk->ki", terms.xi, aw2)
-    inner = np.einsum("mk,kim->ki", weights.conj(), terms.varpi)
-    n_ues = terms.z.shape[1]
-    off_coset = _coset_mask(terms.assignment) - np.eye(n_ues)
-    p_hat = terms.pilot_powers
-    c = c + terms.tau_p**2 * np.outer(p_hat, p_hat) * np.abs(inner) ** 2 * off_coset
-    idx = np.arange(n_ues)
-    c[idx, idx] -= np.einsum("mk,mk->k", aw2, terms.j2)
-    d = np.einsum("mk,mk->k", aw2, noise_power * terms.z + terms.w)
-    return num, c, d
-
-
 def least_powers(
     num: np.ndarray, c: np.ndarray, d: np.ndarray, target: float, p_max: float
 ) -> np.ndarray | None:
     """Least powers giving every UE an SINR of at least ``target``.
 
     Solves (diag(num) - target c) p = target d, with c >= 0 elementwise and
-    d > 0 as from ``sinr_decomposition``.  Returns None when the target is
+    d > 0 as from ``uatf.fixed_weight_form``.  Returns None when the target is
     out of reach within 0 < p <= p_max (see ``maxmin_power_control``).
     """
     try:
@@ -119,7 +96,7 @@ def least_powers(
 
 
 def maxmin_power_control(
-    terms: SinrTerms,
+    moments: UatfMoments,
     noise_power: float,
     p_max: float,
     tol: float = 1e-3,
@@ -142,17 +119,15 @@ def maxmin_power_control(
     if tol <= 0:
         raise ValueError("tol must be positive")
     _check_p_max(p_max)
-    n_ues = terms.z.shape[1]
-    p_full = np.full(n_ues, p_max)
-    opt = optimal_lsfd_weights(terms, p_full, noise_power)
-    weights = opt.weights
-    num, c, d = sinr_decomposition(terms, weights, noise_power)
+    p_full = np.full(moments.d.shape[1], p_max)
+    full = optimal_lsfd_weights(moments, p_full, noise_power)
+    weights = full.weights
+    num, c, d = fixed_weight_form(moments, weights, noise_power)
     if np.any(d <= 0):
         raise ValueError("SINR denominator offsets must be positive")
     if np.any(c < -1e-12 * np.abs(c).max()):
         raise ValueError("interference coefficients must be non-negative")
-    full_sinr = p_full * num / (c @ p_full + d)
-    t_lo = float(full_sinr.min())
+    t_lo = float(full.sinr.min())
     t_hi = float(np.max(p_max * num / d))
     powers = p_full
     iterations = 0
@@ -164,7 +139,7 @@ def maxmin_power_control(
             t_lo, powers = t, least
         else:
             t_hi = t
-    achieved = powers * num / (c @ powers + d)
+    achieved = uatf_sinr(moments, weights, powers, noise_power)
     if achieved.min() < t_lo - 1e-8 * max(t_lo, 1.0):
         raise RuntimeError("bisection witness lost feasibility")
     return PowerAllocation(

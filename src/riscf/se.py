@@ -1,13 +1,11 @@
-"""Closed-form uplink SINR and spectral efficiency with LSFD combining.
+"""Closed-form producer of the UatF bound's moments, and the SE map.
 
-The achievable rate bound treats the average effective channel as the
-useful signal and everything else (beamforming gain uncertainty,
-interference, reflected electromagnetic interference, thermal noise) as
-worst-case uncorrelated noise.  With maximum-ratio combining at the APs
-every ingredient of that bound reduces to deterministic statistics of the
-channel estimates, which this module assembles from a link-statistics
-bundle.  Second-level decoding weights can be either fixed (equal) or
-optimized per UE through a generalized Rayleigh quotient.
+With maximum-ratio combining at the APs every moment of the
+use-and-then-forget bound reduces to deterministic statistics of the
+channel estimates.  ``build_sinr_terms`` evaluates them from a
+link-statistics bundle and ``closed_form_moments`` turns them into the
+moment bundle that ``uatf`` evaluates; the pilot-coset structure of the
+contamination is known only here.
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ import numpy as np
 from .estimation import PilotAssignment, _coset_mask
 from .linalg import solve_hermitian
 from .pipeline import LinkStatistics
+from .uatf import UatfMoments
 
 _IMAG_TOL = 1e-9
 
@@ -54,23 +53,6 @@ class SinrTerms:
     assignment: PilotAssignment
     pilot_powers: np.ndarray
     tau_p: int
-
-
-@dataclass(frozen=True)
-class LsfdWeights:
-    """Per-UE decoding weights across APs and the resulting SINRs."""
-
-    weights: np.ndarray
-    sinr: np.ndarray
-
-
-@dataclass(frozen=True)
-class SeResult:
-    """SINR, spectral efficiency, and the weights that produced them."""
-
-    sinr: np.ndarray
-    se: np.ndarray
-    weights: np.ndarray
 
 
 def build_sinr_terms(link: LinkStatistics) -> SinrTerms:
@@ -124,130 +106,23 @@ def build_sinr_terms(link: LinkStatistics) -> SinrTerms:
     )
 
 
-def closed_form_u(terms: SinrTerms) -> np.ndarray:
-    """Mean inner product between combiner k and channel i, per AP.
+def closed_form_moments(terms: SinrTerms) -> UatfMoments:
+    """The bound's moment bundle in closed form.
 
-    Index order [k, i, m].  The diagonal equals z; coset partners carry the
-    coherent contamination trace; everything else averages to zero.
+    u[k, k] is z_k; a coset partner i of UE k carries the coherent
+    pilot-contamination mean sqrt(p_k^hat p_i^hat) tau_p varpi_ki, and
+    every other u[k, i] averages to zero.  Channels and estimates at
+    different APs are independent, so cov keeps only its AP diagonal,
+    E{|v_mk^H o_mi|^2} - |u[k, i, m]|^2 = xi_ki - delta_ki j2_k.
     """
-    n_ues = terms.z.shape[1]
     p_hat = terms.pilot_powers
-    coherent = (
-        np.sqrt(p_hat[:, None] * p_hat[None, :])[:, :, None]
-        * terms.tau_p
-        * terms.varpi
-    )
-    u = coherent.astype(complex)
-    idx = np.arange(n_ues)
-    u[idx, idx, :] = terms.z.T
-    return u
-
-
-def closed_form_t_matrices(terms: SinrTerms) -> np.ndarray:
-    """Second moment of the combined interference, per UE pair.
-
-    Returns t[k, i] as an M x M matrix so Monte Carlo estimates of
-    E{u_ki u_ki^H} can be checked entrywise.
-    """
-    n_aps, n_ues = terms.z.shape
-    p_hat = terms.pilot_powers
-    tau_p = terms.tau_p
-    mask = _coset_mask(terms.assignment)
-    t = np.zeros((n_ues, n_ues, n_aps, n_aps), dtype=complex)
-    for k in range(n_ues):
-        for i in range(n_ues):
-            diag = terms.xi[k, i].astype(complex)
-            if i == k:
-                diag = diag - terms.j2[:, k]
-                t[k, i] = np.diag(diag) + np.outer(terms.z[:, k], terms.z[:, k])
-            elif mask[k, i]:
-                vp = terms.varpi[k, i]
-                t[k, i] = np.diag(diag) + p_hat[k] * p_hat[i] * tau_p**2 * np.outer(
-                    vp, vp.conj()
-                )
-            else:
-                t[k, i] = np.diag(diag)
-    return t
-
-
-def _denominator(
-    terms: SinrTerms,
-    weights: np.ndarray,
-    powers: np.ndarray,
-    noise_power: float,
-) -> np.ndarray:
-    p_hat = terms.pilot_powers
-    tau_p = terms.tau_p
-    aw2 = np.abs(weights) ** 2
-    interference = np.einsum("i,kim,mk->k", powers, terms.xi, aw2)
-    inner = np.einsum("mk,kim->ki", weights.conj(), terms.varpi)
-    coherent_gain = np.abs(inner) ** 2
-    off_coset = _coset_mask(terms.assignment) - np.eye(terms.z.shape[1])
-    contamination = (
-        tau_p**2
-        * p_hat
-        * np.einsum("i,ki->k", powers * p_hat, coherent_gain * off_coset)
-    )
-    signal_overlap = powers * np.einsum("mk,mk->k", aw2, terms.j2)
-    noise = noise_power * np.einsum("mk,mk->k", aw2, terms.z)
-    reflected = np.einsum("mk,mk->k", aw2, terms.w)
-    return interference + contamination + noise + reflected - signal_overlap
-
-
-def sinr_lsfd_closed_form(
-    terms: SinrTerms,
-    weights: np.ndarray,
-    powers: np.ndarray,
-    noise_power: float,
-) -> np.ndarray:
-    """Closed-form effective SINR per UE for arbitrary decoding weights."""
-    powers = np.asarray(powers, dtype=float)
-    weights = np.asarray(weights)
-    if weights.shape != terms.z.shape:
-        raise ValueError("weights must have shape (n_aps, n_ues)")
-    signal = powers * np.abs(np.einsum("mk,mk->k", weights.conj(), terms.z)) ** 2
-    denom = _denominator(terms, weights, powers, noise_power)
-    if np.any(denom <= 0):
-        raise ValueError("SINR denominator is not positive")
-    return signal / denom
-
-
-def sinr_equal_weights(
-    terms: SinrTerms, powers: np.ndarray, noise_power: float
-) -> np.ndarray:
-    """Closed-form SINR when every AP contributes with unit weight."""
-    ones = np.ones_like(terms.z, dtype=float)
-    return sinr_lsfd_closed_form(terms, ones, powers, noise_power)
-
-
-def optimal_lsfd_weights(
-    terms: SinrTerms, powers: np.ndarray, noise_power: float
-) -> LsfdWeights:
-    """SINR-maximizing decoding weights per UE.
-
-    The SINR is a generalized Rayleigh quotient in the weight vector, so
-    the maximizer solves B_k a_k = z_k and achieves p_k z_k^H B_k^{-1} z_k.
-    B_k is diagonal plus one rank-1 term p_i p_k^hat p_i^hat tau_p^2
-    varpi_ki varpi_ki^H per coset partner i of UE k; all K matrices are
-    built as one (K, M, M) stack and solved together.
-    """
-    powers = np.asarray(powers, dtype=float)
-    n_ues = terms.z.shape[1]
-    p_hat = terms.pilot_powers
-    off_coset = _coset_mask(terms.assignment) - np.eye(n_ues)
-    diag = (
-        np.einsum("i,kim->km", powers, terms.xi)
-        - powers[:, None] * terms.j2.T
-        + noise_power * terms.z.T
-        + terms.w.T
-    )
-    coef = terms.tau_p**2 * np.outer(p_hat, powers * p_hat) * off_coset
-    b = (coef[:, :, None] * terms.varpi).transpose(0, 2, 1) @ terms.varpi.conj()
-    idx = np.arange(terms.z.shape[0])
-    b[:, idx, idx] += diag
-    a = solve_hermitian(b, terms.z.T[:, :, None].astype(complex))[:, :, 0]
-    sinr = powers * _real_part(np.einsum("km,km->k", terms.z.T, a), "optimal SINR")
-    return LsfdWeights(weights=a.T, sinr=sinr)
+    coherent = np.sqrt(np.outer(p_hat, p_hat))[:, :, None] * terms.tau_p
+    u = (coherent * terms.varpi).astype(complex)
+    ues = np.arange(terms.z.shape[1])
+    u[ues, ues] = terms.z.T
+    cov = terms.xi.copy()
+    cov[ues, ues] -= terms.j2.T
+    return UatfMoments(u=u, cov=cov, d=terms.z, w=terms.w)
 
 
 def spectral_efficiency(sinr: np.ndarray, prelog: float) -> np.ndarray:
@@ -256,23 +131,3 @@ def spectral_efficiency(sinr: np.ndarray, prelog: float) -> np.ndarray:
     if np.any(~np.isfinite(sinr)) or np.any(sinr < 0):
         raise ValueError("SINR values must be finite and non-negative")
     return prelog * np.log2(1.0 + sinr)
-
-
-def evaluate_closed_form(
-    link: LinkStatistics, powers: np.ndarray, combiner: str | None = None
-) -> SeResult:
-    """Closed-form SINR and SE for a scenario under the configured combiner."""
-    cfg = link.config
-    mode = combiner if combiner is not None else cfg.combiner
-    terms = build_sinr_terms(link)
-    noise = cfg.noise_power
-    if mode == "lsfd":
-        opt = optimal_lsfd_weights(terms, powers, noise)
-        weights, sinr = opt.weights, opt.sinr
-    elif mode == "mr":
-        weights = np.ones_like(terms.z, dtype=complex)
-        sinr = sinr_equal_weights(terms, powers, noise)
-    else:
-        raise ValueError(f"unknown combiner mode: {mode!r}")
-    se = spectral_efficiency(sinr, cfg.prelog)
-    return SeResult(sinr=sinr, se=se, weights=weights)

@@ -5,7 +5,7 @@ import pytest
 from riscf.config import SystemConfig
 from riscf.pipeline import build_link_statistics
 from riscf.scenario import generate_scenario
-from riscf.se import build_sinr_terms
+from riscf.se import build_sinr_terms, closed_form_moments
 
 
 def make_link(config, seed):
@@ -36,6 +36,11 @@ def validation_link(validation_config):
 @pytest.fixture(scope="session")
 def validation_terms(validation_link):
     return build_sinr_terms(validation_link)
+
+
+@pytest.fixture(scope="session")
+def validation_moments(validation_terms):
+    return closed_form_moments(validation_terms)
 
 
 @pytest.fixture(scope="session")

@@ -19,30 +19,18 @@ from riscf.config import SystemConfig
 from riscf.emi import EmiSpec, sample_emi
 from riscf.estimation import synthesize_pilot_observation
 from riscf.experiment import run_experiment
-from riscf.montecarlo import (
-    RunningMoments,
-    estimate_uatf_terms,
-    sinr_from_estimates,
-)
+from riscf.montecarlo import RunningMoments, estimate_uatf_terms
 from riscf.pipeline import build_link_statistics
 from riscf.power import (
     aggregate_gain,
     fractional_power_control,
     full_power,
     maxmin_power_control,
-    sinr_decomposition,
 )
 from riscf.scenario import generate_scenario
-from riscf.se import (
-    build_sinr_terms,
-    closed_form_t_matrices,
-    closed_form_u,
-    evaluate_closed_form,
-    optimal_lsfd_weights,
-    sinr_equal_weights,
-    sinr_lsfd_closed_form,
-    spectral_efficiency,
-)
+from riscf.se import build_sinr_terms, closed_form_moments, spectral_efficiency
+from riscf.uatf import combine, fixed_weight_form, optimal_lsfd_weights, uatf_sinr
+from uatf_reference import dense_second_moment
 
 DEFAULTS = SystemConfig()
 
@@ -88,8 +76,8 @@ def test_criterion_01_moment_and_sinr_validation(validation_link, validation_ter
 
     est = estimate_uatf_terms(link, 200_000, rng=1)
     devs = {
-        "u": _max_sigma(closed_form_u(terms), est.u),
-        "t": _max_sigma(closed_form_t_matrices(terms), est.t),
+        "u": _max_sigma(closed_form_moments(terms).u, est.u),
+        "t": _max_sigma(dense_second_moment(closed_form_moments(terms)), est.t),
         "d": _max_sigma(terms.z, est.d),
         "w": _max_sigma(terms.w, est.u_emi),
     }
@@ -97,12 +85,12 @@ def test_criterion_01_moment_and_sinr_validation(validation_link, validation_ter
 
     powers = full_power(cfg.n_ues, cfg.p_max).powers
     noise = cfg.noise_power
-    opt = optimal_lsfd_weights(terms, powers, noise)
-    equal = sinr_equal_weights(terms, powers, noise)
+    opt = optimal_lsfd_weights(closed_form_moments(terms), powers, noise)
+    equal = uatf_sinr(closed_form_moments(terms), np.ones_like(terms.z), powers, noise)
     est_sinr = estimate_uatf_terms(link, 20_000, rng=4)
-    mc_opt = sinr_from_estimates(est_sinr, opt.weights, powers, noise)
+    mc_opt = uatf_sinr(est_sinr.moments(), opt.weights, powers, noise)
     ones = np.ones_like(terms.z, dtype=complex)
-    mc_equal = sinr_from_estimates(est_sinr, ones, powers, noise)
+    mc_equal = uatf_sinr(est_sinr.moments(), ones, powers, noise)
     rel_opt = float(np.max(np.abs(mc_opt - opt.sinr) / opt.sinr))
     rel_equal = float(np.max(np.abs(mc_equal - equal) / equal))
 
@@ -186,8 +174,10 @@ def test_criterion_03_closed_form_closures(validation_config):
         and np.all(link_off.emi_cov.r_mm == 0.0)
         and np.array_equal(terms_off.w, terms_none.w)
     )
-    sinr_off = optimal_lsfd_weights(terms_off, powers, cfg.noise_power).sinr
-    sinr_none = optimal_lsfd_weights(terms_none, powers, cfg.noise_power).sinr
+    sinr_off = optimal_lsfd_weights(closed_form_moments(terms_off), powers, cfg.noise_power).sinr
+    sinr_none = optimal_lsfd_weights(
+        closed_form_moments(terms_none), powers, cfg.noise_power
+    ).sinr
     quiet = quiet and np.allclose(sinr_off, sinr_none, rtol=1e-12, atol=0)
 
     terms = build_sinr_terms(_build(cfg, 1))
@@ -209,7 +199,10 @@ def test_criterion_03_closed_form_closures(validation_config):
                 )
         manual[k] = powers[k] * terms.z[:, k].sum() ** 2 / den
     equal_ok = np.allclose(
-        manual, sinr_equal_weights(terms, powers, cfg.noise_power), rtol=1e-12, atol=0
+        manual,
+        uatf_sinr(closed_form_moments(terms), np.ones_like(terms.z), powers, cfg.noise_power),
+        rtol=1e-12,
+        atol=0,
     )
 
     link_ris_off = _build(cfg.replace(ris="off"), 1)
@@ -242,9 +235,9 @@ def test_criterion_04_optimized_weights_dominate():
     violations = 0
     for s in range(100):
         link = _ensemble_link(cfg, 99, s)
-        terms = build_sinr_terms(link)
+        terms = closed_form_moments(build_sinr_terms(link))
         opt = optimal_lsfd_weights(terms, powers, cfg.noise_power)
-        equal = sinr_equal_weights(terms, powers, cfg.noise_power)
+        equal = uatf_sinr(terms, np.ones_like(terms.d), powers, cfg.noise_power)
         if np.any(opt.sinr < equal * (1 - 1e-10)):
             violations += 1
         opt_se.append(spectral_efficiency(opt.sinr, cfg.prelog))
@@ -276,10 +269,13 @@ def test_criterion_05_interference_strength_monotonicity():
                 rho_db=rho, emi="on" if rho is not None else "off"
             )
             link = build_link_statistics(scenario, cfg_rho)
-            res = evaluate_closed_form(
-                link, full_power(cfg.n_ues, cfg.p_max).powers
+            res = combine(
+                closed_form_moments(build_sinr_terms(link)),
+                cfg_rho.combiner,
+                full_power(cfg.n_ues, cfg.p_max).powers,
+                cfg_rho.noise_power,
             )
-            avg[rho] = float(res.se.mean())
+            avg[rho] = float(spectral_efficiency(res.sinr, cfg_rho.prelog).mean())
         seq = [avg[rho] for rho in rhos]
         if not all(seq[i] <= seq[i + 1] + 1e-12 for i in range(len(seq) - 1)):
             bad_order.append(s)
@@ -306,7 +302,17 @@ def test_criterion_06_element_count_trend():
         )
         powers = full_power(cfg.n_ues, cfg.p_max).powers
         means = [
-            float(evaluate_closed_form(_ensemble_link(cfg, 99, s), powers).se.mean())
+            float(
+                spectral_efficiency(
+                    combine(
+                        closed_form_moments(build_sinr_terms(_ensemble_link(cfg, 99, s))),
+                        cfg.combiner,
+                        powers,
+                        cfg.noise_power,
+                    ).sinr,
+                    cfg.prelog,
+                ).mean()
+            )
             for s in range(n_scenarios)
         ]
         avg[side * side] = float(np.mean(means))
@@ -336,19 +342,17 @@ def test_criterion_07_maxmin_power_control():
     violations = []
     for s in range(n_scenarios):
         link = _ensemble_link(cfg, 77, s)
-        terms = build_sinr_terms(link)
+        terms = closed_form_moments(build_sinr_terms(link))
         opt = optimal_lsfd_weights(terms, powers_full, cfg.noise_power)
         full_se.append(spectral_efficiency(opt.sinr, cfg.prelog))
 
         alloc = maxmin_power_control(
             terms, cfg.noise_power, cfg.p_max, tol=cfg.maxmin_tol
         )
-        sinr_mm = sinr_lsfd_closed_form(
-            terms, alloc.weights, alloc.powers, cfg.noise_power
-        )
+        sinr_mm = uatf_sinr(terms, alloc.weights, alloc.powers, cfg.noise_power)
         mm_se.append(spectral_efficiency(sinr_mm, cfg.prelog))
 
-        num, c, d = sinr_decomposition(terms, alloc.weights, cfg.noise_power)
+        num, c, d = fixed_weight_form(terms, alloc.weights, cfg.noise_power)
         t_hi = float(np.max(cfg.p_max * num / d))
         budget = math.ceil(math.log2(t_hi / cfg.maxmin_tol))
         in_box = np.all(alloc.powers >= 0) and np.all(
@@ -391,7 +395,7 @@ def test_criterion_08_fractional_power_control():
         order = np.argsort(gains)
         assert np.all(np.diff(eta[order]) <= 1e-15)
 
-        terms = build_sinr_terms(link)
+        terms = closed_form_moments(build_sinr_terms(link))
         se_full = spectral_efficiency(
             optimal_lsfd_weights(terms, powers_full, cfg.noise_power).sinr,
             cfg.prelog,
@@ -425,7 +429,17 @@ def test_criterion_09_element_spacing_trend():
         )
         powers = full_power(cfg.n_ues, cfg.p_max).powers
         means = [
-            float(evaluate_closed_form(_ensemble_link(cfg, 99, s), powers).se.mean())
+            float(
+                spectral_efficiency(
+                    combine(
+                        closed_form_moments(build_sinr_terms(_ensemble_link(cfg, 99, s))),
+                        cfg.combiner,
+                        powers,
+                        cfg.noise_power,
+                    ).sinr,
+                    cfg.prelog,
+                ).mean()
+            )
             for s in range(n_scenarios)
         ]
         avg[frac] = float(np.mean(means))

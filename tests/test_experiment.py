@@ -138,8 +138,8 @@ def test_run_experiment_output_layout(micro_spec, tmp_path):
     summary = run_experiment(micro_spec, seed=3, out_dir=out)
     rows = read_rows(out / "results.csv")
     assert list(rows[0].keys()) == CSV_COLUMNS
+    assert "runtime_ms" not in CSV_COLUMNS
     assert len(rows) == 2 * 2 * 2
-    assert all(r["runtime_ms"] == "" for r in rows)
     assert all(r["sinr_mc"] != "" for r in rows)
     combos = {(r["mode_combiner"], r["mode_emi"]) for r in rows}
     assert combos == {("lsfd", "on"), ("mr", "off")}
@@ -213,6 +213,13 @@ def test_run_experiment_rejects_bad_seed(micro_spec, tmp_path):
         run_experiment(micro_spec, seed=-1, out_dir=tmp_path / "x")
     with pytest.raises(ValueError):
         run_experiment(micro_spec, seed=2**64, out_dir=tmp_path / "y")
+    for bad in (True, 2.5, -1):
+        with pytest.raises(ValueError, match="mc_trials"):
+            run_experiment(micro_spec, seed=1, out_dir=tmp_path / "z", mc_trials=bad)
+    for bad in (True, 2.0, 0):
+        with pytest.raises(ValueError, match="threads"):
+            run_experiment(micro_spec, seed=1, out_dir=tmp_path / "z", threads=bad)
+    assert not (tmp_path / "z").exists()
 
 
 def test_mc_trials_override_skips_simulation(micro_spec, tmp_path):
@@ -241,7 +248,6 @@ def make_cdf_input(path, se_values):
                     "se_closed": se,
                     "sinr_mc": "",
                     "se_mc": "",
-                    "runtime_ms": "",
                 }
             )
 

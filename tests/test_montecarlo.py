@@ -2,13 +2,9 @@
 import numpy as np
 import pytest
 
-from riscf.montecarlo import (
-    RunningMoments,
-    UatfEstimates,
-    estimate_uatf_terms,
-    sinr_from_estimates,
-)
-from riscf.se import optimal_lsfd_weights, sinr_lsfd_closed_form
+from riscf.montecarlo import RunningMoments, UatfEstimates, estimate_uatf_terms
+from riscf.se import build_sinr_terms, closed_form_moments
+from riscf.uatf import optimal_lsfd_weights, uatf_sinr
 
 
 def test_running_moments_match_numpy():
@@ -69,7 +65,7 @@ def test_estimated_selfterm_matches_combiner_norm(tiny_link):
 
 
 def test_sinr_from_estimates_synthetic_assembly():
-    """Hand-built moments give the exact textbook quotient."""
+    """Hand-built estimates give the exact textbook quotient."""
     n_aps, n_ues = 2, 2
     u = np.zeros((n_ues, n_ues, n_aps), dtype=complex)
     t = np.zeros((n_ues, n_ues, n_aps, n_aps), dtype=complex)
@@ -86,7 +82,7 @@ def test_sinr_from_estimates_synthetic_assembly():
     weights = np.ones((n_aps, n_ues))
     powers = np.array([0.2, 0.1])
     noise = 0.3
-    got = sinr_from_estimates(est, weights, powers, noise)
+    got = uatf_sinr(est.moments(), weights, powers, noise)
     for k in range(n_ues):
         a = weights[:, k]
         signal = powers[k] * np.abs(a @ u[k, k]) ** 2
@@ -101,11 +97,9 @@ def test_closed_form_agrees_with_short_simulation(tiny_link):
     """Coarse agreement at modest trial counts ties the two routes."""
     cfg = tiny_link.config
     p = np.full(cfg.n_ues, cfg.p_max)
-    from riscf.se import build_sinr_terms
-
-    terms = build_sinr_terms(tiny_link)
-    opt = optimal_lsfd_weights(terms, p, cfg.noise_power)
+    opt = optimal_lsfd_weights(
+        closed_form_moments(build_sinr_terms(tiny_link)), p, cfg.noise_power
+    )
     est = estimate_uatf_terms(tiny_link, 20000, rng=9)
-    sim = sinr_from_estimates(est, opt.weights, p, cfg.noise_power)
-    closed = sinr_lsfd_closed_form(terms, opt.weights, p, cfg.noise_power)
-    assert np.abs(sim / closed - 1.0).max() < 0.05
+    sim = uatf_sinr(est.moments(), opt.weights, p, cfg.noise_power)
+    assert np.abs(sim / opt.sinr - 1.0).max() < 0.05

@@ -1,4 +1,4 @@
-"""Power control: fractional heuristic, decomposition, max-min bisection."""
+"""Power control: fractional heuristic, fixed-weight form, max-min bisection."""
 import math
 
 import numpy as np
@@ -15,10 +15,11 @@ from riscf.power import (
     full_power,
     least_powers,
     maxmin_power_control,
-    sinr_decomposition,
 )
 from riscf.scenario import generate_scenario
-from riscf.se import build_sinr_terms, optimal_lsfd_weights, sinr_lsfd_closed_form
+from riscf.se import build_sinr_terms, closed_form_moments
+from riscf.uatf import fixed_weight_form, optimal_lsfd_weights, uatf_sinr
+from uatf_reference import dense_second_moment, textbook_sinr
 
 
 def test_full_power_vector():
@@ -74,58 +75,56 @@ def test_aggregate_gain_positive(validation_link):
     assert np.all(gains > 0)
 
 
-def test_decomposition_reproduces_closed_form(validation_terms, validation_config):
-    """p_k num_k / (c_k . p + d_k) is the closed-form SINR identically."""
+def test_decomposition_reproduces_closed_form(validation_moments, validation_config):
+    """p_k num_k / (c_k . p + d_k) is the textbook quotient over dense T."""
+    m = validation_moments
     noise = validation_config.noise_power
     p_full = np.full(validation_config.n_ues, validation_config.p_max)
-    weights = optimal_lsfd_weights(validation_terms, p_full, noise).weights
-    num, c, d = sinr_decomposition(validation_terms, weights, noise)
+    weights = optimal_lsfd_weights(m, p_full, noise).weights
+    num, c, d = fixed_weight_form(m, weights, noise)
+    t = dense_second_moment(m)
     rng = np.random.default_rng(1)
     for _ in range(10):
         p = rng.uniform(0.01, 1.0, validation_config.n_ues) * validation_config.p_max
-        direct = sinr_lsfd_closed_form(validation_terms, weights, p, noise)
+        direct = textbook_sinr(m.u, t, m.d, m.w, weights, p, noise)
         assembled = p * num / (c @ p + d)
         assert np.allclose(assembled, direct, rtol=1e-10)
 
 
-def test_maxmin_improves_min_sinr(validation_terms, validation_config):
+def test_maxmin_improves_min_sinr(validation_moments, validation_config):
     noise = validation_config.noise_power
     p_max = validation_config.p_max
-    alloc = maxmin_power_control(validation_terms, noise, p_max, tol=1e-3)
+    alloc = maxmin_power_control(validation_moments, noise, p_max, tol=1e-3)
     assert np.all(alloc.powers >= -1e-12)
     assert np.all(alloc.powers <= p_max + 1e-12)
 
-    achieved = sinr_lsfd_closed_form(
-        validation_terms, alloc.weights, alloc.powers, noise
-    )
+    achieved = uatf_sinr(validation_moments, alloc.weights, alloc.powers, noise)
     full_sinr = optimal_lsfd_weights(
-        validation_terms, np.full(validation_config.n_ues, p_max), noise
+        validation_moments, np.full(validation_config.n_ues, p_max), noise
     ).sinr
     assert achieved.min() >= full_sinr.min() - 1e-3
     assert achieved.min() >= alloc.target - 1e-8
 
 
-def test_maxmin_iteration_bound(validation_terms, validation_config):
+def test_maxmin_iteration_bound(validation_moments, validation_config):
     noise = validation_config.noise_power
     p_max = validation_config.p_max
-    alloc = maxmin_power_control(validation_terms, noise, p_max, tol=1e-3)
+    alloc = maxmin_power_control(validation_moments, noise, p_max, tol=1e-3)
     weights = alloc.weights
-    num, c, d = sinr_decomposition(validation_terms, weights, noise)
+    num, c, d = fixed_weight_form(validation_moments, weights, noise)
     t_hi = float(np.max(p_max * num / d))
     assert alloc.iterations <= math.ceil(math.log2(t_hi / 1e-3))
 
 
-def test_maxmin_balances_sinrs(validation_terms, validation_config):
+def test_maxmin_balances_sinrs(validation_moments, validation_config):
     """Bisection pushes the spread of achieved SINRs toward the target."""
     noise = validation_config.noise_power
     alloc = maxmin_power_control(
-        validation_terms, noise, validation_config.p_max, tol=1e-4
+        validation_moments, noise, validation_config.p_max, tol=1e-4
     )
-    achieved = sinr_lsfd_closed_form(
-        validation_terms, alloc.weights, alloc.powers, noise
-    )
+    achieved = uatf_sinr(validation_moments, alloc.weights, alloc.powers, noise)
     full_sinr = optimal_lsfd_weights(
-        validation_terms,
+        validation_moments,
         np.full(validation_config.n_ues, validation_config.p_max),
         noise,
     ).sinr
@@ -135,24 +134,24 @@ def test_maxmin_balances_sinrs(validation_terms, validation_config):
     assert achieved.min() >= alloc.target - 1e-8
 
 
-def test_maxmin_tolerance_validation(validation_terms, validation_config):
+def test_maxmin_tolerance_validation(validation_moments, validation_config):
     with pytest.raises(ValueError):
         maxmin_power_control(
-            validation_terms, validation_config.noise_power, validation_config.p_max, tol=0.0
+            validation_moments, validation_config.noise_power, validation_config.p_max, tol=0.0
         )
     with pytest.raises(ValueError):
         maxmin_power_control(
-            validation_terms, validation_config.noise_power, -0.1, tol=1e-3
+            validation_moments, validation_config.noise_power, -0.1, tol=1e-3
         )
 
 
-def test_power_policies_reject_zero_p_max(validation_terms, validation_config):
+def test_power_policies_reject_zero_p_max(validation_moments, validation_config):
     with pytest.raises(ValueError, match="p_max"):
         full_power(4, 0.0)
     with pytest.raises(ValueError, match="p_max"):
         fractional_power_control(np.array([1.0, 2.0]), 0.5, 0.0)
     with pytest.raises(ValueError, match="p_max"):
-        maxmin_power_control(validation_terms, validation_config.noise_power, 0.0)
+        maxmin_power_control(validation_moments, validation_config.noise_power, 0.0)
 
 
 def _lp_feasible(num, c, d, t, p_max, minimize=False):
@@ -201,14 +200,14 @@ def test_least_powers_verdict_matches_linprog(system):
 
 @pytest.fixture(scope="module")
 def maxmin_ensemble():
-    """SINR terms of the 25 default-config drops that criterion 7 uses."""
+    """Closed-form moments of the 25 default-config drops that criterion 7 uses."""
     cfg = SystemConfig()
-    terms = []
+    moments = []
     for index in range(25):
         rng = np.random.default_rng(np.random.SeedSequence([77, 0xA, index]))
         link = build_link_statistics(generate_scenario(cfg, rng), cfg)
-        terms.append(build_sinr_terms(link))
-    return cfg, terms
+        moments.append(closed_form_moments(build_sinr_terms(link)))
+    return cfg, moments
 
 
 def _perron_target(num, c, d, p_max):
@@ -222,15 +221,15 @@ def _perron_target(num, c, d, p_max):
 
 
 def test_maxmin_target_matches_perron_frobenius(
-    validation_terms, validation_config, maxmin_ensemble
+    validation_moments, validation_config, maxmin_ensemble
 ):
     """The bisection target lies within tol below the Perron-Frobenius optimum."""
     cfg, ensemble = maxmin_ensemble
-    cases = [(validation_terms, validation_config)] + [(t, cfg) for t in ensemble]
-    for terms, config in cases:
+    cases = [(validation_moments, validation_config)] + [(m, cfg) for m in ensemble]
+    for moments, config in cases:
         noise, p_max, tol = config.noise_power, config.p_max, config.maxmin_tol
-        alloc = maxmin_power_control(terms, noise, p_max, tol=tol)
-        num, c, d = sinr_decomposition(terms, alloc.weights, noise)
+        alloc = maxmin_power_control(moments, noise, p_max, tol=tol)
+        num, c, d = fixed_weight_form(moments, alloc.weights, noise)
         t_star = _perron_target(num, c, d, p_max)
         assert alloc.target <= t_star * (1 + 1e-9)
         assert t_star - alloc.target <= tol
@@ -239,17 +238,17 @@ def test_maxmin_target_matches_perron_frobenius(
 def test_interference_coefficients_nonnegative_and_guarded(maxmin_ensemble, monkeypatch):
     cfg, ensemble = maxmin_ensemble
     p_full = np.full(cfg.n_ues, cfg.p_max)
-    for terms in ensemble:
-        weights = optimal_lsfd_weights(terms, p_full, cfg.noise_power).weights
-        _, c, _ = sinr_decomposition(terms, weights, cfg.noise_power)
+    for moments in ensemble:
+        weights = optimal_lsfd_weights(moments, p_full, cfg.noise_power).weights
+        _, c, _ = fixed_weight_form(moments, weights, cfg.noise_power)
         assert np.all(c >= 0)
 
     def one_negative(*args):
-        num, c, d = sinr_decomposition(*args)
+        num, c, d = fixed_weight_form(*args)
         c = c.copy()
         c[0, 1] = -1e-6 * np.abs(c).max()
         return num, c, d
 
-    monkeypatch.setattr(power, "sinr_decomposition", one_negative)
+    monkeypatch.setattr(power, "fixed_weight_form", one_negative)
     with pytest.raises(ValueError, match="non-negative"):
         maxmin_power_control(ensemble[0], cfg.noise_power, cfg.p_max, tol=cfg.maxmin_tol)

@@ -1,27 +1,33 @@
 """Closed-form effective SINR, decoding weights, and spectral efficiency."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riscf import se
+from riscf import uatf
 from riscf.config import SystemConfig
 from riscf.estimation import _coset_mask
 from riscf.pipeline import build_link_statistics
 from riscf.scenario import generate_scenario
-from riscf.se import (
-    build_sinr_terms,
-    closed_form_t_matrices,
-    closed_form_u,
-    evaluate_closed_form,
-    optimal_lsfd_weights,
-    sinr_equal_weights,
-    sinr_lsfd_closed_form,
-    spectral_efficiency,
-)
+from riscf.se import build_sinr_terms, closed_form_moments, spectral_efficiency
+from riscf.uatf import combine, optimal_lsfd_weights, uatf_sinr
+from uatf_reference import dense_second_moment
 
 
 def full_powers(link):
     return np.full(link.config.n_ues, link.config.p_max)
+
+
+def closed_sinr(link, powers):
+    """SINR of a link under its configured combiner, in closed form."""
+    moments = closed_form_moments(build_sinr_terms(link))
+    cfg = link.config
+    return combine(moments, cfg.combiner, powers, cfg.noise_power).sinr
+
+
+def equal_sinr(moments, powers, noise):
+    return uatf_sinr(moments, np.ones_like(moments.d), powers, noise)
 
 
 def test_terms_shapes_and_reality(validation_terms, validation_config):
@@ -54,95 +60,122 @@ def test_interference_exceeds_estimate_norm_for_self(validation_terms):
         assert np.all(t.xi[k, k] + 1e-30 >= t.j2[:, k])
 
 
-def test_closed_form_u_diagonal_is_z(validation_terms):
-    u = closed_form_u(validation_terms)
+def test_closed_form_u_diagonal_is_z(validation_moments, validation_terms):
+    u = validation_moments.u
     for k in range(u.shape[0]):
         assert np.allclose(u[k, k], validation_terms.z[:, k])
 
 
-def test_closed_form_t_hermitian(validation_terms):
-    t = closed_form_t_matrices(validation_terms)
+def test_closed_form_t_hermitian(validation_moments):
+    """The closed-form second moments are Hermitian and PSD."""
+    t = dense_second_moment(validation_moments)
     swapped = t.conj().swapaxes(-1, -2)
     assert np.allclose(t, swapped)
+    eig = np.linalg.eigvalsh(t)
+    assert eig.min() >= -1e-12 * eig.max()
 
 
-def test_equal_weights_is_ones_path(validation_terms, validation_config):
-    p = np.full(validation_config.n_ues, validation_config.p_max)
-    ones = np.ones_like(validation_terms.z, dtype=float)
-    a = sinr_equal_weights(validation_terms, p, validation_config.noise_power)
-    b = sinr_lsfd_closed_form(
-        validation_terms, ones, p, validation_config.noise_power
-    )
-    assert np.array_equal(a, b)
+def _per_pair_second_moments(terms):
+    """Reference: T[k, i] assembled one UE pair at a time from the terms."""
+    n_aps, n_ues = terms.z.shape
+    p_hat, tau = terms.pilot_powers, terms.tau_p
+    mask = _coset_mask(terms.assignment)
+    t = np.zeros((n_ues, n_ues, n_aps, n_aps), dtype=complex)
+    for k in range(n_ues):
+        for i in range(n_ues):
+            if i == k:
+                t[k, i] = np.diag(terms.xi[k, k] - terms.j2[:, k])
+                t[k, i] += np.outer(terms.z[:, k], terms.z[:, k])
+            else:
+                t[k, i] = np.diag(terms.xi[k, i])
+                if mask[k, i]:
+                    vp = terms.varpi[k, i]
+                    t[k, i] += p_hat[k] * p_hat[i] * tau**2 * np.outer(vp, vp.conj())
+    return t
 
 
-def test_optimal_weights_achieve_their_sinr(validation_terms, validation_config):
+def test_closed_form_moments_match_per_pair_second_moments(validation_terms):
+    """u u^H plus the AP-diagonal cov is the second moment, LoS term included."""
+    xi_own = np.einsum("kkm->mk", validation_terms.xi)
+    terms = dataclasses.replace(validation_terms, j2=0.5 * xi_own)
+    got = dense_second_moment(closed_form_moments(terms))
+    np.testing.assert_allclose(got, _per_pair_second_moments(terms), rtol=1e-12, atol=0.0)
+
+
+def test_equal_weights_is_ones_path(validation_moments, validation_config):
     p = np.full(validation_config.n_ues, validation_config.p_max)
     noise = validation_config.noise_power
-    opt = optimal_lsfd_weights(validation_terms, p, noise)
-    direct = sinr_lsfd_closed_form(validation_terms, opt.weights, p, noise)
-    assert np.allclose(direct, opt.sinr, rtol=1e-9)
+    ones = np.ones_like(validation_moments.d, dtype=float)
+    mr = combine(validation_moments, "mr", p, noise)
+    assert np.array_equal(mr.weights, ones)
+    assert np.array_equal(mr.sinr, uatf_sinr(validation_moments, ones, p, noise))
 
 
-def test_optimal_weights_beat_perturbations(validation_terms, validation_config):
+def test_optimal_weights_achieve_their_sinr(validation_moments, validation_config):
+    """At a_k = B_k^{-1} u_kk the quotient reaches its maximum p_k u_kk^H a_k."""
+    p = np.full(validation_config.n_ues, validation_config.p_max)
+    noise = validation_config.noise_power
+    opt = optimal_lsfd_weights(validation_moments, p, noise)
+    u_own = np.einsum("kkm->km", validation_moments.u)
+    peak = p * np.einsum("km,mk->k", u_own.conj(), opt.weights).real
+    assert np.allclose(opt.sinr, peak, rtol=1e-9)
+
+
+def test_optimal_weights_beat_perturbations(validation_moments, validation_config):
     """No perturbed weight vector may exceed the optimum."""
     p = np.full(validation_config.n_ues, validation_config.p_max)
     noise = validation_config.noise_power
-    opt = optimal_lsfd_weights(validation_terms, p, noise)
+    opt = optimal_lsfd_weights(validation_moments, p, noise)
     rng = np.random.default_rng(17)
     for _ in range(25):
         delta = rng.standard_normal(opt.weights.shape) + 1j * rng.standard_normal(
             opt.weights.shape
         )
         trial = opt.weights + 0.3 * delta * np.abs(opt.weights).mean()
-        perturbed = sinr_lsfd_closed_form(validation_terms, trial, p, noise)
+        perturbed = uatf_sinr(validation_moments, trial, p, noise)
         assert np.all(perturbed <= opt.sinr * (1 + 1e-9))
 
 
-def test_optimal_weights_beat_equal_weights(validation_terms, validation_config):
+def test_optimal_weights_beat_equal_weights(validation_moments, validation_config):
     p = np.full(validation_config.n_ues, validation_config.p_max)
     noise = validation_config.noise_power
-    opt = optimal_lsfd_weights(validation_terms, p, noise)
-    eq = sinr_equal_weights(validation_terms, p, noise)
+    opt = optimal_lsfd_weights(validation_moments, p, noise)
+    eq = equal_sinr(validation_moments, p, noise)
     assert np.all(opt.sinr + 1e-15 >= eq)
 
 
-def test_weights_scale_invariance(validation_terms, validation_config):
+def test_weights_scale_invariance(validation_moments, validation_config):
     """Scaling any UE's weight vector leaves its SINR unchanged."""
     p = np.full(validation_config.n_ues, validation_config.p_max)
     noise = validation_config.noise_power
-    opt = optimal_lsfd_weights(validation_terms, p, noise)
+    opt = optimal_lsfd_weights(validation_moments, p, noise)
     scaled = opt.weights * (2.0 - 0.5j)
-    direct = sinr_lsfd_closed_form(validation_terms, scaled, p, noise)
+    direct = uatf_sinr(validation_moments, scaled, p, noise)
     assert np.allclose(direct, opt.sinr, rtol=1e-9)
 
 
 @given(st.lists(st.floats(min_value=1e-4, max_value=0.2), min_size=4, max_size=4))
 @settings(max_examples=25, deadline=None)
-def test_sinr_monotone_in_own_power(validation_terms, validation_config, base):
+def test_sinr_monotone_in_own_power(validation_moments, validation_config, base):
     """SINR_k never decreases when UE k raises its own power."""
     noise = validation_config.noise_power
     p = np.asarray(base)
-    lo = sinr_equal_weights(validation_terms, p, noise)
+    lo = equal_sinr(validation_moments, p, noise)
     for k in range(len(p)):
         boosted = p.copy()
         boosted[k] *= 2.0
-        hi = sinr_equal_weights(validation_terms, boosted, noise)
+        hi = equal_sinr(validation_moments, boosted, noise)
         assert hi[k] >= lo[k] * (1 - 1e-12)
 
 
-def test_sinr_decreases_with_interferer_power(validation_terms, validation_config):
+def test_sinr_decreases_with_interferer_power(validation_moments, validation_config):
     noise = validation_config.noise_power
-    p = full_powers_like(validation_terms, validation_config)
-    base = sinr_equal_weights(validation_terms, p, noise)
+    p = np.full(validation_config.n_ues, validation_config.p_max)
+    base = equal_sinr(validation_moments, p, noise)
     boosted = p.copy()
     boosted[1] *= 4.0
-    after = sinr_equal_weights(validation_terms, boosted, noise)
+    after = equal_sinr(validation_moments, boosted, noise)
     assert after[0] <= base[0] * (1 + 1e-12)
-
-
-def full_powers_like(terms, config):
-    return np.full(config.n_ues, config.p_max)
 
 
 def test_spectral_efficiency_formula():
@@ -158,12 +191,15 @@ def test_spectral_efficiency_rejects_bad_values():
         spectral_efficiency(np.array([np.inf]), 1.0)
 
 
-def test_evaluate_closed_form_lsfd_vs_mr(validation_link):
+def test_evaluate_closed_form_lsfd_vs_mr(validation_moments, validation_link):
     p = full_powers(validation_link)
-    lsfd = evaluate_closed_form(validation_link, p)
-    mr = evaluate_closed_form(validation_link, p, combiner="mr")
+    noise = validation_link.config.noise_power
+    lsfd = combine(validation_moments, "lsfd", p, noise)
+    mr = combine(validation_moments, "mr", p, noise)
     assert np.all(lsfd.sinr + 1e-15 >= mr.sinr)
     assert np.allclose(mr.weights, 1.0)
+    with pytest.raises(ValueError, match="combiner"):
+        combine(validation_moments, "zf", p, noise)
 
 
 def test_no_interference_limit_increases_sinr(validation_config):
@@ -176,9 +212,7 @@ def test_no_interference_limit_increases_sinr(validation_config):
     )
     quiet = build_link_statistics(generate_scenario(quiet_cfg, rng_b), quiet_cfg)
     p = np.full(validation_config.n_ues, validation_config.p_max)
-    s_noisy = evaluate_closed_form(noisy, p)
-    s_quiet = evaluate_closed_form(quiet, p)
-    assert np.all(s_quiet.sinr + 1e-15 >= s_noisy.sinr)
+    assert np.all(closed_sinr(quiet, p) + 1e-15 >= closed_sinr(noisy, p))
 
 
 def test_plain_system_closed_form_dual_route():
@@ -226,7 +260,7 @@ def test_plain_system_closed_form_dual_route():
     assert np.allclose(terms.j2, 0.0)
 
     p = np.full(k_ues, cfg.p_max)
-    opt = optimal_lsfd_weights(terms, p, noise)
+    opt = optimal_lsfd_weights(closed_form_moments(terms), p, noise)
     manual_sinr = np.zeros(k_ues)
     mask = _coset_mask(link.assignment)
     for k in range(k_ues):
@@ -268,7 +302,7 @@ def _per_ue_lsfd(terms, powers, noise):
 
 @pytest.mark.parametrize("powers", ["full", "random"])
 def test_batched_lsfd_matches_per_ue_construction(
-    powers, validation_terms, validation_config, monkeypatch
+    powers, validation_terms, validation_moments, validation_config, monkeypatch
 ):
     """One stacked solve gives the per-UE weights and SINRs, coset terms included."""
     terms = validation_terms
@@ -277,12 +311,12 @@ def test_batched_lsfd_matches_per_ue_construction(
     if powers == "random":
         p = p * np.random.default_rng(3).uniform(0.05, 1.0, p.size)
     calls = []
-    solve = se.solve_hermitian
+    solve = uatf.solve_hermitian
     monkeypatch.setattr(
-        se, "solve_hermitian", lambda a, b: calls.append(a.shape) or solve(a, b)
+        uatf, "solve_hermitian", lambda a, b: calls.append(a.shape) or solve(a, b)
     )
 
-    opt = optimal_lsfd_weights(terms, p, validation_config.noise_power)
+    opt = optimal_lsfd_weights(validation_moments, p, validation_config.noise_power)
     weights, sinr = _per_ue_lsfd(terms, p, validation_config.noise_power)
     assert calls == [(validation_config.n_ues,) + (validation_config.n_aps,) * 2]
     np.testing.assert_allclose(opt.weights, weights, rtol=1e-12, atol=0.0)
