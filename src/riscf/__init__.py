@@ -23,7 +23,6 @@ from riscf.channel import (
     ChannelStatistics,
     ChannelRealization,
     aggregated_covariance,
-    sample_channels,
 )
 from riscf.emi import (
     EmiSpec,

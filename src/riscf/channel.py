@@ -8,6 +8,7 @@ for the Monte-Carlo oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,21 +31,6 @@ class ChannelStatistics:
     q1: np.ndarray
     q2: np.ndarray
     r_direct: np.ndarray
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """A batch of joint channel draws with leading trial axis."""
-
-    g: np.ndarray
-    h: np.ndarray
-    z: np.ndarray
-    o: np.ndarray
-    phase: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.o.shape != self.g.shape:
-            raise ValueError("o and g must share shape")
 
 
 def aggregated_covariance(
@@ -75,14 +61,16 @@ def aggregated_covariance(
 
 
 class ChannelSampler:
-    """Draws joint (g, H, z, o) batches from precomputed covariance factors.
+    """Draws joint channel batches from precomputed covariance factors.
 
     Setup takes one eigendecomposition of the shared sinc matrix R, one
     stacked factorization of the M AP-side L x L factors and one of the
-    M K direct-link covariances. The NLoS part of H_m is drawn as
-    sqrt(gain_m) F_R W F_m^T with F_R F_R^H = R and F_m the conjugate of the
-    factor of R_m, so vec(H_m - Hbar_m) keeps covariance
-    gain_m (R_m^T kron R); the NLoS part of z_k is sqrt(gain_k) F_R w.
+    M K direct-link covariances. The NLoS part of H_m is F_R W_m A_m^T with
+    F_R F_R^H = R, W_m white and A_m = sqrt(gain_m) times the conjugate of
+    the factor of R_m (``ap_factors``), so vec(H_m - Hbar_m) keeps
+    covariance gain_m (R_m^T kron R); the NLoS part of z_k is
+    sqrt(gain_k) F_R w. H itself is never formed: a draw keeps W, and its
+    realization applies H_m^H Phi as GEMMs against Hbar, F_R, W_m and A_m.
     ``ris_factor`` is F_R, which EMI draws can share.
     """
 
@@ -99,6 +87,7 @@ class ChannelSampler:
         self.ris_factor = psd_factor(nlos.R)
         self.ap_factors = np.sqrt(nlos.gain_m)[:, None, None] * psd_factor(nlos.r_m).conj()
         self.ue_scale = np.sqrt(nlos.gain_k)
+        self._hbar_cols = los.hbar.transpose(1, 0, 2).reshape(self.n, self.n_aps * self.l)
 
     def draw(
         self, rng: np.random.Generator, trials: int, phase: np.ndarray | None = None
@@ -106,29 +95,69 @@ class ChannelSampler:
         """Sample ``trials`` joint realizations.
 
         The UE LoS phase factors e^{j theta_k} are drawn fresh unless given.
-        Draw order is fixed (phases, g, H, z) so a seeded stream reproduces
-        the batch bit-for-bit.
+        Draw order is fixed (phases, g, W_m of each AP in turn, z) so a
+        seeded stream reproduces the batch bit-for-bit; the W_m come from
+        one AP-major draw, the same stream as one draw per AP.
         """
         if phase is None:
             phase = sample_phases(rng, (trials, self.n_ues))
         w_g = standard_cn(rng, (trials, self.n_aps, self.n_ues, self.l))
         g = np.einsum("mkab,tmkb->tmka", self.g_factors, w_g)
-        h = np.empty((trials, self.n_aps, self.n, self.l), dtype=complex)
-        for m in range(self.n_aps):
-            w_h = standard_cn(rng, (trials, self.ris_factor.shape[1], self.l))
-            h[:, m] = self.los.hbar[m] + self.ris_factor @ (w_h @ self.ap_factors[m].T)
+        w = standard_cn(rng, (self.n_aps, trials, self.ris_factor.shape[1], self.l))
         w_z = sample_cn(rng, self.ris_factor, (trials, self.n_ues))
         z = self.los.zbar * phase[:, :, None] + self.ue_scale[:, None] * w_z
-        o = g + ((self.los.phi * z).conj()[:, None] @ h).conj()
-        return ChannelRealization(g=g, h=h, z=z, o=o, phase=phase)
+        o = g + self._reflect(w, z)
+        return ChannelRealization(g=g, z=z, o=o, phase=phase, w=w, sampler=self)
+
+    def _reflect(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """H_m^H Phi x with H_m = Hbar_m + F_R W_m A_m^T built from the draws ``w``.
+
+        Works on conjugates, conj(H_m^H Phi x) = x^H Phi^H H_m: the LoS part
+        is one GEMM against Hbar, the NLoS part one shared GEMM against F_R,
+        then W_m and A_m^T, batched over (AP, trial).
+        """
+        trials, n = x.shape[0], x.shape[-1]
+        batch = x.shape[1:-1]
+        j = math.prod(batch)
+        y = (self.los.phi.conj() * x.conj()).reshape(trials * j, n)
+        los = (y @ self._hbar_cols).reshape(trials, j, self.n_aps, self.l)
+        white = (y @ self.ris_factor).reshape(trials, j, w.shape[2])
+        del y
+        nlos = (white[None] @ w).reshape(self.n_aps, trials * j, self.l)
+        del white
+        nlos = nlos @ self.ap_factors.swapaxes(-1, -2)
+        nlos = nlos.reshape(self.n_aps, trials, j, self.l)
+        out = los.transpose(0, 2, 1, 3) + nlos.transpose(1, 0, 2, 3)
+        return np.conj(out, out=out).reshape((trials, self.n_aps) + batch + (self.l,))
 
 
-def sample_channels(
-    stats: ChannelStatistics,
-    los: LosComponents,
-    nlos: NlosCovariances,
-    rng: np.random.Generator,
-    trials: int = 1,
-) -> ChannelRealization:
-    """One-shot joint channel draw; builds factors then samples a batch."""
-    return ChannelSampler(stats, los, nlos).draw(rng, trials)
+@dataclass(frozen=True)
+class ChannelRealization:
+    """A batch of joint channel draws.
+
+    g, z, o and phase lead with the trial axis. The RIS-to-AP channels H_m
+    are never formed: ``w`` keeps their white draws W_m, shape
+    (M, trials, r, L), and ``reflect`` applies H_m^H Phi to RIS-side
+    vectors straight from them.
+    """
+
+    g: np.ndarray
+    z: np.ndarray
+    o: np.ndarray
+    phase: np.ndarray
+    w: np.ndarray
+    sampler: ChannelSampler
+
+    def __post_init__(self) -> None:
+        if self.o.shape != self.g.shape:
+            raise ValueError("o and g must share shape")
+
+    def reflect(self, x: np.ndarray) -> np.ndarray:
+        """H_m^H Phi x for every AP m and every RIS-side vector of ``x``.
+
+        ``x`` has shape (trials, ..., N) with this batch's trial axis; the
+        result has shape (trials, M, ..., L).
+        """
+        return self.sampler._reflect(self.w, x)
+
+

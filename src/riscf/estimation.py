@@ -46,12 +46,14 @@ def assign_pilots(n_ues: int, tau_p: int) -> PilotAssignment:
 class EstimationStatistics:
     """Second-order quantities of the MMSE estimator, per (AP, UE).
 
-    psi is the pilot observation covariance divided by tau_p, omega the
-    estimate shape matrix, c the error covariance, and gain the estimator
-    matrix sqrt(p_hat_k) R^o Psi^{-1} applied to the innovation.
+    psi is the pilot observation covariance divided by tau_p, x the
+    solution Psi^{-1} R^o, omega the estimate shape matrix, c the error
+    covariance, and gain the estimator matrix sqrt(p_hat_k) R^o Psi^{-1}
+    applied to the innovation.
     """
 
     psi: np.ndarray
+    x: np.ndarray
     omega: np.ndarray
     c: np.ndarray
     gain: np.ndarray
@@ -88,7 +90,7 @@ def estimation_statistics(
     omega = stats.r_o @ x
     c = stats.r_o - pilot_powers[None, :, None, None] * tau_p * omega
     gain = np.sqrt(pilot_powers)[None, :, None, None] * x.conj().swapaxes(-1, -2)
-    return EstimationStatistics(psi=psi, omega=omega, c=c, gain=gain)
+    return EstimationStatistics(psi=psi, x=x, omega=omega, c=c, gain=gain)
 
 
 def synthesize_pilot_observation(
@@ -104,13 +106,15 @@ def synthesize_pilot_observation(
     ``emi_pilot`` has shape (trials, N, tau_p) and ``ap_noise`` (trials, M,
     L, tau_p), one column per pilot symbol. With unit-norm-squared-tau_p
     orthogonal pilots, projecting on pilot t scales the co-pilot channels
-    by sqrt(p_hat) tau_p and the per-symbol noises by sqrt(tau_p).
+    by sqrt(p_hat) tau_p and the per-symbol noises by sqrt(tau_p). The EMI
+    reaches the APs through ``realization.reflect``, so ``phi`` must be the
+    RIS phases the realization was drawn with.
     """
+    if not np.array_equal(phi, realization.sampler.los.phi):
+        raise ValueError("phi differs from the phases the channels were drawn with")
     tau_p = assignment.tau_p
     trials, n_aps, n_ues, l = realization.o.shape
-    reflected = np.einsum(
-        "tmna,n,tnp->tmap", realization.h.conj(), phi, emi_pilot
-    )
+    reflected = realization.reflect(emi_pilot.swapaxes(1, 2)).swapaxes(2, 3)
     noise = np.sqrt(tau_p) * (reflected + ap_noise)
     y = np.empty((trials, n_aps, n_ues, l), dtype=complex)
     for t, coset in enumerate(assignment.cosets):
@@ -134,16 +138,17 @@ def mmse_estimate(
     """MMSE estimates o_hat_mk given the pilot observations and LoS phases.
 
     o_hat = obar e^{j theta_k} + gain (y - ybar), where ybar collects the
-    phase-rotated LoS means of the whole coset.
+    phase-rotated LoS means of the whole coset: one GEMM of the phases
+    against the trial-independent coset means.
     """
     tau_p = assignment.tau_p
-    ybar = np.einsum(
-        "i,mia,ti,ki->tmka",
+    coset_means = np.einsum(
+        "i,mia,ki->imka",
         np.sqrt(pilot_powers) * tau_p,
         stats.obar,
-        phase,
         _coset_mask(assignment),
     )
+    ybar = (phase @ coset_means.reshape(phase.shape[1], -1)).reshape(y.shape)
     prior = stats.obar[None] * phase[:, None, :, None]
     return prior + np.einsum("mkab,tmkb->tmka", est.gain, y - ybar)
 

@@ -77,24 +77,14 @@ def sample_cn(rng: np.random.Generator, factor: np.ndarray, shape: tuple[int, ..
     """Draw CN(0, F F^H) vectors given a covariance factor F.
 
     ``factor`` has shape (n, r); the result has shape ``shape + (n,)``.
+    The white draws meet the factor in one 2-D GEMM.
     """
-    return standard_cn(rng, shape + (factor.shape[1],)) @ factor.T
+    n, r = factor.shape
+    white = standard_cn(rng, shape + (r,)).reshape(-1, r)
+    return (white @ factor.T).reshape(shape + (n,))
 
 
 def sample_phases(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Draw uniform phase factors e^{j theta} with theta ~ U[0, 2pi)."""
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=shape))
 
-
-def quadratic_block_trace(a: np.ndarray, cov: np.ndarray, n: int, l: int) -> np.ndarray:
-    """E{X^H A X} for X with column-major vec covariance ``cov``.
-
-    X is n x l, ``cov`` is (nl x nl) laid out in n-sized blocks: block
-    (r, c) spans rows rn..(r+1)n and columns cn..(c+1)n (0-based half-open
-    ranges). The (l, l') output entry is tr(A block(l', l)), which reduces
-    to the familiar trace identity when cov is Kronecker.
-    """
-    if cov.shape != (n * l, n * l):
-        raise ValueError(f"covariance must be {(n * l, n * l)}, got {cov.shape}")
-    blocks = cov.reshape(l, n, l, n)
-    return np.einsum("ab,pbqa->qp", a, blocks)

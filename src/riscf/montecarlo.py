@@ -7,6 +7,13 @@ the sample means to ``uatf`` as the same moment bundle the closed form
 produces, with a dense AP-to-AP covariance.  Work proceeds in fixed-size
 chunks from a caller-seeded generator, so an estimate is bit-for-bit
 reproducible no matter how the surrounding run is scheduled.
+
+A trial costs its Gaussian draws plus GEMMs.  The RIS-to-AP channels H are
+never formed: the channel realization reflects the UE channels and both
+EMI draws through H^H Phi straight from its white draws, which are freed
+once the data-phase EMI has used them.  The second moment T = sum u u^H
+and its standard errors are summed over the trial axis as batched GEMMs,
+so no per-trial (K, K, M, M) array exists either.
 """
 
 from __future__ import annotations
@@ -53,6 +60,34 @@ class RunningMoments:
         self.total += batch.sum(axis=0)
         self.total_sq_re += np.sum(np.real(batch) ** 2, axis=0)
         self.total_sq_im += np.sum(np.imag(batch) ** 2, axis=0)
+
+    def update_outer(self, batch: np.ndarray) -> None:
+        """Accumulate the outer products b b^H of the trailing vectors b.
+
+        ``batch`` has shape (trials, ..., n) and the accumulator
+        (..., n, n). Every sum over trials is one batched GEMM, so no
+        (trials, ..., n, n) array is formed. For c = a conj(b),
+        |c|^2 = |a|^2 |b|^2 and c^2 = a^2 conj(b)^2, so the sums of
+        Re(c)^2 and Im(c)^2 are the half sum and half difference of
+        S1 = sum |a|^2 |b|^2 and Re S2 = Re sum a^2 conj(b)^2. On the
+        diagonal c = |a|^2 is real and S2 = S1 exactly, which is imposed so
+        that rounding leaves no spurious imaginary variance there.
+        """
+        trials, n = batch.shape[0], batch.shape[-1]
+        a = np.ascontiguousarray(np.moveaxis(batch.reshape(trials, -1, n), 0, 1))
+        power = a.real**2 + a.imag**2
+        s1 = power.swapaxes(1, 2) @ power
+        del power
+        square = a * a
+        s2 = (square.swapaxes(1, 2) @ square.conj()).real
+        del square
+        diag = np.arange(n)
+        s2[:, diag, diag] = s1[:, diag, diag]
+        shape = self.total.shape
+        self.count += trials
+        self.total += (a.swapaxes(1, 2) @ a.conj()).reshape(shape)
+        self.total_sq_re += (0.5 * (s1 + s2)).reshape(shape)
+        self.total_sq_im += (0.5 * (s1 - s2)).reshape(shape)
 
     def finalize(self) -> OracleEstimate:
         if self.count == 0:
@@ -136,15 +171,16 @@ def estimate_uatf_terms(
         y = synthesize_pilot_observation(
             real, emi_pilot, ap_noise, link.assignment, link.pilot_powers, link.los.phi
         )
+        del emi_pilot, raw, ap_noise
         v = mmse_estimate(
             y, link.stats, link.est, link.assignment, link.pilot_powers, real.phase
         )
         u = np.einsum("tmkl,tmil->tkim", v.conj(), real.o)
+        q = real.reflect(sample_emi(spec, rng, (batch,)))
+        del real, y  # frees the white draws W, the chunk's largest array
         acc_u.update(u)
-        acc_t.update(np.einsum("tkim,tkin->tkimn", u, u.conj()))
+        acc_t.update_outer(u)
         acc_d.update(np.einsum("tmkl,tmkl->tmk", v.conj(), v).real)
-        n_data = sample_emi(spec, rng, (batch,))
-        q = np.einsum("tmnl,n,tn->tml", real.h.conj(), link.los.phi, n_data)
         e = np.einsum("tmkl,tml->tmk", v.conj(), q)
         acc_e.update(np.abs(e) ** 2)
     return UatfEstimates(

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import PilotAssignment, _coset_mask
-from .linalg import solve_hermitian
 from .pipeline import LinkStatistics
 from .uatf import UatfMoments
 
@@ -83,8 +82,7 @@ def build_sinr_terms(link: LinkStatistics) -> SinrTerms:
         "interference statistic",
     )
 
-    x = solve_hermitian(est.psi, r_o)
-    varpi = np.einsum("miab,mkba->kim", r_o, x)
+    varpi = np.einsum("miab,mkba->kim", r_o, est.x)
     mask = _coset_mask(link.assignment)
     varpi = varpi * mask[:, :, None]
 

@@ -1,15 +1,38 @@
-"""Dense reference for the RIS cascade statistics, used as a test oracle.
+"""Dense references for the RIS cascade and the Monte Carlo oracle.
 
-Materializes the (NL x NL) RIS-to-AP covariance rtilde_m = (R_m^T kron
-R_r,m) / (L N beta_m) with R_r,m = beta_m^NLoS A_r R, and the RIS-to-UE
-covariance beta_k^NLoS A_r R, straight from the scenario, then evaluates
-Q1, Q2 and the EMI term Q_m as block traces with
-``linalg.quadratic_block_trace``. It costs O(M K (NL)^2) per drop, which
-is why the package uses the structured form instead.
+The cascade statistics: materializes the (NL x NL) RIS-to-AP covariance
+rtilde_m = (R_m^T kron R_r,m) / (L N beta_m) with R_r,m = beta_m^NLoS A_r R,
+and the RIS-to-UE covariance beta_k^NLoS A_r R, straight from the scenario,
+then evaluates Q1, Q2 and the EMI term Q_m as block traces with
+``quadratic_block_trace``. It costs O(M K (NL)^2) per drop, which is why
+the package uses the structured form instead.
+
+The Monte Carlo oracle: ``dense_h`` forms every RIS-to-AP channel H_m of a
+realization, and ``dense_uatf_terms`` is the per-trial loop that reflects
+through those H and feeds the (trials, K, K, M, M) outer products to
+``RunningMoments.update``, on the same random stream as
+``estimate_uatf_terms``.
 """
 import numpy as np
 
-from riscf.linalg import quadratic_block_trace
+from riscf.channel import ChannelSampler
+from riscf.emi import EmiSpec, sample_emi
+from riscf.estimation import mmse_estimate
+from riscf.montecarlo import RunningMoments, UatfEstimates
+
+
+def quadratic_block_trace(a, cov, n, l):
+    """E{X^H A X} for X with column-major vec covariance ``cov``.
+
+    X is n x l, ``cov`` is (nl x nl) laid out in n-sized blocks: block
+    (r, c) spans rows rn..(r+1)n and columns cn..(c+1)n (0-based half-open
+    ranges). The (l, l') output entry is tr(A block(l', l)), which reduces
+    to the familiar trace identity when cov is Kronecker.
+    """
+    if cov.shape != (n * l, n * l):
+        raise ValueError(f"covariance must be {(n * l, n * l)}, got {cov.shape}")
+    blocks = cov.reshape(l, n, l, n)
+    return np.einsum("ab,pbqa->qp", a, blocks)
 
 
 def dense_nlos(ris, scenario, config, r_m):
@@ -63,3 +86,65 @@ def dense_emi(hbar, phi, R, rtilde_m, sigma_r2, element_area):
         ]
     )
     return {"r_mm": sigma_r2 * element_area * los_part + q_m, "q_m": q_m}
+
+
+def dense_h(real):
+    """H_m = Hbar_m + F_R W_m A_m^T of every trial, shape (trials, M, N, L)."""
+    sampler = real.sampler
+    nlos = np.einsum("nr,mtrb,mab->tmna", sampler.ris_factor, real.w, sampler.ap_factors)
+    return sampler.los.hbar[None] + nlos
+
+
+def dense_uatf_terms(link, trials, rng, chunk_size):
+    """``estimate_uatf_terms`` as a per-trial loop over the dense H.
+
+    Reflections are h.conj() einsums against H, the pilot observation is
+    assembled UE by UE, and T accumulates the explicit per-trial outer
+    products u u^H.
+    """
+    rng = np.random.default_rng(rng)
+    cfg = link.config
+    n_aps, n_ues, n_ant, tau_p = cfg.n_aps, cfg.n_ues, cfg.n_ap_antennas, cfg.tau_p
+    phi = link.los.phi
+    sampler = ChannelSampler(link.stats, link.los, link.nlos)
+    spec = EmiSpec(
+        sigma_r2=link.sigma_r2,
+        element_area=link.ris.element_area,
+        R=link.ris.R,
+        factor=sampler.ris_factor,
+    )
+    acc_u = RunningMoments((n_ues, n_ues, n_aps))
+    acc_t = RunningMoments((n_ues, n_ues, n_aps, n_aps))
+    acc_d = RunningMoments((n_aps, n_ues))
+    acc_e = RunningMoments((n_aps, n_ues))
+    remaining = trials
+    while remaining > 0:
+        batch = min(chunk_size, remaining)
+        remaining -= batch
+        real = sampler.draw(rng, batch)
+        h = dense_h(real)
+        o = real.g + np.einsum("tmna,n,tkn->tmka", h.conj(), phi, real.z)
+        emi_pilot = sample_emi(spec, rng, (batch, tau_p))
+        raw = rng.standard_normal((batch, n_aps, n_ant, tau_p, 2))
+        ap_noise = np.sqrt(cfg.noise_power / 2.0) * (raw[..., 0] + 1j * raw[..., 1])
+        reflected = np.einsum("tmna,n,tpn->tmap", h.conj(), phi, emi_pilot)
+        noise = np.sqrt(tau_p) * (reflected + ap_noise)
+        y = np.empty_like(o)
+        for k in range(n_ues):
+            pilot = link.assignment.pilot_of[k]
+            coset = link.assignment.coset(k)
+            scale = np.sqrt(link.pilot_powers[coset]) * tau_p
+            y[:, :, k] = np.einsum("i,tmia->tma", scale, o[:, :, coset]) + noise[..., pilot]
+        v = mmse_estimate(
+            y, link.stats, link.est, link.assignment, link.pilot_powers, real.phase
+        )
+        u = np.einsum("tmkl,tmil->tkim", v.conj(), o)
+        acc_u.update(u)
+        acc_t.update(np.einsum("tkim,tkin->tkimn", u, u.conj()))
+        acc_d.update(np.einsum("tmkl,tmkl->tmk", v.conj(), v).real)
+        n_data = sample_emi(spec, rng, (batch,))
+        q = np.einsum("tmnl,n,tn->tml", h.conj(), phi, n_data)
+        acc_e.update(np.abs(np.einsum("tmkl,tml->tmk", v.conj(), q)) ** 2)
+    return UatfEstimates(
+        u=acc_u.finalize(), t=acc_t.finalize(), d=acc_d.finalize(), u_emi=acc_e.finalize()
+    )

@@ -7,7 +7,7 @@ import pytest
 from riscf.channel import ChannelSampler, aggregated_covariance
 from riscf.linalg import hermitize
 
-from dense_reference import dense_nlos
+from dense_reference import dense_h, dense_nlos
 
 
 def _dense_nlos(link):
@@ -46,7 +46,7 @@ def test_sampler_shapes_and_determinism(tiny_link):
     b = sampler.draw(np.random.default_rng(3), 7)
     m, k, l, n = cfg.n_aps, cfg.n_ues, cfg.n_ap_antennas, cfg.n_ris_elements
     assert a.g.shape == (7, m, k, l)
-    assert a.h.shape == (7, m, n, l)
+    assert dense_h(a).shape == (7, m, n, l)
     assert a.z.shape == (7, k, n)
     assert a.o.shape == (7, m, k, l)
     assert np.array_equal(a.o, b.o)
@@ -57,10 +57,26 @@ def test_sampler_aggregates_parts(tiny_link):
     sampler = ChannelSampler(tiny_link.stats, tiny_link.los, tiny_link.nlos)
     real = sampler.draw(np.random.default_rng(4), 5)
     cascade = np.einsum(
-        "tmna,n,tkn->tmka", real.h.conj(), tiny_link.los.phi, real.z
+        "tmna,n,tkn->tmka", dense_h(real).conj(), tiny_link.los.phi, real.z
     )
     assert np.allclose(real.o, real.g + cascade)
     assert np.allclose(np.abs(real.phase), 1.0)
+
+
+@pytest.mark.parametrize("link_name", ["tiny_link", "validation_link"])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+def test_reflect_matches_dense_h(request, link_name, batch):
+    """reflect(x) is H_m^H Phi x against the H the draw stands for."""
+    link = request.getfixturevalue(link_name)
+    sampler = ChannelSampler(link.stats, link.los, link.nlos)
+    rng = np.random.default_rng(9)
+    real = sampler.draw(rng, 6)
+    shape = (6,) + batch + (link.config.n_ris_elements,)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    expect = np.einsum("tmna,n,t...n->tm...a", dense_h(real).conj(), link.los.phi, x)
+    got = real.reflect(x)
+    assert got.shape == (6, link.config.n_aps) + batch + (link.config.n_ap_antennas,)
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 def test_sampler_first_moments(tiny_link):
@@ -80,7 +96,7 @@ def test_sampler_first_moments(tiny_link):
     se_o = np.sqrt(
         np.diagonal(tiny_link.stats.r_o, axis1=2, axis2=3).real.max() / n_trials
     )
-    assert np.abs(real.h.mean(axis=0) - tiny_link.los.hbar).max() < 6.0 * se_h
+    assert np.abs(dense_h(real).mean(axis=0) - tiny_link.los.hbar).max() < 6.0 * se_h
     assert np.abs(real.z.mean(axis=0) - tiny_link.los.zbar).max() < 6.0 * se_z
     assert np.abs(real.o.mean(axis=0) - tiny_link.stats.obar).max() < 6.0 * se_o
 
@@ -132,7 +148,7 @@ def test_sampler_h_covariance_is_dense_kronecker(validation_link):
     sampler = ChannelSampler(link.stats, link.los, link.nlos)
     real = sampler.draw(np.random.default_rng(8), n_trials)
     rtilde_m, _ = _dense_nlos(link)
-    nlos_part = real.h - link.los.hbar
+    nlos_part = dense_h(real) - link.los.hbar
     vec = nlos_part.transpose(0, 1, 3, 2).reshape(n_trials, link.config.n_aps, -1)
     for m in range(link.config.n_aps):
         sample = vec[:, m].T @ vec[:, m].conj() / n_trials

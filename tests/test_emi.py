@@ -9,6 +9,8 @@ from riscf.linalg import hermitize, psd_factor
 from riscf.config import SystemConfig
 from riscf.correlation import ris_sinc_correlation
 
+from dense_reference import dense_h
+
 
 def test_sigma_r2_formula():
     beta_m = np.array([1e-7, 3e-7])
@@ -104,7 +106,7 @@ def test_emi_noise_covariance_brute_force(tiny_link):
     n_trials = 120000
     real = sampler.draw(rng, n_trials)
     noise = sample_emi(emi, rng, (n_trials,))
-    q = np.einsum("tmnl,n,tn->tml", real.h.conj(), los.phi, noise)
+    q = np.einsum("tmnl,n,tn->tml", dense_h(real).conj(), los.phi, noise)
     for m in range(cfg.n_aps):
         sample = q[:, m].T @ q[:, m].conj() / n_trials
         err = np.abs(sample - closed.r_mm[m]).max()

@@ -81,6 +81,20 @@ def _pilot_draw(link, rng, trials, phase=None):
     return real, y, v
 
 
+def test_pilot_observation_rejects_foreign_phases(tiny_link):
+    """The EMI is reflected with the realization's phases, so others are refused."""
+    link = tiny_link
+    sampler = ChannelSampler(link.stats, link.los, link.nlos)
+    real = sampler.draw(np.random.default_rng(13), 2)
+    cfg = link.config
+    emi_pilot = np.zeros((2, cfg.n_ris_elements, cfg.tau_p), dtype=complex)
+    ap_noise = np.zeros((2, cfg.n_aps, cfg.n_ap_antennas, cfg.tau_p), dtype=complex)
+    with pytest.raises(ValueError):
+        synthesize_pilot_observation(
+            real, emi_pilot, ap_noise, link.assignment, link.pilot_powers, -link.los.phi
+        )
+
+
 def test_coset_mates_share_observation(validation_link):
     link = validation_link
     assert link.config.tau_p < link.config.n_ues

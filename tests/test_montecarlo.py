@@ -6,6 +6,9 @@ from riscf.montecarlo import RunningMoments, UatfEstimates, estimate_uatf_terms
 from riscf.se import build_sinr_terms, closed_form_moments
 from riscf.uatf import optimal_lsfd_weights, uatf_sinr
 
+from conftest import make_link
+from dense_reference import dense_uatf_terms
+
 
 def test_running_moments_match_numpy():
     rng = np.random.default_rng(0)
@@ -35,6 +38,23 @@ def test_running_moments_chunking_invariant():
     assert np.allclose(a.std_error, b.std_error, rtol=1e-9)
 
 
+def test_update_outer_matches_explicit_outer_products():
+    """GEMM sums equal feeding every b b^H to update, across chunks."""
+    rng = np.random.default_rng(2)
+    data = rng.standard_normal((300, 2, 3, 4)) + 1j * rng.standard_normal((300, 2, 3, 4))
+    outer = RunningMoments((2, 3, 4, 4))
+    explicit = RunningMoments((2, 3, 4, 4))
+    for chunk in np.array_split(data, 4):
+        outer.update_outer(chunk)
+        explicit.update(np.einsum("tjka,tjkb->tjkab", chunk, chunk.conj()))
+    a, b = outer.finalize(), explicit.finalize()
+    assert a.trials == b.trials == 300
+    assert np.allclose(a.mean, b.mean, rtol=1e-12, atol=0)
+    assert np.abs(a.std_error - b.std_error).max() <= 1e-8 * np.abs(b.std_error).max()
+    diag = np.arange(4)
+    assert np.all(a.std_error.imag[..., diag, diag] == 0.0)
+
+
 def test_running_moments_requires_samples():
     with pytest.raises(ValueError):
         RunningMoments((2,)).finalize()
@@ -47,6 +67,34 @@ def test_estimate_uatf_terms_deterministic(tiny_link):
     assert np.array_equal(a.t.mean, b.t.mean)
     assert np.array_equal(a.d.mean, b.d.mean)
     assert np.array_equal(a.u_emi.mean, b.u_emi.mean)
+
+
+@pytest.mark.parametrize(
+    "config_name, seed, modes",
+    [
+        ("tiny_config", 5, {}),
+        ("tiny_config", 5, {"emi": "off"}),
+        ("validation_config", 1, {}),
+        ("validation_config", 1, {"emi": "off"}),
+        ("validation_config", 1, {"ris": "off"}),
+    ],
+    ids=["tiny", "tiny-emi-off", "validation", "validation-emi-off", "validation-ris-off"],
+)
+def test_estimate_matches_dense_per_trial_loop(request, config_name, seed, modes):
+    """Reflecting from W and GEMM-accumulated T reproduce the dense-H loop.
+
+    Both run the same random stream over three chunks, the last one
+    partial, so only the rounding of the sums may differ.
+    """
+    link = make_link(request.getfixturevalue(config_name).replace(**modes), seed)
+    got = estimate_uatf_terms(link, 300, rng=6, chunk_size=128)
+    ref = dense_uatf_terms(link, 300, rng=6, chunk_size=128)
+    for name in ("u", "t", "d", "u_emi"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.trials == b.trials == 300
+        assert np.allclose(a.mean, b.mean, rtol=1e-12, atol=0), name
+        largest = np.abs(b.std_error).max()
+        assert np.abs(a.std_error - b.std_error).max() <= 1e-8 * largest, name
 
 
 def test_estimate_uatf_terms_validates_trials(tiny_link):
