@@ -39,7 +39,12 @@ from riscf.estimation import (
     synthesize_pilot_observation,
     mmse_estimate,
 )
-from riscf.pipeline import LinkStatistics, build_link_statistics
+from riscf.pipeline import (
+    DropStatistics,
+    LinkStatistics,
+    build_drop_statistics,
+    build_link_statistics,
+)
 from riscf.uatf import (
     UatfMoments,
     Combining,

@@ -34,25 +34,30 @@ class ChannelStatistics:
 
 
 def aggregated_covariance(
-    r_direct: np.ndarray, los: LosComponents, nlos: NlosCovariances
+    r_direct: np.ndarray,
+    los: LosComponents,
+    nlos: NlosCovariances,
+    gram: np.ndarray,
+    trace: float,
 ) -> ChannelStatistics:
     """Mean and covariance of o_mk from the link statistics.
 
     The covariance is R_mk + Hbar^H Phi Rtilde_k Phi^H Hbar + Q1 + Q2.
-    With Rtilde_k = gain_k R the cascade term is gain_k G_m^H R G_m,
-    G_m = Phi^H Hbar_m, one N x L product per AP. Q1 carries the NLoS
-    RIS-to-AP response to the LoS RIS-to-UE direction,
+    With Rtilde_k = gain_k R the cascade term is gain_k G_m^H R G_m, where
+    ``gram`` is ``nlos.cascade_gram(los.hbar, los.phi)``. Q1 carries the
+    NLoS RIS-to-AP response to the LoS RIS-to-UE direction,
     gain_m (Phi zbar_k)^H R (Phi zbar_k) R_m, and Q2 the response to the
-    NLoS RIS-to-UE covariance, gain_m gain_k tr(Phi R Phi^H R) R_m.
+    NLoS RIS-to-UE covariance, gain_m gain_k tr(Phi R Phi^H R) R_m, with
+    ``trace`` that trace (``nlos.phase_trace(los.phi)``). The LoS mean and
+    the quadratic forms of Phi zbar_k are GEMMs.
     """
-    obar = np.einsum("mna,n,kn->mka", los.hbar.conj(), los.phi, los.zbar)
-    gram = nlos.cascade_gram(los.hbar, los.phi)
+    phi_z = los.phi[None, :] * los.zbar
+    obar = phi_z @ los.hbar.conj()
     cascade = nlos.gain_k[None, :, None, None] * gram[:, None]
 
-    phi_z = los.phi[None, :] * los.zbar
-    z_quad = np.einsum("kn,np,kp->k", phi_z.conj(), nlos.R, phi_z).real
+    z_quad = np.sum((phi_z.conj() @ nlos.R) * phi_z, axis=1).real
     q1_scale = nlos.gain_m[:, None] * z_quad[None, :]
-    q2_scale = nlos.gain_m[:, None] * nlos.gain_k[None, :] * nlos.phase_trace(los.phi)
+    q2_scale = nlos.gain_m[:, None] * nlos.gain_k[None, :] * trace
     q1 = q1_scale[:, :, None, None] * nlos.r_m[:, None]
     q2 = q2_scale[:, :, None, None] * nlos.r_m[:, None]
     return ChannelStatistics(

@@ -147,11 +147,6 @@ class SystemConfig:
         """Uplink data fraction (tau_c - tau_p) / tau_c."""
         return (self.tau_c - self.tau_p) / self.tau_c
 
-    @property
-    def element_area(self) -> float:
-        """Physical area of one RIS element in m^2."""
-        return self.ris_spacing_h * self.ris_spacing_v * self.wavelength**2
-
     def replace(self, **changes: object) -> "SystemConfig":
         return dataclasses.replace(self, **changes)
 

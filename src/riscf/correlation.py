@@ -176,8 +176,8 @@ def los_components(
     The RIS-to-AP mean progresses linearly over the element index with the
     horizontal spacing and the azimuth of the AP seen from the RIS; the
     RIS-to-UE mean is the planar-array response toward the UE (or a flat
-    all-ones profile when zbar_planar is off, a debugging aid). With the
-    RIS off both means are zero.
+    all-ones profile when zbar_planar is off, a debugging aid). These are
+    the means with the surface on; ``pipeline`` zeroes them when it is off.
     """
     n = config.n_ris_elements
     delta_ap = scenario.ap_positions[:, :2] - scenario.ris_position[:2]
@@ -201,9 +201,6 @@ def los_components(
     else:
         zbar = np.sqrt(scenario.beta_k_los)[:, None] * np.ones((1, n), dtype=complex)
 
-    if config.ris == "off":
-        hbar, zbar = np.zeros_like(hbar), np.zeros_like(zbar)
-
     phi = np.full(n, np.exp(1j * config.ris_phase))
     return LosComponents(hbar=hbar, zbar=zbar, theta_m=theta_m, phi=phi)
 
@@ -217,8 +214,8 @@ def nlos_covariances(
     with the RIS-side factor R_r,m = beta_m^NLoS A_r R and a
     unit-trace-per-antenna AP-side factor R_m from local scattering toward
     the RIS, so gain_m = beta_m^NLoS A_r / (L N beta_m). The RIS-to-UE
-    covariance is beta_k^NLoS A_r R, so gain_k = beta_k^NLoS A_r. With the
-    RIS off both gains are zero.
+    covariance is beta_k^NLoS A_r R, so gain_k = beta_k^NLoS A_r. These are
+    the gains with the surface on; ``pipeline`` zeroes them when it is off.
     """
     l, n = config.n_ap_antennas, config.n_ris_elements
     a_r = ris.element_area
@@ -228,7 +225,6 @@ def nlos_covariances(
     r_m = gaussian_local_scattering(
         1.0, theta_to_ris, np.deg2rad(config.asd_deg), l, config.ap_antenna_spacing
     ).R
-    on = 0.0 if config.ris == "off" else 1.0
-    gain_m = on * scenario.beta_m_nlos * a_r / (l * n * scenario.beta_m)
-    gain_k = on * scenario.beta_k_nlos * a_r
+    gain_m = scenario.beta_m_nlos * a_r / (l * n * scenario.beta_m)
+    gain_k = scenario.beta_k_nlos * a_r
     return NlosCovariances(R=ris.R, r_m=r_m, gain_m=gain_m, gain_k=gain_k)

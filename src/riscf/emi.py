@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riscf.correlation import LosComponents, NlosCovariances
+from riscf.correlation import NlosCovariances
 from riscf.linalg import psd_factor, sample_cn
 
 
@@ -59,22 +59,23 @@ def sigma_r2_from_rho(
 
 
 def emi_noise_covariance(
-    los: LosComponents,
     nlos: NlosCovariances,
+    gram: np.ndarray,
+    trace: float,
     sigma_r2: float,
     element_area: float,
 ) -> EmiNoiseCovariance:
     """EMI covariance R_mm = sigma_r^2 A_r Hbar^H Phi R Phi^H Hbar + Q_m per AP.
 
-    The LoS part is sigma_r^2 A_r G_m^H R G_m with G_m = Phi^H Hbar_m; the
-    NLoS part is Q_m = sigma_r^2 A_r gain_m tr(Phi R Phi^H R) R_m, the same
-    trace as in Q2. The pilot-phase noise covariance is tau_p R_mm +
-    tau_p sigma^2 I, assembled by the caller.
+    The LoS part is sigma_r^2 A_r G_m^H R G_m with G_m = Phi^H Hbar_m, where
+    ``gram`` is ``nlos.cascade_gram(hbar, phi)``; the NLoS part is
+    Q_m = sigma_r^2 A_r gain_m tr(Phi R Phi^H R) R_m, with ``trace`` the
+    same trace as in Q2 (``nlos.phase_trace(phi)``). The pilot-phase noise
+    covariance is tau_p R_mm + tau_p sigma^2 I, assembled by the caller.
     """
     scale = sigma_r2 * element_area
-    q_m = (scale * nlos.gain_m * nlos.phase_trace(los.phi))[:, None, None] * nlos.r_m
-    los_part = nlos.cascade_gram(los.hbar, los.phi)
-    return EmiNoiseCovariance(r_mm=scale * los_part + q_m, q_m=q_m)
+    q_m = (scale * nlos.gain_m * trace)[:, None, None] * nlos.r_m
+    return EmiNoiseCovariance(r_mm=scale * gram + q_m, q_m=q_m)
 
 
 def sample_emi(

@@ -3,12 +3,13 @@
 A YAML run spec names a base configuration, an optional parameter sweep,
 the number of random scenarios, the mode combinations to evaluate, and
 the Monte Carlo budget.  The unit of work is the drop, one (sweep value,
-scenario) pair: its scenario is drawn once, its link statistics are built
-once per distinct (emi, ris) among the modes, and every mode is evaluated
-on them.  Scenario draws are seeded per scenario index, so they are shared
-across sweep values for paired comparisons, and Monte Carlo draws per
-(sweep value, scenario, mode); the emitted CSV is therefore byte-identical
-for a given (spec, seed) regardless of thread count.
+scenario) pair: its scenario and mode-independent statistics are built
+once, its link statistics once per distinct (emi, ris) among the modes,
+and every mode is evaluated on them.  Scenario draws are seeded per
+scenario index, so they are shared across sweep values for paired
+comparisons, and Monte Carlo draws per (sweep value, scenario, mode); the
+emitted CSV is therefore byte-identical for a given (spec, seed)
+regardless of thread count.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .config import (
     config_from_mapping,
 )
 from .montecarlo import estimate_uatf_terms
-from .pipeline import LinkStatistics, build_link_statistics
+from .pipeline import LinkStatistics, build_drop_statistics, build_link_statistics
 from .power import aggregate_gain, fractional_power_control, full_power, maxmin_power_control
 from .scenario import generate_scenario
 from .se import build_sinr_terms, closed_form_moments, spectral_efficiency
@@ -258,19 +259,21 @@ def _run_drop(
 ) -> list[dict]:
     """Rows of every mode on one (sweep value, scenario) drop, in spec order.
 
-    The scenario is drawn once. Link statistics and the closed-form moments
-    depend on no mode field but (emi, ris), so they are built once per
-    distinct (emi, ris); the modes are evaluated grouped by that key, and
-    only one bundle is alive at a time.
+    The scenario and its mode-independent drop statistics are built once.
+    Link statistics and the closed-form moments depend on no mode field but
+    (emi, ris), so each distinct (emi, ris) builds them once on the shared
+    drop statistics, which also keep one copy of the aggregated moments per
+    ``ris``. The modes are evaluated grouped by that key, and only one link
+    bundle is alive at a time, beside the drop statistics.
     """
     cfg = apply_sweep(spec.config, spec.sweep_param, spec.sweep_values[sweep_idx])
-    scenario = generate_scenario(cfg, _scenario_rng(seed, scen_idx))
+    drop = build_drop_statistics(generate_scenario(cfg, _scenario_rng(seed, scen_idx)), cfg)
     groups: dict[tuple[str, str], list[int]] = {}
     for mode_idx, mode in enumerate(spec.modes):
         groups.setdefault((mode.emi, mode.ris), []).append(mode_idx)
     sinrs = {}
     for (emi, ris), mode_indices in groups.items():
-        link = build_link_statistics(scenario, cfg.replace(emi=emi, ris=ris))
+        link = build_link_statistics(drop, cfg.replace(emi=emi, ris=ris))
         moments = closed_form_moments(build_sinr_terms(link))
         for mode_idx in mode_indices:
             mc_rng = _mc_rng(seed, sweep_idx, scen_idx, mode_idx)

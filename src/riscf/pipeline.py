@@ -1,16 +1,22 @@
 """Assembly of all per-scenario link statistics needed by the SE expressions.
 
-Given a scenario draw and a system configuration this module builds, in
-dependency order, the surface correlation model, the LoS components, the
-NLoS covariances, the aggregated channel statistics, the interference
-covariance seen at the access points, the pilot assignment, and the
-estimation statistics.  Everything downstream (closed-form SINR, Monte
-Carlo validation, power control) consumes the resulting bundle.
+The build has two stages. The drop stage, ``build_drop_statistics``, holds
+what no mode field changes: the surface correlation model, the direct-link
+covariances, the NLoS covariances and LoS components with the surface on,
+and the cascade Gram G_m^H R G_m and phase trace tr(Phi R Phi^H R) that the
+aggregated and EMI covariances share. The link stage,
+``build_link_statistics``, applies the (emi, ris) mode: with the surface
+off it zeroes the surface's LoS means and gains, it sets the EMI power,
+and it builds the EMI covariance, the pilot assignment and the estimation
+statistics. The aggregated moments depend on ``ris`` alone, so the drop
+keeps one copy per surface state for the links built on it. Everything
+downstream (closed-form SINR, Monte Carlo validation, power control)
+consumes the resulting link bundle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,6 +40,28 @@ from .estimation import (
     estimation_statistics,
 )
 from .scenario import Scenario, wrap_displacement
+
+
+@dataclass(frozen=True)
+class DropStatistics:
+    """The mode-independent statistics of one scenario drop.
+
+    ``los`` and ``nlos`` are those of the surface on, ``gram`` is
+    G_m^H R G_m of that LoS, stacked to (M, L, L), and ``trace`` is
+    tr(Phi R Phi^H R). ``stats`` maps a ``ris`` mode to the aggregated
+    moments of the links built on this drop, filled on first use; it lives
+    as long as the drop does.
+    """
+
+    scenario: Scenario
+    config: SystemConfig
+    ris: RisCorrelation
+    direct: ApCorrelation
+    los: LosComponents
+    nlos: NlosCovariances
+    gram: np.ndarray
+    trace: float
+    stats: dict[str, ChannelStatistics] = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -74,8 +102,8 @@ def direct_link_covariances(scenario: Scenario, config: SystemConfig) -> ApCorre
     )
 
 
-def build_link_statistics(scenario: Scenario, config: SystemConfig) -> LinkStatistics:
-    """Build all deterministic statistics for one scenario and mode set."""
+def build_drop_statistics(scenario: Scenario, config: SystemConfig) -> DropStatistics:
+    """Build the statistics of one drop that no mode field changes."""
     cfg = config
     ris = ris_sinc_correlation(
         cfg.ris_width_elements,
@@ -84,17 +112,53 @@ def build_link_statistics(scenario: Scenario, config: SystemConfig) -> LinkStati
         cfg.ris_spacing_v * cfg.wavelength,
         cfg.wavelength,
     )
-    direct = direct_link_covariances(scenario, config)
     los = los_components(scenario, ris, cfg)
     nlos = nlos_covariances(ris, scenario, cfg)
+    return DropStatistics(
+        scenario=scenario,
+        config=cfg,
+        ris=ris,
+        direct=direct_link_covariances(scenario, cfg),
+        los=los,
+        nlos=nlos,
+        gram=nlos.cascade_gram(los.hbar, los.phi),
+        trace=nlos.phase_trace(los.phi),
+    )
 
+
+def build_link_statistics(
+    drop: Scenario | DropStatistics, config: SystemConfig
+) -> LinkStatistics:
+    """Build all deterministic statistics for one drop and (emi, ris) mode.
+
+    ``drop`` is either a scenario, whose drop statistics are then built
+    here, or drop statistics built from ``config`` up to its mode fields.
+    """
+    cfg = config
+    if isinstance(drop, Scenario):
+        drop = build_drop_statistics(drop, cfg)
+    elif drop.config.replace(
+        combiner=cfg.combiner, emi=cfg.emi, power=cfg.power, ris=cfg.ris
+    ) != cfg:
+        raise ValueError("config differs from the drop's in more than its mode fields")
+
+    los, nlos, gram = drop.los, drop.nlos, drop.gram
+    if cfg.ris == "off":
+        los = replace(los, hbar=np.zeros_like(los.hbar), zbar=np.zeros_like(los.zbar))
+        nlos = replace(
+            nlos, gain_m=np.zeros_like(nlos.gain_m), gain_k=np.zeros_like(nlos.gain_k)
+        )
+        gram = np.zeros_like(gram)
     if cfg.emi == "off" or cfg.ris == "off":
         sigma_r2 = 0.0
     else:
-        sigma_r2 = sigma_r2_from_rho(cfg.rho_db, cfg.p_max, scenario.beta_m)
+        sigma_r2 = sigma_r2_from_rho(cfg.rho_db, cfg.p_max, drop.scenario.beta_m)
 
-    stats = aggregated_covariance(direct.R, los, nlos)
-    emi_cov = emi_noise_covariance(los, nlos, sigma_r2, ris.element_area)
+    stats = drop.stats.get(cfg.ris)
+    if stats is None:
+        stats = aggregated_covariance(drop.direct.R, los, nlos, gram, drop.trace)
+        drop.stats[cfg.ris] = stats
+    emi_cov = emi_noise_covariance(nlos, gram, drop.trace, sigma_r2, drop.ris.element_area)
     assignment = assign_pilots(cfg.n_ues, cfg.tau_p)
     pilot_powers = np.full(cfg.n_ues, cfg.pilot_power_value)
     est = estimation_statistics(
@@ -106,10 +170,10 @@ def build_link_statistics(scenario: Scenario, config: SystemConfig) -> LinkStati
         cfg.noise_power,
     )
     return LinkStatistics(
-        scenario=scenario,
+        scenario=drop.scenario,
         config=cfg,
-        ris=ris,
-        direct=direct,
+        ris=drop.ris,
+        direct=drop.direct,
         los=los,
         nlos=nlos,
         stats=stats,

@@ -16,24 +16,37 @@ from riscf.config import SystemConfig
 from riscf.linalg import psd_factor
 
 
-def path_loss_db(distance: np.ndarray | float) -> np.ndarray | float:
+def path_loss_db(
+    distance: np.ndarray | float,
+    const_db: float = SystemConfig.pl_const_db,
+    exp_db: float = SystemConfig.pl_exp_db,
+) -> np.ndarray | float:
     """Distance-dependent path loss in dB, shadowing excluded.
 
-    Follows -30.18 - 26 log10(d / 1 m); distances must be positive.
+    Follows const_db - exp_db log10(d / 1 m), by default the
+    ``SystemConfig`` values -30.18 - 26 log10(d / 1 m); distances must be
+    positive.
     """
     d = np.asarray(distance, dtype=float)
     if np.any(d <= 0.0):
         raise ValueError("path loss requires positive distance")
-    out = -30.18 - 26.0 * np.log10(d)
+    out = const_db - exp_db * np.log10(d)
     return float(out) if np.isscalar(distance) else out
 
 
-def rician_factor(distance: np.ndarray | float) -> np.ndarray | float:
-    """Linear Rician factor 10^(1.3 - 0.003 d) for a LoS link of length d."""
+def rician_factor(
+    distance: np.ndarray | float,
+    b0_db: float = SystemConfig.rician_b0_db,
+    slope_db: float = SystemConfig.rician_slope_db,
+) -> np.ndarray | float:
+    """Linear Rician factor 10^(b0_db - slope_db d) for a LoS link of length d.
+
+    The defaults are the ``SystemConfig`` values, 10^(1.3 - 0.003 d).
+    """
     d = np.asarray(distance, dtype=float)
     if np.any(d < 0.0):
         raise ValueError("Rician factor requires nonnegative distance")
-    out = 10.0 ** (1.3 - 0.003 * d)
+    out = 10.0 ** (b0_db - slope_db * d)
     return float(out) if np.isscalar(distance) else out
 
 
@@ -166,13 +179,15 @@ def generate_scenario(config: SystemConfig, rng: np.random.Generator) -> Scenari
     shadow_m, shadow_k, shadow_mk = correlated_shadow_fading(
         ap_positions, ue_positions, config, rng
     )
-    beta_m = 10.0 ** ((path_loss_db(d_m) + shadow_m) / 10.0)
-    beta_k = 10.0 ** ((path_loss_db(d_k) + shadow_k) / 10.0)
-    beta_mk = 10.0 ** ((path_loss_db(d_mk) + shadow_mk) / 10.0)
+    pl = (config.pl_const_db, config.pl_exp_db)
+    beta_m = 10.0 ** ((path_loss_db(d_m, *pl) + shadow_m) / 10.0)
+    beta_k = 10.0 ** ((path_loss_db(d_k, *pl) + shadow_k) / 10.0)
+    beta_mk = 10.0 ** ((path_loss_db(d_mk, *pl) + shadow_mk) / 10.0)
 
-    kappa_m = rician_factor(d_m)
+    rician = (config.rician_b0_db, config.rician_slope_db)
+    kappa_m = rician_factor(d_m, *rician)
     kappa_k = (
-        rician_factor(d_k) if config.ue_ris_rician else np.zeros(config.n_ues)
+        rician_factor(d_k, *rician) if config.ue_ris_rician else np.zeros(config.n_ues)
     )
 
     return Scenario(

@@ -130,7 +130,13 @@ def test_aggregated_covariance_zero_ris_reduces_to_direct(tiny_link):
     zero_nlos = dataclasses.replace(
         nlos, gain_m=np.zeros_like(nlos.gain_m), gain_k=np.zeros_like(nlos.gain_k)
     )
-    stats = aggregated_covariance(tiny_link.stats.r_direct, zero_los, zero_nlos)
+    stats = aggregated_covariance(
+        tiny_link.stats.r_direct,
+        zero_los,
+        zero_nlos,
+        zero_nlos.cascade_gram(zero_los.hbar, zero_los.phi),
+        zero_nlos.phase_trace(zero_los.phi),
+    )
     assert np.allclose(stats.r_o, tiny_link.stats.r_direct)
     assert np.allclose(stats.obar, 0.0)
     assert np.allclose(stats.q1, 0.0)

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from riscf.config import SystemConfig, config_from_mapping
+from riscf.correlation import ris_sinc_correlation
 
 
 def test_default_dimensions():
@@ -16,10 +17,19 @@ def test_default_dimensions():
 
 
 def test_wavelength_and_element_area():
+    """The element area has one source, the surface correlation model."""
     cfg = SystemConfig()
     lam = 299792458.0 / 1.9e9
     assert cfg.wavelength == pytest.approx(lam, rel=1e-9)
-    assert cfg.element_area == pytest.approx(0.25 * lam * lam, rel=1e-9)
+    assert not hasattr(cfg, "element_area")
+    ris = ris_sinc_correlation(
+        cfg.ris_width_elements,
+        cfg.ris_height_elements,
+        cfg.ris_spacing_h * cfg.wavelength,
+        cfg.ris_spacing_v * cfg.wavelength,
+        cfg.wavelength,
+    )
+    assert ris.element_area == pytest.approx(0.25 * lam * lam, rel=1e-9)
 
 
 def test_noise_and_transmit_power():

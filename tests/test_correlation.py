@@ -14,6 +14,7 @@ from riscf.correlation import (
     ris_element_positions,
     ris_sinc_correlation,
 )
+from riscf.pipeline import build_link_statistics
 from riscf.scenario import generate_scenario
 
 from dense_reference import dense_nlos
@@ -189,10 +190,12 @@ def test_los_flat_ue_profile_flag(drop):
 
 
 def test_los_zero_with_ris_off(drop):
+    """The link stage zeroes the surface-on LoS means of the drop."""
     cfg, scen, ris = drop
-    los = los_components(scen, ris, cfg.replace(ris="off"))
+    los = build_link_statistics(scen, cfg.replace(ris="off")).los
     assert np.all(los.hbar == 0.0) and np.all(los.zbar == 0.0)
     assert np.allclose(los.phi, np.exp(1j * cfg.ris_phase))
+    assert np.array_equal(los.theta_m, los_components(scen, ris, cfg).theta_m)
 
 
 def test_nlos_ap_side_factor_unit_trace(drop):
@@ -230,8 +233,9 @@ def test_nlos_kronecker_assembly(drop):
 
 
 def test_nlos_gains_vanish_with_ris_off(drop):
+    """The link stage zeroes the gains and keeps the drop's AP-side factors."""
     cfg, scen, ris = drop
-    nlos = nlos_covariances(ris, scen, cfg.replace(ris="off"))
+    nlos = build_link_statistics(scen, cfg.replace(ris="off")).nlos
     assert np.all(nlos.gain_m == 0.0) and np.all(nlos.gain_k == 0.0)
     assert np.array_equal(nlos.r_m, nlos_covariances(ris, scen, cfg).r_m)
 

@@ -83,9 +83,19 @@ def test_sample_emi_extra_axes(spec):
     assert draws.shape == (5, 3, spec.R.shape[0])
 
 
+def _emi_covariance(link, sigma_r2):
+    los, nlos = link.los, link.nlos
+    return emi_noise_covariance(
+        nlos,
+        nlos.cascade_gram(los.hbar, los.phi),
+        nlos.phase_trace(los.phi),
+        sigma_r2,
+        link.ris.element_area,
+    )
+
+
 def test_emi_noise_covariance_zero_when_quiet(tiny_link):
-    los, nlos = tiny_link.los, tiny_link.nlos
-    out = emi_noise_covariance(los, nlos, 0.0, tiny_link.ris.element_area)
+    out = _emi_covariance(tiny_link, 0.0)
     assert np.allclose(out.r_mm, 0.0)
     assert np.allclose(out.q_m, 0.0)
 
@@ -93,12 +103,12 @@ def test_emi_noise_covariance_zero_when_quiet(tiny_link):
 def test_emi_noise_covariance_brute_force(tiny_link):
     """Propagating raw EMI draws through H reproduces the closed matrix."""
     cfg = tiny_link.config
-    los, nlos = tiny_link.los, tiny_link.nlos
+    los = tiny_link.los
     sigma_r2 = 3.0e-10
     emi = EmiSpec(
         sigma_r2=sigma_r2, element_area=tiny_link.ris.element_area, R=tiny_link.ris.R
     )
-    closed = emi_noise_covariance(los, nlos, sigma_r2, emi.element_area)
+    closed = _emi_covariance(tiny_link, sigma_r2)
     from riscf.channel import ChannelSampler
 
     sampler = ChannelSampler(tiny_link.stats, tiny_link.los, tiny_link.nlos)
@@ -114,7 +124,6 @@ def test_emi_noise_covariance_brute_force(tiny_link):
 
 
 def test_emi_noise_covariance_psd(tiny_link):
-    los, nlos = tiny_link.los, tiny_link.nlos
-    out = emi_noise_covariance(los, nlos, 1e-9, tiny_link.ris.element_area)
+    out = _emi_covariance(tiny_link, 1e-9)
     for m in range(out.r_mm.shape[0]):
         assert np.linalg.eigvalsh(hermitize(out.r_mm[m])).min() > -1e-24

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 import yaml
 
-from riscf import experiment
+from riscf import correlation, experiment, pipeline
 from riscf.cli import main
 from riscf.config import SystemConfig
+from riscf.correlation import NlosCovariances
 from riscf.experiment import (
     CDF_COLUMNS,
     CSV_COLUMNS,
@@ -198,6 +199,46 @@ def test_run_experiment_builds_links_once_per_emi_ris(tmp_path, monkeypatch):
         if (row["sweep_value"], row["scenario"]) == (sweep_value, scenario)
     ]
     assert read_rows(tmp_path / "all" / "results.csv") == reference
+
+
+def test_run_experiment_builds_drop_statistics_once_per_drop(tmp_path, monkeypatch):
+    """Mode-independent work runs once per drop whatever its (emi, ris) groups:
+    two local-scattering passes (direct links, AP-side factors), one cascade
+    Gram and one phase trace; the aggregated moments once per ris."""
+    modes = [
+        {"combiner": "lsfd", "emi": "on"},
+        {"combiner": "lsfd", "emi": "off"},
+        {"combiner": "mr", "emi": "on"},
+        {"combiner": "lsfd", "ris": "off"},
+    ]
+    payload = dict(MICRO, mc_trials=0, modes=modes)
+    payload["sweep"] = {"param": "ris_elements_side", "values": [2, 3]}
+    drops = 2 * MICRO["n_scenarios"]
+    counts = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(pipeline, "gaussian_local_scattering")
+    counting(correlation, "gaussian_local_scattering")
+    counting(NlosCovariances, "cascade_gram")
+    counting(NlosCovariances, "phase_trace")
+    counting(pipeline, "aggregated_covariance")
+    counting(experiment, "build_link_statistics")
+    run_experiment(write_spec(tmp_path / "s.yaml", payload), seed=2, out_dir=tmp_path / "o")
+    assert counts == {
+        "gaussian_local_scattering": 2 * drops,
+        "cascade_gram": drops,
+        "phase_trace": drops,
+        "aggregated_covariance": 2 * drops,
+        "build_link_statistics": 3 * drops,
+    }
 
 
 def test_run_experiment_seed_changes_output(micro_spec, tmp_path):

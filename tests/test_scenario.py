@@ -144,3 +144,43 @@ def test_shadow_fields_deterministic_under_seed():
     b = correlated_shadow_fading(ap, ue, cfg, np.random.default_rng(2))
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
+
+
+def test_default_propagation_fields_reproduce_fixed_law():
+    """Defaults give -30.18 - 26 log10(d) and 10^(1.3 - 0.003 d) bit for bit."""
+    scen = generate_scenario(SystemConfig(), np.random.default_rng(12))
+    for beta, d, shadow in (
+        (scen.beta_m, scen.d_m, scen.shadow_m),
+        (scen.beta_k, scen.d_k, scen.shadow_k),
+        (scen.beta_mk, scen.d_mk, scen.shadow_mk),
+    ):
+        assert np.array_equal(beta, 10.0 ** ((-30.18 - 26.0 * np.log10(d) + shadow) / 10.0))
+    assert np.array_equal(scen.kappa_m, 10.0 ** (1.3 - 0.003 * scen.d_m))
+    assert np.array_equal(scen.kappa_k, 10.0 ** (1.3 - 0.003 * scen.d_k))
+
+
+@pytest.mark.parametrize(
+    "field, value, moved",
+    [
+        ("pl_const_db", -50.0, ("beta_m", "beta_k", "beta_mk")),
+        ("pl_exp_db", 40.0, ("beta_m", "beta_k", "beta_mk")),
+        ("rician_b0_db", 0.0, ("kappa_m", "kappa_k")),
+        ("rician_slope_db", 0.1, ("kappa_m", "kappa_k")),
+    ],
+)
+def test_propagation_fields_move_the_scenario(field, value, moved):
+    """Each path-loss and Rician field reaches generate_scenario, and only
+    the gains or factors it governs change."""
+    base = generate_scenario(SystemConfig(), np.random.default_rng(12))
+    cfg = SystemConfig(**{field: value})
+    scen = generate_scenario(cfg, np.random.default_rng(12))
+    for name in ("beta_m", "beta_k", "beta_mk", "kappa_m", "kappa_k"):
+        same = np.array_equal(getattr(scen, name), getattr(base, name))
+        assert same == (name not in moved), name
+    assert np.array_equal(scen.shadow_mk, base.shadow_mk)
+    pl = (cfg.pl_const_db, cfg.pl_exp_db)
+    assert np.allclose(
+        scen.beta_mk, 10.0 ** ((path_loss_db(scen.d_mk, *pl) + scen.shadow_mk) / 10.0)
+    )
+    rician = (cfg.rician_b0_db, cfg.rician_slope_db)
+    assert np.allclose(scen.kappa_k, rician_factor(scen.d_k, *rician))
