@@ -13,14 +13,20 @@ from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299_792_458.0
 
-#: Combiner modes: equal-weight MR vs optimal large-scale fading decoding.
-COMBINER_MODES = ("mr", "lsfd")
-#: EMI modes: correlated EMI at the RIS on or off.
-EMI_MODES = ("on", "off")
-#: Power modes: full transmit power, fractional control, or max-min SINR.
-POWER_MODES = ("full", "fpc", "maxmin")
-#: RIS modes: surface active or removed entirely.
-RIS_MODES = ("on", "off")
+#: The mode fields and their values, named nowhere else: MR vs LSFD
+#: combining, EMI at the RIS, full vs fractional vs max-min power, and the
+#: surface present or removed. Results label rows by them in this order.
+MODES = {
+    "combiner": ("mr", "lsfd"),
+    "emi": ("on", "off"),
+    "power": ("full", "fpc", "maxmin"),
+    "ris": ("on", "off"),
+}
+
+
+def is_count(value: object) -> bool:
+    """An int that is not a bool (YAML true/false load as bools, which are ints)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def dbm_to_watt(dbm: float) -> float:
@@ -90,6 +96,9 @@ class SystemConfig:
     ris: str = "on"
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):  # annotations are strings here
+            if f.type == "int" and not is_count(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
         checks = [
             (self.n_aps >= 1, "n_aps must be >= 1"),
             (self.n_ues >= 1, "n_ues must be >= 1"),
@@ -105,6 +114,8 @@ class SystemConfig:
             (self.p_max > 0, "p_max must be positive"),
             (self.pilot_power is None or self.pilot_power > 0,
              "pilot_power must be positive when given"),
+            (self.rho_db is None or self.rho_db > -math.inf,
+             "rho_db must be finite or +inf (no EMI) when given"),
             (self.area_side > 0, "area_side must be positive"),
             (
                 self.ris_position_xy is None
@@ -116,14 +127,19 @@ class SystemConfig:
             (0.0 <= self.shadow_ap_frac <= 1.0, "shadow_ap_frac must be in [0, 1]"),
             (self.fpc_alpha >= 0, "fpc_alpha must be >= 0"),
             (self.maxmin_tol > 0, "maxmin_tol must be positive"),
-            (self.combiner in COMBINER_MODES, f"combiner must be one of {COMBINER_MODES}"),
-            (self.emi in EMI_MODES, f"emi must be one of {EMI_MODES}"),
-            (self.power in POWER_MODES, f"power must be one of {POWER_MODES}"),
-            (self.ris in RIS_MODES, f"ris must be one of {RIS_MODES}"),
+        ]
+        checks += [
+            (value in MODES[name], f"invalid mode {name}={value!r}, not in {MODES[name]}")
+            for name, value in self.mode.items()
         ]
         for ok, message in checks:
             if not ok:
                 raise ValueError(message)
+
+    @property
+    def mode(self) -> dict[str, str]:
+        """The mode fields and their values, in ``MODES`` order."""
+        return {name: getattr(self, name) for name in MODES}
 
     @property
     def n_ris_elements(self) -> int:
@@ -154,15 +170,25 @@ class SystemConfig:
 _FIELD_NAMES = {f.name for f in dataclasses.fields(SystemConfig)}
 
 
+def _coerce_modes(data: dict[str, object]) -> dict[str, object]:
+    """Read a YAML boolean under a mode field as on/off (YAML loads on/off as booleans)."""
+    return {
+        key: ("on" if value else "off") if key in MODES and isinstance(value, bool) else value
+        for key, value in data.items()
+    }
+
+
 def config_from_mapping(data: dict[str, object]) -> SystemConfig:
     """Build a SystemConfig from a plain mapping, rejecting unknown keys."""
     unknown = sorted(set(data) - _FIELD_NAMES)
     if unknown:
         raise ValueError(f"unknown configuration keys: {', '.join(unknown)}")
-    coerced = dict(data)
+    coerced = _coerce_modes(data)
     if isinstance(coerced.get("ris_position_xy"), list):
         coerced["ris_position_xy"] = tuple(coerced["ris_position_xy"])
-    for key in ("emi", "ris"):
-        if isinstance(coerced.get(key), bool):
-            coerced[key] = "on" if coerced[key] else "off"
     return SystemConfig(**coerced)  # type: ignore[arg-type]
+
+
+def with_mode(config: SystemConfig, data: dict[str, object]) -> SystemConfig:
+    """``config`` with the mode fields ``data`` sets; the others keep their values."""
+    return config.replace(**_coerce_modes(data))

@@ -47,13 +47,16 @@ def sigma_r2_from_rho(
 ) -> float:
     """EMI power from the signal-to-EMI ratio rho = p_max sum(beta) / (M sigma_r^2).
 
-    ``rho_db`` of None (or infinity) means no EMI.
+    ``rho_db`` of None or +inf means no EMI; -inf (unbounded EMI) and NaN
+    are errors.
     """
     beta_m = np.asarray(beta_m, dtype=float)
     if beta_m.size == 0:
         raise ValueError("beta_m must be non-empty")
-    if rho_db is None or np.isinf(rho_db):
+    if rho_db is None or rho_db == np.inf:
         return 0.0
+    if not np.isfinite(rho_db):
+        raise ValueError(f"rho_db must be finite or +inf, got {rho_db!r}")
     rho = 10.0 ** (rho_db / 10.0)
     return float(p_max * beta_m.sum() / (beta_m.size * rho))
 

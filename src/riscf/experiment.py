@@ -2,10 +2,12 @@
 
 A YAML run spec names a base configuration, an optional parameter sweep,
 the number of random scenarios, the mode combinations to evaluate, and
-the Monte Carlo budget.  The unit of work is the drop, one (sweep value,
-scenario) pair: its scenario and mode-independent statistics are built
-once, its link statistics once per distinct (emi, ris) among the modes,
-and every mode is evaluated on them.  Scenario draws are seeded per
+the Monte Carlo budget.  A mode is the base configuration with the mode
+fields of ``config.MODES`` set by one ``modes:`` entry; a field the entry
+leaves out keeps its base value.  The unit of work is the drop, one (sweep
+value, scenario) pair: its scenario and mode-independent statistics are
+built once, its link statistics once per distinct (emi, ris) among the
+modes, and every mode is evaluated on them.  Scenario draws are seeded per
 scenario index, so they are shared across sweep values for paired
 comparisons, and Monte Carlo draws per (sweep value, scenario, mode); the
 emitted CSV is therefore byte-identical for a given (spec, seed)
@@ -28,12 +30,12 @@ import yaml
 
 from . import __version__
 from .config import (
-    COMBINER_MODES,
-    EMI_MODES,
-    POWER_MODES,
-    RIS_MODES,
+    _FIELD_NAMES,
+    MODES,
     SystemConfig,
     config_from_mapping,
+    is_count,
+    with_mode,
 )
 from .montecarlo import estimate_uatf_terms
 from .pipeline import LinkStatistics, build_drop_statistics, build_link_statistics
@@ -44,14 +46,14 @@ from .uatf import UatfMoments, combine, uatf_sinr
 
 SCHEMA_VERSION = 1
 
+#: One label column per mode field, in ``MODES`` order.
+MODE_COLUMNS = [f"mode_{name}" for name in MODES]
+
 CSV_COLUMNS = [
     "sweep_param",
     "sweep_value",
     "scenario",
-    "mode_combiner",
-    "mode_emi",
-    "mode_power",
-    "mode_ris",
+    *MODE_COLUMNS,
     "ue",
     "sinr_closed",
     "se_closed",
@@ -62,42 +64,27 @@ CSV_COLUMNS = [
 CDF_COLUMNS = [
     "sweep_param",
     "sweep_value",
-    "mode_combiner",
-    "mode_emi",
-    "mode_power",
-    "mode_ris",
+    *MODE_COLUMNS,
     "se",
     "cdf",
     "q05",
 ]
 
 _SWEEP_ALIASES = ("none", "ris_elements_side", "ris_spacing")
-#: Fields each mode sets; a sweep over one would be overwritten by the modes.
-_MODE_FIELDS = ("combiner", "emi", "power", "ris")
 
 _SCENARIO_STREAM = 0xA
 _MC_STREAM = 0xB
 
 
 @dataclass(frozen=True)
-class ModeSpec:
-    """One combination of operating switches to evaluate."""
-
-    combiner: str
-    emi: str
-    power: str
-    ris: str
-
-
-@dataclass(frozen=True)
 class RunSpec:
-    """Parsed and validated run description."""
+    """Parsed and validated run description; each mode is a full config."""
 
     config: SystemConfig
     sweep_param: str
     sweep_values: tuple
     n_scenarios: int
-    modes: tuple[ModeSpec, ...]
+    modes: tuple[SystemConfig, ...]
     mc_trials: int
 
 
@@ -111,11 +98,6 @@ def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _is_count(value: object) -> bool:
-    """An int that is not a bool (YAML true/false load as bools, which are ints)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_run_spec(path: str | Path) -> RunSpec:
@@ -142,10 +124,9 @@ def load_run_spec(path: str | Path) -> RunSpec:
         values = sweep.get("values")
         if not isinstance(param, str):
             raise ValueError("sweep.param must be a string")
-        valid_fields = {f.name for f in SystemConfig.__dataclass_fields__.values()}
-        if param not in valid_fields and param not in _SWEEP_ALIASES:
+        if param not in _FIELD_NAMES and param not in _SWEEP_ALIASES:
             raise ValueError(f"unknown sweep parameter: {param!r}")
-        if param in _MODE_FIELDS:
+        if param in MODES:
             raise ValueError(
                 f"sweep parameter {param!r} is a mode field; list its values under modes"
             )
@@ -154,10 +135,10 @@ def load_run_spec(path: str | Path) -> RunSpec:
         values = tuple(values)
 
     n_scenarios = data.get("n_scenarios", 1)
-    if not _is_count(n_scenarios) or n_scenarios < 1:
+    if not is_count(n_scenarios) or n_scenarios < 1:
         raise ValueError("n_scenarios must be a positive integer")
     mc_trials = data.get("mc_trials", 0)
-    if not _is_count(mc_trials) or mc_trials < 0:
+    if not is_count(mc_trials) or mc_trials < 0:
         raise ValueError("mc_trials must be a non-negative integer")
 
     raw_modes = data.get("modes")
@@ -168,26 +149,8 @@ def load_run_spec(path: str | Path) -> RunSpec:
     modes = []
     for entry in raw_modes:
         entry = _require_mapping(entry, "mode")
-        _reject_unknown(entry, set(_MODE_FIELDS), "mode")
-        entry = {
-            key: ("on" if value else "off") if isinstance(value, bool) else value
-            for key, value in entry.items()
-        }
-        mode = ModeSpec(
-            combiner=entry.get("combiner", config.combiner),
-            emi=entry.get("emi", config.emi),
-            power=entry.get("power", config.power),
-            ris=entry.get("ris", config.ris),
-        )
-        for value, options in (
-            (mode.combiner, COMBINER_MODES),
-            (mode.emi, EMI_MODES),
-            (mode.power, POWER_MODES),
-            (mode.ris, RIS_MODES),
-        ):
-            if value not in options:
-                raise ValueError(f"invalid mode value {value!r}")
-        modes.append(mode)
+        _reject_unknown(entry, set(MODES), "mode")
+        modes.append(with_mode(config, entry))
     return RunSpec(
         config=config,
         sweep_param=param,
@@ -229,24 +192,28 @@ def _fmt(value: object) -> str:
 
 
 def _evaluate_mode(
-    mode: ModeSpec,
+    cfg: SystemConfig,
     link: LinkStatistics,
     moments: UatfMoments,
     mc_trials: int,
     mc_rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Closed-form SINR and, when mc_trials > 0, the simulated SINR of a mode."""
-    cfg = link.config
+    """Closed-form SINR and, when mc_trials > 0, the simulated SINR of one mode.
+
+    ``cfg`` is the mode's own config: power, combiner, noise and ``p_max``
+    all come from it. ``link`` and ``moments`` belong to its (emi, ris) and
+    may have been built from another mode of that group.
+    """
     noise = cfg.noise_power
-    if mode.power == "full":
+    if cfg.power == "full":
         alloc = full_power(cfg.n_ues, cfg.p_max)
-    elif mode.power == "fpc":
+    elif cfg.power == "fpc":
         alloc = fractional_power_control(aggregate_gain(link), cfg.fpc_alpha, cfg.p_max)
     else:
         alloc = maxmin_power_control(moments, noise, cfg.p_max, tol=cfg.maxmin_tol)
     powers = alloc.powers
 
-    closed = combine(moments, mode.combiner, powers, noise)
+    closed = combine(moments, cfg.combiner, powers, noise)
     sinr_mc = None
     if mc_trials > 0:
         estimates = estimate_uatf_terms(link, mc_trials, mc_rng)
@@ -259,44 +226,44 @@ def _run_drop(
 ) -> list[dict]:
     """Rows of every mode on one (sweep value, scenario) drop, in spec order.
 
-    The scenario and its mode-independent drop statistics are built once.
-    Link statistics and the closed-form moments depend on no mode field but
-    (emi, ris), so each distinct (emi, ris) builds them once on the shared
-    drop statistics, which also keep one copy of the aggregated moments per
-    ``ris``. The modes are evaluated grouped by that key, and only one link
-    bundle is alive at a time, beside the drop statistics.
+    The sweep value is applied to every mode's config. The scenario and its
+    mode-independent drop statistics are built once, from the first of them
+    (they read no mode field). Link statistics and the closed-form moments
+    depend on no mode field but (emi, ris), so each distinct (emi, ris)
+    builds them once on the shared drop statistics, which also keep one
+    copy of the aggregated moments per ``ris``. The modes are evaluated
+    grouped by that key, and only one link bundle is alive at a time,
+    beside the drop statistics.
     """
-    cfg = apply_sweep(spec.config, spec.sweep_param, spec.sweep_values[sweep_idx])
-    drop = build_drop_statistics(generate_scenario(cfg, _scenario_rng(seed, scen_idx)), cfg)
+    value = spec.sweep_values[sweep_idx]
+    modes = [apply_sweep(mode, spec.sweep_param, value) for mode in spec.modes]
+    scenario = generate_scenario(modes[0], _scenario_rng(seed, scen_idx))
+    drop = build_drop_statistics(scenario, modes[0])
     groups: dict[tuple[str, str], list[int]] = {}
-    for mode_idx, mode in enumerate(spec.modes):
+    for mode_idx, mode in enumerate(modes):
         groups.setdefault((mode.emi, mode.ris), []).append(mode_idx)
     sinrs = {}
-    for (emi, ris), mode_indices in groups.items():
-        link = build_link_statistics(drop, cfg.replace(emi=emi, ris=ris))
+    for mode_indices in groups.values():
+        link = build_link_statistics(drop, modes[mode_indices[0]])
         moments = closed_form_moments(build_sinr_terms(link))
         for mode_idx in mode_indices:
             mc_rng = _mc_rng(seed, sweep_idx, scen_idx, mode_idx)
-            sinrs[mode_idx] = _evaluate_mode(
-                spec.modes[mode_idx], link, moments, mc_trials, mc_rng
-            )
+            sinrs[mode_idx] = _evaluate_mode(modes[mode_idx], link, moments, mc_trials, mc_rng)
         del link, moments  # freed before the next group builds its bundle
 
     rows = []
-    for mode_idx, mode in enumerate(spec.modes):
+    for mode_idx, mode in enumerate(modes):
         sinr_closed, sinr_mc = sinrs[mode_idx]
-        se_closed = spectral_efficiency(sinr_closed, cfg.prelog)
-        se_mc = None if sinr_mc is None else spectral_efficiency(sinr_mc, cfg.prelog)
-        for ue in range(cfg.n_ues):
+        se_closed = spectral_efficiency(sinr_closed, mode.prelog)
+        se_mc = None if sinr_mc is None else spectral_efficiency(sinr_mc, mode.prelog)
+        labels = dict(zip(MODE_COLUMNS, mode.mode.values()))
+        for ue in range(mode.n_ues):
             rows.append(
                 {
                     "sweep_param": spec.sweep_param,
-                    "sweep_value": _fmt(spec.sweep_values[sweep_idx]),
+                    "sweep_value": _fmt(value),
                     "scenario": str(scen_idx),
-                    "mode_combiner": mode.combiner,
-                    "mode_emi": mode.emi,
-                    "mode_power": mode.power,
-                    "mode_ris": mode.ris,
+                    **labels,
                     "ue": str(ue),
                     "sinr_closed": _fmt(float(sinr_closed[ue])),
                     "se_closed": _fmt(float(se_closed[ue])),
@@ -316,6 +283,9 @@ def run_experiment(
 ) -> dict:
     """Execute a run spec and write results.csv plus manifest.json.
 
+    Each mode is a full ``SystemConfig``, the spec's ``config:`` with one
+    ``modes:`` entry's fields set (``load_run_spec``), and every row is
+    labelled by its ``mode_*`` columns, one per ``config.MODES`` field.
     ``mc_trials`` overrides the spec's Monte Carlo budget when given.
     Each (sweep value, scenario) drop is one unit of work, and ``threads``
     runs that many drops in parallel; both must be integers, not booleans.
@@ -328,12 +298,12 @@ def run_experiment(
     """
     spec_path = Path(spec_path)
     spec = load_run_spec(spec_path)
-    if not _is_count(seed) or not 0 <= seed < 2**64:
+    if not is_count(seed) or not 0 <= seed < 2**64:
         raise ValueError("seed must be an unsigned 64-bit integer")
-    if not _is_count(threads) or threads < 1:
+    if not is_count(threads) or threads < 1:
         raise ValueError("threads must be a positive integer")
     trials = spec.mc_trials if mc_trials is None else mc_trials
-    if not _is_count(trials) or trials < 0:
+    if not is_count(trials) or trials < 0:
         raise ValueError("mc_trials must be a non-negative integer")
 
     out_dir = Path(out_dir)
@@ -391,7 +361,7 @@ def run_experiment(
         "sweep_param": spec.sweep_param,
         "sweep_values": [_fmt(v) for v in spec.sweep_values],
         "n_scenarios": spec.n_scenarios,
-        "modes": [asdict(mode) for mode in spec.modes],
+        "modes": [mode.mode for mode in spec.modes],
         "config": {
             key: (None if value is None else value)
             for key, value in asdict(spec.config).items()
@@ -418,17 +388,11 @@ def emit_cdf(in_path: str | Path, out_path: str | Path) -> dict:
         missing = set(CSV_COLUMNS) - set(reader.fieldnames or [])
         if missing:
             raise ValueError(f"input CSV lacks columns: {sorted(missing)}")
+        group_columns = ["sweep_param", "sweep_value", *MODE_COLUMNS]
         groups: dict[tuple, list[float]] = {}
         order = []
         for row in reader:
-            key = (
-                row["sweep_param"],
-                row["sweep_value"],
-                row["mode_combiner"],
-                row["mode_emi"],
-                row["mode_power"],
-                row["mode_ris"],
-            )
+            key = tuple(row[column] for column in group_columns)
             if key not in groups:
                 groups[key] = []
                 order.append(key)
@@ -444,12 +408,7 @@ def emit_cdf(in_path: str | Path, out_path: str | Path) -> dict:
         for i, value in enumerate(samples):
             out_rows.append(
                 {
-                    "sweep_param": key[0],
-                    "sweep_value": key[1],
-                    "mode_combiner": key[2],
-                    "mode_emi": key[3],
-                    "mode_power": key[4],
-                    "mode_ris": key[5],
+                    **dict(zip(group_columns, key)),
                     "se": _fmt(value),
                     "cdf": _fmt((i + 1) / n),
                     "q05": _fmt(q05),

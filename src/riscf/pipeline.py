@@ -137,9 +137,7 @@ def build_link_statistics(
     cfg = config
     if isinstance(drop, Scenario):
         drop = build_drop_statistics(drop, cfg)
-    elif drop.config.replace(
-        combiner=cfg.combiner, emi=cfg.emi, power=cfg.power, ris=cfg.ris
-    ) != cfg:
+    elif drop.config.replace(**cfg.mode) != cfg:
         raise ValueError("config differs from the drop's in more than its mode fields")
 
     los, nlos, gram = drop.los, drop.nlos, drop.gram

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from riscf.config import SystemConfig, config_from_mapping
+from riscf.config import MODES, SystemConfig, config_from_mapping
 from riscf.correlation import ris_sinc_correlation
 
 
@@ -79,6 +79,35 @@ def test_invalid_configs_rejected(kwargs):
         SystemConfig(**kwargs)
 
 
+COUNT_FIELDS = [
+    "n_aps",
+    "n_ues",
+    "n_ap_antennas",
+    "ris_height_elements",
+    "ris_width_elements",
+    "tau_c",
+    "tau_p",
+]
+
+
+@pytest.mark.parametrize("field", COUNT_FIELDS)
+@pytest.mark.parametrize("value", [True, 2.0])
+def test_count_fields_reject_booleans_and_floats(field, value):
+    with pytest.raises(ValueError, match=field):
+        SystemConfig(**{field: value})
+
+
+def test_mode_lists_the_mode_fields_in_table_order():
+    cfg = SystemConfig(combiner="mr", power="maxmin", ris="off")
+    assert cfg.mode == {"combiner": "mr", "emi": "on", "power": "maxmin", "ris": "off"}
+    assert list(cfg.mode) == list(MODES)
+    for name, values in MODES.items():
+        for value in values:
+            assert SystemConfig(**{name: value}).mode[name] == value
+        with pytest.raises(ValueError, match="invalid mode"):
+            SystemConfig(**{name: "bogus"})
+
+
 def test_mapping_round_trip():
     cfg = config_from_mapping({"n_aps": 4, "rho_db": 10.0, "ris_spacing_h": 0.25})
     assert cfg.n_aps == 4
@@ -110,3 +139,10 @@ def test_n_ris_elements_product():
 def test_rho_infinite_means_no_interference():
     assert SystemConfig(rho_db=math.inf).rho_db == math.inf
     assert SystemConfig(rho_db=None).rho_db is None
+
+
+@pytest.mark.parametrize("rho_db", [-math.inf, math.nan])
+def test_rho_rejects_unbounded_emi_and_nan(rho_db):
+    """-inf dB would be infinite EMI, not none; NaN is no level at all."""
+    with pytest.raises(ValueError, match="rho_db"):
+        SystemConfig(rho_db=rho_db)

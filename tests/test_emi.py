@@ -26,6 +26,12 @@ def test_sigma_r2_no_interference_limits():
     assert sigma_r2_from_rho(math.inf, 0.2, beta_m) == 0.0
 
 
+@pytest.mark.parametrize("rho_db", [-math.inf, math.nan])
+def test_sigma_r2_rejects_unbounded_emi_and_nan(rho_db):
+    with pytest.raises(ValueError, match="rho_db"):
+        sigma_r2_from_rho(rho_db, 0.2, np.array([1e-7]))
+
+
 def test_sigma_r2_scales_inverse_with_rho():
     beta_m = np.array([1e-7, 2e-7, 5e-8])
     a = sigma_r2_from_rho(10.0, 0.2, beta_m)

@@ -112,6 +112,58 @@ def test_load_run_spec_coerces_yaml_booleans(tmp_path):
     assert spec.modes[0].ris == "off"
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        "n_aps",
+        "n_ues",
+        "n_ap_antennas",
+        "ris_height_elements",
+        "ris_width_elements",
+        "tau_c",
+        "tau_p",
+    ],
+)
+@pytest.mark.parametrize("value", [True, 2.0])
+def test_load_run_spec_rejects_non_count_config_fields(tmp_path, field, value):
+    bad = dict(MICRO, config={**MICRO["config"], field: value})
+    with pytest.raises(ValueError, match=field):
+        load_run_spec(write_spec(tmp_path / "bad.yaml", bad))
+
+
+def test_modes_inherit_unset_fields_from_config(tmp_path):
+    """A mode entry sets only the fields it names; the rest come from config:."""
+    sparse = [
+        {"combiner": "lsfd"},
+        {"power": "maxmin"},
+        {"power": "full"},
+        {"emi": False},
+        {"ris": "off"},
+    ]
+    full = [
+        {"combiner": "lsfd", "emi": "on", "power": "fpc", "ris": "on"},
+        {"combiner": "mr", "emi": "on", "power": "maxmin", "ris": "on"},
+        {"combiner": "mr", "emi": "on", "power": "full", "ris": "on"},
+        {"combiner": "mr", "emi": "off", "power": "fpc", "ris": "on"},
+        {"combiner": "mr", "emi": "on", "power": "fpc", "ris": "off"},
+    ]
+    config = {**MICRO["config"], "power": "fpc", "combiner": "mr"}
+    for name, modes in (("sparse", sparse), ("full", full)):
+        payload = dict(MICRO, config=config, mc_trials=0, modes=modes)
+        spec = write_spec(tmp_path / f"{name}.yaml", payload)
+        run_experiment(spec, seed=6, out_dir=tmp_path / name)
+    sparse_csv = tmp_path / "sparse" / "results.csv"
+    assert sparse_csv.read_bytes() == (tmp_path / "full" / "results.csv").read_bytes()
+
+    emit_cdf(sparse_csv, tmp_path / "cdf.csv")
+    sizes = {}
+    for row in read_rows(tmp_path / "cdf.csv"):
+        key = tuple(row[column] for column in experiment.MODE_COLUMNS)
+        sizes[key] = sizes.get(key, 0) + 1
+    # modes 2 and 3 differ in mode_power alone and still form two groups
+    assert sizes == {tuple(mode.values()): 2 * 2 for mode in full}
+
+
 def test_example_configs_parse():
     for name in ("configs/example.yaml", "configs/spacing_sweep.yaml"):
         spec = load_run_spec(name)
