@@ -97,8 +97,11 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):  # annotations are strings here
-            if f.type == "int" and not is_count(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if f.type == "int" and not is_count(value):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type in ("float", "float | None") and isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         checks = [
             (self.n_aps >= 1, "n_aps must be >= 1"),
             (self.n_ues >= 1, "n_ues must be >= 1"),

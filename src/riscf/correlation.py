@@ -130,7 +130,10 @@ def gaussian_local_scattering(
     still open at order 240 raises RuntimeError. 240 is the last doubling
     at which numpy's hermgauss stays finite: near order 400 it overflows,
     and at 480 its weights are NaN. Zero-beta pairs give zero matrices.
-    Entries depend on l - n only, so one offset row per pair suffices.
+    Entries depend on l - n only, so one offset row per pair suffices, and
+    the row is a Vandermonde sum: each node takes one complex exponential,
+    whose powers along the offsets come from a cumulative product (offset 0
+    is exactly 1).
     """
     if sigma_phi <= 0.0:
         raise ValueError("sigma_phi must be positive")
@@ -142,7 +145,11 @@ def gaussian_local_scattering(
     def quadrature(order: int, pairs: np.ndarray) -> np.ndarray:
         nodes, weights = _hermgauss(order)
         angles = np.sin(theta_flat[pairs][:, None] + np.sqrt(2.0) * sigma_phi * nodes)
-        phases = np.exp(2j * np.pi * spacing * offsets[:, None] * angles[:, None, :])
+        phases = np.ones((pairs.size, n_antennas, order), dtype=complex)
+        if n_antennas > 1:
+            step = np.exp(2j * np.pi * spacing * angles)
+            phases[:, 1:] = step[:, None, :]
+            np.cumprod(phases[:, 1:], axis=1, out=phases[:, 1:])
         return beta_flat[pairs][:, None] * (phases @ weights) / np.sqrt(np.pi)
 
     pairs = np.flatnonzero(beta_flat != 0.0)

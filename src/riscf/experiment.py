@@ -72,6 +72,8 @@ CDF_COLUMNS = [
 
 _SWEEP_ALIASES = ("none", "ris_elements_side", "ris_spacing")
 
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 _SCENARIO_STREAM = 0xA
 _MC_STREAM = 0xB
 
@@ -101,8 +103,12 @@ def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
 
 
 def load_run_spec(path: str | Path) -> RunSpec:
-    """Load and validate a YAML run spec; unknown keys are errors."""
-    raw = yaml.safe_load(Path(path).read_text())
+    """Load and validate a YAML run spec; unknown keys are errors.
+
+    Parsing uses libyaml's safe loader when PyYAML was built with it, and
+    the pure-Python one otherwise; both give the same mapping.
+    """
+    raw = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER)
     data = _require_mapping(raw, "run spec")
     _reject_unknown(
         data,
@@ -132,6 +138,8 @@ def load_run_spec(path: str | Path) -> RunSpec:
             )
         if not isinstance(values, list) or not values:
             raise ValueError("sweep.values must be a non-empty list")
+        if param == "ris_elements_side" and not all(is_count(v) for v in values):
+            raise ValueError(f"sweep.values of ris_elements_side must be integers, got {values}")
         values = tuple(values)
 
     n_scenarios = data.get("n_scenarios", 1)
@@ -166,8 +174,7 @@ def apply_sweep(config: SystemConfig, param: str, value: object) -> SystemConfig
     if param == "none":
         return config
     if param == "ris_elements_side":
-        side = int(value)
-        return config.replace(ris_width_elements=side, ris_height_elements=side)
+        return config.replace(ris_width_elements=value, ris_height_elements=value)
     if param == "ris_spacing":
         return config.replace(ris_spacing_h=float(value), ris_spacing_v=float(value))
     return config.replace(**{param: value})
@@ -196,13 +203,15 @@ def _evaluate_mode(
     link: LinkStatistics,
     moments: UatfMoments,
     mc_trials: int,
-    mc_rng: np.random.Generator,
+    mc_rng: np.random.Generator | None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Closed-form SINR and, when mc_trials > 0, the simulated SINR of one mode.
 
     ``cfg`` is the mode's own config: power, combiner, noise and ``p_max``
     all come from it. ``link`` and ``moments`` belong to its (emi, ris) and
-    may have been built from another mode of that group.
+    may have been built from another mode of that group. The simulation
+    keeps only the projections onto the closed form's weights, whose bound
+    is that of one virtual AP with unit weight.
     """
     noise = cfg.noise_power
     if cfg.power == "full":
@@ -216,8 +225,8 @@ def _evaluate_mode(
     closed = combine(moments, cfg.combiner, powers, noise)
     sinr_mc = None
     if mc_trials > 0:
-        estimates = estimate_uatf_terms(link, mc_trials, mc_rng)
-        sinr_mc = uatf_sinr(estimates.moments(), closed.weights, powers, noise)
+        estimates = estimate_uatf_terms(link, mc_trials, mc_rng, weights=closed.weights)
+        sinr_mc = uatf_sinr(estimates.moments(), np.ones((1, cfg.n_ues)), powers, noise)
     return closed.sinr, sinr_mc
 
 
@@ -247,7 +256,7 @@ def _run_drop(
         link = build_link_statistics(drop, modes[mode_indices[0]])
         moments = closed_form_moments(build_sinr_terms(link))
         for mode_idx in mode_indices:
-            mc_rng = _mc_rng(seed, sweep_idx, scen_idx, mode_idx)
+            mc_rng = _mc_rng(seed, sweep_idx, scen_idx, mode_idx) if mc_trials > 0 else None
             sinrs[mode_idx] = _evaluate_mode(modes[mode_idx], link, moments, mc_trials, mc_rng)
         del link, moments  # freed before the next group builds its bundle
 

@@ -4,16 +4,24 @@ Samples channels, pilot noise, and reflected interference, runs the actual
 MMSE estimator on each draw, and averages the combined statistics that the
 closed forms predict deterministically.  ``UatfEstimates.moments`` hands
 the sample means to ``uatf`` as the same moment bundle the closed form
-produces, with a dense AP-to-AP covariance.  Work proceeds in fixed-size
-chunks from a caller-seeded generator, so an estimate is bit-for-bit
-reproducible no matter how the surrounding run is scheduled.
+produces.  Work proceeds in chunks from a caller-seeded generator, so an
+estimate is bit-for-bit reproducible no matter how the surrounding run is
+scheduled.
 
 A trial costs its Gaussian draws plus GEMMs.  The RIS-to-AP channels H are
 never formed: the channel realization reflects the UE channels and both
 EMI draws through H^H Phi straight from its white draws, which are freed
-once the data-phase EMI has used them.  The second moment T = sum u u^H
-and its standard errors are summed over the trial axis as batched GEMMs,
-so no per-trial (K, K, M, M) array exists either.
+before the inner products are combined.  Memory is bounded by
+``CHUNK_BYTES``: the default chunk holds as many trials as fit it
+(``chunk_trials``), at most ``CHUNK_TRIALS``, counted from the shapes
+alone.  Two paths combine the inner products u_ki[m] = v_mk^H o_mi:
+
+* the validation path keeps the dense moments, u and the AP-to-AP second
+  moment T = E{u u^H}, summed over the trial axis as batched GEMMs, so no
+  per-trial (K, K, M, M) array exists;
+* the run path, given the decoding weights a, keeps only the projections
+  g_ki = a_k^H u_ki, a (K, K) matrix per trial, which is all the bound of
+  those weights reads.
 """
 
 from __future__ import annotations
@@ -23,12 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSampler
+from .config import SystemConfig
 from .emi import EmiSpec, sample_emi
 from .estimation import mmse_estimate, synthesize_pilot_observation
 from .pipeline import LinkStatistics
 from .uatf import UatfMoments
 
+#: Most trials in one chunk.
 CHUNK_TRIALS = 4096
+#: Bytes the working arrays of one default chunk may hold (``bytes_per_trial``).
+CHUNK_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -105,40 +117,95 @@ class RunningMoments:
 class UatfEstimates:
     """Estimated moments of the combined statistics.
 
-    u[k, i, m] is E{v_mk^H o_mi}, t[k, i] the M x M second moment of that
-    inner product across APs, d[m, k] the mean squared combiner norm, and
-    u_emi[m, k] the mean reflected-interference power after combining.
+    Without ``weights`` (the validation path) u[k, i, m] is E{v_mk^H o_mi},
+    t[k, i] the M x M second moment of that inner product across APs,
+    d[m, k] the mean squared combiner norm, and u_emi[m, k] the mean
+    reflected-interference power after combining. With the decoding
+    ``weights`` a (the run path) u[k, i, 0] is E{g_ki} and t[k, i, 0]
+    E{|g_ki|^2} for the projection g_ki = sum_m a_mk^* v_mk^H o_mi; d and
+    u_emi stay per AP.
     """
 
     u: OracleEstimate
     t: OracleEstimate
     d: OracleEstimate
     u_emi: OracleEstimate
+    weights: np.ndarray | None = None
 
     def moments(self) -> UatfMoments:
-        """The sample means as the bound's moments, with dense cov = t - u u^H."""
+        """The sample means as the bound's moments.
+
+        Without weights, the dense bundle with cov = t - u u^H. With
+        weights, one virtual AP: u' = E{g}, cov' = E{|g|^2} - |E{g}|^2 and
+        d'_k, w'_k the |a_mk|^2-weighted sums of d and u_emi, so the bound
+        of ``weights`` is ``uatf_sinr`` of these moments with unit weights.
+        """
         u = self.u.mean
+        d, w = self.d.mean.real, self.u_emi.mean.real
+        if self.weights is None:
+            cov = self.t.mean - np.einsum("kim,kin->kimn", u, u.conj())
+            return UatfMoments(u=u, cov=cov, d=d, w=w)
+        power = np.abs(self.weights) ** 2
         return UatfMoments(
             u=u,
-            cov=self.t.mean - np.einsum("kim,kin->kimn", u, u.conj()),
-            d=self.d.mean.real,
-            w=self.u_emi.mean.real,
+            cov=self.t.mean.real - np.abs(u) ** 2,
+            d=np.sum(power * d, axis=0, keepdims=True),
+            w=np.sum(power * w, axis=0, keepdims=True),
         )
+
+
+def bytes_per_trial(cfg: SystemConfig, rank: int, dense: bool) -> int:
+    """Bytes of working arrays one trial adds to a chunk, from the shapes alone.
+
+    While the white draws W (M r L entries per trial, r the rank of
+    ``ChannelSampler.ris_factor``) are alive, a trial holds its realization
+    (W, g, o, z and the UE phases) and, at the worst step, either the UE
+    channel draws and the reflection of z, or the pilot EMI with its
+    reflection and the AP noise, or the (M, K, L) observation, LoS mean,
+    prior, innovation and estimate arrays. W is freed before the inner
+    products are combined, which then needs o, v and, on the dense path, u
+    (K K M entries) with the three copies ``RunningMoments.update_outer``
+    makes of it, or on the projected path the two (K, M L) operands of the
+    projection. The larger of the two phases counts, at 16 bytes per
+    complex entry, plus an eighth for the small temporaries left out.
+    """
+    m, k, l, n, tau = cfg.n_aps, cfg.n_ues, cfg.n_ap_antennas, cfg.n_ris_elements, cfg.tau_p
+    mkl, kkm = m * k * l, k * k * m
+    realization = m * rank * l + 2 * mkl + k * (n + 1)
+    sampling = realization + max(
+        mkl + 2 * k * n + k * rank, tau * (2 * n + rank + 5 * m * l), 5 * mkl
+    )
+    combining = max(3 * mkl + kkm, 4 * kkm) if dense else 4 * mkl + k * k
+    return 16 * max(sampling, combining) * 9 // 8
+
+
+def chunk_trials(cfg: SystemConfig, rank: int, dense: bool) -> int:
+    """Default chunk: as many trials as fit ``CHUNK_BYTES``, at most ``CHUNK_TRIALS``.
+
+    It depends on the shapes only, so the random stream, and with it every
+    estimate, is the same whatever the thread count.
+    """
+    return max(1, min(CHUNK_TRIALS, CHUNK_BYTES // bytes_per_trial(cfg, rank, dense)))
 
 
 def estimate_uatf_terms(
     link: LinkStatistics,
     trials: int,
     rng: np.random.Generator | int,
-    chunk_size: int = CHUNK_TRIALS,
+    chunk_size: int | None = None,
+    weights: np.ndarray | None = None,
 ) -> UatfEstimates:
-    """Estimate every moment of the SINR bound by direct simulation.
+    """Estimate the moments of the SINR bound by direct simulation.
 
     Each trial draws a joint channel realization, synthesizes the pilot
     observation with fresh pilot-phase EMI and receiver noise, runs the
     MMSE estimator, combines with v = o_hat, and accumulates the resulting
     statistics together with the combined power of one data-phase EMI
-    draw.
+    draw. Without ``weights`` the dense moments u and T are kept; with the
+    (M, K) decoding ``weights`` a_mk only the projections
+    g_ki = sum_m a_mk^* v_mk^H o_mi are, one (K, M L) by (M L, K) product
+    per trial (see ``UatfEstimates``). ``chunk_size`` overrides the
+    default chunk of ``chunk_trials``; the random stream depends on it.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
@@ -148,7 +215,15 @@ def estimate_uatf_terms(
     n_aps, n_ues = cfg.n_aps, cfg.n_ues
     n_ant = cfg.n_ap_antennas
     tau_p = cfg.tau_p
+    if weights is not None:
+        weights = np.asarray(weights)
+        if weights.shape != (n_aps, n_ues):
+            raise ValueError("weights must have shape (n_aps, n_ues)")
+        # conj(a_mk) on the (k, m, l) layout of the projection's left operand
+        a_conj = np.repeat(weights.T.conj(), n_ant, axis=1)
     sampler = ChannelSampler(link.stats, link.los, link.nlos)
+    if chunk_size is None:
+        chunk_size = chunk_trials(cfg, sampler.ris_factor.shape[1], dense=weights is None)
     spec = EmiSpec(
         sigma_r2=link.sigma_r2,
         element_area=link.ris.element_area,
@@ -156,8 +231,12 @@ def estimate_uatf_terms(
         factor=sampler.ris_factor,
     )
     noise_scale = np.sqrt(cfg.noise_power / 2.0)
-    acc_u = RunningMoments((n_ues, n_ues, n_aps))
-    acc_t = RunningMoments((n_ues, n_ues, n_aps, n_aps))
+    if weights is None:
+        acc_u = RunningMoments((n_ues, n_ues, n_aps))
+        acc_t = RunningMoments((n_ues, n_ues, n_aps, n_aps))
+    else:
+        acc_u = RunningMoments((n_ues, n_ues, 1))
+        acc_t = RunningMoments((n_ues, n_ues, 1))
     acc_d = RunningMoments((n_aps, n_ues))
     acc_e = RunningMoments((n_aps, n_ues))
     remaining = trials
@@ -175,17 +254,30 @@ def estimate_uatf_terms(
         v = mmse_estimate(
             y, link.stats, link.est, link.assignment, link.pilot_powers, real.phase
         )
-        u = np.einsum("tmkl,tmil->tkim", v.conj(), real.o)
+        del y
         q = real.reflect(sample_emi(spec, rng, (batch,)))
-        del real, y  # frees the white draws W, the chunk's largest array
-        acc_u.update(u)
-        acc_t.update_outer(u)
+        o = real.o
+        del real  # frees the white draws W, the chunk's largest array
         acc_d.update(np.einsum("tmkl,tmkl->tmk", v.conj(), v).real)
-        e = np.einsum("tmkl,tml->tmk", v.conj(), q)
-        acc_e.update(np.abs(e) ** 2)
+        acc_e.update(np.abs(np.einsum("tmkl,tml->tmk", v.conj(), q)) ** 2)
+        del q
+        if weights is None:
+            u = np.einsum("tmkl,tmil->tkim", v.conj(), o)
+            del v, o
+            acc_u.update(u)
+            acc_t.update_outer(u)
+        else:
+            left = v.conj().transpose(0, 2, 1, 3).reshape(batch, n_ues, -1) * a_conj
+            right = o.transpose(0, 1, 3, 2).reshape(batch, -1, n_ues)
+            del v, o
+            g = (left @ right)[..., None]
+            del left, right
+            acc_u.update(g)
+            acc_t.update(g.real**2 + g.imag**2)
     return UatfEstimates(
         u=acc_u.finalize(),
         t=acc_t.finalize(),
         d=acc_d.finalize(),
         u_emi=acc_e.finalize(),
+        weights=weights,
     )

@@ -1,4 +1,5 @@
 """System configuration defaults, derived quantities, and validation."""
+import dataclasses
 import math
 
 import pytest
@@ -95,6 +96,24 @@ COUNT_FIELDS = [
 def test_count_fields_reject_booleans_and_floats(field, value):
     with pytest.raises(ValueError, match=field):
         SystemConfig(**{field: value})
+
+
+FLOAT_FIELDS = [
+    f.name for f in dataclasses.fields(SystemConfig) if f.type in ("float", "float | None")
+]
+
+
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [True, False])
+def test_float_fields_reject_booleans(field, value):
+    """YAML true/false load as bools, which Python would take as 1 and 0."""
+    with pytest.raises(ValueError, match=field):
+        SystemConfig(**{field: value})
+
+
+def test_float_fields_accept_integers():
+    cfg = SystemConfig(p_max=1, noise_dbm=-90, rho_db=10)
+    assert (cfg.p_max, cfg.noise_dbm, cfg.rho_db) == (1, -90, 10)
 
 
 def test_mode_lists_the_mode_fields_in_table_order():

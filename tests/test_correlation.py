@@ -94,6 +94,20 @@ def test_local_scattering_matches_direct_quadrature():
         assert r[lag, 0] == pytest.approx(re + 1j * im, abs=1e-6)
 
 
+@pytest.mark.parametrize("n_antennas", [1, 2, 4, 8])
+def test_local_scattering_powers_match_one_exponential_per_offset(n_antennas):
+    """Powers of one exponential per node give every offset's row (order-240 reference)."""
+    theta = np.linspace(-3.0, 3.0, 7)
+    sigma, spacing = np.deg2rad(15.0), 0.5
+    r = gaussian_local_scattering(1.0, theta, sigma, n_antennas, spacing).R
+    nodes, weights = np.polynomial.hermite.hermgauss(240)
+    angles = np.sin(theta[:, None] + np.sqrt(2.0) * sigma * nodes)
+    offsets = np.arange(n_antennas)
+    phases = np.exp(2j * np.pi * spacing * offsets[:, None] * angles[:, None, :])
+    row = phases @ weights / np.sqrt(np.pi)
+    np.testing.assert_allclose(r[:, :, 0], row, rtol=0, atol=1e-9)
+
+
 def test_local_scattering_small_spread_is_nearly_rank_one():
     r = gaussian_local_scattering(1.0, 0.3, 1e-4, 4, 0.5).R
     eigvals = np.sort(np.linalg.eigvalsh(r))

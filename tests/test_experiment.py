@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +96,30 @@ def test_load_run_spec_rejects_boolean_counts(tmp_path, key, value):
     bad[key] = value
     with pytest.raises(ValueError, match=key):
         load_run_spec(write_spec(tmp_path / "bad.yaml", bad))
+
+
+@pytest.mark.parametrize("field", ["p_max", "rho_db", "noise_dbm", "carrier_hz", "pilot_power"])
+def test_load_run_spec_rejects_boolean_float_fields(tmp_path, field):
+    bad = dict(MICRO, config={**MICRO["config"], field: True})
+    with pytest.raises(ValueError, match=field):
+        load_run_spec(write_spec(tmp_path / "bad.yaml", bad))
+
+
+@pytest.mark.parametrize("values", [[2.5, 2], [2, True], ["2"]])
+def test_load_run_spec_rejects_non_count_element_sides(tmp_path, values):
+    """A side of 2.5 would otherwise run, and be labelled, as something else."""
+    bad = dict(MICRO, sweep={"param": "ris_elements_side", "values": values})
+    with pytest.raises(ValueError, match="sweep.values"):
+        load_run_spec(write_spec(tmp_path / "bad.yaml", bad))
+
+
+def test_configs_parse_identically_under_both_yaml_loaders():
+    paths = sorted((Path(__file__).parent.parent / "configs").glob("*.yaml"))
+    assert paths
+    for path in paths:
+        text = path.read_text()
+        fast = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        assert fast == yaml.load(text, Loader=yaml.SafeLoader), path.name
 
 
 def test_load_run_spec_rejects_bad_mode(tmp_path):

@@ -1,10 +1,22 @@
 """Simulation oracle: streaming moments and moment-based SINR assembly."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from riscf.montecarlo import RunningMoments, UatfEstimates, estimate_uatf_terms
+from riscf.channel import ChannelSampler
+from riscf.config import SystemConfig
+from riscf.montecarlo import (
+    CHUNK_BYTES,
+    CHUNK_TRIALS,
+    RunningMoments,
+    UatfEstimates,
+    chunk_trials,
+    estimate_uatf_terms,
+)
+from riscf.power import full_power
 from riscf.se import build_sinr_terms, closed_form_moments
-from riscf.uatf import optimal_lsfd_weights, uatf_sinr
+from riscf.uatf import combine, optimal_lsfd_weights, uatf_sinr
 
 from conftest import make_link
 from dense_reference import dense_uatf_terms
@@ -151,3 +163,74 @@ def test_closed_form_agrees_with_short_simulation(tiny_link):
     est = estimate_uatf_terms(tiny_link, 20000, rng=9)
     sim = uatf_sinr(est.moments(), opt.weights, p, cfg.noise_power)
     assert np.abs(sim / opt.sinr - 1.0).max() < 0.05
+
+
+def _rank(link):
+    return ChannelSampler(link.stats, link.los, link.nlos).ris_factor.shape[1]
+
+
+@pytest.mark.parametrize("link_name", ["tiny_link", "validation_link"])
+@pytest.mark.parametrize("dense", [True, False])
+def test_small_links_keep_full_chunks(request, link_name, dense):
+    """Where a full chunk fits the budget, the random stream is unchanged."""
+    link = request.getfixturevalue(link_name)
+    assert chunk_trials(link.config, _rank(link), dense) == CHUNK_TRIALS
+
+
+@pytest.fixture(scope="module")
+def oracle_link():
+    """The shapes of the benchmark's Monte Carlo workload: M=10, K=5, L=4, N=64."""
+    cfg = SystemConfig(
+        n_aps=10, n_ues=5, n_ap_antennas=4, ris_width_elements=8, ris_height_elements=8
+    )
+    return make_link(cfg, 3)
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "projected"])
+def test_chunk_working_set_stays_within_budget(oracle_link, dense):
+    """The traced peak of a budget-sized run stays within CHUNK_BYTES plus the sums."""
+    cfg = oracle_link.config
+    m, k = cfg.n_aps, cfg.n_ues
+    chunk = chunk_trials(cfg, _rank(oracle_link), dense)
+    assert chunk < 1000  # the budget, not the cap, sizes these chunks
+    weights = None if dense else np.ones((m, k), dtype=complex)
+    # 32 bytes per entry: the complex sum and two real sums of squares
+    sums = 32 * (k * k * m * (m + 1) if dense else 2 * k * k) + 32 * 2 * m * k
+    trials = 2 * chunk + 1
+    tracemalloc.start()
+    try:
+        est = estimate_uatf_terms(oracle_link, trials, rng=0, weights=weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.u.trials == trials
+    assert peak <= CHUNK_BYTES + sums
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [{}, {"emi": "off"}, {"ris": "off"}],
+    ids=["modes-on", "emi-off", "ris-off"],
+)
+@pytest.mark.parametrize("combiner", ["lsfd", "mr"])
+def test_projected_sinr_matches_dense_moments(validation_config, modes, combiner):
+    """Projecting onto the weights gives the dense bound of the same draws."""
+    link = make_link(validation_config.replace(**modes), 1)
+    cfg = link.config
+    powers = full_power(cfg.n_ues, cfg.p_max).powers
+    closed = combine(
+        closed_form_moments(build_sinr_terms(link)), combiner, powers, cfg.noise_power
+    )
+    dense = estimate_uatf_terms(link, 300, rng=6, chunk_size=128)
+    projected = estimate_uatf_terms(link, 300, rng=6, chunk_size=128, weights=closed.weights)
+    expected = uatf_sinr(dense.moments(), closed.weights, powers, cfg.noise_power)
+    ones = np.ones((1, cfg.n_ues))
+    got = uatf_sinr(projected.moments(), ones, powers, cfg.noise_power)
+    np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
+    assert np.array_equal(projected.d.mean, dense.d.mean)
+    assert np.array_equal(projected.u_emi.mean, dense.u_emi.mean)
+
+
+def test_estimate_uatf_terms_validates_weights(tiny_link):
+    with pytest.raises(ValueError, match="weights"):
+        estimate_uatf_terms(tiny_link, 8, rng=1, weights=np.ones((3, 2)))
