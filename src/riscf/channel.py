@@ -74,8 +74,11 @@ class ChannelSampler:
     F_R F_R^H = R, W_m white and A_m = sqrt(gain_m) times the conjugate of
     the factor of R_m (``ap_factors``), so vec(H_m - Hbar_m) keeps
     covariance gain_m (R_m^T kron R); the NLoS part of z_k is
-    sqrt(gain_k) F_R w. H itself is never formed: a draw keeps W, and its
-    realization applies H_m^H Phi as GEMMs against Hbar, F_R, W_m and A_m.
+    sqrt(gain_k) F_R w. H itself is never formed. ``draw`` keeps W, and
+    its realization applies H_m^H Phi to any RIS-side vector as GEMMs
+    against Hbar, F_R, W_m and A_m. ``draw_reflections`` reflects a fixed
+    set of J vectors per trial and draws only the J-dimensional projection
+    of W that they see (k <= J white rows per AP instead of r).
     ``ris_factor`` is F_R, which EMI draws can share.
     """
 
@@ -93,6 +96,13 @@ class ChannelSampler:
         self.ap_factors = np.sqrt(nlos.gain_m)[:, None, None] * psd_factor(nlos.r_m).conj()
         self.ue_scale = np.sqrt(nlos.gain_k)
         self._hbar_cols = los.hbar.transpose(1, 0, 2).reshape(self.n, self.n_aps * self.l)
+        # For draw_reflections, with Phi and the conjugates folded in: the
+        # rows of (Hbar^H Phi) and of (F_R^H Phi), the small left operands of
+        # GEMMs against the stacked x^T (a tall left operand would make BLAS
+        # pack, and keep resident, a copy of x), and the A_m^H.
+        self._hbar_rows = (los.phi[:, None] * self._hbar_cols.conj()).T.copy()
+        self._ris_rows = (los.phi[:, None] * self.ris_factor.conj()).T.copy()
+        self._ap_factors_h = self.ap_factors.conj().swapaxes(-1, -2)
 
     def draw(
         self, rng: np.random.Generator, trials: int, phase: np.ndarray | None = None
@@ -106,13 +116,54 @@ class ChannelSampler:
         """
         if phase is None:
             phase = sample_phases(rng, (trials, self.n_ues))
-        w_g = standard_cn(rng, (trials, self.n_aps, self.n_ues, self.l))
-        g = np.einsum("mkab,tmkb->tmka", self.g_factors, w_g)
+        g = self._direct(rng, trials)
         w = standard_cn(rng, (self.n_aps, trials, self.ris_factor.shape[1], self.l))
-        w_z = sample_cn(rng, self.ris_factor, (trials, self.n_ues))
-        z = self.los.zbar * phase[:, :, None] + self.ue_scale[:, None] * w_z
+        z = self._ue(rng, phase)
         o = g + self._reflect(w, z)
         return ChannelRealization(g=g, z=z, o=o, phase=phase, w=w, sampler=self)
+
+    def draw_unreflected(
+        self, rng: np.random.Generator, trials: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The UE phases, direct channels g and RIS-to-UE channels z of ``trials`` trials.
+
+        These are ``draw``'s draws without W: H enters only through
+        ``draw_reflections``.
+        """
+        phase = sample_phases(rng, (trials, self.n_ues))
+        g = self._direct(rng, trials)
+        return phase, g, self._ue(rng, phase)
+
+    def draw_reflections(self, rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
+        """H_m^H Phi x_j for a fresh draw of every H_m and the J vectors x_j of each trial.
+
+        ``x`` has shape (trials, J, N); the result (trials, M, J, L) has the
+        joint law of ``draw(...).reflect(x)`` over all J vectors and APs.
+        With Y the J x r matrix of rows (Phi x_j)^H F_R and the reduced QR
+        Y^H = Q R (R is k x J, k = min(r, J), rank-safe for zero or
+        dependent rows), Y W_m = R^H (Q^H W_m), and Q^H W_m is white and
+        independent of Y because W_m is. So one white k x (M L) matrix per
+        trial replaces the r x L draws W_m of all APs: its block V_m stands
+        for conj(Q^H W_m), white as well, and the NLoS part of
+        H_m^H Phi x_j is row j of R^T V_m A_m^H.
+        """
+        trials, j, n = x.shape
+        y_h = self._ris_rows @ x.reshape(trials * j, n).T
+        y_h = y_h.reshape(-1, trials, j).transpose(1, 0, 2)
+        r_factor = np.linalg.qr(y_h, mode="r")
+        del y_h
+        v = standard_cn(rng, (trials, r_factor.shape[1], self.n_aps * self.l))
+        return self._reflect_projected(x, r_factor, v)
+
+    def _direct(self, rng: np.random.Generator, trials: int) -> np.ndarray:
+        w_g = standard_cn(rng, (trials, self.n_aps, self.n_ues, self.l))
+        return np.einsum("mkab,tmkb->tmka", self.g_factors, w_g)
+
+    def _ue(self, rng: np.random.Generator, phase: np.ndarray) -> np.ndarray:
+        z = sample_cn(rng, self.ris_factor, phase.shape)
+        z *= self.ue_scale[:, None]
+        z += self.los.zbar * phase[:, :, None]
+        return z
 
     def _reflect(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         """H_m^H Phi x with H_m = Hbar_m + F_R W_m A_m^T built from the draws ``w``.
@@ -134,6 +185,34 @@ class ChannelSampler:
         nlos = nlos.reshape(self.n_aps, trials, j, self.l)
         out = los.transpose(0, 2, 1, 3) + nlos.transpose(1, 0, 2, 3)
         return np.conj(out, out=out).reshape((trials, self.n_aps) + batch + (self.l,))
+
+    def _reflect_projected(
+        self, x: np.ndarray, r_factor: np.ndarray, v: np.ndarray
+    ) -> np.ndarray:
+        """Hbar_m^H Phi x_j + row j of R^T V_m A_m^H, as (trials, M, J, L).
+
+        ``x`` holds the (trials, J, N) vectors x_j, ``r_factor`` the
+        (trials, k, J) factors R and ``v`` the (trials, k, M L) white
+        matrices, AP-major along the last axis. A_m^H is applied first,
+        where k <= J rows are fewer, as one GEMM per AP over the strided
+        view of every trial's block m; R^T then meets all APs' blocks in one
+        GEMM per trial.
+        """
+        trials, k, j = r_factor.shape
+        m, l = self.n_aps, self.l
+        by_ap = (trials * k, m, l)
+        coef = np.empty_like(v)
+        np.matmul(
+            v.reshape(by_ap).swapaxes(0, 1),
+            self._ap_factors_h,
+            out=coef.reshape(by_ap).swapaxes(0, 1),
+        )
+        out = r_factor.swapaxes(1, 2) @ coef
+        del coef
+        los = self._hbar_rows @ x.reshape(trials * j, -1).T
+        out += los.T.reshape(trials, j, m * l)
+        del los
+        return out.reshape(trials, j, m, l).transpose(0, 2, 1, 3)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -27,6 +28,11 @@ MODES = {
 def is_count(value: object) -> bool:
     """An int that is not a bool (YAML true/false load as bools, which are ints)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value: object) -> bool:
+    """A real number that is not a bool (YAML loads quoted numbers as strings)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def dbm_to_watt(dbm: float) -> float:
@@ -100,7 +106,8 @@ class SystemConfig:
             value = getattr(self, f.name)
             if f.type == "int" and not is_count(value):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if f.type in ("float", "float | None") and isinstance(value, bool):
+            optional = f.type == "float | None" and value is None
+            if f.type in ("float", "float | None") and not (optional or is_real(value)):
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
         checks = [
             (self.n_aps >= 1, "n_aps must be >= 1"),

@@ -104,24 +104,38 @@ def synthesize_pilot_observation(
     """Pilot-projected received signal y^p_mk for a batch of realizations.
 
     ``emi_pilot`` has shape (trials, N, tau_p) and ``ap_noise`` (trials, M,
-    L, tau_p), one column per pilot symbol. With unit-norm-squared-tau_p
-    orthogonal pilots, projecting on pilot t scales the co-pilot channels
-    by sqrt(p_hat) tau_p and the per-symbol noises by sqrt(tau_p). The EMI
-    reaches the APs through ``realization.reflect``, so ``phi`` must be the
-    RIS phases the realization was drawn with.
+    L, tau_p), one column per pilot symbol. The EMI reaches the APs through
+    ``realization.reflect``, so ``phi`` must be the RIS phases the
+    realization was drawn with; ``pilot_observation`` does the rest.
     """
     if not np.array_equal(phi, realization.sampler.los.phi):
         raise ValueError("phi differs from the phases the channels were drawn with")
-    tau_p = assignment.tau_p
-    trials, n_aps, n_ues, l = realization.o.shape
     reflected = realization.reflect(emi_pilot.swapaxes(1, 2)).swapaxes(2, 3)
-    noise = np.sqrt(tau_p) * (reflected + ap_noise)
-    y = np.empty((trials, n_aps, n_ues, l), dtype=complex)
+    return pilot_observation(realization.o, reflected + ap_noise, assignment, pilot_powers)
+
+
+def pilot_observation(
+    o: np.ndarray,
+    noise: np.ndarray,
+    assignment: PilotAssignment,
+    pilot_powers: np.ndarray,
+) -> np.ndarray:
+    """y^p_mk from the channels ``o`` (trials, M, K, L) and the noise at the APs.
+
+    ``noise`` has shape (trials, M, L, tau_p): per pilot symbol, the EMI
+    reflected to the APs plus the receiver noise. With
+    unit-norm-squared-tau_p orthogonal pilots, projecting on pilot t scales
+    the co-pilot channels by sqrt(p_hat) tau_p and the per-symbol noises by
+    sqrt(tau_p).
+    """
+    tau_p = assignment.tau_p
+    noise = np.sqrt(tau_p) * noise
+    y = np.empty(o.shape, dtype=complex)
     for t, coset in enumerate(assignment.cosets):
         if coset.size == 0:
             continue
         signal = np.einsum(
-            "i,tmia->tma", np.sqrt(pilot_powers[coset]) * tau_p, realization.o[:, :, coset]
+            "i,tmia->tma", np.sqrt(pilot_powers[coset]) * tau_p, o[:, :, coset]
         )
         y[:, :, coset] = (signal + noise[..., t])[:, :, None, :]
     return y

@@ -138,8 +138,11 @@ def load_run_spec(path: str | Path) -> RunSpec:
             )
         if not isinstance(values, list) or not values:
             raise ValueError("sweep.values must be a non-empty list")
-        if param == "ris_elements_side" and not all(is_count(v) for v in values):
-            raise ValueError(f"sweep.values of ris_elements_side must be integers, got {values}")
+        for value in values:
+            try:
+                apply_sweep(config, param, value)
+            except ValueError as err:
+                raise ValueError(f"sweep.values: {err}") from None
         values = tuple(values)
 
     n_scenarios = data.get("n_scenarios", 1)
@@ -176,7 +179,7 @@ def apply_sweep(config: SystemConfig, param: str, value: object) -> SystemConfig
     if param == "ris_elements_side":
         return config.replace(ris_width_elements=value, ris_height_elements=value)
     if param == "ris_spacing":
-        return config.replace(ris_spacing_h=float(value), ris_spacing_v=float(value))
+        return config.replace(ris_spacing_h=value, ris_spacing_v=value)
     return config.replace(**{param: value})
 
 

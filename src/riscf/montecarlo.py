@@ -8,20 +8,23 @@ produces.  Work proceeds in chunks from a caller-seeded generator, so an
 estimate is bit-for-bit reproducible no matter how the surrounding run is
 scheduled.
 
-A trial costs its Gaussian draws plus GEMMs.  The RIS-to-AP channels H are
-never formed: the channel realization reflects the UE channels and both
-EMI draws through H^H Phi straight from its white draws, which are freed
-before the inner products are combined.  Memory is bounded by
-``CHUNK_BYTES``: the default chunk holds as many trials as fit it
-(``chunk_trials``), at most ``CHUNK_TRIALS``, counted from the shapes
-alone.  Two paths combine the inner products u_ki[m] = v_mk^H o_mi:
+A trial costs its Gaussian draws plus GEMMs, and the RIS-to-AP channels H
+are never formed.  Memory is bounded by ``CHUNK_BYTES``: the default chunk
+holds as many trials as fit it (``chunk_trials``), at most
+``CHUNK_TRIALS``, counted from the shapes alone.  The two paths draw and
+combine differently:
 
-* the validation path keeps the dense moments, u and the AP-to-AP second
-  moment T = E{u u^H}, summed over the trial axis as batched GEMMs, so no
-  per-trial (K, K, M, M) array exists;
-* the run path, given the decoding weights a, keeps only the projections
-  g_ki = a_k^H u_ki, a (K, K) matrix per trial, which is all the bound of
-  those weights reads.
+* the validation path draws H's white draws W (M r L entries per trial),
+  reflects the UE channels and both EMI draws through H^H Phi straight
+  from them, and keeps the dense moments of the inner products
+  u_ki[m] = v_mk^H o_mi: u and the AP-to-AP second moment T = E{u u^H},
+  summed over the trial axis as batched GEMMs, so no per-trial
+  (K, K, M, M) array exists;
+* the run path reflects only the K + tau_p + 1 RIS-side vectors a trial
+  uses, so it draws only their projection of W, k <= K + tau_p + 1 white
+  rows per AP (``ChannelSampler.draw_reflections``), and, given the
+  decoding weights a, keeps only the projections g_ki = a_k^H u_ki, a
+  (K, K) matrix per trial, which is all the bound of those weights reads.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from .channel import ChannelSampler
 from .config import SystemConfig
 from .emi import EmiSpec, sample_emi
-from .estimation import mmse_estimate, synthesize_pilot_observation
+from .estimation import mmse_estimate, pilot_observation, synthesize_pilot_observation
 from .pipeline import LinkStatistics
 from .uatf import UatfMoments
 
@@ -157,26 +160,50 @@ class UatfEstimates:
 def bytes_per_trial(cfg: SystemConfig, rank: int, dense: bool) -> int:
     """Bytes of working arrays one trial adds to a chunk, from the shapes alone.
 
-    While the white draws W (M r L entries per trial, r the rank of
-    ``ChannelSampler.ris_factor``) are alive, a trial holds its realization
-    (W, g, o, z and the UE phases) and, at the worst step, either the UE
-    channel draws and the reflection of z, or the pilot EMI with its
-    reflection and the AP noise, or the (M, K, L) observation, LoS mean,
-    prior, innovation and estimate arrays. W is freed before the inner
-    products are combined, which then needs o, v and, on the dense path, u
-    (K K M entries) with the three copies ``RunningMoments.update_outer``
-    makes of it, or on the projected path the two (K, M L) operands of the
-    projection. The larger of the two phases counts, at 16 bytes per
-    complex entry, plus an eighth for the small temporaries left out.
+    Dense (validation) path: while the white draws W (M r L entries per
+    trial, r the rank of ``ChannelSampler.ris_factor``) are alive, a trial
+    holds its realization (W, g, o, z and the UE phases) and, at the worst
+    step, either the UE channel draws and the reflection of z, or the pilot
+    EMI with its reflection and the AP noise, or the (M, K, L)
+    observation, LoS mean, prior, innovation and estimate arrays. W is
+    freed before the inner products are combined, which then needs o, v
+    and u (K K M entries) with the three copies
+    ``RunningMoments.update_outer`` makes of it.
+
+    Projected (run) path, with J = K + tau_p + 1 reflected vectors and
+    k = min(r, J): a trial holds the J stacked RIS-side vectors x from the
+    start, and from the UE draws on the copy of their K r white entries
+    that a threaded BLAS packs and keeps resident. While it draws g, z and
+    the EMI into x, it holds the phases, g and the draws of z or of the
+    pilot EMI; then the phases, g, the AP noise and x while it factors Y
+    (Y^H, its copy inside the QR and R) or reflects (R, the M L k white
+    entries V, their product with A^H, and the J M L result with one
+    temporary). It then estimates (o, q and the observation, LoS mean,
+    prior, innovation and estimate arrays) and projects (o, v and the two
+    (K, M L) operands). The largest step counts, at 16 bytes per complex
+    entry, plus an eighth for the small temporaries left out.
     """
     m, k, l, n, tau = cfg.n_aps, cfg.n_ues, cfg.n_ap_antennas, cfg.n_ris_elements, cfg.tau_p
     mkl, kkm = m * k * l, k * k * m
-    realization = m * rank * l + 2 * mkl + k * (n + 1)
-    sampling = realization + max(
-        mkl + 2 * k * n + k * rank, tau * (2 * n + rank + 5 * m * l), 5 * mkl
-    )
-    combining = max(3 * mkl + kkm, 4 * kkm) if dense else 4 * mkl + k * k
-    return 16 * max(sampling, combining) * 9 // 8
+    if dense:
+        realization = m * rank * l + 2 * mkl + k * (n + 1)
+        sampling = realization + max(
+            mkl + 2 * k * n + k * rank, tau * (2 * n + rank + 5 * m * l), 5 * mkl
+        )
+        combining = max(3 * mkl + kkm, 4 * kkm)
+        return 16 * max(sampling, combining) * 9 // 8
+    j = k + tau + 1
+    kj, mlk, jml = min(rank, j) * j, m * l * min(rank, j), j * m * l
+    packed = k * rank
+    held = k + mkl + m * l * tau + j * n + packed
+    steps = [
+        j * n + k + mkl + max(mkl, 2 * k * (rank + n), packed + tau * (rank + 2 * n)),
+        held + 2 * j * rank + kj,
+        held + kj + mlk + max(mlk + jml, 2 * jml),
+        packed + k + m * l + 6 * mkl,
+        packed + m * l + 4 * mkl + k * k,
+    ]
+    return 16 * max(steps) * 9 // 8
 
 
 def chunk_trials(cfg: SystemConfig, rank: int, dense: bool) -> int:
@@ -201,11 +228,13 @@ def estimate_uatf_terms(
     observation with fresh pilot-phase EMI and receiver noise, runs the
     MMSE estimator, combines with v = o_hat, and accumulates the resulting
     statistics together with the combined power of one data-phase EMI
-    draw. Without ``weights`` the dense moments u and T are kept; with the
-    (M, K) decoding ``weights`` a_mk only the projections
-    g_ki = sum_m a_mk^* v_mk^H o_mi are, one (K, M L) by (M L, K) product
-    per trial (see ``UatfEstimates``). ``chunk_size`` overrides the
-    default chunk of ``chunk_trials``; the random stream depends on it.
+    draw. Without ``weights`` each trial draws H in full and the dense
+    moments u and T are kept; with the (M, K) decoding ``weights`` a_mk H
+    is drawn only where it reflects and only the projections
+    g_ki = sum_m a_mk^* v_mk^H o_mi are kept, one (K, M L) by (M L, K)
+    product per trial (see ``UatfEstimates``). The two paths have the same
+    law but different random streams. ``chunk_size`` overrides the default
+    chunk of ``chunk_trials``; the random stream depends on it.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
@@ -213,14 +242,21 @@ def estimate_uatf_terms(
         raise ValueError("trials must be positive")
     cfg = link.config
     n_aps, n_ues = cfg.n_aps, cfg.n_ues
-    n_ant = cfg.n_ap_antennas
-    tau_p = cfg.tau_p
-    if weights is not None:
+    if weights is None:
+        trials_of = _dense_trials
+        acc_u = RunningMoments((n_ues, n_ues, n_aps))
+        acc_t = RunningMoments((n_ues, n_ues, n_aps, n_aps))
+    else:
         weights = np.asarray(weights)
         if weights.shape != (n_aps, n_ues):
             raise ValueError("weights must have shape (n_aps, n_ues)")
         # conj(a_mk) on the (k, m, l) layout of the projection's left operand
-        a_conj = np.repeat(weights.T.conj(), n_ant, axis=1)
+        a_conj = np.repeat(weights.T.conj(), cfg.n_ap_antennas, axis=1)
+        trials_of = _projected_trials
+        acc_u = RunningMoments((n_ues, n_ues, 1))
+        acc_t = RunningMoments((n_ues, n_ues, 1))
+    acc_d = RunningMoments((n_aps, n_ues))
+    acc_e = RunningMoments((n_aps, n_ues))
     sampler = ChannelSampler(link.stats, link.los, link.nlos)
     if chunk_size is None:
         chunk_size = chunk_trials(cfg, sampler.ris_factor.shape[1], dense=weights is None)
@@ -231,33 +267,11 @@ def estimate_uatf_terms(
         factor=sampler.ris_factor,
     )
     noise_scale = np.sqrt(cfg.noise_power / 2.0)
-    if weights is None:
-        acc_u = RunningMoments((n_ues, n_ues, n_aps))
-        acc_t = RunningMoments((n_ues, n_ues, n_aps, n_aps))
-    else:
-        acc_u = RunningMoments((n_ues, n_ues, 1))
-        acc_t = RunningMoments((n_ues, n_ues, 1))
-    acc_d = RunningMoments((n_aps, n_ues))
-    acc_e = RunningMoments((n_aps, n_ues))
     remaining = trials
     while remaining > 0:
         batch = min(chunk_size, remaining)
         remaining -= batch
-        real = sampler.draw(rng, batch)
-        emi_pilot = sample_emi(spec, rng, (batch, tau_p)).transpose(0, 2, 1)
-        raw = rng.standard_normal((batch, n_aps, n_ant, tau_p, 2))
-        ap_noise = noise_scale * (raw[..., 0] + 1j * raw[..., 1])
-        y = synthesize_pilot_observation(
-            real, emi_pilot, ap_noise, link.assignment, link.pilot_powers, link.los.phi
-        )
-        del emi_pilot, raw, ap_noise
-        v = mmse_estimate(
-            y, link.stats, link.est, link.assignment, link.pilot_powers, real.phase
-        )
-        del y
-        q = real.reflect(sample_emi(spec, rng, (batch,)))
-        o = real.o
-        del real  # frees the white draws W, the chunk's largest array
+        o, v, q = trials_of(link, sampler, spec, rng, batch, noise_scale)
         acc_d.update(np.einsum("tmkl,tmkl->tmk", v.conj(), v).real)
         acc_e.update(np.abs(np.einsum("tmkl,tml->tmk", v.conj(), q)) ** 2)
         del q
@@ -281,3 +295,71 @@ def estimate_uatf_terms(
         u_emi=acc_e.finalize(),
         weights=weights,
     )
+
+
+def _ap_noise(rng: np.random.Generator, shape: tuple[int, ...], scale: float) -> np.ndarray:
+    raw = rng.standard_normal(shape + (2,))
+    return scale * (raw[..., 0] + 1j * raw[..., 1])
+
+
+def _dense_trials(
+    link: LinkStatistics,
+    sampler: ChannelSampler,
+    spec: EmiSpec,
+    rng: np.random.Generator,
+    batch: int,
+    noise_scale: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """o, the estimates v and the reflected data EMI q of ``batch`` full draws of H.
+
+    Draw order: the realization (phases, g, W, z), the pilot EMI, the AP
+    noise, the data EMI.
+    """
+    cfg = link.config
+    real = sampler.draw(rng, batch)
+    emi_pilot = sample_emi(spec, rng, (batch, cfg.tau_p)).transpose(0, 2, 1)
+    ap_noise = _ap_noise(rng, (batch, cfg.n_aps, cfg.n_ap_antennas, cfg.tau_p), noise_scale)
+    y = synthesize_pilot_observation(
+        real, emi_pilot, ap_noise, link.assignment, link.pilot_powers, link.los.phi
+    )
+    del emi_pilot, ap_noise
+    v = mmse_estimate(y, link.stats, link.est, link.assignment, link.pilot_powers, real.phase)
+    del y
+    q = real.reflect(sample_emi(spec, rng, (batch,)))
+    return real.o, v, q  # dropping the realization frees W, the chunk's largest array
+
+
+def _projected_trials(
+    link: LinkStatistics,
+    sampler: ChannelSampler,
+    spec: EmiSpec,
+    rng: np.random.Generator,
+    batch: int,
+    noise_scale: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """o, v and q as ``_dense_trials``, with H drawn only where it reflects.
+
+    Draw order: the phases, g and z, the pilot EMI, the AP noise, the data
+    EMI, then the white matrices V of ``draw_reflections`` for the
+    K + tau_p + 1 RIS-side vectors of each trial.
+    """
+    cfg = link.config
+    n_ues, tau_p = cfg.n_ues, cfg.tau_p
+    x = np.empty((batch, n_ues + tau_p + 1, cfg.n_ris_elements), dtype=complex)
+    phase, g, x[:, :n_ues] = sampler.draw_unreflected(rng, batch)
+    x[:, n_ues:-1] = sample_emi(spec, rng, (batch, tau_p))
+    ap_noise = _ap_noise(rng, (batch, cfg.n_aps, cfg.n_ap_antennas, tau_p), noise_scale)
+    x[:, -1:] = sample_emi(spec, rng, (batch, 1))
+    reflected = sampler.draw_reflections(rng, x)
+    del x
+    o = g + reflected[:, :, :n_ues]
+    del g
+    noise = reflected[:, :, n_ues:-1].swapaxes(2, 3) + ap_noise
+    del ap_noise
+    q = reflected[:, :, -1].copy()
+    del reflected
+    y = pilot_observation(o, noise, link.assignment, link.pilot_powers)
+    del noise
+    v = mmse_estimate(y, link.stats, link.est, link.assignment, link.pilot_powers, phase)
+    return o, v, q
+

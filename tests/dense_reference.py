@@ -11,7 +11,7 @@ The Monte Carlo oracle: ``dense_h`` forms every RIS-to-AP channel H_m of a
 realization, and ``dense_uatf_terms`` is the per-trial loop that reflects
 through those H and feeds the (trials, K, K, M, M) outer products to
 ``RunningMoments.update``, on the same random stream as
-``estimate_uatf_terms``.
+``estimate_uatf_terms`` without weights (its validation path).
 """
 import numpy as np
 

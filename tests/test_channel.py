@@ -7,6 +7,7 @@ import pytest
 from riscf.channel import ChannelSampler, aggregated_covariance
 from riscf.linalg import hermitize
 
+from conftest import make_link
 from dense_reference import dense_h, dense_nlos
 
 
@@ -161,3 +162,53 @@ def test_sampler_h_covariance_is_dense_kronecker(validation_link):
         var = np.diagonal(rtilde_m[m]).real
         std_err = np.sqrt(np.outer(var, var) / n_trials)
         assert np.all(np.abs(sample - rtilde_m[m]) < 5.0 * std_err)
+
+
+@pytest.mark.parametrize("n_ap_antennas", [1, 2])
+@pytest.mark.parametrize("config_name, seed", [("tiny_config", 5), ("validation_config", 1)])
+def test_projected_reflection_reproduces_full_draw(request, config_name, seed, n_ap_antennas):
+    """With V_m := conj(Q^H W_m) the projected formula is reflect() of the full draw.
+
+    Y has the rows (Phi x_j)^H F_R and Y^H = Q R; every trial reflects
+    K + tau_p + 1 vectors, the count a Monte Carlo trial reflects.
+    """
+    config = request.getfixturevalue(config_name).replace(n_ap_antennas=n_ap_antennas)
+    link = make_link(config, seed)
+    cfg = link.config
+    sampler = ChannelSampler(link.stats, link.los, link.nlos)
+    rng = np.random.default_rng(9)
+    trials, j, n = 6, cfg.n_ues + cfg.tau_p + 1, cfg.n_ris_elements
+    real = sampler.draw(rng, trials)
+    x = rng.standard_normal((trials, j, n)) + 1j * rng.standard_normal((trials, j, n))
+    y = (link.los.phi * x).conj() @ sampler.ris_factor
+    q, r = np.linalg.qr(y.conj().swapaxes(1, 2))
+    v = np.einsum("trk,mtrl->tkml", q, real.w.conj()).reshape(trials, q.shape[2], -1)
+    got = sampler._reflect_projected(x, r, v)
+    expect = real.reflect(x)
+    assert got.shape == expect.shape == (trials, cfg.n_aps, j, cfg.n_ap_antennas)
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def test_projected_reflections_have_the_full_draws_covariance(validation_link):
+    """For fixed vectors x_j the sample covariance of the NLoS reflections at
+    each AP matches conj(G (x) A A^H), G the Gram matrix of the rows of Y,
+    within 5 standard errors (C_ii C_jj / T per entry)."""
+    link = validation_link
+    cfg = link.config
+    sampler = ChannelSampler(link.stats, link.los, link.nlos)
+    rng = np.random.default_rng(10)
+    j, n, l, trials = cfg.n_ues + cfg.tau_p + 1, cfg.n_ris_elements, cfg.n_ap_antennas, 40000
+    x = rng.standard_normal((j, n)) + 1j * rng.standard_normal((j, n))
+    x[-1] = 0.0  # a zero row, as with the EMI off
+    got = sampler.draw_reflections(rng, np.broadcast_to(x, (trials, j, n)).copy())
+    mean = np.einsum("mna,n,jn->mja", link.los.hbar.conj(), link.los.phi, x)
+    y = (link.los.phi * x).conj() @ sampler.ris_factor
+    gram = y @ y.conj().T
+    for m in range(cfg.n_aps):
+        a = sampler.ap_factors[m]
+        cov = np.kron(gram, a @ a.conj().T).conj()
+        d = (got[:, m] - mean[m]).reshape(trials, j * l)
+        sample = d.T @ d.conj() / trials
+        var = np.diagonal(cov).real
+        std_err = np.sqrt(np.outer(var, var) / trials)
+        assert np.all(np.abs(sample - cov) <= 5.0 * std_err + 1e-300)

@@ -111,6 +111,24 @@ def test_float_fields_reject_booleans(field, value):
         SystemConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+@pytest.mark.parametrize(
+    "value", ["0.1", "-94", [10.0], 1j], ids=["str", "negative-str", "list", "complex"]
+)
+def test_float_fields_reject_non_real_values(field, value):
+    """A quoted YAML number is a string; it must not reach arithmetic as one."""
+    with pytest.raises(ValueError, match=field):
+        SystemConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field", [f.name for f in dataclasses.fields(SystemConfig) if f.type == "float"]
+)
+def test_float_fields_reject_none_unless_optional(field):
+    with pytest.raises(ValueError, match=field):
+        SystemConfig(**{field: None})
+
+
 def test_float_fields_accept_integers():
     cfg = SystemConfig(p_max=1, noise_dbm=-90, rho_db=10)
     assert (cfg.p_max, cfg.noise_dbm, cfg.rho_db) == (1, -90, 10)

@@ -113,6 +113,37 @@ def test_load_run_spec_rejects_non_count_element_sides(tmp_path, values):
         load_run_spec(write_spec(tmp_path / "bad.yaml", bad))
 
 
+@pytest.mark.parametrize("values", [[True, 0.5], ["0.5"], [0.5, None]])
+def test_load_run_spec_rejects_non_real_spacings(tmp_path, values):
+    """A spacing of true would otherwise run as 1 wavelength and be labelled True."""
+    bad = dict(MICRO, sweep={"param": "ris_spacing", "values": values})
+    with pytest.raises(ValueError, match="sweep.values"):
+        load_run_spec(write_spec(tmp_path / "bad.yaml", bad))
+
+
+@pytest.mark.parametrize(
+    "field, change",
+    [
+        ("p_max", {"config": {**MICRO["config"], "p_max": "0.1"}}),
+        ("noise_dbm", {"config": {**MICRO["config"], "noise_dbm": "-94"}}),
+        ("rho_db", {"sweep": {"param": "rho_db", "values": ["10"]}}),
+    ],
+    ids=["p_max", "noise_dbm", "rho_db-sweep"],
+)
+def test_load_run_spec_rejects_quoted_numbers(tmp_path, field, change):
+    """Quoted numbers fail at load with the field named, not later with a TypeError."""
+    with pytest.raises(ValueError, match=field):
+        load_run_spec(write_spec(tmp_path / "bad.yaml", {**MICRO, **change}))
+
+
+def test_spacing_sweep_keeps_its_values(tmp_path):
+    spec = dict(MICRO, sweep={"param": "ris_spacing", "values": [0.25, 1]})
+    loaded = load_run_spec(write_spec(tmp_path / "ok.yaml", spec))
+    swept = apply_sweep(loaded.config, loaded.sweep_param, loaded.sweep_values[1])
+    assert loaded.sweep_values == (0.25, 1)
+    assert swept.ris_spacing_h == swept.ris_spacing_v == 1
+
+
 def test_configs_parse_identically_under_both_yaml_loaders():
     paths = sorted((Path(__file__).parent.parent / "configs").glob("*.yaml"))
     assert paths

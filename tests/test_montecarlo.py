@@ -1,11 +1,14 @@
 """Simulation oracle: streaming moments and moment-based SINR assembly."""
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from riscf.channel import ChannelSampler
 from riscf.config import SystemConfig
+from riscf.emi import EmiSpec
+from riscf import montecarlo
 from riscf.montecarlo import (
     CHUNK_BYTES,
     CHUNK_TRIALS,
@@ -207,28 +210,102 @@ def test_chunk_working_set_stays_within_budget(oracle_link, dense):
     assert peak <= CHUNK_BYTES + sums
 
 
+def _dense_batch(link, trials, seed):
+    """(o, v, q) of one validation-path batch: channels, estimates, reflected data EMI."""
+    sampler = ChannelSampler(link.stats, link.los, link.nlos)
+    spec = EmiSpec(
+        sigma_r2=link.sigma_r2,
+        element_area=link.ris.element_area,
+        R=link.ris.R,
+        factor=sampler.ris_factor,
+    )
+    noise_scale = np.sqrt(link.config.noise_power / 2.0)
+    rng = np.random.default_rng(seed)
+    return montecarlo._dense_trials(link, sampler, spec, rng, trials, noise_scale)
+
+
+def _closed_weights(link, combiner):
+    cfg = link.config
+    powers = full_power(cfg.n_ues, cfg.p_max).powers
+    closed = combine(
+        closed_form_moments(build_sinr_terms(link)), combiner, powers, cfg.noise_power
+    )
+    return closed.weights, powers
+
+
 @pytest.mark.parametrize(
     "modes",
     [{}, {"emi": "off"}, {"ris": "off"}],
     ids=["modes-on", "emi-off", "ris-off"],
 )
 @pytest.mark.parametrize("combiner", ["lsfd", "mr"])
-def test_projected_sinr_matches_dense_moments(validation_config, modes, combiner):
-    """Projecting onto the weights gives the dense bound of the same draws."""
+def test_projected_sinr_matches_dense_moments(validation_config, modes, combiner, monkeypatch):
+    """Projecting one batch of (o, v, q) onto the weights gives its dense bound.
+
+    The two paths draw differently, so both are fed the same validation-path
+    batch in place of their own draws.
+    """
     link = make_link(validation_config.replace(**modes), 1)
     cfg = link.config
-    powers = full_power(cfg.n_ues, cfg.p_max).powers
-    closed = combine(
-        closed_form_moments(build_sinr_terms(link)), combiner, powers, cfg.noise_power
-    )
-    dense = estimate_uatf_terms(link, 300, rng=6, chunk_size=128)
-    projected = estimate_uatf_terms(link, 300, rng=6, chunk_size=128, weights=closed.weights)
-    expected = uatf_sinr(dense.moments(), closed.weights, powers, cfg.noise_power)
+    weights, powers = _closed_weights(link, combiner)
+    batch = _dense_batch(link, 300, 6)
+    monkeypatch.setattr(montecarlo, "_dense_trials", lambda *args: batch)
+    monkeypatch.setattr(montecarlo, "_projected_trials", lambda *args: batch)
+    dense = estimate_uatf_terms(link, 300, rng=0, chunk_size=300)
+    projected = estimate_uatf_terms(link, 300, rng=0, chunk_size=300, weights=weights)
+    expected = uatf_sinr(dense.moments(), weights, powers, cfg.noise_power)
     ones = np.ones((1, cfg.n_ues))
     got = uatf_sinr(projected.moments(), ones, powers, cfg.noise_power)
     np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
     assert np.array_equal(projected.d.mean, dense.d.mean)
     assert np.array_equal(projected.u_emi.mean, dense.u_emi.mean)
+
+
+@pytest.mark.parametrize("modes", [{}, {"emi": "off"}], ids=["modes-on", "emi-off"])
+def test_run_path_sinr_agrees_with_validation_path(validation_config, modes):
+    """The projected draws of the run path and the full draws of H give one law.
+
+    On one link, each path estimates every UE's SINR from 12 independent
+    seeds of 1500 trials; the two means agree within 4 combined standard
+    errors of the mean (sample spread over seeds) for every UE.
+    """
+    link = make_link(validation_config.replace(**modes), 1)
+    cfg = link.config
+    weights, powers = _closed_weights(link, "lsfd")
+    ones = np.ones((1, cfg.n_ues))
+    run, dense = [], []
+    for seed in range(12):
+        est = estimate_uatf_terms(link, 1500, rng=100 + seed, weights=weights)
+        run.append(uatf_sinr(est.moments(), ones, powers, cfg.noise_power))
+        est = estimate_uatf_terms(link, 1500, rng=200 + seed)
+        dense.append(uatf_sinr(est.moments(), weights, powers, cfg.noise_power))
+    run, dense = np.array(run), np.array(dense)
+    se = np.sqrt((run.var(axis=0, ddof=1) + dense.var(axis=0, ddof=1)) / len(run))
+    assert np.all(np.abs(run.mean(axis=0) - dense.mean(axis=0)) <= 4.0 * se)
+
+
+@pytest.mark.parametrize(
+    "config_name, modes",
+    [
+        ("validation_config", {"emi": "off"}),
+        ("validation_config", {"ris": "off"}),
+        ("tiny_config", {}),
+    ],
+    ids=["emi-off", "ris-off", "surface-smaller-than-reflected-vectors"],
+)
+def test_run_path_degenerate_links_run_warning_free(request, config_name, modes):
+    """Zero EMI rows, zero RIS gains and K + tau_p + 1 > r reflect without warnings."""
+    link = make_link(request.getfixturevalue(config_name).replace(**modes), 1)
+    cfg = link.config
+    weights, _ = _closed_weights(link, "lsfd")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_uatf_terms(link, 200, rng=3, chunk_size=64, weights=weights)
+    for part in (est.u, est.t, est.d, est.u_emi):
+        assert np.all(np.isfinite(part.mean)) and np.all(np.isfinite(part.std_error))
+    assert np.all(est.d.mean.real > 0.0)
+    if cfg.emi == "off":
+        assert np.all(est.u_emi.mean == 0.0)
 
 
 def test_estimate_uatf_terms_validates_weights(tiny_link):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from riscf import power
@@ -162,6 +162,7 @@ def _lp_feasible(num, c, d, t, p_max, minimize=False):
         b_ub=-t * d,
         bounds=[(0.0, p_max)] * num.size,
         method="highs",
+        options={"primal_feasibility_tolerance": 1e-10},
     )
     assert res.status in (0, 2), res.message
     return res.status == 0, res.x
@@ -182,6 +183,7 @@ def _sinr_systems(draw):
 
 
 @given(_sinr_systems())
+@example((np.array([0.05]), np.array([[0.0]]), np.array([0.05]), 0.1, 0.1))
 @settings(max_examples=150, deadline=None)
 def test_least_powers_verdict_matches_linprog(system):
     """The one-solve verdict is the LP's; its witness is the LP's least power."""
