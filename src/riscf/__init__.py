@@ -53,7 +53,7 @@ from riscf.uatf import (
     optimal_lsfd_weights,
     combine,
 )
-from riscf.se import SinrTerms, build_sinr_terms, closed_form_moments, spectral_efficiency
+from riscf.se import closed_form_moments, spectral_efficiency
 from riscf.montecarlo import OracleEstimate, UatfEstimates, estimate_uatf_terms
 from riscf.power import PowerAllocation, fractional_power_control, maxmin_power_control
 

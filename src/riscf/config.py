@@ -88,7 +88,6 @@ class SystemConfig:
 
     # Channel-model switches
     ris_position_xy: tuple[float, float] | None = None
-    zbar_planar: bool = True
     ue_ris_rician: bool = True
 
     # Power control
@@ -106,9 +105,22 @@ class SystemConfig:
             value = getattr(self, f.name)
             if f.type == "int" and not is_count(value):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be true or false, got {value!r}")
             optional = f.type == "float | None" and value is None
-            if f.type in ("float", "float | None") and not (optional or is_real(value)):
-                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            if f.type in ("float", "float | None") and not optional:
+                if not is_real(value):
+                    raise ValueError(f"{f.name} must be a number, got {value!r}")
+                # rho_db = +inf is the documented "no EMI" level
+                if not (math.isfinite(value) or (f.name == "rho_db" and value > 0)):
+                    raise ValueError(f"{f.name} must be finite, got {value!r}")
+        xy = self.ris_position_xy
+        if xy is not None and not (
+            isinstance(xy, tuple)
+            and len(xy) == 2
+            and all(is_real(v) and math.isfinite(v) for v in xy)
+        ):
+            raise ValueError(f"ris_position_xy must be a pair of numbers, got {xy!r}")
         checks = [
             (self.n_aps >= 1, "n_aps must be >= 1"),
             (self.n_ues >= 1, "n_ues must be >= 1"),
@@ -124,8 +136,6 @@ class SystemConfig:
             (self.p_max > 0, "p_max must be positive"),
             (self.pilot_power is None or self.pilot_power > 0,
              "pilot_power must be positive when given"),
-            (self.rho_db is None or self.rho_db > -math.inf,
-             "rho_db must be finite or +inf (no EMI) when given"),
             (self.area_side > 0, "area_side must be positive"),
             (
                 self.ris_position_xy is None

@@ -182,8 +182,7 @@ def los_components(
 
     The RIS-to-AP mean progresses linearly over the element index with the
     horizontal spacing and the azimuth of the AP seen from the RIS; the
-    RIS-to-UE mean is the planar-array response toward the UE (or a flat
-    all-ones profile when zbar_planar is off, a debugging aid). These are
+    RIS-to-UE mean is the planar-array response toward the UE. These are
     the means with the surface on; ``pipeline`` zeroes them when it is off.
     """
     n = config.n_ris_elements
@@ -198,15 +197,10 @@ def los_components(
         * np.ones((1, 1, config.n_ap_antennas))
     )
 
-    if config.zbar_planar:
-        towards_ue = scenario.ue_positions - scenario.ris_position[None, :]
-        direction = towards_ue / np.linalg.norm(towards_ue, axis=1, keepdims=True)
-        phase = (2.0 * np.pi / config.wavelength) * (
-            ris.element_positions @ direction.T
-        )
-        zbar = np.sqrt(scenario.beta_k_los)[:, None] * np.exp(1j * phase.T)
-    else:
-        zbar = np.sqrt(scenario.beta_k_los)[:, None] * np.ones((1, n), dtype=complex)
+    towards_ue = scenario.ue_positions - scenario.ris_position[None, :]
+    direction = towards_ue / np.linalg.norm(towards_ue, axis=1, keepdims=True)
+    phase = (2.0 * np.pi / config.wavelength) * (ris.element_positions @ direction.T)
+    zbar = np.sqrt(scenario.beta_k_los)[:, None] * np.exp(1j * phase.T)
 
     phi = np.full(n, np.exp(1j * config.ris_phase))
     return LosComponents(hbar=hbar, zbar=zbar, theta_m=theta_m, phi=phi)

@@ -41,7 +41,7 @@ from .montecarlo import estimate_uatf_terms
 from .pipeline import LinkStatistics, build_drop_statistics, build_link_statistics
 from .power import aggregate_gain, fractional_power_control, full_power, maxmin_power_control
 from .scenario import generate_scenario
-from .se import build_sinr_terms, closed_form_moments, spectral_efficiency
+from .se import closed_form_moments, spectral_efficiency
 from .uatf import UatfMoments, combine, uatf_sinr
 
 SCHEMA_VERSION = 1
@@ -222,7 +222,9 @@ def _evaluate_mode(
     elif cfg.power == "fpc":
         alloc = fractional_power_control(aggregate_gain(link), cfg.fpc_alpha, cfg.p_max)
     else:
-        alloc = maxmin_power_control(moments, noise, cfg.p_max, tol=cfg.maxmin_tol)
+        alloc = maxmin_power_control(
+            moments, cfg.combiner, noise, cfg.p_max, tol=cfg.maxmin_tol
+        )
     powers = alloc.powers
 
     closed = combine(moments, cfg.combiner, powers, noise)
@@ -257,7 +259,7 @@ def _run_drop(
     sinrs = {}
     for mode_indices in groups.values():
         link = build_link_statistics(drop, modes[mode_indices[0]])
-        moments = closed_form_moments(build_sinr_terms(link))
+        moments = closed_form_moments(link)
         for mode_idx in mode_indices:
             mc_rng = _mc_rng(seed, sweep_idx, scen_idx, mode_idx) if mc_trials > 0 else None
             sinrs[mode_idx] = _evaluate_mode(modes[mode_idx], link, moments, mc_trials, mc_rng)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pipeline import LinkStatistics
-from .uatf import UatfMoments, fixed_weight_form, optimal_lsfd_weights, uatf_sinr
+from .uatf import UatfMoments, combine, fixed_weight_form, uatf_sinr
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,17 @@ def least_powers(
 
 def maxmin_power_control(
     moments: UatfMoments,
+    combiner: str,
     noise_power: float,
     p_max: float,
     tol: float = 1e-3,
 ) -> PowerAllocation:
     """Max-min fair powers by bisection on the common SINR target.
 
-    Decoding weights are fixed to the optimum under full power.  With them
-    held, SINR_k >= t for every UE reads A(t) p >= t d with
-    A(t) = diag(num) - t C, and C >= 0 makes A(t) a Z-matrix.  Each
+    Decoding weights are fixed to those of the ``combiner`` mode under full
+    power (``uatf.combine``): the optimum for ``lsfd``, unit weights for
+    ``mr``.  With them held, SINR_k >= t for every UE reads A(t) p >= t d
+    with A(t) = diag(num) - t C, and C >= 0 makes A(t) a Z-matrix.  Each
     candidate t takes one solve of A(t) p = t d (``least_powers``).  If
     its solution is positive, A(t) is a nonsingular M-matrix, so
     A(t)^{-1} >= 0 and every p >= 0 meeting the constraints satisfies
@@ -120,7 +122,7 @@ def maxmin_power_control(
         raise ValueError("tol must be positive")
     _check_p_max(p_max)
     p_full = np.full(moments.d.shape[1], p_max)
-    full = optimal_lsfd_weights(moments, p_full, noise_power)
+    full = combine(moments, combiner, p_full, noise_power)
     weights = full.weights
     num, c, d = fixed_weight_form(moments, weights, noise_power)
     if np.any(d <= 0):

@@ -2,19 +2,17 @@
 
 With maximum-ratio combining at the APs every moment of the
 use-and-then-forget bound reduces to deterministic statistics of the
-channel estimates.  ``build_sinr_terms`` evaluates them from a
-link-statistics bundle and ``closed_form_moments`` turns them into the
-moment bundle that ``uatf`` evaluates; the pilot-coset structure of the
-contamination is known only here.
+channel estimates.  ``closed_form_moments`` evaluates the paper's
+statistics (z, xi, varpi, j2, w) from a link-statistics bundle and returns
+them as the moment bundle that ``uatf`` evaluates; the pilot-coset
+structure of the contamination is known only here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .estimation import PilotAssignment, _coset_mask
+from .estimation import _coset_mask
 from .pipeline import LinkStatistics
 from .uatf import UatfMoments
 
@@ -33,29 +31,22 @@ def _real_part(values: np.ndarray, what: str) -> np.ndarray:
     return values.real.copy()
 
 
-@dataclass(frozen=True)
-class SinrTerms:
-    """Deterministic ingredients of the closed-form SINR.
+def closed_form_moments(link: LinkStatistics) -> UatfMoments:
+    """The bound's moment bundle of one scenario in closed form.
 
+    The paper's statistics, per AP m and UE pair (k, i):
     z[m, k] is the mean-square norm of the estimate of UE k at AP m,
     xi[k, i, m] the mean interference power from UE i into the combiner of
-    UE k at AP m, varpi[k, i, m] the coherent pilot-contamination trace
-    (zero off the pilot coset), j2[m, k] the fourth power of the LoS mean
-    norm, and w[m, k] the reflected-interference power after combining.
+    UE k, varpi[k, i, m] the coherent pilot-contamination trace (zero off
+    the pilot coset), j2[m, k] the fourth power of the LoS mean norm, and
+    w[m, k] the reflected-interference power after combining.
+
+    They map onto the moments as d = z and w = w; u[k, k] is z_k, a coset
+    partner i of UE k carries the coherent mean sqrt(p_k^hat p_i^hat)
+    tau_p varpi_ki, and every other u[k, i] averages to zero.  Channels and
+    estimates at different APs are independent, so cov keeps only its AP
+    diagonal, E{|v_mk^H o_mi|^2} - |u[k, i, m]|^2 = xi_ki - delta_ki j2_k.
     """
-
-    z: np.ndarray
-    xi: np.ndarray
-    varpi: np.ndarray
-    j2: np.ndarray
-    w: np.ndarray
-    assignment: PilotAssignment
-    pilot_powers: np.ndarray
-    tau_p: int
-
-
-def build_sinr_terms(link: LinkStatistics) -> SinrTerms:
-    """Evaluate every statistic the SINR expressions need for one scenario."""
     stats = link.stats
     est = link.est
     obar = stats.obar
@@ -92,35 +83,14 @@ def build_sinr_terms(link: LinkStatistics) -> SinrTerms:
         + p_hat[None, :] * tau_p * np.einsum("mab,mkba->mk", r_mm, omega),
         "reflected interference statistic",
     )
-    return SinrTerms(
-        z=z,
-        xi=xi,
-        varpi=varpi,
-        j2=j2,
-        w=w,
-        assignment=link.assignment,
-        pilot_powers=np.asarray(p_hat, dtype=float),
-        tau_p=tau_p,
-    )
 
-
-def closed_form_moments(terms: SinrTerms) -> UatfMoments:
-    """The bound's moment bundle in closed form.
-
-    u[k, k] is z_k; a coset partner i of UE k carries the coherent
-    pilot-contamination mean sqrt(p_k^hat p_i^hat) tau_p varpi_ki, and
-    every other u[k, i] averages to zero.  Channels and estimates at
-    different APs are independent, so cov keeps only its AP diagonal,
-    E{|v_mk^H o_mi|^2} - |u[k, i, m]|^2 = xi_ki - delta_ki j2_k.
-    """
-    p_hat = terms.pilot_powers
-    coherent = np.sqrt(np.outer(p_hat, p_hat))[:, :, None] * terms.tau_p
-    u = (coherent * terms.varpi).astype(complex)
-    ues = np.arange(terms.z.shape[1])
-    u[ues, ues] = terms.z.T
-    cov = terms.xi.copy()
-    cov[ues, ues] -= terms.j2.T
-    return UatfMoments(u=u, cov=cov, d=terms.z, w=terms.w)
+    coherent = np.sqrt(np.outer(p_hat, p_hat))[:, :, None] * tau_p
+    u = (coherent * varpi).astype(complex)
+    ues = np.arange(z.shape[1])
+    u[ues, ues] = z.T
+    cov = xi
+    cov[ues, ues] -= j2.T
+    return UatfMoments(u=u, cov=cov, d=z, w=w)
 
 
 def spectral_efficiency(sinr: np.ndarray, prelog: float) -> np.ndarray:

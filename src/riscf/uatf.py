@@ -10,8 +10,9 @@ everything else as uncorrelated noise:
 
 with T_ki = E{g_ki g_ki^H} = cov_ki + u_ki u_ki^H. Every consumer reads
 the moment bundle ``UatfMoments`` (u, cov, d, w), which has two
-producers: the closed form (``se.closed_form_moments``) and the Monte
-Carlo oracle (``montecarlo.UatfEstimates.moments``). For fixed weights
+producers: the closed form (``se.closed_form_moments``, straight from a
+link's statistics) and the Monte Carlo oracle
+(``montecarlo.UatfEstimates.moments``). For fixed weights
 the bound is p_k num_k / (sum_i c[k, i] p_i + d_k) (``fixed_weight_form``);
 ``uatf_sinr`` evaluates it, power control reads (num, c, d), and the
 optimal weights maximize it as a generalized Rayleigh quotient.

@@ -5,7 +5,7 @@ import pytest
 from riscf.config import SystemConfig
 from riscf.pipeline import build_link_statistics
 from riscf.scenario import generate_scenario
-from riscf.se import build_sinr_terms, closed_form_moments
+from riscf.se import closed_form_moments
 
 
 def make_link(config, seed):
@@ -34,13 +34,8 @@ def validation_link(validation_config):
 
 
 @pytest.fixture(scope="session")
-def validation_terms(validation_link):
-    return build_sinr_terms(validation_link)
-
-
-@pytest.fixture(scope="session")
-def validation_moments(validation_terms):
-    return closed_form_moments(validation_terms)
+def validation_moments(validation_link):
+    return closed_form_moments(validation_link)
 
 
 @pytest.fixture(scope="session")

@@ -28,8 +28,9 @@ from riscf.power import (
     maxmin_power_control,
 )
 from riscf.scenario import generate_scenario
-from riscf.se import build_sinr_terms, closed_form_moments, spectral_efficiency
+from riscf.se import closed_form_moments, spectral_efficiency
 from riscf.uatf import combine, fixed_weight_form, optimal_lsfd_weights, uatf_sinr
+from closed_form_reference import paper_terms
 from uatf_reference import dense_second_moment
 
 DEFAULTS = SystemConfig()
@@ -69,27 +70,27 @@ def _q05(values):
     return pool[max(0, math.ceil(0.05 * pool.size) - 1)]
 
 
-def test_criterion_01_moment_and_sinr_validation(validation_link, validation_terms):
+def test_criterion_01_moment_and_sinr_validation(validation_link, validation_moments):
     start = time.perf_counter()
-    link, terms = validation_link, validation_terms
+    link, moments = validation_link, validation_moments
     cfg = link.config
 
     est = estimate_uatf_terms(link, 200_000, rng=1)
     devs = {
-        "u": _max_sigma(closed_form_moments(terms).u, est.u),
-        "t": _max_sigma(dense_second_moment(closed_form_moments(terms)), est.t),
-        "d": _max_sigma(terms.z, est.d),
-        "w": _max_sigma(terms.w, est.u_emi),
+        "u": _max_sigma(moments.u, est.u),
+        "t": _max_sigma(dense_second_moment(moments), est.t),
+        "d": _max_sigma(moments.d, est.d),
+        "w": _max_sigma(moments.w, est.u_emi),
     }
     worst = max(devs.values())
 
     powers = full_power(cfg.n_ues, cfg.p_max).powers
     noise = cfg.noise_power
-    opt = optimal_lsfd_weights(closed_form_moments(terms), powers, noise)
-    equal = uatf_sinr(closed_form_moments(terms), np.ones_like(terms.z), powers, noise)
+    opt = optimal_lsfd_weights(moments, powers, noise)
+    equal = uatf_sinr(moments, np.ones_like(moments.d), powers, noise)
     est_sinr = estimate_uatf_terms(link, 20_000, rng=4)
     mc_opt = uatf_sinr(est_sinr.moments(), opt.weights, powers, noise)
-    ones = np.ones_like(terms.z, dtype=complex)
+    ones = np.ones_like(moments.d, dtype=complex)
     mc_equal = uatf_sinr(est_sinr.moments(), ones, powers, noise)
     rel_opt = float(np.max(np.abs(mc_opt - opt.sinr) / opt.sinr))
     rel_equal = float(np.max(np.abs(mc_equal - equal) / equal))
@@ -166,21 +167,22 @@ def test_criterion_03_closed_form_closures(validation_config):
 
     link_off = _build(cfg.replace(emi="off"), 1)
     link_none = _build(cfg.replace(rho_db=None), 1)
-    terms_off = build_sinr_terms(link_off)
-    terms_none = build_sinr_terms(link_none)
+    terms_off = paper_terms(link_off)
+    terms_none = paper_terms(link_none)
     quiet = (
         link_off.sigma_r2 == 0.0
         and np.all(terms_off.w == 0.0)
         and np.all(link_off.emi_cov.r_mm == 0.0)
         and np.array_equal(terms_off.w, terms_none.w)
     )
-    sinr_off = optimal_lsfd_weights(closed_form_moments(terms_off), powers, cfg.noise_power).sinr
+    sinr_off = optimal_lsfd_weights(closed_form_moments(link_off), powers, cfg.noise_power).sinr
     sinr_none = optimal_lsfd_weights(
-        closed_form_moments(terms_none), powers, cfg.noise_power
+        closed_form_moments(link_none), powers, cfg.noise_power
     ).sinr
     quiet = quiet and np.allclose(sinr_off, sinr_none, rtol=1e-12, atol=0)
 
-    terms = build_sinr_terms(_build(cfg, 1))
+    link = _build(cfg, 1)
+    terms = paper_terms(link)
     manual = np.zeros(cfg.n_ues)
     p_hat, tau_p = terms.pilot_powers, terms.tau_p
     for k in range(cfg.n_ues):
@@ -200,7 +202,7 @@ def test_criterion_03_closed_form_closures(validation_config):
         manual[k] = powers[k] * terms.z[:, k].sum() ** 2 / den
     equal_ok = np.allclose(
         manual,
-        uatf_sinr(closed_form_moments(terms), np.ones_like(terms.z), powers, cfg.noise_power),
+        uatf_sinr(closed_form_moments(link), np.ones_like(terms.z), powers, cfg.noise_power),
         rtol=1e-12,
         atol=0,
     )
@@ -212,7 +214,7 @@ def test_criterion_03_closed_form_closures(validation_config):
         and np.all(link_ris_off.stats.obar == 0.0)
         and np.all(link_ris_off.emi_cov.r_mm == 0.0)
         and np.array_equal(link_ris_off.stats.r_o, link_ris_off.stats.r_direct)
-        and np.all(build_sinr_terms(link_ris_off).w == 0.0)
+        and np.all(closed_form_moments(link_ris_off).w == 0.0)
     )
 
     elapsed = time.perf_counter() - start
@@ -235,7 +237,7 @@ def test_criterion_04_optimized_weights_dominate():
     violations = 0
     for s in range(100):
         link = _ensemble_link(cfg, 99, s)
-        terms = closed_form_moments(build_sinr_terms(link))
+        terms = closed_form_moments(link)
         opt = optimal_lsfd_weights(terms, powers, cfg.noise_power)
         equal = uatf_sinr(terms, np.ones_like(terms.d), powers, cfg.noise_power)
         if np.any(opt.sinr < equal * (1 - 1e-10)):
@@ -270,7 +272,7 @@ def test_criterion_05_interference_strength_monotonicity():
             )
             link = build_link_statistics(scenario, cfg_rho)
             res = combine(
-                closed_form_moments(build_sinr_terms(link)),
+                closed_form_moments(link),
                 cfg_rho.combiner,
                 full_power(cfg.n_ues, cfg.p_max).powers,
                 cfg_rho.noise_power,
@@ -305,7 +307,7 @@ def test_criterion_06_element_count_trend():
             float(
                 spectral_efficiency(
                     combine(
-                        closed_form_moments(build_sinr_terms(_ensemble_link(cfg, 99, s))),
+                        closed_form_moments(_ensemble_link(cfg, 99, s)),
                         cfg.combiner,
                         powers,
                         cfg.noise_power,
@@ -342,12 +344,12 @@ def test_criterion_07_maxmin_power_control():
     violations = []
     for s in range(n_scenarios):
         link = _ensemble_link(cfg, 77, s)
-        terms = closed_form_moments(build_sinr_terms(link))
+        terms = closed_form_moments(link)
         opt = optimal_lsfd_weights(terms, powers_full, cfg.noise_power)
         full_se.append(spectral_efficiency(opt.sinr, cfg.prelog))
 
         alloc = maxmin_power_control(
-            terms, cfg.noise_power, cfg.p_max, tol=cfg.maxmin_tol
+            terms, "lsfd", cfg.noise_power, cfg.p_max, tol=cfg.maxmin_tol
         )
         sinr_mm = uatf_sinr(terms, alloc.weights, alloc.powers, cfg.noise_power)
         mm_se.append(spectral_efficiency(sinr_mm, cfg.prelog))
@@ -395,7 +397,7 @@ def test_criterion_08_fractional_power_control():
         order = np.argsort(gains)
         assert np.all(np.diff(eta[order]) <= 1e-15)
 
-        terms = closed_form_moments(build_sinr_terms(link))
+        terms = closed_form_moments(link)
         se_full = spectral_efficiency(
             optimal_lsfd_weights(terms, powers_full, cfg.noise_power).sinr,
             cfg.prelog,
@@ -432,7 +434,7 @@ def test_criterion_09_element_spacing_trend():
             float(
                 spectral_efficiency(
                     combine(
-                        closed_form_moments(build_sinr_terms(_ensemble_link(cfg, 99, s))),
+                        closed_form_moments(_ensemble_link(cfg, 99, s)),
                         cfg.combiner,
                         powers,
                         cfg.noise_power,

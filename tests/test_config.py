@@ -183,3 +183,33 @@ def test_rho_rejects_unbounded_emi_and_nan(rho_db):
     """-inf dB would be infinite EMI, not none; NaN is no level at all."""
     with pytest.raises(ValueError, match="rho_db"):
         SystemConfig(rho_db=rho_db)
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_bool_fields_reject_non_booleans(value):
+    """A quoted YAML "false" is a truthy string, not a switch turned off."""
+    with pytest.raises(ValueError, match="ue_ris_rician"):
+        config_from_mapping({"ue_ris_rician": value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (field, value)
+        for field in FLOAT_FIELDS
+        for value in (math.nan, math.inf, -math.inf)
+        if not (field == "rho_db" and value == math.inf)  # +inf dB: no EMI
+    ],
+)
+def test_float_fields_reject_nan_and_infinities(field, value):
+    with pytest.raises(ValueError, match=field):
+        SystemConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "xy",
+    [[10.0, 20.0, 30.0], [10.0], [True, False], ["10", 20.0], [math.nan, 20.0], [math.inf, 0]],
+)
+def test_ris_position_must_be_a_pair_of_numbers(xy):
+    with pytest.raises(ValueError, match="ris_position_xy"):
+        config_from_mapping({"ris_position_xy": xy})

@@ -196,13 +196,6 @@ def test_los_magnitudes(drop):
     assert np.allclose(los.phi, np.exp(1j * cfg.ris_phase))
 
 
-def test_los_flat_ue_profile_flag(drop):
-    cfg, scen, ris = drop
-    flat_cfg = cfg.replace(zbar_planar=False)
-    los = los_components(scen, ris, flat_cfg)
-    assert np.allclose(los.zbar, los.zbar[:, :1])
-
-
 def test_los_zero_with_ris_off(drop):
     """The link stage zeroes the surface-on LoS means of the drop."""
     cfg, scen, ris = drop

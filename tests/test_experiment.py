@@ -459,3 +459,24 @@ def test_cli_reports_errors_as_json(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"]
     assert err["schema_version"] == 1
+
+
+def test_maxmin_under_mr_equalizes_the_mr_sinrs(tmp_path):
+    """Max-min powers under MR are certified on the unit weights MR decodes with.
+
+    The least powers meet the common target with equality, so every UE of a
+    drop ends at the same SINR, above the lowest one at full power.
+    """
+    pc = yaml.safe_load((Path(__file__).parent.parent / "configs/power_control.yaml").read_text())
+    modes = [{"combiner": "mr", "power": "maxmin"}, {"combiner": "mr", "power": "full"}]
+    payload = dict(pc, n_scenarios=8, mc_trials=0, modes=modes)
+    run_experiment(write_spec(tmp_path / "mr.yaml", payload), seed=1, out_dir=tmp_path / "mr")
+    sinrs = {}
+    for row in read_rows(tmp_path / "mr" / "results.csv"):
+        sinrs.setdefault((row["scenario"], row["mode_power"]), []).append(
+            float(row["sinr_closed"])
+        )
+    for scenario in map(str, range(8)):
+        fair = sinrs[scenario, "maxmin"]
+        assert max(fair) <= min(fair) * (1 + 1e-9)
+        assert min(fair) >= min(sinrs[scenario, "full"])

@@ -18,7 +18,7 @@ from riscf.montecarlo import (
     estimate_uatf_terms,
 )
 from riscf.power import full_power
-from riscf.se import build_sinr_terms, closed_form_moments
+from riscf.se import closed_form_moments
 from riscf.uatf import combine, optimal_lsfd_weights, uatf_sinr
 
 from conftest import make_link
@@ -161,7 +161,7 @@ def test_closed_form_agrees_with_short_simulation(tiny_link):
     cfg = tiny_link.config
     p = np.full(cfg.n_ues, cfg.p_max)
     opt = optimal_lsfd_weights(
-        closed_form_moments(build_sinr_terms(tiny_link)), p, cfg.noise_power
+        closed_form_moments(tiny_link), p, cfg.noise_power
     )
     est = estimate_uatf_terms(tiny_link, 20000, rng=9)
     sim = uatf_sinr(est.moments(), opt.weights, p, cfg.noise_power)
@@ -228,7 +228,7 @@ def _closed_weights(link, combiner):
     cfg = link.config
     powers = full_power(cfg.n_ues, cfg.p_max).powers
     closed = combine(
-        closed_form_moments(build_sinr_terms(link)), combiner, powers, cfg.noise_power
+        closed_form_moments(link), combiner, powers, cfg.noise_power
     )
     return closed.weights, powers
 

@@ -17,8 +17,8 @@ from riscf.power import (
     maxmin_power_control,
 )
 from riscf.scenario import generate_scenario
-from riscf.se import build_sinr_terms, closed_form_moments
-from riscf.uatf import fixed_weight_form, optimal_lsfd_weights, uatf_sinr
+from riscf.se import closed_form_moments
+from riscf.uatf import combine, fixed_weight_form, optimal_lsfd_weights, uatf_sinr
 from uatf_reference import dense_second_moment, textbook_sinr
 
 
@@ -94,7 +94,7 @@ def test_decomposition_reproduces_closed_form(validation_moments, validation_con
 def test_maxmin_improves_min_sinr(validation_moments, validation_config):
     noise = validation_config.noise_power
     p_max = validation_config.p_max
-    alloc = maxmin_power_control(validation_moments, noise, p_max, tol=1e-3)
+    alloc = maxmin_power_control(validation_moments, "lsfd", noise, p_max, tol=1e-3)
     assert np.all(alloc.powers >= -1e-12)
     assert np.all(alloc.powers <= p_max + 1e-12)
 
@@ -109,7 +109,7 @@ def test_maxmin_improves_min_sinr(validation_moments, validation_config):
 def test_maxmin_iteration_bound(validation_moments, validation_config):
     noise = validation_config.noise_power
     p_max = validation_config.p_max
-    alloc = maxmin_power_control(validation_moments, noise, p_max, tol=1e-3)
+    alloc = maxmin_power_control(validation_moments, "lsfd", noise, p_max, tol=1e-3)
     weights = alloc.weights
     num, c, d = fixed_weight_form(validation_moments, weights, noise)
     t_hi = float(np.max(p_max * num / d))
@@ -120,7 +120,7 @@ def test_maxmin_balances_sinrs(validation_moments, validation_config):
     """Bisection pushes the spread of achieved SINRs toward the target."""
     noise = validation_config.noise_power
     alloc = maxmin_power_control(
-        validation_moments, noise, validation_config.p_max, tol=1e-4
+        validation_moments, "lsfd", noise, validation_config.p_max, tol=1e-4
     )
     achieved = uatf_sinr(validation_moments, alloc.weights, alloc.powers, noise)
     full_sinr = optimal_lsfd_weights(
@@ -137,11 +137,15 @@ def test_maxmin_balances_sinrs(validation_moments, validation_config):
 def test_maxmin_tolerance_validation(validation_moments, validation_config):
     with pytest.raises(ValueError):
         maxmin_power_control(
-            validation_moments, validation_config.noise_power, validation_config.p_max, tol=0.0
+            validation_moments,
+            "lsfd",
+            validation_config.noise_power,
+            validation_config.p_max,
+            tol=0.0,
         )
     with pytest.raises(ValueError):
         maxmin_power_control(
-            validation_moments, validation_config.noise_power, -0.1, tol=1e-3
+            validation_moments, "lsfd", validation_config.noise_power, -0.1, tol=1e-3
         )
 
 
@@ -151,7 +155,9 @@ def test_power_policies_reject_zero_p_max(validation_moments, validation_config)
     with pytest.raises(ValueError, match="p_max"):
         fractional_power_control(np.array([1.0, 2.0]), 0.5, 0.0)
     with pytest.raises(ValueError, match="p_max"):
-        maxmin_power_control(validation_moments, validation_config.noise_power, 0.0)
+        maxmin_power_control(
+            validation_moments, "lsfd", validation_config.noise_power, 0.0
+        )
 
 
 def _lp_feasible(num, c, d, t, p_max, minimize=False):
@@ -208,7 +214,7 @@ def maxmin_ensemble():
     for index in range(25):
         rng = np.random.default_rng(np.random.SeedSequence([77, 0xA, index]))
         link = build_link_statistics(generate_scenario(cfg, rng), cfg)
-        moments.append(closed_form_moments(build_sinr_terms(link)))
+        moments.append(closed_form_moments(link))
     return cfg, moments
 
 
@@ -230,7 +236,7 @@ def test_maxmin_target_matches_perron_frobenius(
     cases = [(validation_moments, validation_config)] + [(m, cfg) for m in ensemble]
     for moments, config in cases:
         noise, p_max, tol = config.noise_power, config.p_max, config.maxmin_tol
-        alloc = maxmin_power_control(moments, noise, p_max, tol=tol)
+        alloc = maxmin_power_control(moments, "lsfd", noise, p_max, tol=tol)
         num, c, d = fixed_weight_form(moments, alloc.weights, noise)
         t_star = _perron_target(num, c, d, p_max)
         assert alloc.target <= t_star * (1 + 1e-9)
@@ -253,4 +259,22 @@ def test_interference_coefficients_nonnegative_and_guarded(maxmin_ensemble, monk
 
     monkeypatch.setattr(power, "fixed_weight_form", one_negative)
     with pytest.raises(ValueError, match="non-negative"):
-        maxmin_power_control(ensemble[0], cfg.noise_power, cfg.p_max, tol=cfg.maxmin_tol)
+        maxmin_power_control(
+            ensemble[0], "lsfd", cfg.noise_power, cfg.p_max, tol=cfg.maxmin_tol
+        )
+
+
+def test_maxmin_under_mr_is_fair_for_unit_weights(
+    validation_moments, validation_config, maxmin_ensemble
+):
+    """Under MR the bisection certifies unit weights, the ones MR decodes with."""
+    cfg, ensemble = maxmin_ensemble
+    cases = [(validation_moments, validation_config)] + [(m, cfg) for m in ensemble]
+    for moments, config in cases:
+        noise, p_max = config.noise_power, config.p_max
+        alloc = maxmin_power_control(moments, "mr", noise, p_max, tol=config.maxmin_tol)
+        assert np.array_equal(alloc.weights, np.ones_like(moments.d))
+        sinr = combine(moments, "mr", alloc.powers, noise).sinr
+        floor = combine(moments, "mr", np.full(config.n_ues, p_max), noise).sinr.min()
+        assert sinr.min() >= alloc.target * (1 - 1e-9)
+        assert sinr.min() >= floor * (1 - 1e-9)

@@ -1,6 +1,4 @@
 """Closed-form effective SINR, decoding weights, and spectral efficiency."""
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +8,9 @@ from riscf.config import SystemConfig
 from riscf.estimation import _coset_mask
 from riscf.pipeline import build_link_statistics
 from riscf.scenario import generate_scenario
-from riscf.se import build_sinr_terms, closed_form_moments, spectral_efficiency
+from riscf.se import closed_form_moments, spectral_efficiency
 from riscf.uatf import combine, optimal_lsfd_weights, uatf_sinr
+from closed_form_reference import paper_terms, terms_moments
 from uatf_reference import dense_second_moment
 
 
@@ -21,7 +20,7 @@ def full_powers(link):
 
 def closed_sinr(link, powers):
     """SINR of a link under its configured combiner, in closed form."""
-    moments = closed_form_moments(build_sinr_terms(link))
+    moments = closed_form_moments(link)
     cfg = link.config
     return combine(moments, cfg.combiner, powers, cfg.noise_power).sinr
 
@@ -30,8 +29,8 @@ def equal_sinr(moments, powers, noise):
     return uatf_sinr(moments, np.ones_like(moments.d), powers, noise)
 
 
-def test_terms_shapes_and_reality(validation_terms, validation_config):
-    t = validation_terms
+def test_terms_shapes_and_reality(validation_link, validation_moments, validation_config):
+    t = paper_terms(validation_link)
     m, k = validation_config.n_aps, validation_config.n_ues
     assert t.z.shape == (m, k)
     assert t.xi.shape == (k, k, m)
@@ -42,10 +41,12 @@ def test_terms_shapes_and_reality(validation_terms, validation_config):
     assert np.all(t.xi >= 0)
     assert np.all(t.j2 >= 0)
     assert np.all(t.w >= 0)
+    for real in (validation_moments.cov, validation_moments.d, validation_moments.w):
+        assert not np.iscomplexobj(real)
 
 
-def test_varpi_vanishes_off_coset(validation_terms):
-    t = validation_terms
+def test_varpi_vanishes_off_coset(validation_link):
+    t = paper_terms(validation_link)
     mask = _coset_mask(t.assignment)
     for k in range(mask.shape[0]):
         for i in range(mask.shape[1]):
@@ -53,17 +54,18 @@ def test_varpi_vanishes_off_coset(validation_terms):
                 assert np.all(t.varpi[k, i] == 0)
 
 
-def test_interference_exceeds_estimate_norm_for_self(validation_terms):
+def test_interference_exceeds_estimate_norm_for_self(validation_link):
     """xi[k, k, m] >= z[m, k]^... the self term includes the full moment."""
-    t = validation_terms
+    t = paper_terms(validation_link)
     for k in range(t.xi.shape[0]):
         assert np.all(t.xi[k, k] + 1e-30 >= t.j2[:, k])
 
 
-def test_closed_form_u_diagonal_is_z(validation_moments, validation_terms):
+def test_closed_form_u_diagonal_is_z(validation_moments, validation_link):
     u = validation_moments.u
+    z = paper_terms(validation_link).z
     for k in range(u.shape[0]):
-        assert np.allclose(u[k, k], validation_terms.z[:, k])
+        assert np.allclose(u[k, k], z[:, k])
 
 
 def test_closed_form_t_hermitian(validation_moments):
@@ -94,12 +96,26 @@ def _per_pair_second_moments(terms):
     return t
 
 
-def test_closed_form_moments_match_per_pair_second_moments(validation_terms):
+def test_closed_form_moments_match_per_pair_second_moments(validation_link):
     """u u^H plus the AP-diagonal cov is the second moment, LoS term included."""
-    xi_own = np.einsum("kkm->mk", validation_terms.xi)
-    terms = dataclasses.replace(validation_terms, j2=0.5 * xi_own)
-    got = dense_second_moment(closed_form_moments(terms))
-    np.testing.assert_allclose(got, _per_pair_second_moments(terms), rtol=1e-12, atol=0.0)
+    got = dense_second_moment(closed_form_moments(validation_link))
+    want = _per_pair_second_moments(paper_terms(validation_link))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("ris", ["on", "off"])
+def test_closed_form_moments_map_the_paper_terms(ris, validation_config, validation_link):
+    """The batched moments are the (u, cov, d, w) map of the entrywise terms."""
+    link = validation_link
+    if ris == "off":
+        cfg = validation_config.replace(ris="off")
+        link = build_link_statistics(link.scenario, cfg)
+    got = closed_form_moments(link)
+    want = terms_moments(paper_terms(link))
+    for name in ("u", "cov", "d", "w"):
+        np.testing.assert_allclose(
+            getattr(got, name), getattr(want, name), rtol=1e-12, atol=0.0, err_msg=name
+        )
 
 
 def test_equal_weights_is_ones_path(validation_moments, validation_config):
@@ -219,7 +235,7 @@ def test_plain_system_closed_form_dual_route():
     """Without the surface the SINR must follow from direct-link algebra.
 
     Rebuilds z, xi, varpi from the direct covariances alone and compares
-    the resulting SINR with the production path.
+    their moments and the resulting SINR with the production path.
     """
     cfg = SystemConfig(
         n_aps=3,
@@ -231,7 +247,7 @@ def test_plain_system_closed_form_dual_route():
         ris="off",
     )
     link = build_link_statistics(generate_scenario(cfg, np.random.default_rng(8)), cfg)
-    terms = build_sinr_terms(link)
+    moments = closed_form_moments(link)
 
     tau, noise = cfg.tau_p, cfg.noise_power
     p_hat = link.pilot_powers
@@ -253,14 +269,15 @@ def test_plain_system_closed_form_dual_route():
                     varpi[k, i, m] = np.trace(
                         r[m, i] @ np.linalg.solve(psi, r[m, k])
                     )
-    assert np.allclose(terms.z, z, rtol=1e-9)
-    assert np.allclose(terms.xi.reshape(-1), xi.reshape(-1), rtol=1e-9, atol=1e-30)
-    assert np.allclose(terms.varpi, varpi, rtol=1e-9, atol=1e-30)
-    assert np.allclose(terms.w, 0.0)
-    assert np.allclose(terms.j2, 0.0)
+    u = np.sqrt(np.outer(p_hat, p_hat))[:, :, None] * tau * varpi
+    u[np.arange(k_ues), np.arange(k_ues)] = z.T
+    assert np.allclose(moments.d, z, rtol=1e-9)
+    assert np.allclose(moments.cov.reshape(-1), xi.reshape(-1), rtol=1e-9, atol=1e-30)
+    assert np.allclose(moments.u, u, rtol=1e-9, atol=1e-30)
+    assert np.allclose(moments.w, 0.0)
 
     p = np.full(k_ues, cfg.p_max)
-    opt = optimal_lsfd_weights(closed_form_moments(terms), p, noise)
+    opt = optimal_lsfd_weights(moments, p, noise)
     manual_sinr = np.zeros(k_ues)
     mask = _coset_mask(link.assignment)
     for k in range(k_ues):
@@ -302,10 +319,10 @@ def _per_ue_lsfd(terms, powers, noise):
 
 @pytest.mark.parametrize("powers", ["full", "random"])
 def test_batched_lsfd_matches_per_ue_construction(
-    powers, validation_terms, validation_moments, validation_config, monkeypatch
+    powers, validation_link, validation_moments, validation_config, monkeypatch
 ):
     """One stacked solve gives the per-UE weights and SINRs, coset terms included."""
-    terms = validation_terms
+    terms = paper_terms(validation_link)
     assert (_coset_mask(terms.assignment) - np.eye(terms.z.shape[1])).any()
     p = np.full(validation_config.n_ues, validation_config.p_max)
     if powers == "random":

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from riscf.montecarlo import estimate_uatf_terms
-from riscf.se import build_sinr_terms, closed_form_moments
+from riscf.se import closed_form_moments
 from riscf.uatf import fixed_weight_form, optimal_lsfd_weights, uatf_sinr
 from uatf_reference import dense_second_moment, textbook_sinr
 
@@ -30,7 +30,7 @@ def _powers(config):
 def test_closed_form_sinr_matches_textbook_quotient(link_name, kind, request):
     link = request.getfixturevalue(link_name)
     cfg = link.config
-    moments = closed_form_moments(build_sinr_terms(link))
+    moments = closed_form_moments(link)
     p = _powers(cfg)
     a = _weights(moments, kind, p, cfg.noise_power)
     t = dense_second_moment(moments)
