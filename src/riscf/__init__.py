@@ -11,7 +11,6 @@ from riscf.config import SystemConfig
 from riscf.scenario import Scenario, generate_scenario, path_loss_db, rician_factor
 from riscf.correlation import (
     RisCorrelation,
-    ApCorrelation,
     LosComponents,
     NlosCovariances,
     ris_sinc_correlation,
@@ -36,7 +35,6 @@ from riscf.estimation import (
     EstimationStatistics,
     assign_pilots,
     estimation_statistics,
-    synthesize_pilot_observation,
     mmse_estimate,
 )
 from riscf.pipeline import (

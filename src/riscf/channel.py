@@ -2,8 +2,11 @@
 
 The aggregated channel o_mk = g_mk + H_m^H Phi z_k combines the direct
 AP-UE link with the RIS cascade. Its LoS mean and covariance feed the
-estimator and the closed-form SINR; the sampler draws joint realizations
-for the Monte-Carlo oracle.
+estimator and the closed-form SINR. The sampler draws the Monte-Carlo
+oracle's trials in one fixed order (``draw_unreflected``) and reflects
+RIS-side vectors to the APs in one of two ways: ``reflect`` through H
+built from its white draws W, or ``draw_reflections``, which draws only
+the projection of W that the reflected vectors see.
 """
 
 from __future__ import annotations
@@ -74,11 +77,12 @@ class ChannelSampler:
     F_R F_R^H = R, W_m white and A_m = sqrt(gain_m) times the conjugate of
     the factor of R_m (``ap_factors``), so vec(H_m - Hbar_m) keeps
     covariance gain_m (R_m^T kron R); the NLoS part of z_k is
-    sqrt(gain_k) F_R w. H itself is never formed. ``draw`` keeps W, and
-    its realization applies H_m^H Phi to any RIS-side vector as GEMMs
-    against Hbar, F_R, W_m and A_m. ``draw_reflections`` reflects a fixed
-    set of J vectors per trial and draws only the J-dimensional projection
-    of W that they see (k <= J white rows per AP instead of r).
+    sqrt(gain_k) F_R w. H itself is never formed: ``reflect`` applies
+    H_m^H Phi to any RIS-side vector as GEMMs against Hbar, F_R, the white
+    draws W_m and A_m, and ``draw`` keeps W in its realization for that.
+    ``draw_reflections`` reflects a fixed set of J vectors per trial and
+    draws only the J-dimensional projection of W that they see (k <= J
+    white rows per AP instead of r).
     ``ris_factor`` is F_R, which EMI draws can share.
     """
 
@@ -107,32 +111,37 @@ class ChannelSampler:
     def draw(
         self, rng: np.random.Generator, trials: int, phase: np.ndarray | None = None
     ) -> ChannelRealization:
-        """Sample ``trials`` joint realizations.
+        """Sample ``trials`` joint realizations, H kept as its white draws W.
+
+        The draws are ``draw_unreflected``'s with W, and o = g + H^H Phi z.
+        """
+        phase, g, w, z = self.draw_unreflected(rng, trials, white=True, phase=phase)
+        o = g + self.reflect(w, z)
+        return ChannelRealization(g=g, z=z, o=o, phase=phase, w=w, sampler=self)
+
+    def draw_unreflected(
+        self,
+        rng: np.random.Generator,
+        trials: int,
+        white: bool = False,
+        phase: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+        """The UE phases, direct channels g, white draws W and RIS-to-UE channels z.
 
         The UE LoS phase factors e^{j theta_k} are drawn fresh unless given.
-        Draw order is fixed (phases, g, W_m of each AP in turn, z) so a
-        seeded stream reproduces the batch bit-for-bit; the W_m come from
-        one AP-major draw, the same stream as one draw per AP.
+        W, shape (M, trials, r, L), is drawn only if ``white`` (else None):
+        without it H enters only through ``draw_reflections``. Draw order is
+        fixed (phases, g, W_m of each AP in turn, z) so a seeded stream
+        reproduces the batch bit-for-bit; the W_m come from one AP-major
+        draw, the same stream as one draw per AP.
         """
         if phase is None:
             phase = sample_phases(rng, (trials, self.n_ues))
         g = self._direct(rng, trials)
-        w = standard_cn(rng, (self.n_aps, trials, self.ris_factor.shape[1], self.l))
-        z = self._ue(rng, phase)
-        o = g + self._reflect(w, z)
-        return ChannelRealization(g=g, z=z, o=o, phase=phase, w=w, sampler=self)
-
-    def draw_unreflected(
-        self, rng: np.random.Generator, trials: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The UE phases, direct channels g and RIS-to-UE channels z of ``trials`` trials.
-
-        These are ``draw``'s draws without W: H enters only through
-        ``draw_reflections``.
-        """
-        phase = sample_phases(rng, (trials, self.n_ues))
-        g = self._direct(rng, trials)
-        return phase, g, self._ue(rng, phase)
+        w = None
+        if white:
+            w = standard_cn(rng, (self.n_aps, trials, self.ris_factor.shape[1], self.l))
+        return phase, g, w, self._ue(rng, phase)
 
     def draw_reflections(self, rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
         """H_m^H Phi x_j for a fresh draw of every H_m and the J vectors x_j of each trial.
@@ -165,7 +174,7 @@ class ChannelSampler:
         z += self.los.zbar * phase[:, :, None]
         return z
 
-    def _reflect(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def reflect(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         """H_m^H Phi x with H_m = Hbar_m + F_R W_m A_m^T built from the draws ``w``.
 
         Works on conjugates, conj(H_m^H Phi x) = x^H Phi^H H_m: the LoS part
@@ -242,6 +251,6 @@ class ChannelRealization:
         ``x`` has shape (trials, ..., N) with this batch's trial axis; the
         result has shape (trials, M, ..., L).
         """
-        return self.sampler._reflect(self.w, x)
+        return self.sampler.reflect(self.w, x)
 
 

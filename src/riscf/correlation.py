@@ -26,18 +26,6 @@ class RisCorrelation:
 
 
 @dataclass(frozen=True)
-class ApCorrelation:
-    """Local-scattering correlation of AP arrays toward their azimuths.
-
-    R has shape theta.shape + (L, L); a scalar theta gives one L x L matrix.
-    """
-
-    R: np.ndarray
-    theta: float | np.ndarray
-    asd: float
-
-
-@dataclass(frozen=True)
 class LosComponents:
     """Deterministic LoS parts of the cascaded link plus the RIS phases.
 
@@ -118,22 +106,22 @@ def gaussian_local_scattering(
     sigma_phi: float,
     n_antennas: int,
     spacing: float,
-) -> ApCorrelation:
+) -> np.ndarray:
     """ULA correlations under Gaussian angular deviation around theta.
 
     Entry (l, n) is beta_nlos E{exp(j 2 pi spacing (l - n) sin(theta + d))}
     with d ~ N(0, sigma_phi^2); spacing is in wavelengths and sigma_phi in
-    radians. beta_nlos and theta broadcast against each other, and every
-    pair is evaluated in one batched Gauss-Hermite pass: all pairs start at
-    order 30 and double together up to order 240, and each pair keeps the
-    first result that agrees with its predecessor to 1e-9 relative; a pair
-    still open at order 240 raises RuntimeError. 240 is the last doubling
-    at which numpy's hermgauss stays finite: near order 400 it overflows,
-    and at 480 its weights are NaN. Zero-beta pairs give zero matrices.
-    Entries depend on l - n only, so one offset row per pair suffices, and
-    the row is a Vandermonde sum: each node takes one complex exponential,
-    whose powers along the offsets come from a cumulative product (offset 0
-    is exactly 1).
+    radians. beta_nlos and theta broadcast against each other, the result
+    has their broadcast shape + (L, L), and every pair is evaluated in one
+    batched Gauss-Hermite pass: all pairs start at order 30 and double
+    together up to order 240, and each pair keeps the first result that
+    agrees with its predecessor to 1e-9 relative; a pair still open at order
+    240 raises RuntimeError. 240 is the last doubling at which numpy's
+    hermgauss stays finite: near order 400 it overflows, and at 480 its
+    weights are NaN. Zero-beta pairs give zero matrices. Entries depend on
+    l - n only, so one offset row per pair suffices, and the row is a
+    Vandermonde sum: each node takes one complex exponential, whose powers
+    along the offsets come from a cumulative product (offset 0 is exactly 1).
     """
     if sigma_phi <= 0.0:
         raise ValueError("sigma_phi must be positive")
@@ -168,11 +156,7 @@ def gaussian_local_scattering(
     l_idx = offsets[:, None] - offsets[None, :]
     lagged = rows[:, np.abs(l_idx)]
     matrix = np.where(l_idx >= 0, lagged, np.conj(lagged))
-    return ApCorrelation(
-        R=matrix.reshape(beta_b.shape + (n_antennas, n_antennas)),
-        theta=theta,
-        asd=sigma_phi,
-    )
+    return matrix.reshape(beta_b.shape + (n_antennas, n_antennas))
 
 
 def los_components(
@@ -225,7 +209,7 @@ def nlos_covariances(
     theta_to_ris = np.arctan2(delta_ris[:, 1], delta_ris[:, 0])
     r_m = gaussian_local_scattering(
         1.0, theta_to_ris, np.deg2rad(config.asd_deg), l, config.ap_antenna_spacing
-    ).R
+    )
     gain_m = scenario.beta_m_nlos * a_r / (l * n * scenario.beta_m)
     gain_k = scenario.beta_k_nlos * a_r
     return NlosCovariances(R=ris.R, r_m=r_m, gain_m=gain_m, gain_k=gain_k)

@@ -1,8 +1,10 @@
 """Pilot assignment and MMSE estimation of the aggregated channels.
 
 UEs share tau_p orthogonal pilots round-robin, so co-pilot UEs contaminate
-each other's observations. The estimator operates on the pilot-projected
-signal and needs only the aggregated moments, the EMI-plus-noise
+each other's observations. ``pilot_observation`` forms the pilot-projected
+signal from sampled channels and the noise at the APs (reflected EMI plus
+receiver noise, however the caller reflected it). The estimator operates
+on that signal and needs only the aggregated moments, the EMI-plus-noise
 covariance, and the UE LoS phases.
 """
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riscf.channel import ChannelRealization, ChannelStatistics
+from riscf.channel import ChannelStatistics
 from riscf.emi import EmiNoiseCovariance
 from riscf.linalg import solve_hermitian
 
@@ -91,27 +93,6 @@ def estimation_statistics(
     c = stats.r_o - pilot_powers[None, :, None, None] * tau_p * omega
     gain = np.sqrt(pilot_powers)[None, :, None, None] * x.conj().swapaxes(-1, -2)
     return EstimationStatistics(psi=psi, x=x, omega=omega, c=c, gain=gain)
-
-
-def synthesize_pilot_observation(
-    realization: ChannelRealization,
-    emi_pilot: np.ndarray,
-    ap_noise: np.ndarray,
-    assignment: PilotAssignment,
-    pilot_powers: np.ndarray,
-    phi: np.ndarray,
-) -> np.ndarray:
-    """Pilot-projected received signal y^p_mk for a batch of realizations.
-
-    ``emi_pilot`` has shape (trials, N, tau_p) and ``ap_noise`` (trials, M,
-    L, tau_p), one column per pilot symbol. The EMI reaches the APs through
-    ``realization.reflect``, so ``phi`` must be the RIS phases the
-    realization was drawn with; ``pilot_observation`` does the rest.
-    """
-    if not np.array_equal(phi, realization.sampler.los.phi):
-        raise ValueError("phi differs from the phases the channels were drawn with")
-    reflected = realization.reflect(emi_pilot.swapaxes(1, 2)).swapaxes(2, 3)
-    return pilot_observation(realization.o, reflected + ap_noise, assignment, pilot_powers)
 
 
 def pilot_observation(

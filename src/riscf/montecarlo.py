@@ -11,20 +11,26 @@ scheduled.
 A trial costs its Gaussian draws plus GEMMs, and the RIS-to-AP channels H
 are never formed.  Memory is bounded by ``CHUNK_BYTES``: the default chunk
 holds as many trials as fit it (``chunk_trials``), at most
-``CHUNK_TRIALS``, counted from the shapes alone.  The two paths draw and
-combine differently:
+``CHUNK_TRIALS``, counted from the shapes alone.
 
-* the validation path draws H's white draws W (M r L entries per trial),
-  reflects the UE channels and both EMI draws through H^H Phi straight
-  from them, and keeps the dense moments of the inner products
-  u_ki[m] = v_mk^H o_mi: u and the AP-to-AP second moment T = E{u u^H},
-  summed over the trial axis as batched GEMMs, so no per-trial
-  (K, K, M, M) array exists;
-* the run path reflects only the K + tau_p + 1 RIS-side vectors a trial
-  uses, so it draws only their projection of W, k <= K + tau_p + 1 white
-  rows per AP (``ChannelSampler.draw_reflections``), and, given the
-  decoding weights a, keeps only the projections g_ki = a_k^H u_ki, a
-  (K, K) matrix per trial, which is all the bound of those weights reads.
+Both paths run one trial body (``_trials``): it draws the phases, the
+direct channels g, the RIS-to-UE channels z and both EMI draws in one
+order, stacks the K + tau_p + 1 RIS-side vectors a trial reflects (z, the
+pilot EMI symbols, the data EMI) and reflects them at once, then
+synthesizes the pilot observation and runs the estimator.  The paths
+differ in how they reflect and in what they keep:
+
+* the validation path draws H's white draws W (M r L entries per trial)
+  and reflects through H^H Phi straight from them
+  (``ChannelSampler.reflect``), and keeps the dense moments of the inner
+  products u_ki[m] = v_mk^H o_mi: u and the AP-to-AP second moment
+  T = E{u u^H}, summed over the trial axis as batched GEMMs, so no
+  per-trial (K, K, M, M) array exists;
+* the run path draws only the projection of W that the stacked vectors
+  see, k <= K + tau_p + 1 white rows per AP
+  (``ChannelSampler.draw_reflections``), and, given the decoding weights
+  a, keeps only the projections g_ki = a_k^H u_ki, a (K, K) matrix per
+  trial, which is all the bound of those weights reads.
 """
 
 from __future__ import annotations
@@ -34,9 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSampler
-from .config import SystemConfig
+from .config import SystemConfig, is_count
 from .emi import EmiSpec, sample_emi
-from .estimation import mmse_estimate, pilot_observation, synthesize_pilot_observation
+from .estimation import mmse_estimate, pilot_observation
 from .pipeline import LinkStatistics
 from .uatf import UatfMoments
 
@@ -160,39 +166,44 @@ class UatfEstimates:
 def bytes_per_trial(cfg: SystemConfig, rank: int, dense: bool) -> int:
     """Bytes of working arrays one trial adds to a chunk, from the shapes alone.
 
-    Dense (validation) path: while the white draws W (M r L entries per
-    trial, r the rank of ``ChannelSampler.ris_factor``) are alive, a trial
-    holds its realization (W, g, o, z and the UE phases) and, at the worst
-    step, either the UE channel draws and the reflection of z, or the pilot
-    EMI with its reflection and the AP noise, or the (M, K, L)
-    observation, LoS mean, prior, innovation and estimate arrays. W is
-    freed before the inner products are combined, which then needs o, v
-    and u (K K M entries) with the three copies
-    ``RunningMoments.update_outer`` makes of it.
+    Both paths stack the J = K + tau_p + 1 RIS-side vectors of a trial in
+    x, hold x, the UE phases and g from the start, and from the pilot EMI
+    on the AP noise too. Then:
 
-    Projected (run) path, with J = K + tau_p + 1 reflected vectors and
-    k = min(r, J): a trial holds the J stacked RIS-side vectors x from the
-    start, and from the UE draws on the copy of their K r white entries
-    that a threaded BLAS packs and keeps resident. While it draws g, z and
-    the EMI into x, it holds the phases, g and the draws of z or of the
-    pilot EMI; then the phases, g, the AP noise and x while it factors Y
-    (Y^H, its copy inside the QR and R) or reflects (R, the M L k white
-    entries V, their product with A^H, and the J M L result with one
-    temporary). It then estimates (o, q and the observation, LoS mean,
-    prior, innovation and estimate arrays) and projects (o, v and the two
+    Dense (validation) path: the white draws W (M r L entries, r the rank
+    of ``ChannelSampler.ris_factor``) are alive from their draw until x is
+    reflected. A trial holds them while it draws z, the pilot EMI or the
+    data EMI (white entries, product and scaled copy), and while it
+    reflects x (the conjugated x and Y, then Y with the LoS part and the
+    white part, then the J M L NLoS part, its product with A_m^T and the
+    sum). It then estimates (o, q and the observation, LoS mean, prior,
+    innovation and estimate arrays) and combines o, v and u (K K M
+    entries) with the three copies ``RunningMoments.update_outer`` makes
+    of it.
+
+    Projected (run) path, with k = min(r, J): from the UE draws on, a trial
+    holds the copy of their K r white entries that a threaded BLAS packs
+    and keeps resident. While it draws g, z and the EMI into x, it holds
+    the draws of z or of the pilot EMI; then x while it factors Y (Y^H,
+    its copy inside the QR and R) or reflects (R, the M L k white entries
+    V, their product with A^H, and the J M L result with one temporary).
+    It then estimates (o, q and the observation, LoS mean, prior,
+    innovation and estimate arrays) and projects (o, v and the two
     (K, M L) operands). The largest step counts, at 16 bytes per complex
     entry, plus an eighth for the small temporaries left out.
     """
     m, k, l, n, tau = cfg.n_aps, cfg.n_ues, cfg.n_ap_antennas, cfg.n_ris_elements, cfg.tau_p
-    mkl, kkm = m * k * l, k * k * m
+    mkl, kkm, j = m * k * l, k * k * m, k + tau + 1
     if dense:
-        realization = m * rank * l + 2 * mkl + k * (n + 1)
-        sampling = realization + max(
-            mkl + 2 * k * n + k * rank, tau * (2 * n + rank + 5 * m * l), 5 * mkl
-        )
-        combining = max(3 * mkl + kkm, 4 * kkm)
-        return 16 * max(sampling, combining) * 9 // 8
-    j = k + tau + 1
+        held = m * rank * l + j * n + k + mkl
+        steps = [
+            held + max(k, tau) * (rank + 2 * n) + 3 * m * l * tau,
+            held + m * l * tau + j * max(2 * n, n + m * l + rank, 3 * m * l),
+            k + m * l + 6 * mkl,
+            3 * mkl + kkm,
+            4 * kkm,
+        ]
+        return 16 * max(steps) * 9 // 8
     kj, mlk, jml = min(rank, j) * j, m * l * min(rank, j), j * m * l
     packed = k * rank
     held = k + mkl + m * l * tau + j * n + packed
@@ -228,22 +239,25 @@ def estimate_uatf_terms(
     observation with fresh pilot-phase EMI and receiver noise, runs the
     MMSE estimator, combines with v = o_hat, and accumulates the resulting
     statistics together with the combined power of one data-phase EMI
-    draw. Without ``weights`` each trial draws H in full and the dense
-    moments u and T are kept; with the (M, K) decoding ``weights`` a_mk H
-    is drawn only where it reflects and only the projections
-    g_ki = sum_m a_mk^* v_mk^H o_mi are kept, one (K, M L) by (M L, K)
-    product per trial (see ``UatfEstimates``). The two paths have the same
-    law but different random streams. ``chunk_size`` overrides the default
-    chunk of ``chunk_trials``; the random stream depends on it.
+    draw. Without ``weights`` each trial draws H's white draws in full and
+    the dense moments u and T are kept; with the (M, K) decoding
+    ``weights`` a_mk H is drawn only where it reflects and only the
+    projections g_ki = sum_m a_mk^* v_mk^H o_mi are kept, one (K, M L) by
+    (M L, K) product per trial (see ``UatfEstimates``). The two paths have
+    the same law but different random streams. ``chunk_size`` overrides
+    the default chunk of ``chunk_trials``; the random stream depends on
+    it. ``trials`` and ``chunk_size`` must be positive counts.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    if trials <= 0:
-        raise ValueError("trials must be positive")
+    if not is_count(trials) or trials <= 0:
+        raise ValueError(f"trials must be a positive count, got {trials!r}")
+    if chunk_size is not None and (not is_count(chunk_size) or chunk_size <= 0):
+        raise ValueError(f"chunk_size must be a positive count, got {chunk_size!r}")
     cfg = link.config
     n_aps, n_ues = cfg.n_aps, cfg.n_ues
-    if weights is None:
-        trials_of = _dense_trials
+    dense = weights is None
+    if dense:
         acc_u = RunningMoments((n_ues, n_ues, n_aps))
         acc_t = RunningMoments((n_ues, n_ues, n_aps, n_aps))
     else:
@@ -252,14 +266,13 @@ def estimate_uatf_terms(
             raise ValueError("weights must have shape (n_aps, n_ues)")
         # conj(a_mk) on the (k, m, l) layout of the projection's left operand
         a_conj = np.repeat(weights.T.conj(), cfg.n_ap_antennas, axis=1)
-        trials_of = _projected_trials
         acc_u = RunningMoments((n_ues, n_ues, 1))
         acc_t = RunningMoments((n_ues, n_ues, 1))
     acc_d = RunningMoments((n_aps, n_ues))
     acc_e = RunningMoments((n_aps, n_ues))
     sampler = ChannelSampler(link.stats, link.los, link.nlos)
     if chunk_size is None:
-        chunk_size = chunk_trials(cfg, sampler.ris_factor.shape[1], dense=weights is None)
+        chunk_size = chunk_trials(cfg, sampler.ris_factor.shape[1], dense)
     spec = EmiSpec(
         sigma_r2=link.sigma_r2,
         element_area=link.ris.element_area,
@@ -271,11 +284,11 @@ def estimate_uatf_terms(
     while remaining > 0:
         batch = min(chunk_size, remaining)
         remaining -= batch
-        o, v, q = trials_of(link, sampler, spec, rng, batch, noise_scale)
+        o, v, q = _trials(link, sampler, spec, rng, batch, noise_scale, dense)
         acc_d.update(np.einsum("tmkl,tmkl->tmk", v.conj(), v).real)
         acc_e.update(np.abs(np.einsum("tmkl,tml->tmk", v.conj(), q)) ** 2)
         del q
-        if weights is None:
+        if dense:
             u = np.einsum("tmkl,tmil->tkim", v.conj(), o)
             del v, o
             acc_u.update(u)
@@ -302,56 +315,32 @@ def _ap_noise(rng: np.random.Generator, shape: tuple[int, ...], scale: float) ->
     return scale * (raw[..., 0] + 1j * raw[..., 1])
 
 
-def _dense_trials(
+def _trials(
     link: LinkStatistics,
     sampler: ChannelSampler,
     spec: EmiSpec,
     rng: np.random.Generator,
     batch: int,
     noise_scale: float,
+    dense: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """o, the estimates v and the reflected data EMI q of ``batch`` full draws of H.
+    """o, the estimates v and the reflected data EMI q of ``batch`` trials.
 
-    Draw order: the realization (phases, g, W, z), the pilot EMI, the AP
-    noise, the data EMI.
-    """
-    cfg = link.config
-    real = sampler.draw(rng, batch)
-    emi_pilot = sample_emi(spec, rng, (batch, cfg.tau_p)).transpose(0, 2, 1)
-    ap_noise = _ap_noise(rng, (batch, cfg.n_aps, cfg.n_ap_antennas, cfg.tau_p), noise_scale)
-    y = synthesize_pilot_observation(
-        real, emi_pilot, ap_noise, link.assignment, link.pilot_powers, link.los.phi
-    )
-    del emi_pilot, ap_noise
-    v = mmse_estimate(y, link.stats, link.est, link.assignment, link.pilot_powers, real.phase)
-    del y
-    q = real.reflect(sample_emi(spec, rng, (batch,)))
-    return real.o, v, q  # dropping the realization frees W, the chunk's largest array
-
-
-def _projected_trials(
-    link: LinkStatistics,
-    sampler: ChannelSampler,
-    spec: EmiSpec,
-    rng: np.random.Generator,
-    batch: int,
-    noise_scale: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """o, v and q as ``_dense_trials``, with H drawn only where it reflects.
-
-    Draw order: the phases, g and z, the pilot EMI, the AP noise, the data
-    EMI, then the white matrices V of ``draw_reflections`` for the
-    K + tau_p + 1 RIS-side vectors of each trial.
+    Draw order: the phases, g, W (``dense`` only) and z, the pilot EMI, the
+    AP noise, the data EMI, then, unless ``dense``, the white matrices V of
+    ``draw_reflections``. The K + tau_p + 1 RIS-side vectors of a trial (z,
+    the pilot EMI symbols, the data EMI) are stacked in x and reflected at
+    once: through H built from W if ``dense``, else by ``draw_reflections``.
     """
     cfg = link.config
     n_ues, tau_p = cfg.n_ues, cfg.tau_p
     x = np.empty((batch, n_ues + tau_p + 1, cfg.n_ris_elements), dtype=complex)
-    phase, g, x[:, :n_ues] = sampler.draw_unreflected(rng, batch)
+    phase, g, w, x[:, :n_ues] = sampler.draw_unreflected(rng, batch, white=dense)
     x[:, n_ues:-1] = sample_emi(spec, rng, (batch, tau_p))
     ap_noise = _ap_noise(rng, (batch, cfg.n_aps, cfg.n_ap_antennas, tau_p), noise_scale)
     x[:, -1:] = sample_emi(spec, rng, (batch, 1))
-    reflected = sampler.draw_reflections(rng, x)
-    del x
+    reflected = sampler.reflect(w, x) if dense else sampler.draw_reflections(rng, x)
+    del x, w
     o = g + reflected[:, :, :n_ues]
     del g
     noise = reflected[:, :, n_ues:-1].swapaxes(2, 3) + ap_noise
@@ -362,4 +351,3 @@ def _projected_trials(
     del noise
     v = mmse_estimate(y, link.stats, link.est, link.assignment, link.pilot_powers, phase)
     return o, v, q
-

@@ -23,7 +23,6 @@ import numpy as np
 from .channel import ChannelStatistics, aggregated_covariance
 from .config import SystemConfig
 from .correlation import (
-    ApCorrelation,
     LosComponents,
     NlosCovariances,
     RisCorrelation,
@@ -46,6 +45,7 @@ from .scenario import Scenario, wrap_displacement
 class DropStatistics:
     """The mode-independent statistics of one scenario drop.
 
+    ``direct`` holds the (M, K, L, L) direct-link covariances R_mk;
     ``los`` and ``nlos`` are those of the surface on, ``gram`` is
     G_m^H R G_m of that LoS, stacked to (M, L, L), and ``trace`` is
     tr(Phi R Phi^H R). ``stats`` maps a ``ris`` mode to the aggregated
@@ -56,7 +56,7 @@ class DropStatistics:
     scenario: Scenario
     config: SystemConfig
     ris: RisCorrelation
-    direct: ApCorrelation
+    direct: np.ndarray
     los: LosComponents
     nlos: NlosCovariances
     gram: np.ndarray
@@ -71,7 +71,6 @@ class LinkStatistics:
     scenario: Scenario
     config: SystemConfig
     ris: RisCorrelation
-    direct: ApCorrelation
     los: LosComponents
     nlos: NlosCovariances
     stats: ChannelStatistics
@@ -82,8 +81,8 @@ class LinkStatistics:
     pilot_powers: np.ndarray
 
 
-def direct_link_covariances(scenario: Scenario, config: SystemConfig) -> ApCorrelation:
-    """Spatial covariance of every AP-UE link from local scattering.
+def direct_link_covariances(scenario: Scenario, config: SystemConfig) -> np.ndarray:
+    """Spatial covariances R_mk, (M, K, L, L), of the AP-UE links from local scattering.
 
     The angle is the azimuth of the UE as seen from the AP, measured on the
     wrapped displacement so that the geometry matches the distance metric.
@@ -154,7 +153,7 @@ def build_link_statistics(
 
     stats = drop.stats.get(cfg.ris)
     if stats is None:
-        stats = aggregated_covariance(drop.direct.R, los, nlos, gram, drop.trace)
+        stats = aggregated_covariance(drop.direct, los, nlos, gram, drop.trace)
         drop.stats[cfg.ris] = stats
     emi_cov = emi_noise_covariance(nlos, gram, drop.trace, sigma_r2, drop.ris.element_area)
     assignment = assign_pilots(cfg.n_ues, cfg.tau_p)
@@ -171,7 +170,6 @@ def build_link_statistics(
         scenario=drop.scenario,
         config=cfg,
         ris=drop.ris,
-        direct=drop.direct,
         los=los,
         nlos=nlos,
         stats=stats,

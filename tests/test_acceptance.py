@@ -17,7 +17,7 @@ import yaml
 from riscf.channel import ChannelSampler
 from riscf.config import SystemConfig
 from riscf.emi import EmiSpec, sample_emi
-from riscf.estimation import synthesize_pilot_observation
+from riscf.estimation import pilot_observation
 from riscf.experiment import run_experiment
 from riscf.montecarlo import RunningMoments, estimate_uatf_terms
 from riscf.pipeline import build_link_statistics
@@ -138,8 +138,11 @@ def test_criterion_02_covariance_oracles():
         emi_pilot = sample_emi(spec, rng, (batch, cfg.tau_p)).transpose(0, 2, 1)
         raw = rng.standard_normal((batch, cfg.n_aps, cfg.n_ap_antennas, cfg.tau_p, 2))
         ap_noise = noise_scale * (raw[..., 0] + 1j * raw[..., 1])
-        y = synthesize_pilot_observation(
-            real, emi_pilot, ap_noise, link.assignment, zero_powers, link.los.phi
+        y = pilot_observation(
+            real.o,
+            real.reflect(emi_pilot.swapaxes(1, 2)).swapaxes(2, 3) + ap_noise,
+            link.assignment,
+            zero_powers,
         )
         y0 = y[:, :, 0]
         mom_y.update(np.einsum("tma,tmb->tmab", y0, y0.conj()))

@@ -65,8 +65,7 @@ def test_sinc_element_area():
 
 def test_local_scattering_trace_and_structure():
     beta = 2.5e-8
-    corr = gaussian_local_scattering(beta, 0.7, np.deg2rad(15.0), 4, 0.5)
-    r = corr.R
+    r = gaussian_local_scattering(beta, 0.7, np.deg2rad(15.0), 4, 0.5)
     assert np.trace(r).real == pytest.approx(4 * beta, rel=1e-12)
     assert np.allclose(r, r.conj().T)
     assert r[0, 1] == pytest.approx(r[1, 2], rel=1e-12)
@@ -77,7 +76,7 @@ def test_local_scattering_trace_and_structure():
 def test_local_scattering_matches_direct_quadrature():
     """Each entry is a Gaussian integral; adaptive quad is the oracle."""
     beta, theta, sigma, spacing = 1.0, 0.4, np.deg2rad(15.0), 0.5
-    r = gaussian_local_scattering(beta, theta, sigma, 3, spacing).R
+    r = gaussian_local_scattering(beta, theta, sigma, 3, spacing)
     for lag in (1, 2):
         def integrand_re(x):
             return np.cos(2 * np.pi * spacing * lag * np.sin(theta + x)) * np.exp(
@@ -99,7 +98,7 @@ def test_local_scattering_powers_match_one_exponential_per_offset(n_antennas):
     """Powers of one exponential per node give every offset's row (order-240 reference)."""
     theta = np.linspace(-3.0, 3.0, 7)
     sigma, spacing = np.deg2rad(15.0), 0.5
-    r = gaussian_local_scattering(1.0, theta, sigma, n_antennas, spacing).R
+    r = gaussian_local_scattering(1.0, theta, sigma, n_antennas, spacing)
     nodes, weights = np.polynomial.hermite.hermgauss(240)
     angles = np.sin(theta[:, None] + np.sqrt(2.0) * sigma * nodes)
     offsets = np.arange(n_antennas)
@@ -109,7 +108,7 @@ def test_local_scattering_powers_match_one_exponential_per_offset(n_antennas):
 
 
 def test_local_scattering_small_spread_is_nearly_rank_one():
-    r = gaussian_local_scattering(1.0, 0.3, 1e-4, 4, 0.5).R
+    r = gaussian_local_scattering(1.0, 0.3, 1e-4, 4, 0.5)
     eigvals = np.sort(np.linalg.eigvalsh(r))
     assert eigvals[-1] == pytest.approx(4.0, rel=1e-4)
     assert eigvals[-2] < 1e-4
@@ -140,18 +139,17 @@ def test_local_scattering_batch_matches_scalar_calls(monkeypatch):
     theta[2, 2] = 0.0
 
     batch = gaussian_local_scattering(beta, theta, sigma, n_ant, spacing)
-    assert batch.R.shape == (4, 5, n_ant, n_ant)
-    assert batch.theta is theta
+    assert batch.shape == (4, 5, n_ant, n_ant)
     needed = np.zeros(beta.shape, dtype=int)
     for idx in np.ndindex(beta.shape):
         orders.clear()
         single = gaussian_local_scattering(
             float(beta[idx]), float(theta[idx]), sigma, n_ant, spacing
         )
-        assert single.R.shape == (n_ant, n_ant)
-        np.testing.assert_allclose(batch.R[idx], single.R, rtol=1e-15, atol=0.0)
+        assert single.shape == (n_ant, n_ant)
+        np.testing.assert_allclose(batch[idx], single, rtol=1e-15, atol=0.0)
         needed[idx] = max(orders)
-    assert not batch.R[0, 1].any() and not batch.R[3, 4].any()
+    assert not batch[0, 1].any() and not batch[3, 4].any()
     off_broadside = beta != 0.0
     off_broadside[2, 2] = False
     assert needed[2, 2] == 240 and needed[off_broadside].max() == 120

@@ -4,11 +4,7 @@ import pytest
 
 from riscf.channel import ChannelSampler
 from riscf.emi import EmiSpec, sample_emi
-from riscf.estimation import (
-    assign_pilots,
-    mmse_estimate,
-    synthesize_pilot_observation,
-)
+from riscf.estimation import assign_pilots, mmse_estimate, pilot_observation
 
 
 def test_assign_pilots_round_robin():
@@ -69,30 +65,15 @@ def _pilot_draw(link, rng, trials, phase=None):
     spec = EmiSpec(
         sigma_r2=link.sigma_r2, element_area=link.ris.element_area, R=link.ris.R
     )
-    emi_pilot = sample_emi(spec, rng, (trials, cfg.tau_p)).transpose(0, 2, 1)
+    emi_pilot = sample_emi(spec, rng, (trials, cfg.tau_p))
     raw = rng.standard_normal((trials, cfg.n_aps, cfg.n_ap_antennas, cfg.tau_p, 2))
     ap_noise = np.sqrt(cfg.noise_power / 2.0) * (raw[..., 0] + 1j * raw[..., 1])
-    y = synthesize_pilot_observation(
-        real, emi_pilot, ap_noise, link.assignment, link.pilot_powers, link.los.phi
-    )
+    reflected = real.reflect(emi_pilot).swapaxes(2, 3)
+    y = pilot_observation(real.o, reflected + ap_noise, link.assignment, link.pilot_powers)
     v = mmse_estimate(
         y, link.stats, link.est, link.assignment, link.pilot_powers, real.phase
     )
     return real, y, v
-
-
-def test_pilot_observation_rejects_foreign_phases(tiny_link):
-    """The EMI is reflected with the realization's phases, so others are refused."""
-    link = tiny_link
-    sampler = ChannelSampler(link.stats, link.los, link.nlos)
-    real = sampler.draw(np.random.default_rng(13), 2)
-    cfg = link.config
-    emi_pilot = np.zeros((2, cfg.n_ris_elements, cfg.tau_p), dtype=complex)
-    ap_noise = np.zeros((2, cfg.n_aps, cfg.n_ap_antennas, cfg.tau_p), dtype=complex)
-    with pytest.raises(ValueError):
-        synthesize_pilot_observation(
-            real, emi_pilot, ap_noise, link.assignment, link.pilot_powers, -link.los.phi
-        )
 
 
 def test_coset_mates_share_observation(validation_link):

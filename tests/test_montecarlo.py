@@ -112,9 +112,26 @@ def test_estimate_matches_dense_per_trial_loop(request, config_name, seed, modes
         assert np.abs(a.std_error - b.std_error).max() <= 1e-8 * largest, name
 
 
-def test_estimate_uatf_terms_validates_trials(tiny_link):
-    with pytest.raises(ValueError):
-        estimate_uatf_terms(tiny_link, 0, rng=1)
+@pytest.mark.parametrize(
+    "counts, name",
+    [
+        ({"trials": 0}, "trials"),
+        ({"trials": True}, "trials"),
+        ({"trials": 2.5}, "trials"),
+        ({"chunk_size": 0}, "chunk_size"),
+        ({"chunk_size": -3}, "chunk_size"),
+        ({"chunk_size": 2.5}, "chunk_size"),
+    ],
+    ids=["trials-0", "trials-bool", "trials-float", "chunk-0", "chunk-negative", "chunk-float"],
+)
+@pytest.mark.parametrize("run_path", [False, True], ids=["validation", "run"])
+def test_estimate_uatf_terms_validates_trials(tiny_link, counts, name, run_path):
+    """Non-count or non-positive counts are refused up front, by name."""
+    cfg = tiny_link.config
+    weights = np.ones((cfg.n_aps, cfg.n_ues)) if run_path else None
+    kwargs = {"trials": 8, "chunk_size": None, **counts}
+    with pytest.raises(ValueError, match=name):
+        estimate_uatf_terms(tiny_link, rng=1, weights=weights, **kwargs)
 
 
 def test_estimated_selfterm_matches_combiner_norm(tiny_link):
@@ -221,7 +238,7 @@ def _dense_batch(link, trials, seed):
     )
     noise_scale = np.sqrt(link.config.noise_power / 2.0)
     rng = np.random.default_rng(seed)
-    return montecarlo._dense_trials(link, sampler, spec, rng, trials, noise_scale)
+    return montecarlo._trials(link, sampler, spec, rng, trials, noise_scale, dense=True)
 
 
 def _closed_weights(link, combiner):
@@ -249,8 +266,7 @@ def test_projected_sinr_matches_dense_moments(validation_config, modes, combiner
     cfg = link.config
     weights, powers = _closed_weights(link, combiner)
     batch = _dense_batch(link, 300, 6)
-    monkeypatch.setattr(montecarlo, "_dense_trials", lambda *args: batch)
-    monkeypatch.setattr(montecarlo, "_projected_trials", lambda *args: batch)
+    monkeypatch.setattr(montecarlo, "_trials", lambda *args: batch)
     dense = estimate_uatf_terms(link, 300, rng=0, chunk_size=300)
     projected = estimate_uatf_terms(link, 300, rng=0, chunk_size=300, weights=weights)
     expected = uatf_sinr(dense.moments(), weights, powers, cfg.noise_power)

@@ -9,7 +9,7 @@ from riscf.pipeline import build_drop_statistics, build_link_statistics
 from riscf.scenario import generate_scenario
 
 MODES = [("on", "on"), ("off", "on"), ("on", "off")]
-PARTS = ("stats", "emi_cov", "est", "los", "nlos", "direct")
+PARTS = ("stats", "emi_cov", "est", "los", "nlos")
 
 
 def _arrays(obj):
