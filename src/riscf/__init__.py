@@ -24,8 +24,6 @@ from riscf.channel import (
     aggregated_covariance,
 )
 from riscf.emi import (
-    EmiSpec,
-    EmiNoiseCovariance,
     sigma_r2_from_rho,
     emi_noise_covariance,
     sample_emi,

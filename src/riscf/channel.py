@@ -83,7 +83,7 @@ class ChannelSampler:
     ``draw_reflections`` reflects a fixed set of J vectors per trial and
     draws only the J-dimensional projection of W that they see (k <= J
     white rows per AP instead of r).
-    ``ris_factor`` is F_R, which EMI draws can share.
+    ``ris_factor`` is F_R, which ``emi.sample_emi`` draws from too.
     """
 
     def __init__(

@@ -3,43 +3,16 @@
 EMI impinges the RIS as a correlated circular Gaussian field with
 covariance A_r sigma_r^2 R and reaches each AP through the RIS-to-AP
 channel, adding the covariance R_mm on top of thermal noise.
+``emi_noise_covariance`` returns R_mm of every AP as one (M, L, L) array,
+and ``sample_emi`` draws the field from the surface's factor F_R.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from riscf.correlation import NlosCovariances
-from riscf.linalg import psd_factor, sample_cn
-
-
-@dataclass(frozen=True)
-class EmiSpec:
-    """EMI field parameters: power, element area, and RIS correlation.
-
-    ``factor`` optionally holds F with F F^H = R, for instance the
-    ``ChannelSampler.ris_factor`` of the same surface, so draws skip
-    factoring R again.
-    """
-
-    sigma_r2: float
-    element_area: float
-    R: np.ndarray
-    factor: np.ndarray | None = None
-
-    @property
-    def covariance(self) -> np.ndarray:
-        return self.sigma_r2 * self.element_area * self.R
-
-
-@dataclass(frozen=True)
-class EmiNoiseCovariance:
-    """Per-AP covariance R_mm of RIS-borne EMI, with its NLoS part Q_m."""
-
-    r_mm: np.ndarray
-    q_m: np.ndarray
+from riscf.linalg import sample_cn
 
 
 def sigma_r2_from_rho(
@@ -67,8 +40,8 @@ def emi_noise_covariance(
     trace: float,
     sigma_r2: float,
     element_area: float,
-) -> EmiNoiseCovariance:
-    """EMI covariance R_mm = sigma_r^2 A_r Hbar^H Phi R Phi^H Hbar + Q_m per AP.
+) -> np.ndarray:
+    """EMI covariance R_mm = sigma_r^2 A_r Hbar^H Phi R Phi^H Hbar + Q_m, (M, L, L).
 
     The LoS part is sigma_r^2 A_r G_m^H R G_m with G_m = Phi^H Hbar_m, where
     ``gram`` is ``nlos.cascade_gram(hbar, phi)``; the NLoS part is
@@ -78,19 +51,19 @@ def emi_noise_covariance(
     """
     scale = sigma_r2 * element_area
     q_m = (scale * nlos.gain_m * trace)[:, None, None] * nlos.r_m
-    return EmiNoiseCovariance(r_mm=scale * gram + q_m, q_m=q_m)
+    return scale * gram + q_m
 
 
 def sample_emi(
-    spec: EmiSpec, rng: np.random.Generator, shape: tuple[int, ...]
+    rng: np.random.Generator, power: float, factor: np.ndarray, shape: tuple[int, ...]
 ) -> np.ndarray:
-    """Draw i.i.d. EMI vectors with covariance A_r sigma_r^2 R.
+    """Draw i.i.d. EMI vectors with covariance ``power`` F F^H.
 
-    The result has shape ``shape + (N,)``; each index combination is an
-    independent symbol. Zero EMI power short-circuits to zeros.
+    ``power`` is sigma_r^2 A_r and ``factor`` is F with F F^H = R, for
+    instance ``ChannelSampler.ris_factor``. The result has shape
+    ``shape + (N,)``; each index combination is an independent symbol. Zero
+    power returns zeros without drawing, so the random stream is unchanged.
     """
-    n = spec.R.shape[0]
-    if spec.sigma_r2 == 0.0:
-        return np.zeros(shape + (n,), dtype=complex)
-    factor = psd_factor(spec.R) if spec.factor is None else spec.factor
-    return np.sqrt(spec.sigma_r2 * spec.element_area) * sample_cn(rng, factor, shape)
+    if power == 0.0:
+        return np.zeros(shape + (factor.shape[0],), dtype=complex)
+    return np.sqrt(power) * sample_cn(rng, factor, shape)

@@ -1,11 +1,12 @@
 """Pilot assignment and MMSE estimation of the aggregated channels.
 
 UEs share tau_p orthogonal pilots round-robin, so co-pilot UEs contaminate
-each other's observations. ``pilot_observation`` forms the pilot-projected
-signal from sampled channels and the noise at the APs (reflected EMI plus
-receiver noise, however the caller reflected it). The estimator operates
-on that signal and needs only the aggregated moments, the EMI-plus-noise
-covariance, and the UE LoS phases.
+each other's observations; ``PilotAssignment`` holds the cosets and the
+pilot powers. ``pilot_observation`` forms the pilot-projected signal from
+sampled channels and the noise at the APs (reflected EMI plus receiver
+noise, however the caller reflected it). The estimator operates
+on that signal and needs only the aggregated moments, the EMI covariance
+R_mm, the receiver noise power, and the UE LoS phases.
 """
 
 from __future__ import annotations
@@ -15,33 +16,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from riscf.channel import ChannelStatistics
-from riscf.emi import EmiNoiseCovariance
 from riscf.linalg import solve_hermitian
 
 
 @dataclass(frozen=True)
 class PilotAssignment:
-    """Round-robin pilot indices and the induced co-pilot cosets."""
+    """Round-robin pilot indices, the induced co-pilot cosets and the pilot powers."""
 
-    n_ues: int
     tau_p: int
     pilot_of: np.ndarray
     cosets: tuple[np.ndarray, ...]
+    powers: np.ndarray
 
     def coset(self, ue: int) -> np.ndarray:
         """UEs sharing UE ``ue``'s pilot, itself included."""
         return self.cosets[int(self.pilot_of[ue])]
 
+    @property
+    def mask(self) -> np.ndarray:
+        """0/1 matrix whose (k, i) entry flags i in P_k."""
+        return (self.pilot_of[:, None] == self.pilot_of[None, :]).astype(float)
 
-def assign_pilots(n_ues: int, tau_p: int) -> PilotAssignment:
-    """Deterministic round-robin assignment: UE k uses pilot k mod tau_p."""
+
+def assign_pilots(n_ues: int, tau_p: int, power: float) -> PilotAssignment:
+    """Deterministic round-robin assignment: UE k uses pilot k mod tau_p at ``power``."""
     if n_ues < 1:
         raise ValueError("n_ues must be >= 1")
     if tau_p < 1:
         raise ValueError("tau_p must be >= 1")
     pilot_of = np.arange(n_ues) % tau_p
     cosets = tuple(np.flatnonzero(pilot_of == t) for t in range(tau_p))
-    return PilotAssignment(n_ues=n_ues, tau_p=tau_p, pilot_of=pilot_of, cosets=cosets)
+    return PilotAssignment(
+        tau_p=tau_p, pilot_of=pilot_of, cosets=cosets, powers=np.full(n_ues, power)
+    )
 
 
 @dataclass(frozen=True)
@@ -63,29 +70,25 @@ class EstimationStatistics:
 
 def estimation_statistics(
     stats: ChannelStatistics,
-    emi_cov: EmiNoiseCovariance,
+    r_mm: np.ndarray,
     assignment: PilotAssignment,
-    pilot_powers: np.ndarray,
-    tau_p: int,
     noise_power: float,
 ) -> EstimationStatistics:
     """Build Psi, Omega, C, and the estimator gain for every (AP, UE) pair.
 
     Psi_mk = sum_{i in P_k} p_hat_i tau_p R^o_mi + R_mm + sigma^2 I is
     shared within a coset; Omega = R^o Psi^{-1} R^o and C = R^o -
-    p_hat tau_p Omega follow. Solves are linear (no explicit inverses) and
-    refuse ill-conditioned Psi.
+    p_hat tau_p Omega follow. ``r_mm`` is the (M, L, L) EMI covariance.
+    Solves are linear (no explicit inverses) and refuse ill-conditioned Psi.
     """
-    n_aps, n_ues, l, _ = stats.r_o.shape
-    eye = np.eye(l)
+    tau_p, pilot_powers = assignment.tau_p, assignment.powers
+    eye = np.eye(stats.r_o.shape[-1])
     psi = np.empty_like(stats.r_o)
     for coset in assignment.cosets:
-        if coset.size == 0:
-            continue
         contaminated = np.einsum(
             "i,miab->mab", pilot_powers[coset] * tau_p, stats.r_o[:, coset]
         )
-        psi_coset = contaminated + emi_cov.r_mm + noise_power * eye
+        psi_coset = contaminated + r_mm + noise_power * eye
         psi[:, coset] = psi_coset[:, None]
 
     x = solve_hermitian(psi, stats.r_o)
@@ -96,10 +99,7 @@ def estimation_statistics(
 
 
 def pilot_observation(
-    o: np.ndarray,
-    noise: np.ndarray,
-    assignment: PilotAssignment,
-    pilot_powers: np.ndarray,
+    o: np.ndarray, noise: np.ndarray, assignment: PilotAssignment
 ) -> np.ndarray:
     """y^p_mk from the channels ``o`` (trials, M, K, L) and the noise at the APs.
 
@@ -113,10 +113,8 @@ def pilot_observation(
     noise = np.sqrt(tau_p) * noise
     y = np.empty(o.shape, dtype=complex)
     for t, coset in enumerate(assignment.cosets):
-        if coset.size == 0:
-            continue
         signal = np.einsum(
-            "i,tmia->tma", np.sqrt(pilot_powers[coset]) * tau_p, o[:, :, coset]
+            "i,tmia->tma", np.sqrt(assignment.powers[coset]) * tau_p, o[:, :, coset]
         )
         y[:, :, coset] = (signal + noise[..., t])[:, :, None, :]
     return y
@@ -127,7 +125,6 @@ def mmse_estimate(
     stats: ChannelStatistics,
     est: EstimationStatistics,
     assignment: PilotAssignment,
-    pilot_powers: np.ndarray,
     phase: np.ndarray,
 ) -> np.ndarray:
     """MMSE estimates o_hat_mk given the pilot observations and LoS phases.
@@ -136,20 +133,12 @@ def mmse_estimate(
     phase-rotated LoS means of the whole coset: one GEMM of the phases
     against the trial-independent coset means.
     """
-    tau_p = assignment.tau_p
     coset_means = np.einsum(
         "i,mia,ki->imka",
-        np.sqrt(pilot_powers) * tau_p,
+        np.sqrt(assignment.powers) * assignment.tau_p,
         stats.obar,
-        _coset_mask(assignment),
+        assignment.mask,
     )
     ybar = (phase @ coset_means.reshape(phase.shape[1], -1)).reshape(y.shape)
     prior = stats.obar[None] * phase[:, None, :, None]
     return prior + np.einsum("mkab,tmkb->tmka", est.gain, y - ybar)
-
-
-def _coset_mask(assignment: PilotAssignment) -> np.ndarray:
-    """0/1 matrix whose (k, i) entry flags i in P_k."""
-    return (
-        assignment.pilot_of[:, None] == assignment.pilot_of[None, :]
-    ).astype(float)

@@ -376,10 +376,7 @@ def run_experiment(
         "sweep_values": [_fmt(v) for v in spec.sweep_values],
         "n_scenarios": spec.n_scenarios,
         "modes": [mode.mode for mode in spec.modes],
-        "config": {
-            key: (None if value is None else value)
-            for key, value in asdict(spec.config).items()
-        },
+        "config": asdict(spec.config),
         "rows": len(rows),
         "wall_time_s": time.perf_counter() - started,
         "closed_vs_mc_warnings": warnings,

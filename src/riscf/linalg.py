@@ -15,6 +15,8 @@ class IllConditionedError(ValueError):
 
 #: Condition-number ceiling above which Hermitian solves are refused.
 CONDITION_LIMIT = 1e12
+#: Relative eigenvalue tolerance below which ``psd_factor`` clips to zero.
+PSD_REL_TOL = 1e-12
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -22,17 +24,17 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def psd_factor(a: np.ndarray, *, rel_tol: float = 1e-12) -> np.ndarray:
+def psd_factor(a: np.ndarray) -> np.ndarray:
     """Factor a PSD Hermitian matrix as A = F F^H via eigendecomposition.
 
-    Eigenvalues within ``rel_tol * max_eig`` of zero are clipped to zero so
+    Eigenvalues within ``PSD_REL_TOL * max_eig`` of zero are clipped to zero so
     rank-deficient covariances (e.g. fully correlated RIS elements) factor
     cleanly.  A genuinely negative eigenvalue raises ValueError.
     """
     a = hermitize(np.asarray(a))
     eigvals, eigvecs = np.linalg.eigh(a)
     scale = float(eigvals[..., -1].max(initial=0.0))
-    floor = -rel_tol * max(scale, 1.0)
+    floor = -PSD_REL_TOL * max(scale, 1.0)
     if eigvals.min(initial=0.0) < floor:
         raise ValueError(
             f"matrix is not PSD: min eigenvalue {eigvals.min():.3e} "

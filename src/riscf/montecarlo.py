@@ -41,7 +41,7 @@ import numpy as np
 
 from .channel import ChannelSampler
 from .config import SystemConfig, is_count
-from .emi import EmiSpec, sample_emi
+from .emi import sample_emi
 from .estimation import mmse_estimate, pilot_observation
 from .pipeline import LinkStatistics
 from .uatf import UatfMoments
@@ -273,18 +273,12 @@ def estimate_uatf_terms(
     sampler = ChannelSampler(link.stats, link.los, link.nlos)
     if chunk_size is None:
         chunk_size = chunk_trials(cfg, sampler.ris_factor.shape[1], dense)
-    spec = EmiSpec(
-        sigma_r2=link.sigma_r2,
-        element_area=link.ris.element_area,
-        R=link.ris.R,
-        factor=sampler.ris_factor,
-    )
     noise_scale = np.sqrt(cfg.noise_power / 2.0)
     remaining = trials
     while remaining > 0:
         batch = min(chunk_size, remaining)
         remaining -= batch
-        o, v, q = _trials(link, sampler, spec, rng, batch, noise_scale, dense)
+        o, v, q = _trials(link, sampler, rng, batch, noise_scale, dense)
         acc_d.update(np.einsum("tmkl,tmkl->tmk", v.conj(), v).real)
         acc_e.update(np.abs(np.einsum("tmkl,tml->tmk", v.conj(), q)) ** 2)
         del q
@@ -318,7 +312,6 @@ def _ap_noise(rng: np.random.Generator, shape: tuple[int, ...], scale: float) ->
 def _trials(
     link: LinkStatistics,
     sampler: ChannelSampler,
-    spec: EmiSpec,
     rng: np.random.Generator,
     batch: int,
     noise_scale: float,
@@ -336,9 +329,10 @@ def _trials(
     n_ues, tau_p = cfg.n_ues, cfg.tau_p
     x = np.empty((batch, n_ues + tau_p + 1, cfg.n_ris_elements), dtype=complex)
     phase, g, w, x[:, :n_ues] = sampler.draw_unreflected(rng, batch, white=dense)
-    x[:, n_ues:-1] = sample_emi(spec, rng, (batch, tau_p))
+    emi_power = link.sigma_r2 * link.ris.element_area
+    x[:, n_ues:-1] = sample_emi(rng, emi_power, sampler.ris_factor, (batch, tau_p))
     ap_noise = _ap_noise(rng, (batch, cfg.n_aps, cfg.n_ap_antennas, tau_p), noise_scale)
-    x[:, -1:] = sample_emi(spec, rng, (batch, 1))
+    x[:, -1:] = sample_emi(rng, emi_power, sampler.ris_factor, (batch, 1))
     reflected = sampler.reflect(w, x) if dense else sampler.draw_reflections(rng, x)
     del x, w
     o = g + reflected[:, :, :n_ues]
@@ -347,7 +341,7 @@ def _trials(
     del ap_noise
     q = reflected[:, :, -1].copy()
     del reflected
-    y = pilot_observation(o, noise, link.assignment, link.pilot_powers)
+    y = pilot_observation(o, noise, link.assignment)
     del noise
-    v = mmse_estimate(y, link.stats, link.est, link.assignment, link.pilot_powers, phase)
+    v = mmse_estimate(y, link.stats, link.est, link.assignment, phase)
     return o, v, q

@@ -7,8 +7,8 @@ and the cascade Gram G_m^H R G_m and phase trace tr(Phi R Phi^H R) that the
 aggregated and EMI covariances share. The link stage,
 ``build_link_statistics``, applies the (emi, ris) mode: with the surface
 off it zeroes the surface's LoS means and gains, it sets the EMI power,
-and it builds the EMI covariance, the pilot assignment and the estimation
-statistics. The aggregated moments depend on ``ris`` alone, so the drop
+and it builds the EMI covariance R_mm (one (M, L, L) array), the pilot
+assignment with its powers, and the estimation statistics. The aggregated moments depend on ``ris`` alone, so the drop
 keeps one copy per surface state for the links built on it. Everything
 downstream (closed-form SINR, Monte Carlo validation, power control)
 consumes the resulting link bundle.
@@ -31,7 +31,7 @@ from .correlation import (
     nlos_covariances,
     ris_sinc_correlation,
 )
-from .emi import EmiNoiseCovariance, emi_noise_covariance, sigma_r2_from_rho
+from .emi import emi_noise_covariance, sigma_r2_from_rho
 from .estimation import (
     EstimationStatistics,
     PilotAssignment,
@@ -66,7 +66,11 @@ class DropStatistics:
 
 @dataclass(frozen=True)
 class LinkStatistics:
-    """Everything the closed forms and the sampler need for one scenario."""
+    """Everything the closed forms and the sampler need for one scenario.
+
+    ``r_mm`` is the (M, L, L) EMI covariance at the APs; ``assignment``
+    carries the pilot powers.
+    """
 
     scenario: Scenario
     config: SystemConfig
@@ -74,11 +78,10 @@ class LinkStatistics:
     los: LosComponents
     nlos: NlosCovariances
     stats: ChannelStatistics
-    emi_cov: EmiNoiseCovariance
+    r_mm: np.ndarray
     assignment: PilotAssignment
     est: EstimationStatistics
     sigma_r2: float
-    pilot_powers: np.ndarray
 
 
 def direct_link_covariances(scenario: Scenario, config: SystemConfig) -> np.ndarray:
@@ -155,17 +158,9 @@ def build_link_statistics(
     if stats is None:
         stats = aggregated_covariance(drop.direct, los, nlos, gram, drop.trace)
         drop.stats[cfg.ris] = stats
-    emi_cov = emi_noise_covariance(nlos, gram, drop.trace, sigma_r2, drop.ris.element_area)
-    assignment = assign_pilots(cfg.n_ues, cfg.tau_p)
-    pilot_powers = np.full(cfg.n_ues, cfg.pilot_power_value)
-    est = estimation_statistics(
-        stats,
-        emi_cov,
-        assignment,
-        pilot_powers,
-        cfg.tau_p,
-        cfg.noise_power,
-    )
+    r_mm = emi_noise_covariance(nlos, gram, drop.trace, sigma_r2, drop.ris.element_area)
+    assignment = assign_pilots(cfg.n_ues, cfg.tau_p, cfg.pilot_power_value)
+    est = estimation_statistics(stats, r_mm, assignment, cfg.noise_power)
     return LinkStatistics(
         scenario=drop.scenario,
         config=cfg,
@@ -173,9 +168,8 @@ def build_link_statistics(
         los=los,
         nlos=nlos,
         stats=stats,
-        emi_cov=emi_cov,
+        r_mm=r_mm,
         assignment=assignment,
         est=est,
         sigma_r2=sigma_r2,
-        pilot_powers=pilot_powers,
     )

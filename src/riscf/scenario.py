@@ -109,12 +109,12 @@ def shadow_field_factor(
 ) -> np.ndarray:
     """PSD factor of the endpoint shadow field covariance std^2 2^(-d/decorr).
 
-    Distances are horizontal wrap-around. Negative eigenvalues beyond a
-    1e-12 relative clip indicate a genuinely indefinite kernel and raise.
+    Distances are horizontal wrap-around. Negative eigenvalues beyond
+    ``linalg.PSD_REL_TOL`` indicate a genuinely indefinite kernel and raise.
     """
     d = torus_distance(positions[:, :2], positions[:, :2], side)
     cov = std_db**2 * np.exp2(-d / decorr)
-    return psd_factor(cov, rel_tol=1e-12)
+    return psd_factor(cov)
 
 
 def correlated_shadow_fading(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimation import _coset_mask
 from .pipeline import LinkStatistics
 from .uatf import UatfMoments
 
@@ -52,8 +51,8 @@ def closed_form_moments(link: LinkStatistics) -> UatfMoments:
     obar = stats.obar
     r_o = stats.r_o
     omega = est.omega
-    r_mm = link.emi_cov.r_mm
-    p_hat = link.pilot_powers
+    r_mm = link.r_mm
+    p_hat = link.assignment.powers
     tau_p = link.assignment.tau_p
 
     trace_omega = _real_part(np.trace(omega, axis1=-2, axis2=-1), "trace of omega")
@@ -74,8 +73,7 @@ def closed_form_moments(link: LinkStatistics) -> UatfMoments:
     )
 
     varpi = np.einsum("miab,mkba->kim", r_o, est.x)
-    mask = _coset_mask(link.assignment)
-    varpi = varpi * mask[:, :, None]
+    varpi = varpi * link.assignment.mask[:, :, None]
 
     j2 = obar_norm2**2
     w = _real_part(

@@ -42,8 +42,8 @@ def paper_terms(link):
     """Every statistic of the closed-form SINR of one link, entry by entry."""
     obar, r_o = link.stats.obar, link.stats.r_o
     omega, x = link.est.omega, link.est.x
-    r_mm = link.emi_cov.r_mm
-    p_hat, tau = link.pilot_powers, link.assignment.tau_p
+    r_mm = link.r_mm
+    p_hat, tau = link.assignment.powers, link.assignment.tau_p
     n_aps, n_ues = obar.shape[:2]
     z = np.zeros((n_aps, n_ues))
     xi = np.zeros((n_ues, n_ues, n_aps))

@@ -16,7 +16,7 @@ through those H and feeds the (trials, K, K, M, M) outer products to
 import numpy as np
 
 from riscf.channel import ChannelSampler
-from riscf.emi import EmiSpec, sample_emi
+from riscf.emi import sample_emi
 from riscf.estimation import mmse_estimate
 from riscf.montecarlo import RunningMoments, UatfEstimates
 
@@ -107,12 +107,7 @@ def dense_uatf_terms(link, trials, rng, chunk_size):
     n_aps, n_ues, n_ant, tau_p = cfg.n_aps, cfg.n_ues, cfg.n_ap_antennas, cfg.tau_p
     phi = link.los.phi
     sampler = ChannelSampler(link.stats, link.los, link.nlos)
-    spec = EmiSpec(
-        sigma_r2=link.sigma_r2,
-        element_area=link.ris.element_area,
-        R=link.ris.R,
-        factor=sampler.ris_factor,
-    )
+    emi_power = link.sigma_r2 * link.ris.element_area
     acc_u = RunningMoments((n_ues, n_ues, n_aps))
     acc_t = RunningMoments((n_ues, n_ues, n_aps, n_aps))
     acc_d = RunningMoments((n_aps, n_ues))
@@ -124,7 +119,7 @@ def dense_uatf_terms(link, trials, rng, chunk_size):
         real = sampler.draw(rng, batch)
         h = dense_h(real)
         o = real.g + np.einsum("tmna,n,tkn->tmka", h.conj(), phi, real.z)
-        emi_pilot = sample_emi(spec, rng, (batch, tau_p))
+        emi_pilot = sample_emi(rng, emi_power, sampler.ris_factor, (batch, tau_p))
         raw = rng.standard_normal((batch, n_aps, n_ant, tau_p, 2))
         ap_noise = np.sqrt(cfg.noise_power / 2.0) * (raw[..., 0] + 1j * raw[..., 1])
         reflected = np.einsum("tmna,n,tpn->tmap", h.conj(), phi, emi_pilot)
@@ -133,16 +128,14 @@ def dense_uatf_terms(link, trials, rng, chunk_size):
         for k in range(n_ues):
             pilot = link.assignment.pilot_of[k]
             coset = link.assignment.coset(k)
-            scale = np.sqrt(link.pilot_powers[coset]) * tau_p
+            scale = np.sqrt(link.assignment.powers[coset]) * tau_p
             y[:, :, k] = np.einsum("i,tmia->tma", scale, o[:, :, coset]) + noise[..., pilot]
-        v = mmse_estimate(
-            y, link.stats, link.est, link.assignment, link.pilot_powers, real.phase
-        )
+        v = mmse_estimate(y, link.stats, link.est, link.assignment, real.phase)
         u = np.einsum("tmkl,tmil->tkim", v.conj(), o)
         acc_u.update(u)
         acc_t.update(np.einsum("tkim,tkin->tkimn", u, u.conj()))
         acc_d.update(np.einsum("tmkl,tmkl->tmk", v.conj(), v).real)
-        n_data = sample_emi(spec, rng, (batch,))
+        n_data = sample_emi(rng, emi_power, sampler.ris_factor, (batch,))
         q = np.einsum("tmnl,n,tn->tml", h.conj(), phi, n_data)
         acc_e.update(np.abs(np.einsum("tmkl,tml->tmk", v.conj(), q)) ** 2)
     return UatfEstimates(

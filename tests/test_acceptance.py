@@ -9,6 +9,7 @@ analysis.
 """
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import yaml
 
 from riscf.channel import ChannelSampler
 from riscf.config import SystemConfig
-from riscf.emi import EmiSpec, sample_emi
+from riscf.emi import sample_emi
 from riscf.estimation import pilot_observation
 from riscf.experiment import run_experiment
 from riscf.montecarlo import RunningMoments, estimate_uatf_terms
@@ -120,14 +121,11 @@ def test_criterion_02_covariance_oracles():
     )
     link = _build(cfg, 2)
     sampler = ChannelSampler(link.stats, link.los, link.nlos)
-    spec = EmiSpec(
-        sigma_r2=link.sigma_r2, element_area=link.ris.element_area, R=link.ris.R
-    )
     rng = np.random.default_rng(7)
     zero_powers = np.zeros(cfg.n_ues)
     noise_scale = np.sqrt(cfg.noise_power / 2.0)
     mom_o = RunningMoments(link.stats.r_o.shape)
-    mom_y = RunningMoments(link.emi_cov.r_mm.shape)
+    mom_y = RunningMoments(link.r_mm.shape)
     remaining = 200_000
     while remaining > 0:
         batch = min(4096, remaining)
@@ -135,20 +133,21 @@ def test_criterion_02_covariance_oracles():
         real = sampler.draw(rng, batch)
         centered = real.o - link.stats.obar[None] * real.phase[:, None, :, None]
         mom_o.update(np.einsum("tmka,tmkb->tmkab", centered, centered.conj()))
-        emi_pilot = sample_emi(spec, rng, (batch, cfg.tau_p)).transpose(0, 2, 1)
+        emi_pilot = sample_emi(
+            rng, link.sigma_r2 * link.ris.element_area, sampler.ris_factor, (batch, cfg.tau_p)
+        ).transpose(0, 2, 1)
         raw = rng.standard_normal((batch, cfg.n_aps, cfg.n_ap_antennas, cfg.tau_p, 2))
         ap_noise = noise_scale * (raw[..., 0] + 1j * raw[..., 1])
         y = pilot_observation(
             real.o,
             real.reflect(emi_pilot.swapaxes(1, 2)).swapaxes(2, 3) + ap_noise,
-            link.assignment,
-            zero_powers,
+            replace(link.assignment, powers=zero_powers),
         )
         y0 = y[:, :, 0]
         mom_y.update(np.einsum("tma,tmb->tmab", y0, y0.conj()))
     dev_o = _max_sigma(link.stats.r_o, mom_o.finalize())
     eye = np.eye(cfg.n_ap_antennas)
-    target = cfg.tau_p * (link.emi_cov.r_mm + cfg.noise_power * eye)
+    target = cfg.tau_p * (link.r_mm + cfg.noise_power * eye)
     dev_y = _max_sigma(target, mom_y.finalize())
     elapsed = time.perf_counter() - start
     ok = dev_o <= 3.0 and dev_y <= 3.0 and elapsed < 120
@@ -175,7 +174,7 @@ def test_criterion_03_closed_form_closures(validation_config):
     quiet = (
         link_off.sigma_r2 == 0.0
         and np.all(terms_off.w == 0.0)
-        and np.all(link_off.emi_cov.r_mm == 0.0)
+        and np.all(link_off.r_mm == 0.0)
         and np.array_equal(terms_off.w, terms_none.w)
     )
     sinr_off = optimal_lsfd_weights(closed_form_moments(link_off), powers, cfg.noise_power).sinr
@@ -215,7 +214,7 @@ def test_criterion_03_closed_form_closures(validation_config):
         np.all(link_ris_off.stats.q1 == 0.0)
         and np.all(link_ris_off.stats.q2 == 0.0)
         and np.all(link_ris_off.stats.obar == 0.0)
-        and np.all(link_ris_off.emi_cov.r_mm == 0.0)
+        and np.all(link_ris_off.r_mm == 0.0)
         and np.array_equal(link_ris_off.stats.r_o, link_ris_off.stats.r_direct)
         and np.all(closed_form_moments(link_ris_off).w == 0.0)
     )

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from riscf.config import SystemConfig
+from riscf.emi import emi_noise_covariance
 from riscf.pipeline import build_link_statistics
 from riscf.scenario import generate_scenario
 
@@ -40,9 +41,12 @@ def test_structured_matches_dense(l, side, emi, ris):
     dense = dense_emi(
         link.los.hbar, link.los.phi, link.ris.R, rtilde_m, link.sigma_r2, link.ris.element_area
     )
-    for name in ("r_mm", "q_m"):
-        assert _close(getattr(link.emi_cov, name), dense[name]), name
+    assert _close(link.r_mm, dense["r_mm"]), "r_mm"
+    # the NLoS part Q_m alone: R_mm with the LoS Gram left out
+    trace = link.nlos.phase_trace(link.los.phi)
+    q_m = emi_noise_covariance(link.nlos, 0.0, trace, link.sigma_r2, link.ris.element_area)
+    assert _close(q_m, dense["q_m"]), "q_m"
 
     if ris == "on":
         assert np.abs(link.stats.q1).max() > 0.0 and np.abs(link.stats.q2).max() > 0.0
-        assert (emi == "on") == (np.abs(link.emi_cov.q_m).max() > 0.0)
+        assert (emi == "on") == (np.abs(q_m).max() > 0.0)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from riscf.emi import EmiSpec, emi_noise_covariance, sample_emi, sigma_r2_from_rho
+from riscf.emi import emi_noise_covariance, sample_emi, sigma_r2_from_rho
 from riscf.linalg import hermitize, psd_factor
 from riscf.config import SystemConfig
 from riscf.correlation import ris_sinc_correlation
@@ -40,53 +40,40 @@ def test_sigma_r2_scales_inverse_with_rho():
 
 
 @pytest.fixture(scope="module")
-def spec():
+def surface():
+    """EMI power sigma_r^2 A_r, the correlation R and its factor F_R."""
     cfg = SystemConfig()
     ris = ris_sinc_correlation(
         4, 4, 0.25 * cfg.wavelength, 0.25 * cfg.wavelength, cfg.wavelength
     )
-    return EmiSpec(sigma_r2=2.0, element_area=ris.element_area, R=ris.R)
+    return 2.0 * ris.element_area, ris.R, psd_factor(ris.R)
 
 
-def test_emi_covariance_property(spec):
-    assert np.allclose(spec.covariance, 2.0 * spec.element_area * spec.R)
-
-
-def test_sample_emi_covariance(spec):
+def test_sample_emi_covariance(surface):
+    power, r, factor = surface
     rng = np.random.default_rng(0)
-    draws = sample_emi(spec, rng, (120000,))
+    draws = sample_emi(rng, power, factor, (120000,))
     sample = draws.T @ draws.conj() / len(draws)
-    scale = np.abs(spec.covariance).max()
+    covariance = power * r
+    scale = np.abs(covariance).max()
     assert np.abs(draws.mean(axis=0)).max() < 0.02 * np.sqrt(scale)
-    assert np.abs(sample - spec.covariance).max() < 0.03 * scale
+    assert np.abs(sample - covariance).max() < 0.03 * scale
 
 
-def test_sample_emi_zero_power_preserves_stream(spec):
-    quiet = EmiSpec(sigma_r2=0.0, element_area=spec.element_area, R=spec.R)
+def test_sample_emi_zero_power_preserves_stream(surface):
+    _, _, factor = surface
     rng = np.random.default_rng(1)
     before = rng.bit_generator.state
-    draws = sample_emi(quiet, rng, (10,))
+    draws = sample_emi(rng, 0.0, factor, (10,))
     assert np.all(draws == 0.0)
     assert rng.bit_generator.state == before
 
 
-def test_sample_emi_shared_factor_gives_same_draws(spec):
-    """A precomputed factor of R replaces factoring the covariance per call."""
-    shared = EmiSpec(
-        sigma_r2=spec.sigma_r2,
-        element_area=spec.element_area,
-        R=spec.R,
-        factor=psd_factor(spec.R),
-    )
-    a = sample_emi(spec, np.random.default_rng(4), (6,))
-    b = sample_emi(shared, np.random.default_rng(4), (6,))
-    assert np.array_equal(a, b)
-
-
-def test_sample_emi_extra_axes(spec):
+def test_sample_emi_extra_axes(surface):
+    power, r, factor = surface
     rng = np.random.default_rng(2)
-    draws = sample_emi(spec, rng, (5, 3))
-    assert draws.shape == (5, 3, spec.R.shape[0])
+    draws = sample_emi(rng, power, factor, (5, 3))
+    assert draws.shape == (5, 3, r.shape[0])
 
 
 def _emi_covariance(link, sigma_r2):
@@ -101,9 +88,7 @@ def _emi_covariance(link, sigma_r2):
 
 
 def test_emi_noise_covariance_zero_when_quiet(tiny_link):
-    out = _emi_covariance(tiny_link, 0.0)
-    assert np.allclose(out.r_mm, 0.0)
-    assert np.allclose(out.q_m, 0.0)
+    assert np.allclose(_emi_covariance(tiny_link, 0.0), 0.0)
 
 
 def test_emi_noise_covariance_brute_force(tiny_link):
@@ -111,9 +96,6 @@ def test_emi_noise_covariance_brute_force(tiny_link):
     cfg = tiny_link.config
     los = tiny_link.los
     sigma_r2 = 3.0e-10
-    emi = EmiSpec(
-        sigma_r2=sigma_r2, element_area=tiny_link.ris.element_area, R=tiny_link.ris.R
-    )
     closed = _emi_covariance(tiny_link, sigma_r2)
     from riscf.channel import ChannelSampler
 
@@ -121,15 +103,17 @@ def test_emi_noise_covariance_brute_force(tiny_link):
     rng = np.random.default_rng(3)
     n_trials = 120000
     real = sampler.draw(rng, n_trials)
-    noise = sample_emi(emi, rng, (n_trials,))
+    noise = sample_emi(
+        rng, sigma_r2 * tiny_link.ris.element_area, psd_factor(tiny_link.ris.R), (n_trials,)
+    )
     q = np.einsum("tmnl,n,tn->tml", dense_h(real).conj(), los.phi, noise)
     for m in range(cfg.n_aps):
         sample = q[:, m].T @ q[:, m].conj() / n_trials
-        err = np.abs(sample - closed.r_mm[m]).max()
-        assert err < 0.05 * np.abs(closed.r_mm[m]).max()
+        err = np.abs(sample - closed[m]).max()
+        assert err < 0.05 * np.abs(closed[m]).max()
 
 
 def test_emi_noise_covariance_psd(tiny_link):
-    out = _emi_covariance(tiny_link, 1e-9)
-    for m in range(out.r_mm.shape[0]):
-        assert np.linalg.eigvalsh(hermitize(out.r_mm[m])).min() > -1e-24
+    r_mm = _emi_covariance(tiny_link, 1e-9)
+    for m in range(r_mm.shape[0]):
+        assert np.linalg.eigvalsh(hermitize(r_mm[m])).min() > -1e-24

@@ -3,12 +3,13 @@ import numpy as np
 import pytest
 
 from riscf.channel import ChannelSampler
-from riscf.emi import EmiSpec, sample_emi
+from riscf.emi import sample_emi
 from riscf.estimation import assign_pilots, mmse_estimate, pilot_observation
+from riscf.linalg import psd_factor
 
 
 def test_assign_pilots_round_robin():
-    a = assign_pilots(5, 3)
+    a = assign_pilots(5, 3, 0.2)
     assert list(a.pilot_of) == [0, 1, 2, 0, 1]
     assert list(a.coset(0)) == [0, 3]
     assert list(a.coset(1)) == [1, 4]
@@ -16,7 +17,7 @@ def test_assign_pilots_round_robin():
 
 
 def test_assign_pilots_orthogonal_when_enough():
-    a = assign_pilots(3, 4)
+    a = assign_pilots(3, 4, 0.2)
     assert len(set(a.pilot_of)) == 3
     for k in range(3):
         assert list(a.coset(k)) == [k]
@@ -24,9 +25,9 @@ def test_assign_pilots_orthogonal_when_enough():
 
 def test_assign_pilots_rejects_bad_sizes():
     with pytest.raises(ValueError):
-        assign_pilots(0, 2)
+        assign_pilots(0, 2, 0.2)
     with pytest.raises(ValueError):
-        assign_pilots(3, 0)
+        assign_pilots(3, 0, 0.2)
 
 
 def test_psi_assembly_from_aggregated_covariances(tiny_link):
@@ -39,10 +40,10 @@ def test_psi_assembly_from_aggregated_covariances(tiny_link):
         for m in range(cfg.n_aps):
             expect = (
                 sum(
-                    link.pilot_powers[i] * cfg.tau_p * link.stats.r_o[m, i]
+                    link.assignment.powers[i] * cfg.tau_p * link.stats.r_o[m, i]
                     for i in coset
                 )
-                + link.emi_cov.r_mm[m]
+                + link.r_mm[m]
                 + cfg.noise_power * eye
             )
             assert np.allclose(link.est.psi[m, k], expect, rtol=1e-12)
@@ -52,7 +53,7 @@ def test_omega_and_error_covariance_split(tiny_link):
     """r_o = p tau Omega + C, with Omega = r_o Psi^{-1} r_o."""
     link = tiny_link
     tau = link.config.tau_p
-    recon = link.pilot_powers[None, :, None, None] * tau * link.est.omega + link.est.c
+    recon = link.assignment.powers[None, :, None, None] * tau * link.est.omega + link.est.c
     assert np.allclose(recon, link.stats.r_o, rtol=1e-10)
     manual = link.stats.r_o @ np.linalg.solve(link.est.psi, link.stats.r_o)
     assert np.allclose(link.est.omega, manual, rtol=1e-9)
@@ -62,17 +63,13 @@ def _pilot_draw(link, rng, trials, phase=None):
     cfg = link.config
     sampler = ChannelSampler(link.stats, link.los, link.nlos)
     real = sampler.draw(rng, trials, phase=phase)
-    spec = EmiSpec(
-        sigma_r2=link.sigma_r2, element_area=link.ris.element_area, R=link.ris.R
-    )
-    emi_pilot = sample_emi(spec, rng, (trials, cfg.tau_p))
+    emi_power = link.sigma_r2 * link.ris.element_area
+    emi_pilot = sample_emi(rng, emi_power, psd_factor(link.ris.R), (trials, cfg.tau_p))
     raw = rng.standard_normal((trials, cfg.n_aps, cfg.n_ap_antennas, cfg.tau_p, 2))
     ap_noise = np.sqrt(cfg.noise_power / 2.0) * (raw[..., 0] + 1j * raw[..., 1])
     reflected = real.reflect(emi_pilot).swapaxes(2, 3)
-    y = pilot_observation(real.o, reflected + ap_noise, link.assignment, link.pilot_powers)
-    v = mmse_estimate(
-        y, link.stats, link.est, link.assignment, link.pilot_powers, real.phase
-    )
+    y = pilot_observation(real.o, reflected + ap_noise, link.assignment)
+    v = mmse_estimate(y, link.stats, link.est, link.assignment, real.phase)
     return real, y, v
 
 
@@ -117,6 +114,6 @@ def test_mmse_estimate_second_moment(tiny_link):
     _, _, v = _pilot_draw(tiny_link, rng, n_trials, phase=ones)
     centered = v - tiny_link.stats.obar
     sample = np.einsum("tmkl,tmkn->mkln", centered, centered.conj()) / n_trials
-    expect = tiny_link.pilot_powers[None, :, None, None] * cfg.tau_p * tiny_link.est.omega
+    expect = tiny_link.assignment.powers[None, :, None, None] * cfg.tau_p * tiny_link.est.omega
     scale = max(np.abs(expect).max(), 1e-30)
     assert np.abs(sample - expect).max() < 0.04 * scale

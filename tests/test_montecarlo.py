@@ -7,7 +7,6 @@ import pytest
 
 from riscf.channel import ChannelSampler
 from riscf.config import SystemConfig
-from riscf.emi import EmiSpec
 from riscf import montecarlo
 from riscf.montecarlo import (
     CHUNK_BYTES,
@@ -92,8 +91,16 @@ def test_estimate_uatf_terms_deterministic(tiny_link):
         ("validation_config", 1, {}),
         ("validation_config", 1, {"emi": "off"}),
         ("validation_config", 1, {"ris": "off"}),
+        ("tiny_config", 5, {"tau_p": 3}),
     ],
-    ids=["tiny", "tiny-emi-off", "validation", "validation-emi-off", "validation-ris-off"],
+    ids=[
+        "tiny",
+        "tiny-emi-off",
+        "validation",
+        "validation-emi-off",
+        "validation-ris-off",
+        "tiny-unused-pilot",
+    ],
 )
 def test_estimate_matches_dense_per_trial_loop(request, config_name, seed, modes):
     """Reflecting from W and GEMM-accumulated T reproduce the dense-H loop.
@@ -230,15 +237,9 @@ def test_chunk_working_set_stays_within_budget(oracle_link, dense):
 def _dense_batch(link, trials, seed):
     """(o, v, q) of one validation-path batch: channels, estimates, reflected data EMI."""
     sampler = ChannelSampler(link.stats, link.los, link.nlos)
-    spec = EmiSpec(
-        sigma_r2=link.sigma_r2,
-        element_area=link.ris.element_area,
-        R=link.ris.R,
-        factor=sampler.ris_factor,
-    )
     noise_scale = np.sqrt(link.config.noise_power / 2.0)
     rng = np.random.default_rng(seed)
-    return montecarlo._trials(link, sampler, spec, rng, trials, noise_scale, dense=True)
+    return montecarlo._trials(link, sampler, rng, trials, noise_scale, dense=True)
 
 
 def _closed_weights(link, combiner):
@@ -306,8 +307,9 @@ def test_run_path_sinr_agrees_with_validation_path(validation_config, modes):
         ("validation_config", {"emi": "off"}),
         ("validation_config", {"ris": "off"}),
         ("tiny_config", {}),
+        ("tiny_config", {"tau_p": 3}),
     ],
-    ids=["emi-off", "ris-off", "surface-smaller-than-reflected-vectors"],
+    ids=["emi-off", "ris-off", "surface-smaller-than-reflected-vectors", "unused-pilot"],
 )
 def test_run_path_degenerate_links_run_warning_free(request, config_name, modes):
     """Zero EMI rows, zero RIS gains and K + tau_p + 1 > r reflect without warnings."""

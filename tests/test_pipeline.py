@@ -9,7 +9,7 @@ from riscf.pipeline import build_drop_statistics, build_link_statistics
 from riscf.scenario import generate_scenario
 
 MODES = [("on", "on"), ("off", "on"), ("on", "off")]
-PARTS = ("stats", "emi_cov", "est", "los", "nlos")
+PARTS = ("stats", "est", "los", "nlos")
 
 
 def _arrays(obj):
@@ -33,6 +33,7 @@ def test_shared_drop_matches_standalone_links(l):
         shared = build_link_statistics(drop, mode_cfg)
         alone = build_link_statistics(scenario, mode_cfg)
         assert shared.sigma_r2 == alone.sigma_r2
+        assert np.array_equal(shared.r_mm, alone.r_mm), f"{emi}/{ris} r_mm"
         for part in PARTS:
             want = _arrays(getattr(alone, part))
             got = _arrays(getattr(shared, part))
@@ -51,8 +52,8 @@ def test_links_share_moments_per_surface_state():
     }
     assert links["on", "on"].stats is links["off", "on"].stats
     assert links["on", "off"].stats is not links["on", "on"].stats
-    assert np.abs(links["on", "on"].emi_cov.r_mm).max() > 0.0
-    assert not np.any(links["off", "on"].emi_cov.r_mm)
+    assert np.abs(links["on", "on"].r_mm).max() > 0.0
+    assert not np.any(links["off", "on"].r_mm)
 
 
 def test_link_rejects_drop_of_another_config():

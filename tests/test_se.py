@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from riscf import uatf
 from riscf.config import SystemConfig
-from riscf.estimation import _coset_mask
 from riscf.pipeline import build_link_statistics
 from riscf.scenario import generate_scenario
 from riscf.se import closed_form_moments, spectral_efficiency
@@ -47,7 +46,7 @@ def test_terms_shapes_and_reality(validation_link, validation_moments, validatio
 
 def test_varpi_vanishes_off_coset(validation_link):
     t = paper_terms(validation_link)
-    mask = _coset_mask(t.assignment)
+    mask = t.assignment.mask
     for k in range(mask.shape[0]):
         for i in range(mask.shape[1]):
             if not mask[k, i]:
@@ -81,7 +80,7 @@ def _per_pair_second_moments(terms):
     """Reference: T[k, i] assembled one UE pair at a time from the terms."""
     n_aps, n_ues = terms.z.shape
     p_hat, tau = terms.pilot_powers, terms.tau_p
-    mask = _coset_mask(terms.assignment)
+    mask = terms.assignment.mask
     t = np.zeros((n_ues, n_ues, n_aps, n_aps), dtype=complex)
     for k in range(n_ues):
         for i in range(n_ues):
@@ -250,7 +249,7 @@ def test_plain_system_closed_form_dual_route():
     moments = closed_form_moments(link)
 
     tau, noise = cfg.tau_p, cfg.noise_power
-    p_hat = link.pilot_powers
+    p_hat = link.assignment.powers
     r = link.stats.r_direct
     m_aps, k_ues = cfg.n_aps, cfg.n_ues
     eye = np.eye(cfg.n_ap_antennas)
@@ -279,7 +278,7 @@ def test_plain_system_closed_form_dual_route():
     p = np.full(k_ues, cfg.p_max)
     opt = optimal_lsfd_weights(moments, p, noise)
     manual_sinr = np.zeros(k_ues)
-    mask = _coset_mask(link.assignment)
+    mask = link.assignment.mask
     for k in range(k_ues):
         diag = np.einsum("i,im->m", p, xi[k]) + noise * z[:, k]
         b = np.diag(diag).astype(complex)
@@ -297,7 +296,7 @@ def _per_ue_lsfd(terms, powers, noise):
     """Reference: build each B_k alone and solve it alone."""
     n_aps, n_ues = terms.z.shape
     p_hat, tau = terms.pilot_powers, terms.tau_p
-    mask = _coset_mask(terms.assignment)
+    mask = terms.assignment.mask
     weights = np.zeros((n_aps, n_ues), dtype=complex)
     sinr = np.zeros(n_ues)
     for k in range(n_ues):
@@ -323,7 +322,7 @@ def test_batched_lsfd_matches_per_ue_construction(
 ):
     """One stacked solve gives the per-UE weights and SINRs, coset terms included."""
     terms = paper_terms(validation_link)
-    assert (_coset_mask(terms.assignment) - np.eye(terms.z.shape[1])).any()
+    assert (terms.assignment.mask - np.eye(terms.z.shape[1])).any()
     p = np.full(validation_config.n_ues, validation_config.p_max)
     if powers == "random":
         p = p * np.random.default_rng(3).uniform(0.05, 1.0, p.size)
