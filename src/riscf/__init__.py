@@ -18,11 +18,7 @@ from riscf.correlation import (
     los_components,
     nlos_covariances,
 )
-from riscf.channel import (
-    ChannelStatistics,
-    ChannelRealization,
-    aggregated_covariance,
-)
+from riscf.channel import ChannelStatistics, aggregated_covariance
 from riscf.emi import (
     sigma_r2_from_rho,
     emi_noise_covariance,

@@ -2,16 +2,14 @@
 
 The aggregated channel o_mk = g_mk + H_m^H Phi z_k combines the direct
 AP-UE link with the RIS cascade. Its LoS mean and covariance feed the
-estimator and the closed-form SINR. The sampler draws the Monte-Carlo
+estimator and the closed-form SINR. The sampler draws the Monte Carlo
 oracle's trials in one fixed order (``draw_unreflected``) and reflects
-RIS-side vectors to the APs in one of two ways: ``reflect`` through H
-built from its white draws W, or ``draw_reflections``, which draws only
-the projection of W that the reflected vectors see.
+RIS-side vectors to the APs with ``draw_reflections``, which draws only
+the projection of the RIS-to-AP channels that the reflected vectors see.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,12 +75,10 @@ class ChannelSampler:
     F_R F_R^H = R, W_m white and A_m = sqrt(gain_m) times the conjugate of
     the factor of R_m (``ap_factors``), so vec(H_m - Hbar_m) keeps
     covariance gain_m (R_m^T kron R); the NLoS part of z_k is
-    sqrt(gain_k) F_R w. H itself is never formed: ``reflect`` applies
-    H_m^H Phi to any RIS-side vector as GEMMs against Hbar, F_R, the white
-    draws W_m and A_m, and ``draw`` keeps W in its realization for that.
-    ``draw_reflections`` reflects a fixed set of J vectors per trial and
-    draws only the J-dimensional projection of W that they see (k <= J
-    white rows per AP instead of r).
+    sqrt(gain_k) F_R w. H itself is never formed: ``draw_reflections``
+    reflects a fixed set of J vectors per trial and draws only the
+    J-dimensional projection of W that they see (k <= J white rows per AP
+    instead of r).
     ``ris_factor`` is F_R, which ``emi.sample_emi`` draws from too.
     """
 
@@ -99,55 +95,38 @@ class ChannelSampler:
         self.ris_factor = psd_factor(nlos.R)
         self.ap_factors = np.sqrt(nlos.gain_m)[:, None, None] * psd_factor(nlos.r_m).conj()
         self.ue_scale = np.sqrt(nlos.gain_k)
-        self._hbar_cols = los.hbar.transpose(1, 0, 2).reshape(self.n, self.n_aps * self.l)
         # For draw_reflections, with Phi and the conjugates folded in: the
         # rows of (Hbar^H Phi) and of (F_R^H Phi), the small left operands of
         # GEMMs against the stacked x^T (a tall left operand would make BLAS
         # pack, and keep resident, a copy of x), and the A_m^H.
-        self._hbar_rows = (los.phi[:, None] * self._hbar_cols.conj()).T.copy()
+        hbar_cols = los.hbar.transpose(1, 0, 2).reshape(self.n, self.n_aps * self.l)
+        self._hbar_rows = (los.phi[:, None] * hbar_cols.conj()).T.copy()
         self._ris_rows = (los.phi[:, None] * self.ris_factor.conj()).T.copy()
         self._ap_factors_h = self.ap_factors.conj().swapaxes(-1, -2)
 
-    def draw(
-        self, rng: np.random.Generator, trials: int, phase: np.ndarray | None = None
-    ) -> ChannelRealization:
-        """Sample ``trials`` joint realizations, H kept as its white draws W.
-
-        The draws are ``draw_unreflected``'s with W, and o = g + H^H Phi z.
-        """
-        phase, g, w, z = self.draw_unreflected(rng, trials, white=True, phase=phase)
-        o = g + self.reflect(w, z)
-        return ChannelRealization(g=g, z=z, o=o, phase=phase, w=w, sampler=self)
-
     def draw_unreflected(
-        self,
-        rng: np.random.Generator,
-        trials: int,
-        white: bool = False,
-        phase: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
-        """The UE phases, direct channels g, white draws W and RIS-to-UE channels z.
+        self, rng: np.random.Generator, trials: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The UE phases, direct channels g and RIS-to-UE channels z of ``trials`` trials.
 
-        The UE LoS phase factors e^{j theta_k} are drawn fresh unless given.
-        W, shape (M, trials, r, L), is drawn only if ``white`` (else None):
-        without it H enters only through ``draw_reflections``. Draw order is
-        fixed (phases, g, W_m of each AP in turn, z) so a seeded stream
-        reproduces the batch bit-for-bit; the W_m come from one AP-major
-        draw, the same stream as one draw per AP.
+        The UE LoS phase factors e^{j theta_k} are drawn fresh; H enters
+        only through ``draw_reflections``. Draw order is fixed (phases, g,
+        z) so a seeded stream reproduces the batch bit-for-bit.
         """
-        if phase is None:
-            phase = sample_phases(rng, (trials, self.n_ues))
-        g = self._direct(rng, trials)
-        w = None
-        if white:
-            w = standard_cn(rng, (self.n_aps, trials, self.ris_factor.shape[1], self.l))
-        return phase, g, w, self._ue(rng, phase)
+        phase = sample_phases(rng, (trials, self.n_ues))
+        w_g = standard_cn(rng, (trials, self.n_aps, self.n_ues, self.l))
+        g = np.einsum("mkab,tmkb->tmka", self.g_factors, w_g)
+        z = sample_cn(rng, self.ris_factor, phase.shape)
+        z *= self.ue_scale[:, None]
+        z += self.los.zbar * phase[:, :, None]
+        return phase, g, z
 
     def draw_reflections(self, rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
         """H_m^H Phi x_j for a fresh draw of every H_m and the J vectors x_j of each trial.
 
         ``x`` has shape (trials, J, N); the result (trials, M, J, L) has the
-        joint law of ``draw(...).reflect(x)`` over all J vectors and APs.
+        joint law of H_m^H Phi x_j, over all J vectors and APs, for
+        H_m = Hbar_m + F_R W_m A_m^T with every W_m white and r x L.
         With Y the J x r matrix of rows (Phi x_j)^H F_R and the reduced QR
         Y^H = Q R (R is k x J, k = min(r, J), rank-safe for zero or
         dependent rows), Y W_m = R^H (Q^H W_m), and Q^H W_m is white and
@@ -163,37 +142,6 @@ class ChannelSampler:
         del y_h
         v = standard_cn(rng, (trials, r_factor.shape[1], self.n_aps * self.l))
         return self._reflect_projected(x, r_factor, v)
-
-    def _direct(self, rng: np.random.Generator, trials: int) -> np.ndarray:
-        w_g = standard_cn(rng, (trials, self.n_aps, self.n_ues, self.l))
-        return np.einsum("mkab,tmkb->tmka", self.g_factors, w_g)
-
-    def _ue(self, rng: np.random.Generator, phase: np.ndarray) -> np.ndarray:
-        z = sample_cn(rng, self.ris_factor, phase.shape)
-        z *= self.ue_scale[:, None]
-        z += self.los.zbar * phase[:, :, None]
-        return z
-
-    def reflect(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """H_m^H Phi x with H_m = Hbar_m + F_R W_m A_m^T built from the draws ``w``.
-
-        Works on conjugates, conj(H_m^H Phi x) = x^H Phi^H H_m: the LoS part
-        is one GEMM against Hbar, the NLoS part one shared GEMM against F_R,
-        then W_m and A_m^T, batched over (AP, trial).
-        """
-        trials, n = x.shape[0], x.shape[-1]
-        batch = x.shape[1:-1]
-        j = math.prod(batch)
-        y = (self.los.phi.conj() * x.conj()).reshape(trials * j, n)
-        los = (y @ self._hbar_cols).reshape(trials, j, self.n_aps, self.l)
-        white = (y @ self.ris_factor).reshape(trials, j, w.shape[2])
-        del y
-        nlos = (white[None] @ w).reshape(self.n_aps, trials * j, self.l)
-        del white
-        nlos = nlos @ self.ap_factors.swapaxes(-1, -2)
-        nlos = nlos.reshape(self.n_aps, trials, j, self.l)
-        out = los.transpose(0, 2, 1, 3) + nlos.transpose(1, 0, 2, 3)
-        return np.conj(out, out=out).reshape((trials, self.n_aps) + batch + (self.l,))
 
     def _reflect_projected(
         self, x: np.ndarray, r_factor: np.ndarray, v: np.ndarray
@@ -222,35 +170,3 @@ class ChannelSampler:
         out += los.T.reshape(trials, j, m * l)
         del los
         return out.reshape(trials, j, m, l).transpose(0, 2, 1, 3)
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """A batch of joint channel draws.
-
-    g, z, o and phase lead with the trial axis. The RIS-to-AP channels H_m
-    are never formed: ``w`` keeps their white draws W_m, shape
-    (M, trials, r, L), and ``reflect`` applies H_m^H Phi to RIS-side
-    vectors straight from them.
-    """
-
-    g: np.ndarray
-    z: np.ndarray
-    o: np.ndarray
-    phase: np.ndarray
-    w: np.ndarray
-    sampler: ChannelSampler
-
-    def __post_init__(self) -> None:
-        if self.o.shape != self.g.shape:
-            raise ValueError("o and g must share shape")
-
-    def reflect(self, x: np.ndarray) -> np.ndarray:
-        """H_m^H Phi x for every AP m and every RIS-side vector of ``x``.
-
-        ``x`` has shape (trials, ..., N) with this batch's trial axis; the
-        result has shape (trials, M, ..., L).
-        """
-        return self.sampler.reflect(self.w, x)
-
-

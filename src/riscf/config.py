@@ -190,12 +190,19 @@ class SystemConfig:
 _FIELD_NAMES = {f.name for f in dataclasses.fields(SystemConfig)}
 
 
-def _coerce_modes(data: dict[str, object]) -> dict[str, object]:
-    """Read a YAML boolean under a mode field as on/off (YAML loads on/off as booleans)."""
-    return {
-        key: ("on" if value else "off") if key in MODES and isinstance(value, bool) else value
-        for key, value in data.items()
-    }
+def _coerce(data: dict[str, object]) -> dict[str, object]:
+    """Read YAML values as field values.
+
+    A boolean under a mode field is on/off (YAML loads on/off as booleans),
+    and a list under ``ris_position_xy`` is its (x, y) tuple.
+    """
+    coerced = dict(data)
+    for key, value in data.items():
+        if key in MODES and isinstance(value, bool):
+            coerced[key] = "on" if value else "off"
+        elif key == "ris_position_xy" and isinstance(value, list):
+            coerced[key] = tuple(value)
+    return coerced
 
 
 def config_from_mapping(data: dict[str, object]) -> SystemConfig:
@@ -203,12 +210,9 @@ def config_from_mapping(data: dict[str, object]) -> SystemConfig:
     unknown = sorted(set(data) - _FIELD_NAMES)
     if unknown:
         raise ValueError(f"unknown configuration keys: {', '.join(unknown)}")
-    coerced = _coerce_modes(data)
-    if isinstance(coerced.get("ris_position_xy"), list):
-        coerced["ris_position_xy"] = tuple(coerced["ris_position_xy"])
-    return SystemConfig(**coerced)  # type: ignore[arg-type]
+    return SystemConfig(**_coerce(data))  # type: ignore[arg-type]
 
 
-def with_mode(config: SystemConfig, data: dict[str, object]) -> SystemConfig:
-    """``config`` with the mode fields ``data`` sets; the others keep their values."""
-    return config.replace(**_coerce_modes(data))
+def with_fields(config: SystemConfig, data: dict[str, object]) -> SystemConfig:
+    """``config`` with the fields ``data`` sets, read as ``config_from_mapping`` reads them."""
+    return config.replace(**_coerce(data))

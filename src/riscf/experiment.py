@@ -35,7 +35,7 @@ from .config import (
     SystemConfig,
     config_from_mapping,
     is_count,
-    with_mode,
+    with_fields,
 )
 from .montecarlo import estimate_uatf_terms
 from .pipeline import LinkStatistics, build_drop_statistics, build_link_statistics
@@ -161,7 +161,7 @@ def load_run_spec(path: str | Path) -> RunSpec:
     for entry in raw_modes:
         entry = _require_mapping(entry, "mode")
         _reject_unknown(entry, set(MODES), "mode")
-        modes.append(with_mode(config, entry))
+        modes.append(with_fields(config, entry))
     return RunSpec(
         config=config,
         sweep_param=param,
@@ -180,7 +180,7 @@ def apply_sweep(config: SystemConfig, param: str, value: object) -> SystemConfig
         return config.replace(ris_width_elements=value, ris_height_elements=value)
     if param == "ris_spacing":
         return config.replace(ris_spacing_h=value, ris_spacing_v=value)
-    return config.replace(**{param: value})
+    return with_fields(config, {param: value})
 
 
 def _scenario_rng(seed: int, scen_idx: int) -> np.random.Generator:
@@ -376,13 +376,18 @@ def run_experiment(
         "sweep_values": [_fmt(v) for v in spec.sweep_values],
         "n_scenarios": spec.n_scenarios,
         "modes": [mode.mode for mode in spec.modes],
-        "config": asdict(spec.config),
+        # non-finite floats (rho_db: .inf) as strings, which strict JSON allows
+        "config": {
+            key: str(value) if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in asdict(spec.config).items()
+        },
         "rows": len(rows),
         "wall_time_s": time.perf_counter() - started,
         "closed_vs_mc_warnings": warnings,
     }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+    manifest_path.write_text(text + "\n")
     return {"results": str(csv_path), "manifest": str(manifest_path)}
 
 

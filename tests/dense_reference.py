@@ -7,18 +7,24 @@ then evaluates Q1, Q2 and the EMI term Q_m as block traces with
 ``quadratic_block_trace``. It costs O(M K (NL)^2) per drop, which is why
 the package uses the structured form instead.
 
-The Monte Carlo oracle: ``dense_h`` forms every RIS-to-AP channel H_m of a
-realization, and ``dense_uatf_terms`` is the per-trial loop that reflects
-through those H and feeds the (trials, K, K, M, M) outer products to
-``RunningMoments.update``, on the same random stream as
-``estimate_uatf_terms`` without weights (its validation path).
+The Monte Carlo oracle: ``draw`` samples joint realizations from a
+``ChannelSampler``'s factors with every RIS-to-AP channel H_m formed, and
+``dense_uatf_terms`` is the per-trial loop that reflects through those H
+and feeds the (trials, K, K, M, M) outer products u u^H to
+``RunningMoments.update``. Unlike the package's Monte Carlo, which keeps
+only the projections onto given decoding weights, it keeps the dense
+moments u and T = E{u u^H} that the closed form predicts entry by entry.
 """
+from dataclasses import dataclass
+
 import numpy as np
 
 from riscf.channel import ChannelSampler
 from riscf.emi import sample_emi
 from riscf.estimation import mmse_estimate
-from riscf.montecarlo import RunningMoments, UatfEstimates
+from riscf.linalg import sample_cn, sample_phases, standard_cn
+from riscf.montecarlo import OracleEstimate, RunningMoments
+from riscf.uatf import UatfMoments
 
 
 def quadratic_block_trace(a, cov, n, l):
@@ -88,56 +94,127 @@ def dense_emi(hbar, phi, R, rtilde_m, sigma_r2, element_area):
     return {"r_mm": sigma_r2 * element_area * los_part + q_m, "q_m": q_m}
 
 
-def dense_h(real):
-    """H_m = Hbar_m + F_R W_m A_m^T of every trial, shape (trials, M, N, L)."""
-    sampler = real.sampler
-    nlos = np.einsum("nr,mtrb,mab->tmna", sampler.ris_factor, real.w, sampler.ap_factors)
-    return sampler.los.hbar[None] + nlos
+@dataclass(frozen=True)
+class DenseDraw:
+    """A batch of joint draws with every RIS-to-AP channel formed.
 
-
-def dense_uatf_terms(link, trials, rng, chunk_size):
-    """``estimate_uatf_terms`` as a per-trial loop over the dense H.
-
-    Reflections are h.conj() einsums against H, the pilot observation is
-    assembled UE by UE, and T accumulates the explicit per-trial outer
-    products u u^H.
+    g, z, o and phase lead with the trial axis. ``w`` holds the white draws
+    W_m of H_m = Hbar_m + F_R W_m A_m^T, shape (M, trials, r, L), and ``h``
+    the H_m themselves, shape (trials, M, N, L); ``phi`` is the diagonal of
+    Phi.
     """
-    rng = np.random.default_rng(rng)
+
+    phase: np.ndarray
+    g: np.ndarray
+    w: np.ndarray
+    z: np.ndarray
+    h: np.ndarray
+    o: np.ndarray
+    phi: np.ndarray
+
+    def reflect(self, x):
+        """H_m^H Phi x for every AP m and every RIS-side vector of ``x``.
+
+        ``x`` has shape (trials, ..., N) with this batch's trial axis; the
+        result has shape (trials, M, ..., L).
+        """
+        return np.einsum("tmna,n,t...n->tm...a", self.h.conj(), self.phi, x)
+
+
+def draw(sampler, rng, trials, phase=None):
+    """``trials`` joint realizations from the factors of ``sampler``.
+
+    Draw order: the UE LoS phase factors (unless ``phase`` is given), the
+    direct channels g, the W_m of every AP in one AP-major draw, then the
+    RIS-to-UE channels z; o = g + H^H Phi z.
+    """
+    los = sampler.los
+    m, l, k = sampler.n_aps, sampler.l, sampler.n_ues
+    if phase is None:
+        phase = sample_phases(rng, (trials, k))
+    g = np.einsum("mkab,tmkb->tmka", sampler.g_factors, standard_cn(rng, (trials, m, k, l)))
+    w = standard_cn(rng, (m, trials, sampler.ris_factor.shape[1], l))
+    z = sample_cn(rng, sampler.ris_factor, phase.shape)
+    z *= sampler.ue_scale[:, None]
+    z += los.zbar * phase[:, :, None]
+    nlos = np.einsum("nr,mtrb,mab->tmna", sampler.ris_factor, w, sampler.ap_factors)
+    h = los.hbar[None] + nlos
+    o = g + np.einsum("tmna,n,tkn->tmka", h.conj(), los.phi, z)
+    return DenseDraw(phase=phase, g=g, w=w, z=z, h=h, o=o, phi=los.phi)
+
+
+@dataclass(frozen=True)
+class DenseEstimates:
+    """Sample moments of the combined statistics, dense across APs.
+
+    u[k, i, m] is E{v_mk^H o_mi}, t[k, i] the M x M second moment of that
+    inner product across APs, d[m, k] the mean squared combiner norm and
+    u_emi[m, k] the mean reflected-interference power after combining.
+    """
+
+    u: OracleEstimate
+    t: OracleEstimate
+    d: OracleEstimate
+    u_emi: OracleEstimate
+
+    def moments(self):
+        """The sample means as the dense bundle, with cov = t - u u^H."""
+        u = self.u.mean
+        cov = self.t.mean - np.einsum("kim,kin->kimn", u, u.conj())
+        return UatfMoments(u=u, cov=cov, d=self.d.mean.real, w=self.u_emi.mean.real)
+
+
+def dense_batch(link, sampler, rng, trials):
+    """o, the MMSE estimates v and the reflected data EMI q of ``trials`` trials.
+
+    Draw order: ``draw``, the pilot EMI, the AP noise, the data EMI.
+    Reflections are einsums against the dense H, and the pilot observation
+    is assembled UE by UE.
+    """
     cfg = link.config
-    n_aps, n_ues, n_ant, tau_p = cfg.n_aps, cfg.n_ues, cfg.n_ap_antennas, cfg.tau_p
+    n_aps, n_ant, tau_p = cfg.n_aps, cfg.n_ap_antennas, cfg.tau_p
     phi = link.los.phi
-    sampler = ChannelSampler(link.stats, link.los, link.nlos)
     emi_power = link.sigma_r2 * link.ris.element_area
+    real = draw(sampler, rng, trials)
+    h, o = real.h, real.o
+    emi_pilot = sample_emi(rng, emi_power, sampler.ris_factor, (trials, tau_p))
+    raw = rng.standard_normal((trials, n_aps, n_ant, tau_p, 2))
+    ap_noise = np.sqrt(cfg.noise_power / 2.0) * (raw[..., 0] + 1j * raw[..., 1])
+    reflected = np.einsum("tmna,n,tpn->tmap", h.conj(), phi, emi_pilot)
+    noise = np.sqrt(tau_p) * (reflected + ap_noise)
+    y = np.empty_like(o)
+    for k in range(cfg.n_ues):
+        pilot = link.assignment.pilot_of[k]
+        coset = link.assignment.coset(k)
+        scale = np.sqrt(link.assignment.powers[coset]) * tau_p
+        y[:, :, k] = np.einsum("i,tmia->tma", scale, o[:, :, coset]) + noise[..., pilot]
+    v = mmse_estimate(y, link.stats, link.est, link.assignment, real.phase)
+    n_data = sample_emi(rng, emi_power, sampler.ris_factor, (trials,))
+    q = np.einsum("tmnl,n,tn->tml", h.conj(), phi, n_data)
+    return o, v, q
+
+
+def dense_estimates(batches, n_aps, n_ues):
+    """Accumulate (o, v, q) batches, T as the explicit per-trial outer products."""
     acc_u = RunningMoments((n_ues, n_ues, n_aps))
     acc_t = RunningMoments((n_ues, n_ues, n_aps, n_aps))
     acc_d = RunningMoments((n_aps, n_ues))
     acc_e = RunningMoments((n_aps, n_ues))
-    remaining = trials
-    while remaining > 0:
-        batch = min(chunk_size, remaining)
-        remaining -= batch
-        real = sampler.draw(rng, batch)
-        h = dense_h(real)
-        o = real.g + np.einsum("tmna,n,tkn->tmka", h.conj(), phi, real.z)
-        emi_pilot = sample_emi(rng, emi_power, sampler.ris_factor, (batch, tau_p))
-        raw = rng.standard_normal((batch, n_aps, n_ant, tau_p, 2))
-        ap_noise = np.sqrt(cfg.noise_power / 2.0) * (raw[..., 0] + 1j * raw[..., 1])
-        reflected = np.einsum("tmna,n,tpn->tmap", h.conj(), phi, emi_pilot)
-        noise = np.sqrt(tau_p) * (reflected + ap_noise)
-        y = np.empty_like(o)
-        for k in range(n_ues):
-            pilot = link.assignment.pilot_of[k]
-            coset = link.assignment.coset(k)
-            scale = np.sqrt(link.assignment.powers[coset]) * tau_p
-            y[:, :, k] = np.einsum("i,tmia->tma", scale, o[:, :, coset]) + noise[..., pilot]
-        v = mmse_estimate(y, link.stats, link.est, link.assignment, real.phase)
+    for o, v, q in batches:
         u = np.einsum("tmkl,tmil->tkim", v.conj(), o)
         acc_u.update(u)
         acc_t.update(np.einsum("tkim,tkin->tkimn", u, u.conj()))
         acc_d.update(np.einsum("tmkl,tmkl->tmk", v.conj(), v).real)
-        n_data = sample_emi(rng, emi_power, sampler.ris_factor, (batch,))
-        q = np.einsum("tmnl,n,tn->tml", h.conj(), phi, n_data)
         acc_e.update(np.abs(np.einsum("tmkl,tml->tmk", v.conj(), q)) ** 2)
-    return UatfEstimates(
+    return DenseEstimates(
         u=acc_u.finalize(), t=acc_t.finalize(), d=acc_d.finalize(), u_emi=acc_e.finalize()
     )
+
+
+def dense_uatf_terms(link, trials, rng, chunk_size):
+    """The dense moments from ``trials`` trials drawn in chunks of ``chunk_size``."""
+    rng = np.random.default_rng(rng)
+    sampler = ChannelSampler(link.stats, link.los, link.nlos)
+    sizes = [min(chunk_size, trials - start) for start in range(0, trials, chunk_size)]
+    batches = (dense_batch(link, sampler, rng, size) for size in sizes)
+    return dense_estimates(batches, link.config.n_aps, link.config.n_ues)

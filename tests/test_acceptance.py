@@ -20,7 +20,7 @@ from riscf.config import SystemConfig
 from riscf.emi import sample_emi
 from riscf.estimation import pilot_observation
 from riscf.experiment import run_experiment
-from riscf.montecarlo import RunningMoments, estimate_uatf_terms
+from riscf.montecarlo import RunningMoments
 from riscf.pipeline import build_link_statistics
 from riscf.power import (
     aggregate_gain,
@@ -32,6 +32,7 @@ from riscf.scenario import generate_scenario
 from riscf.se import closed_form_moments, spectral_efficiency
 from riscf.uatf import combine, fixed_weight_form, optimal_lsfd_weights, uatf_sinr
 from closed_form_reference import paper_terms
+from dense_reference import dense_uatf_terms, draw
 from uatf_reference import dense_second_moment
 
 DEFAULTS = SystemConfig()
@@ -76,7 +77,7 @@ def test_criterion_01_moment_and_sinr_validation(validation_link, validation_mom
     link, moments = validation_link, validation_moments
     cfg = link.config
 
-    est = estimate_uatf_terms(link, 200_000, rng=1)
+    est = dense_uatf_terms(link, 200_000, 1, 4096)
     devs = {
         "u": _max_sigma(moments.u, est.u),
         "t": _max_sigma(dense_second_moment(moments), est.t),
@@ -89,7 +90,7 @@ def test_criterion_01_moment_and_sinr_validation(validation_link, validation_mom
     noise = cfg.noise_power
     opt = optimal_lsfd_weights(moments, powers, noise)
     equal = uatf_sinr(moments, np.ones_like(moments.d), powers, noise)
-    est_sinr = estimate_uatf_terms(link, 20_000, rng=4)
+    est_sinr = dense_uatf_terms(link, 20_000, 4, 4096)
     mc_opt = uatf_sinr(est_sinr.moments(), opt.weights, powers, noise)
     ones = np.ones_like(moments.d, dtype=complex)
     mc_equal = uatf_sinr(est_sinr.moments(), ones, powers, noise)
@@ -130,7 +131,7 @@ def test_criterion_02_covariance_oracles():
     while remaining > 0:
         batch = min(4096, remaining)
         remaining -= batch
-        real = sampler.draw(rng, batch)
+        real = draw(sampler, rng, batch)
         centered = real.o - link.stats.obar[None] * real.phase[:, None, :, None]
         mom_o.update(np.einsum("tmka,tmkb->tmkab", centered, centered.conj()))
         emi_pilot = sample_emi(

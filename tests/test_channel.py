@@ -8,7 +8,7 @@ from riscf.channel import ChannelSampler, aggregated_covariance
 from riscf.linalg import hermitize
 
 from conftest import make_link
-from dense_reference import dense_h, dense_nlos
+from dense_reference import dense_nlos, draw
 
 
 def _dense_nlos(link):
@@ -43,11 +43,11 @@ def test_aggregated_covariance_dominates_direct(tiny_link):
 def test_sampler_shapes_and_determinism(tiny_link):
     cfg = tiny_link.config
     sampler = ChannelSampler(tiny_link.stats, tiny_link.los, tiny_link.nlos)
-    a = sampler.draw(np.random.default_rng(3), 7)
-    b = sampler.draw(np.random.default_rng(3), 7)
+    a = draw(sampler, np.random.default_rng(3), 7)
+    b = draw(sampler, np.random.default_rng(3), 7)
     m, k, l, n = cfg.n_aps, cfg.n_ues, cfg.n_ap_antennas, cfg.n_ris_elements
     assert a.g.shape == (7, m, k, l)
-    assert dense_h(a).shape == (7, m, n, l)
+    assert a.h.shape == (7, m, n, l)
     assert a.z.shape == (7, k, n)
     assert a.o.shape == (7, m, k, l)
     assert np.array_equal(a.o, b.o)
@@ -56,28 +56,13 @@ def test_sampler_shapes_and_determinism(tiny_link):
 def test_sampler_aggregates_parts(tiny_link):
     """o must equal g + H^H Phi z element by element on the same draw."""
     sampler = ChannelSampler(tiny_link.stats, tiny_link.los, tiny_link.nlos)
-    real = sampler.draw(np.random.default_rng(4), 5)
-    cascade = np.einsum(
-        "tmna,n,tkn->tmka", dense_h(real).conj(), tiny_link.los.phi, real.z
+    real = draw(sampler, np.random.default_rng(4), 5)
+    phi_z = tiny_link.los.phi * real.z
+    cascade = np.array(
+        [[h_m.conj().T @ phi_z[t].T for h_m in h_t] for t, h_t in enumerate(real.h)]
     )
-    assert np.allclose(real.o, real.g + cascade)
+    assert np.allclose(real.o, real.g + cascade.swapaxes(2, 3))
     assert np.allclose(np.abs(real.phase), 1.0)
-
-
-@pytest.mark.parametrize("link_name", ["tiny_link", "validation_link"])
-@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
-def test_reflect_matches_dense_h(request, link_name, batch):
-    """reflect(x) is H_m^H Phi x against the H the draw stands for."""
-    link = request.getfixturevalue(link_name)
-    sampler = ChannelSampler(link.stats, link.los, link.nlos)
-    rng = np.random.default_rng(9)
-    real = sampler.draw(rng, 6)
-    shape = (6,) + batch + (link.config.n_ris_elements,)
-    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    expect = np.einsum("tmna,n,t...n->tm...a", dense_h(real).conj(), link.los.phi, x)
-    got = real.reflect(x)
-    assert got.shape == (6, link.config.n_aps) + batch + (link.config.n_ap_antennas,)
-    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 def test_sampler_first_moments(tiny_link):
@@ -85,7 +70,7 @@ def test_sampler_first_moments(tiny_link):
     n_trials = 60000
     sampler = ChannelSampler(tiny_link.stats, tiny_link.los, tiny_link.nlos)
     ones = np.ones((n_trials, tiny_link.config.n_ues))
-    real = sampler.draw(np.random.default_rng(5), n_trials, phase=ones)
+    real = draw(sampler, np.random.default_rng(5), n_trials, phase=ones)
     rtilde_m, rtilde_k = _dense_nlos(tiny_link)
     se_h = np.sqrt(
         max(np.diagonal(rtilde_m, axis1=1, axis2=2).real.max(), 0.0)
@@ -97,7 +82,7 @@ def test_sampler_first_moments(tiny_link):
     se_o = np.sqrt(
         np.diagonal(tiny_link.stats.r_o, axis1=2, axis2=3).real.max() / n_trials
     )
-    assert np.abs(dense_h(real).mean(axis=0) - tiny_link.los.hbar).max() < 6.0 * se_h
+    assert np.abs(real.h.mean(axis=0) - tiny_link.los.hbar).max() < 6.0 * se_h
     assert np.abs(real.z.mean(axis=0) - tiny_link.los.zbar).max() < 6.0 * se_z
     assert np.abs(real.o.mean(axis=0) - tiny_link.stats.obar).max() < 6.0 * se_o
 
@@ -105,7 +90,7 @@ def test_sampler_first_moments(tiny_link):
 def test_sampler_aggregated_second_moment(tiny_link):
     """Sample covariance of o matches the closed-form r_o within noise."""
     sampler = ChannelSampler(tiny_link.stats, tiny_link.los, tiny_link.nlos)
-    real = sampler.draw(np.random.default_rng(6), 120000, phase=np.ones((120000, 2)))
+    real = draw(sampler, np.random.default_rng(6), 120000, phase=np.ones((120000, 2)))
     centered = real.o - tiny_link.stats.obar
     sample = np.einsum("tmka,tmkb->mkab", centered, centered.conj()) / len(real.o)
     err = np.abs(sample - tiny_link.stats.r_o).max()
@@ -115,7 +100,7 @@ def test_sampler_aggregated_second_moment(tiny_link):
 
 def test_fixed_phase_is_honored(tiny_link):
     sampler = ChannelSampler(tiny_link.stats, tiny_link.los, tiny_link.nlos)
-    real = sampler.draw(np.random.default_rng(7), 4, phase=np.ones((4, 2)))
+    real = draw(sampler, np.random.default_rng(7), 4, phase=np.ones((4, 2)))
     assert np.allclose(real.phase, 1.0)
 
 
@@ -153,9 +138,9 @@ def test_sampler_h_covariance_is_dense_kronecker(validation_link):
     link = validation_link
     n_trials = 40000
     sampler = ChannelSampler(link.stats, link.los, link.nlos)
-    real = sampler.draw(np.random.default_rng(8), n_trials)
+    real = draw(sampler, np.random.default_rng(8), n_trials)
     rtilde_m, _ = _dense_nlos(link)
-    nlos_part = dense_h(real) - link.los.hbar
+    nlos_part = real.h - link.los.hbar
     vec = nlos_part.transpose(0, 1, 3, 2).reshape(n_trials, link.config.n_aps, -1)
     for m in range(link.config.n_aps):
         sample = vec[:, m].T @ vec[:, m].conj() / n_trials
@@ -167,7 +152,7 @@ def test_sampler_h_covariance_is_dense_kronecker(validation_link):
 @pytest.mark.parametrize("n_ap_antennas", [1, 2])
 @pytest.mark.parametrize("config_name, seed", [("tiny_config", 5), ("validation_config", 1)])
 def test_projected_reflection_reproduces_full_draw(request, config_name, seed, n_ap_antennas):
-    """With V_m := conj(Q^H W_m) the projected formula is reflect() of the full draw.
+    """With V_m := conj(Q^H W_m) the projected formula reflects through the full draw's H.
 
     Y has the rows (Phi x_j)^H F_R and Y^H = Q R; every trial reflects
     K + tau_p + 1 vectors, the count a Monte Carlo trial reflects.
@@ -178,7 +163,7 @@ def test_projected_reflection_reproduces_full_draw(request, config_name, seed, n
     sampler = ChannelSampler(link.stats, link.los, link.nlos)
     rng = np.random.default_rng(9)
     trials, j, n = 6, cfg.n_ues + cfg.tau_p + 1, cfg.n_ris_elements
-    real = sampler.draw(rng, trials)
+    real = draw(sampler, rng, trials)
     x = rng.standard_normal((trials, j, n)) + 1j * rng.standard_normal((trials, j, n))
     y = (link.los.phi * x).conj() @ sampler.ris_factor
     q, r = np.linalg.qr(y.conj().swapaxes(1, 2))
@@ -189,11 +174,13 @@ def test_projected_reflection_reproduces_full_draw(request, config_name, seed, n
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
-def test_projected_reflections_have_the_full_draws_covariance(validation_link):
-    """For fixed vectors x_j the sample covariance of the NLoS reflections at
-    each AP matches conj(G (x) A A^H), G the Gram matrix of the rows of Y,
-    within 5 standard errors (C_ii C_jj / T per entry)."""
-    link = validation_link
+def _reflection_covariance_checks(link):
+    """Per AP, whether the NLoS reflections of ``draw_reflections`` have their law.
+
+    For fixed vectors x_j the sample covariance of the NLoS reflections at
+    each AP must match conj(G (x) A A^H), G the Gram matrix of the rows of
+    Y, within 5 standard errors (C_ii C_jj / T per entry).
+    """
     cfg = link.config
     sampler = ChannelSampler(link.stats, link.los, link.nlos)
     rng = np.random.default_rng(10)
@@ -204,6 +191,7 @@ def test_projected_reflections_have_the_full_draws_covariance(validation_link):
     mean = np.einsum("mna,n,jn->mja", link.los.hbar.conj(), link.los.phi, x)
     y = (link.los.phi * x).conj() @ sampler.ris_factor
     gram = y @ y.conj().T
+    checks = []
     for m in range(cfg.n_aps):
         a = sampler.ap_factors[m]
         cov = np.kron(gram, a @ a.conj().T).conj()
@@ -211,4 +199,21 @@ def test_projected_reflections_have_the_full_draws_covariance(validation_link):
         sample = d.T @ d.conj() / trials
         var = np.diagonal(cov).real
         std_err = np.sqrt(np.outer(var, var) / trials)
-        assert np.all(np.abs(sample - cov) <= 5.0 * std_err + 1e-300)
+        checks.append(np.all(np.abs(sample - cov) <= 5.0 * std_err + 1e-300))
+    return checks
+
+
+def test_projected_reflections_have_the_full_draws_covariance(validation_link):
+    assert all(_reflection_covariance_checks(validation_link))
+
+
+def test_covariance_check_catches_scaled_white_draws(validation_link, monkeypatch):
+    """White draws V scaled by 1.2 (a 44% error in the NLoS reflection
+    covariance) fail the covariance check at every AP."""
+    reflect = ChannelSampler._reflect_projected
+
+    def scaled(self, x, r_factor, v):
+        return reflect(self, x, r_factor, 1.2 * v)
+
+    monkeypatch.setattr(ChannelSampler, "_reflect_projected", scaled)
+    assert not any(_reflection_covariance_checks(validation_link))

@@ -9,7 +9,7 @@ from riscf.linalg import hermitize, psd_factor
 from riscf.config import SystemConfig
 from riscf.correlation import ris_sinc_correlation
 
-from dense_reference import dense_h
+from dense_reference import draw
 
 
 def test_sigma_r2_formula():
@@ -102,11 +102,11 @@ def test_emi_noise_covariance_brute_force(tiny_link):
     sampler = ChannelSampler(tiny_link.stats, tiny_link.los, tiny_link.nlos)
     rng = np.random.default_rng(3)
     n_trials = 120000
-    real = sampler.draw(rng, n_trials)
+    real = draw(sampler, rng, n_trials)
     noise = sample_emi(
         rng, sigma_r2 * tiny_link.ris.element_area, psd_factor(tiny_link.ris.R), (n_trials,)
     )
-    q = np.einsum("tmnl,n,tn->tml", dense_h(real).conj(), los.phi, noise)
+    q = np.einsum("tmnl,n,tn->tml", real.h.conj(), los.phi, noise)
     for m in range(cfg.n_aps):
         sample = q[:, m].T @ q[:, m].conj() / n_trials
         err = np.abs(sample - closed[m]).max()

@@ -7,6 +7,8 @@ from riscf.emi import sample_emi
 from riscf.estimation import assign_pilots, mmse_estimate, pilot_observation
 from riscf.linalg import psd_factor
 
+from dense_reference import draw
+
 
 def test_assign_pilots_round_robin():
     a = assign_pilots(5, 3, 0.2)
@@ -62,7 +64,7 @@ def test_omega_and_error_covariance_split(tiny_link):
 def _pilot_draw(link, rng, trials, phase=None):
     cfg = link.config
     sampler = ChannelSampler(link.stats, link.los, link.nlos)
-    real = sampler.draw(rng, trials, phase=phase)
+    real = draw(sampler, rng, trials, phase=phase)
     emi_power = link.sigma_r2 * link.ris.element_area
     emi_pilot = sample_emi(rng, emi_power, psd_factor(link.ris.R), (trials, cfg.tau_p))
     raw = rng.standard_normal((trials, cfg.n_aps, cfg.n_ap_antennas, cfg.tau_p, 2))

@@ -237,6 +237,39 @@ def test_apply_sweep_aliases():
     assert apply_sweep(cfg, "none", 0) is cfg
 
 
+def test_ris_position_sweep_runs_end_to_end(tmp_path):
+    """Sweep values are read as config: values are, a YAML list as the (x, y) pair."""
+    sweep = {"param": "ris_position_xy", "values": [[10, 10], [50, 50]]}
+    spec = write_spec(tmp_path / "xy.yaml", dict(MICRO, mc_trials=0, sweep=sweep))
+    loaded = load_run_spec(spec)
+    swept = apply_sweep(loaded.config, loaded.sweep_param, loaded.sweep_values[0])
+    assert swept.ris_position_xy == (10, 10)
+    run_experiment(spec, seed=1, out_dir=tmp_path / "out")
+    rows = read_rows(tmp_path / "out" / "results.csv")
+    by_point = {}
+    for row in rows:
+        by_point.setdefault(row["sweep_value"], []).append(row["se_closed"])
+    assert sorted(by_point) == ["[10, 10]", "[50, 50]"]
+    assert by_point["[10, 10]"] != by_point["[50, 50]"]
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_manifest_is_strict_json_without_emi(tmp_path):
+    """rho_db: .inf, the documented "no EMI" level, is echoed as the string "inf"."""
+    payload = {"schema_version": 1, "config": {"n_aps": 3, "n_ues": 2, "rho_db": math.inf}}
+    out = tmp_path / "out"
+    run_experiment(write_spec(tmp_path / "quiet.yaml", payload), seed=1, out_dir=out)
+    manifest = _strict_json((out / "manifest.json").read_text())
+    assert manifest["config"]["rho_db"] == "inf"
+    assert manifest["config"]["n_aps"] == 3
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))

@@ -12,7 +12,6 @@ from riscf.montecarlo import (
     CHUNK_BYTES,
     CHUNK_TRIALS,
     RunningMoments,
-    UatfEstimates,
     chunk_trials,
     estimate_uatf_terms,
 )
@@ -21,7 +20,7 @@ from riscf.se import closed_form_moments
 from riscf.uatf import combine, optimal_lsfd_weights, uatf_sinr
 
 from conftest import make_link
-from dense_reference import dense_uatf_terms
+from dense_reference import DenseEstimates, dense_batch, dense_estimates, dense_uatf_terms
 
 
 def test_running_moments_match_numpy():
@@ -52,71 +51,19 @@ def test_running_moments_chunking_invariant():
     assert np.allclose(a.std_error, b.std_error, rtol=1e-9)
 
 
-def test_update_outer_matches_explicit_outer_products():
-    """GEMM sums equal feeding every b b^H to update, across chunks."""
-    rng = np.random.default_rng(2)
-    data = rng.standard_normal((300, 2, 3, 4)) + 1j * rng.standard_normal((300, 2, 3, 4))
-    outer = RunningMoments((2, 3, 4, 4))
-    explicit = RunningMoments((2, 3, 4, 4))
-    for chunk in np.array_split(data, 4):
-        outer.update_outer(chunk)
-        explicit.update(np.einsum("tjka,tjkb->tjkab", chunk, chunk.conj()))
-    a, b = outer.finalize(), explicit.finalize()
-    assert a.trials == b.trials == 300
-    assert np.allclose(a.mean, b.mean, rtol=1e-12, atol=0)
-    assert np.abs(a.std_error - b.std_error).max() <= 1e-8 * np.abs(b.std_error).max()
-    diag = np.arange(4)
-    assert np.all(a.std_error.imag[..., diag, diag] == 0.0)
-
-
 def test_running_moments_requires_samples():
     with pytest.raises(ValueError):
         RunningMoments((2,)).finalize()
 
 
 def test_estimate_uatf_terms_deterministic(tiny_link):
-    a = estimate_uatf_terms(tiny_link, 512, rng=42)
-    b = estimate_uatf_terms(tiny_link, 512, rng=42)
+    weights = np.ones((tiny_link.config.n_aps, tiny_link.config.n_ues))
+    a = estimate_uatf_terms(tiny_link, 512, rng=42, weights=weights)
+    b = estimate_uatf_terms(tiny_link, 512, rng=42, weights=weights)
     assert np.array_equal(a.u.mean, b.u.mean)
     assert np.array_equal(a.t.mean, b.t.mean)
     assert np.array_equal(a.d.mean, b.d.mean)
     assert np.array_equal(a.u_emi.mean, b.u_emi.mean)
-
-
-@pytest.mark.parametrize(
-    "config_name, seed, modes",
-    [
-        ("tiny_config", 5, {}),
-        ("tiny_config", 5, {"emi": "off"}),
-        ("validation_config", 1, {}),
-        ("validation_config", 1, {"emi": "off"}),
-        ("validation_config", 1, {"ris": "off"}),
-        ("tiny_config", 5, {"tau_p": 3}),
-    ],
-    ids=[
-        "tiny",
-        "tiny-emi-off",
-        "validation",
-        "validation-emi-off",
-        "validation-ris-off",
-        "tiny-unused-pilot",
-    ],
-)
-def test_estimate_matches_dense_per_trial_loop(request, config_name, seed, modes):
-    """Reflecting from W and GEMM-accumulated T reproduce the dense-H loop.
-
-    Both run the same random stream over three chunks, the last one
-    partial, so only the rounding of the sums may differ.
-    """
-    link = make_link(request.getfixturevalue(config_name).replace(**modes), seed)
-    got = estimate_uatf_terms(link, 300, rng=6, chunk_size=128)
-    ref = dense_uatf_terms(link, 300, rng=6, chunk_size=128)
-    for name in ("u", "t", "d", "u_emi"):
-        a, b = getattr(got, name), getattr(ref, name)
-        assert a.trials == b.trials == 300
-        assert np.allclose(a.mean, b.mean, rtol=1e-12, atol=0), name
-        largest = np.abs(b.std_error).max()
-        assert np.abs(a.std_error - b.std_error).max() <= 1e-8 * largest, name
 
 
 @pytest.mark.parametrize(
@@ -131,11 +78,10 @@ def test_estimate_matches_dense_per_trial_loop(request, config_name, seed, modes
     ],
     ids=["trials-0", "trials-bool", "trials-float", "chunk-0", "chunk-negative", "chunk-float"],
 )
-@pytest.mark.parametrize("run_path", [False, True], ids=["validation", "run"])
-def test_estimate_uatf_terms_validates_trials(tiny_link, counts, name, run_path):
+def test_estimate_uatf_terms_validates_trials(tiny_link, counts, name):
     """Non-count or non-positive counts are refused up front, by name."""
     cfg = tiny_link.config
-    weights = np.ones((cfg.n_aps, cfg.n_ues)) if run_path else None
+    weights = np.ones((cfg.n_aps, cfg.n_ues))
     kwargs = {"trials": 8, "chunk_size": None, **counts}
     with pytest.raises(ValueError, match=name):
         estimate_uatf_terms(tiny_link, rng=1, weights=weights, **kwargs)
@@ -143,7 +89,7 @@ def test_estimate_uatf_terms_validates_trials(tiny_link, counts, name, run_path)
 
 def test_estimated_selfterm_matches_combiner_norm(tiny_link):
     """E{v^H o} for the own UE equals E{||v||^2} up to noise."""
-    est = estimate_uatf_terms(tiny_link, 8192, rng=3)
+    est = dense_uatf_terms(tiny_link, 8192, 3, 4096)
     for k in range(tiny_link.config.n_ues):
         u_kk = est.u.mean[k, k]
         d_k = est.d.mean[:, k]
@@ -165,7 +111,7 @@ def test_sinr_from_estimates_synthetic_assembly():
     d = np.full((n_aps, n_ues), 2.0)
     w_emi = np.full((n_aps, n_ues), 0.05)
     mk = lambda arr: type("E", (), {"mean": arr, "std_error": None, "trials": 1})()
-    est = UatfEstimates(u=mk(u), t=mk(t), d=mk(d), u_emi=mk(w_emi))
+    est = DenseEstimates(u=mk(u), t=mk(t), d=mk(d), u_emi=mk(w_emi))
     weights = np.ones((n_aps, n_ues))
     powers = np.array([0.2, 0.1])
     noise = 0.3
@@ -187,7 +133,7 @@ def test_closed_form_agrees_with_short_simulation(tiny_link):
     opt = optimal_lsfd_weights(
         closed_form_moments(tiny_link), p, cfg.noise_power
     )
-    est = estimate_uatf_terms(tiny_link, 20000, rng=9)
+    est = dense_uatf_terms(tiny_link, 20000, 9, 4096)
     sim = uatf_sinr(est.moments(), opt.weights, p, cfg.noise_power)
     assert np.abs(sim / opt.sinr - 1.0).max() < 0.05
 
@@ -197,11 +143,10 @@ def _rank(link):
 
 
 @pytest.mark.parametrize("link_name", ["tiny_link", "validation_link"])
-@pytest.mark.parametrize("dense", [True, False])
-def test_small_links_keep_full_chunks(request, link_name, dense):
+def test_small_links_keep_full_chunks(request, link_name):
     """Where a full chunk fits the budget, the random stream is unchanged."""
     link = request.getfixturevalue(link_name)
-    assert chunk_trials(link.config, _rank(link), dense) == CHUNK_TRIALS
+    assert chunk_trials(link.config, _rank(link)) == CHUNK_TRIALS
 
 
 @pytest.fixture(scope="module")
@@ -213,16 +158,15 @@ def oracle_link():
     return make_link(cfg, 3)
 
 
-@pytest.mark.parametrize("dense", [True, False], ids=["dense", "projected"])
-def test_chunk_working_set_stays_within_budget(oracle_link, dense):
+def test_chunk_working_set_stays_within_budget(oracle_link):
     """The traced peak of a budget-sized run stays within CHUNK_BYTES plus the sums."""
     cfg = oracle_link.config
     m, k = cfg.n_aps, cfg.n_ues
-    chunk = chunk_trials(cfg, _rank(oracle_link), dense)
+    chunk = chunk_trials(cfg, _rank(oracle_link))
     assert chunk < 1000  # the budget, not the cap, sizes these chunks
-    weights = None if dense else np.ones((m, k), dtype=complex)
+    weights = np.ones((m, k), dtype=complex)
     # 32 bytes per entry: the complex sum and two real sums of squares
-    sums = 32 * (k * k * m * (m + 1) if dense else 2 * k * k) + 32 * 2 * m * k
+    sums = 32 * 2 * k * k + 32 * 2 * m * k
     trials = 2 * chunk + 1
     tracemalloc.start()
     try:
@@ -232,14 +176,6 @@ def test_chunk_working_set_stays_within_budget(oracle_link, dense):
         tracemalloc.stop()
     assert est.u.trials == trials
     assert peak <= CHUNK_BYTES + sums
-
-
-def _dense_batch(link, trials, seed):
-    """(o, v, q) of one validation-path batch: channels, estimates, reflected data EMI."""
-    sampler = ChannelSampler(link.stats, link.los, link.nlos)
-    noise_scale = np.sqrt(link.config.noise_power / 2.0)
-    rng = np.random.default_rng(seed)
-    return montecarlo._trials(link, sampler, rng, trials, noise_scale, dense=True)
 
 
 def _closed_weights(link, combiner):
@@ -260,15 +196,16 @@ def _closed_weights(link, combiner):
 def test_projected_sinr_matches_dense_moments(validation_config, modes, combiner, monkeypatch):
     """Projecting one batch of (o, v, q) onto the weights gives its dense bound.
 
-    The two paths draw differently, so both are fed the same validation-path
-    batch in place of their own draws.
+    The run path and the dense oracle draw differently, so the run path is
+    fed the oracle's batch in place of its own draws.
     """
     link = make_link(validation_config.replace(**modes), 1)
     cfg = link.config
     weights, powers = _closed_weights(link, combiner)
-    batch = _dense_batch(link, 300, 6)
+    sampler = ChannelSampler(link.stats, link.los, link.nlos)
+    batch = dense_batch(link, sampler, np.random.default_rng(6), 300)
     monkeypatch.setattr(montecarlo, "_trials", lambda *args: batch)
-    dense = estimate_uatf_terms(link, 300, rng=0, chunk_size=300)
+    dense = dense_estimates([batch], cfg.n_aps, cfg.n_ues)
     projected = estimate_uatf_terms(link, 300, rng=0, chunk_size=300, weights=weights)
     expected = uatf_sinr(dense.moments(), weights, powers, cfg.noise_power)
     ones = np.ones((1, cfg.n_ues))
@@ -280,11 +217,11 @@ def test_projected_sinr_matches_dense_moments(validation_config, modes, combiner
 
 @pytest.mark.parametrize("modes", [{}, {"emi": "off"}], ids=["modes-on", "emi-off"])
 def test_run_path_sinr_agrees_with_validation_path(validation_config, modes):
-    """The projected draws of the run path and the full draws of H give one law.
+    """The projected draws of the run path and the dense oracle's full H give one law.
 
-    On one link, each path estimates every UE's SINR from 12 independent
-    seeds of 1500 trials; the two means agree within 4 combined standard
-    errors of the mean (sample spread over seeds) for every UE.
+    On one link, each estimates every UE's SINR from 12 independent seeds of
+    1500 trials; the two means agree within 4 combined standard errors of
+    the mean (sample spread over seeds) for every UE.
     """
     link = make_link(validation_config.replace(**modes), 1)
     cfg = link.config
@@ -294,7 +231,7 @@ def test_run_path_sinr_agrees_with_validation_path(validation_config, modes):
     for seed in range(12):
         est = estimate_uatf_terms(link, 1500, rng=100 + seed, weights=weights)
         run.append(uatf_sinr(est.moments(), ones, powers, cfg.noise_power))
-        est = estimate_uatf_terms(link, 1500, rng=200 + seed)
+        est = dense_uatf_terms(link, 1500, 200 + seed, 4096)
         dense.append(uatf_sinr(est.moments(), weights, powers, cfg.noise_power))
     run, dense = np.array(run), np.array(dense)
     se = np.sqrt((run.var(axis=0, ddof=1) + dense.var(axis=0, ddof=1)) / len(run))

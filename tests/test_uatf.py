@@ -4,15 +4,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from riscf.montecarlo import estimate_uatf_terms
 from riscf.se import closed_form_moments
 from riscf.uatf import fixed_weight_form, optimal_lsfd_weights, uatf_sinr
+from dense_reference import dense_uatf_terms
 from uatf_reference import dense_second_moment, textbook_sinr
 
 
 @pytest.fixture(scope="module")
 def mc_estimates(validation_link):
-    return estimate_uatf_terms(validation_link, 2000, rng=4)
+    return dense_uatf_terms(validation_link, 2000, 4, 4096)
 
 
 def _weights(moments, kind, powers, noise):
