@@ -10,13 +10,10 @@ fractional and max-min power control.
 from riscf.config import SystemConfig
 from riscf.scenario import Scenario, generate_scenario, path_loss_db, rician_factor
 from riscf.correlation import (
-    RisCorrelation,
-    LosComponents,
-    NlosCovariances,
+    Surface,
     ris_sinc_correlation,
     gaussian_local_scattering,
-    los_components,
-    nlos_covariances,
+    surface_statistics,
 )
 from riscf.channel import ChannelStatistics, aggregated_covariance
 from riscf.emi import (

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riscf.correlation import LosComponents, NlosCovariances
+from riscf.correlation import Surface
 from riscf.linalg import psd_factor, sample_cn, sample_phases, standard_cn
 
 
@@ -34,33 +34,27 @@ class ChannelStatistics:
     r_direct: np.ndarray
 
 
-def aggregated_covariance(
-    r_direct: np.ndarray,
-    los: LosComponents,
-    nlos: NlosCovariances,
-    gram: np.ndarray,
-    trace: float,
-) -> ChannelStatistics:
-    """Mean and covariance of o_mk from the link statistics.
+def aggregated_covariance(r_direct: np.ndarray, surface: Surface) -> ChannelStatistics:
+    """Mean and covariance of o_mk from the direct links and the surface.
 
     The covariance is R_mk + Hbar^H Phi Rtilde_k Phi^H Hbar + Q1 + Q2.
-    With Rtilde_k = gain_k R the cascade term is gain_k G_m^H R G_m, where
-    ``gram`` is ``nlos.cascade_gram(los.hbar, los.phi)``. Q1 carries the
-    NLoS RIS-to-AP response to the LoS RIS-to-UE direction,
-    gain_m (Phi zbar_k)^H R (Phi zbar_k) R_m, and Q2 the response to the
-    NLoS RIS-to-UE covariance, gain_m gain_k tr(Phi R Phi^H R) R_m, with
-    ``trace`` that trace (``nlos.phase_trace(los.phi)``). The LoS mean and
-    the quadratic forms of Phi zbar_k are GEMMs.
+    With Rtilde_k = gain_k R the cascade term is gain_k G_m^H R G_m, the
+    surface's ``gram``. Q1 carries the NLoS RIS-to-AP response to the LoS
+    RIS-to-UE direction, gain_m (Phi zbar_k)^H R (Phi zbar_k) R_m, and Q2
+    the response to the NLoS RIS-to-UE covariance,
+    gain_m gain_k tr(Phi R Phi^H R) R_m, with the surface's ``trace``. The
+    LoS mean and the quadratic forms of Phi zbar_k are GEMMs.
     """
-    phi_z = los.phi[None, :] * los.zbar
-    obar = phi_z @ los.hbar.conj()
-    cascade = nlos.gain_k[None, :, None, None] * gram[:, None]
+    s = surface
+    phi_z = s.phi[None, :] * s.zbar
+    obar = phi_z @ s.hbar.conj()
+    cascade = s.gain_k[None, :, None, None] * s.gram[:, None]
 
-    z_quad = np.sum((phi_z.conj() @ nlos.R) * phi_z, axis=1).real
-    q1_scale = nlos.gain_m[:, None] * z_quad[None, :]
-    q2_scale = nlos.gain_m[:, None] * nlos.gain_k[None, :] * trace
-    q1 = q1_scale[:, :, None, None] * nlos.r_m[:, None]
-    q2 = q2_scale[:, :, None, None] * nlos.r_m[:, None]
+    z_quad = np.sum((phi_z.conj() @ s.R) * phi_z, axis=1).real
+    q1_scale = s.gain_m[:, None] * z_quad[None, :]
+    q2_scale = s.gain_m[:, None] * s.gain_k[None, :] * s.trace
+    q1 = q1_scale[:, :, None, None] * s.r_m[:, None]
+    q2 = q2_scale[:, :, None, None] * s.r_m[:, None]
     return ChannelStatistics(
         obar=obar, r_o=r_direct + cascade + q1 + q2, q1=q1, q2=q2, r_direct=r_direct
     )
@@ -82,26 +76,21 @@ class ChannelSampler:
     ``ris_factor`` is F_R, which ``emi.sample_emi`` draws from too.
     """
 
-    def __init__(
-        self,
-        stats: ChannelStatistics,
-        los: LosComponents,
-        nlos: NlosCovariances,
-    ) -> None:
-        self.los = los
-        self.n_aps, self.n, self.l = los.hbar.shape
-        self.n_ues = los.zbar.shape[0]
+    def __init__(self, stats: ChannelStatistics, surface: Surface) -> None:
+        self.surface = surface
+        self.n_aps, self.n, self.l = surface.hbar.shape
+        self.n_ues = surface.zbar.shape[0]
         self.g_factors = psd_factor(stats.r_direct)
-        self.ris_factor = psd_factor(nlos.R)
-        self.ap_factors = np.sqrt(nlos.gain_m)[:, None, None] * psd_factor(nlos.r_m).conj()
-        self.ue_scale = np.sqrt(nlos.gain_k)
+        self.ris_factor = psd_factor(surface.R)
+        self.ap_factors = np.sqrt(surface.gain_m)[:, None, None] * psd_factor(surface.r_m).conj()
+        self.ue_scale = np.sqrt(surface.gain_k)
         # For draw_reflections, with Phi and the conjugates folded in: the
         # rows of (Hbar^H Phi) and of (F_R^H Phi), the small left operands of
         # GEMMs against the stacked x^T (a tall left operand would make BLAS
         # pack, and keep resident, a copy of x), and the A_m^H.
-        hbar_cols = los.hbar.transpose(1, 0, 2).reshape(self.n, self.n_aps * self.l)
-        self._hbar_rows = (los.phi[:, None] * hbar_cols.conj()).T.copy()
-        self._ris_rows = (los.phi[:, None] * self.ris_factor.conj()).T.copy()
+        hbar_cols = surface.hbar.transpose(1, 0, 2).reshape(self.n, self.n_aps * self.l)
+        self._hbar_rows = (surface.phi[:, None] * hbar_cols.conj()).T.copy()
+        self._ris_rows = (surface.phi[:, None] * self.ris_factor.conj()).T.copy()
         self._ap_factors_h = self.ap_factors.conj().swapaxes(-1, -2)
 
     def draw_unreflected(
@@ -118,7 +107,7 @@ class ChannelSampler:
         g = np.einsum("mkab,tmkb->tmka", self.g_factors, w_g)
         z = sample_cn(rng, self.ris_factor, phase.shape)
         z *= self.ue_scale[:, None]
-        z += self.los.zbar * phase[:, :, None]
+        z += self.surface.zbar * phase[:, :, None]
         return phase, g, z
 
     def draw_reflections(self, rng: np.random.Generator, x: np.ndarray) -> np.ndarray:

@@ -1,13 +1,15 @@
-"""Spatial correlation matrices and deterministic LoS components.
+"""The RIS of one drop: its correlation, phases and the statistics of both hops.
 
 Covers the sinc-kernel RIS correlation, Gaussian local scattering at the
-APs, the Kronecker covariance of the RIS-to-AP channel, the RIS-to-UE
-covariance, and the steering-vector LoS terms.
+APs, and ``Surface``, the one record that the cascade term, Q1, Q2, the
+EMI covariance and every Monte Carlo reflection read: the steering-vector
+LoS means, the Kronecker NLoS covariances of the RIS-to-AP channels and
+the RIS-to-UE covariances, all kept in their shared structure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -17,53 +19,43 @@ from riscf.scenario import Scenario
 
 
 @dataclass(frozen=True)
-class RisCorrelation:
-    """Sinc-kernel correlation of the RIS elements on their planar grid."""
+class Surface:
+    """The RIS of one drop.
 
-    R: np.ndarray
-    element_positions: np.ndarray
-    element_area: float
-
-
-@dataclass(frozen=True)
-class LosComponents:
-    """Deterministic LoS parts of the cascaded link plus the RIS phases.
-
-    hbar has shape (M, N, L), zbar (K, N), phi is the diagonal of the RIS
-    phase-shift matrix.
+    R is the (N, N) sinc correlation of the elements, ``element_area`` A_r
+    and phi the diagonal of the phase-shift matrix Phi. hbar (M, N, L) and
+    zbar (K, N) are the LoS means of the RIS-to-AP and RIS-to-UE channels.
+    Every NLoS covariance is a scalar times R: the column-major vectorized
+    RIS-to-AP channel of AP m has covariance gain_m[m] (r_m[m]^T kron R),
+    with r_m the (M, L, L) AP-side factors of trace L, and the RIS-to-UE
+    channel of UE k has covariance gain_k[k] R; no (NL x NL) matrix is ever
+    formed. ``gram`` is G_m^H R G_m with G_m = Phi^H Hbar_m, stacked to
+    (M, L, L), and ``trace`` is tr(Phi R Phi^H R), shared by Q2 and the EMI
+    term Q_m.
     """
 
+    R: np.ndarray
+    element_area: float
+    phi: np.ndarray
     hbar: np.ndarray
     zbar: np.ndarray
-    theta_m: np.ndarray
-    phi: np.ndarray
-
-
-@dataclass(frozen=True)
-class NlosCovariances:
-    """NLoS covariances of the RIS links, kept in their shared structure.
-
-    Every RIS-side covariance is a scalar times the one sinc matrix R
-    (N x N). The column-major vectorized RIS-to-AP channel of AP m has
-    covariance gain_m[m] (r_m[m]^T kron R), with r_m the (M, L, L) AP-side
-    factors of trace L; the RIS-to-UE channel of UE k has covariance
-    gain_k[k] R. Both gain vectors are zero when the RIS is off, and no
-    (NL x NL) matrix is ever formed.
-    """
-
-    R: np.ndarray
     r_m: np.ndarray
     gain_m: np.ndarray
     gain_k: np.ndarray
+    gram: np.ndarray
+    trace: float
 
-    def cascade_gram(self, hbar: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """G_m^H R G_m with G_m = Phi^H Hbar_m, stacked to (M, L, L)."""
-        g = phi.conj()[None, :, None] * hbar
-        return g.conj().transpose(0, 2, 1) @ (self.R @ g)
-
-    def phase_trace(self, phi: np.ndarray) -> float:
-        """tr(Phi R Phi^H R), the trace shared by Q2 and the EMI term Q_m."""
-        return float(np.sum(phi[:, None] * self.R * phi.conj()[None, :] * self.R.T).real)
+    def off(self) -> Surface:
+        """The surface switched off: zero LoS means, NLoS gains and Gram."""
+        zero = np.zeros_like
+        return replace(
+            self,
+            hbar=zero(self.hbar),
+            zbar=zero(self.zbar),
+            gain_m=zero(self.gain_m),
+            gain_k=zero(self.gain_k),
+            gram=zero(self.gram),
+        )
 
 
 def ris_element_positions(n_h: int, n_v: int, d_h: float, d_v: float) -> np.ndarray:
@@ -78,21 +70,13 @@ def ris_element_positions(n_h: int, n_v: int, d_h: float, d_v: float) -> np.ndar
     )
 
 
-def ris_sinc_correlation(
-    n_h: int, n_v: int, d_h: float, d_v: float, wavelength: float
-) -> RisCorrelation:
+def ris_sinc_correlation(positions: np.ndarray, wavelength: float) -> np.ndarray:
     """Isotropic-scattering RIS correlation R[i,j] = sinc(2 d_ij / lambda).
 
-    Spacings d_h, d_v are physical element sizes in meters; the element
-    area A_r = d_h d_v follows from them.
+    ``positions`` are the (N, 3) element centers in meters.
     """
-    u = ris_element_positions(n_h, n_v, d_h, d_v)
-    dist = np.linalg.norm(u[:, None, :] - u[None, :, :], axis=-1)
-    return RisCorrelation(
-        R=np.sinc(2.0 * dist / wavelength),
-        element_positions=u,
-        element_area=d_h * d_v,
-    )
+    dist = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1)
+    return np.sinc(2.0 * dist / wavelength)
 
 
 @lru_cache(maxsize=None)
@@ -159,57 +143,57 @@ def gaussian_local_scattering(
     return matrix.reshape(beta_b.shape + (n_antennas, n_antennas))
 
 
-def los_components(
-    scenario: Scenario, ris: RisCorrelation, config: SystemConfig
-) -> LosComponents:
-    """Steering-vector LoS terms of both RIS links and the RIS phase diagonal.
+def surface_statistics(scenario: Scenario, config: SystemConfig) -> Surface:
+    """The surface of one drop, switched on.
 
-    The RIS-to-AP mean progresses linearly over the element index with the
-    horizontal spacing and the azimuth of the AP seen from the RIS; the
-    RIS-to-UE mean is the planar-array response toward the UE. These are
-    the means with the surface on; ``pipeline`` zeroes them when it is off.
+    The element spacings in wavelengths give the element size in meters
+    and with it A_r = d_h d_v. The RIS-to-AP mean progresses linearly over
+    the element index with the horizontal spacing and the azimuth of the AP
+    seen from the RIS; the RIS-to-UE mean is the planar-array response
+    toward the UE. The RIS-to-AP covariance is Kronecker,
+    (R_m^T kron R_r,m) / (L N beta_m) with the RIS-side factor
+    R_r,m = beta_m^NLoS A_r R and a unit-trace-per-antenna AP-side factor
+    R_m from local scattering toward the RIS, so
+    gain_m = beta_m^NLoS A_r / (L N beta_m). The RIS-to-UE covariance is
+    beta_k^NLoS A_r R, so gain_k = beta_k^NLoS A_r.
     """
-    n = config.n_ris_elements
+    cfg = config
+    n, l = cfg.n_ris_elements, cfg.n_ap_antennas
+    d_h, d_v = cfg.ris_spacing_h * cfg.wavelength, cfg.ris_spacing_v * cfg.wavelength
+    positions = ris_element_positions(cfg.ris_width_elements, cfg.ris_height_elements, d_h, d_v)
+    R = ris_sinc_correlation(positions, cfg.wavelength)
+    a_r = d_h * d_v
+
     delta_ap = scenario.ap_positions[:, :2] - scenario.ris_position[:2]
     theta_m = np.arctan2(delta_ap[:, 1], delta_ap[:, 0])
     progression = np.exp(
-        2j * np.pi * config.ris_spacing_h * np.arange(n)[None, :] * np.sin(theta_m)[:, None]
+        2j * np.pi * cfg.ris_spacing_h * np.arange(n)[None, :] * np.sin(theta_m)[:, None]
     )
     hbar = (
         np.sqrt(scenario.beta_m_los)[:, None, None]
         * progression[:, :, None]
-        * np.ones((1, 1, config.n_ap_antennas))
+        * np.ones((1, 1, l))
     )
-
     towards_ue = scenario.ue_positions - scenario.ris_position[None, :]
     direction = towards_ue / np.linalg.norm(towards_ue, axis=1, keepdims=True)
-    phase = (2.0 * np.pi / config.wavelength) * (ris.element_positions @ direction.T)
+    phase = (2.0 * np.pi / cfg.wavelength) * (positions @ direction.T)
     zbar = np.sqrt(scenario.beta_k_los)[:, None] * np.exp(1j * phase.T)
+    phi = np.full(n, np.exp(1j * cfg.ris_phase))
 
-    phi = np.full(n, np.exp(1j * config.ris_phase))
-    return LosComponents(hbar=hbar, zbar=zbar, theta_m=theta_m, phi=phi)
-
-
-def nlos_covariances(
-    ris: RisCorrelation, scenario: Scenario, config: SystemConfig
-) -> NlosCovariances:
-    """Shared sinc matrix, AP-side factors and per-link gains of the NLoS links.
-
-    The RIS-to-AP covariance is Kronecker, (R_m^T kron R_r,m) / (L N beta_m)
-    with the RIS-side factor R_r,m = beta_m^NLoS A_r R and a
-    unit-trace-per-antenna AP-side factor R_m from local scattering toward
-    the RIS, so gain_m = beta_m^NLoS A_r / (L N beta_m). The RIS-to-UE
-    covariance is beta_k^NLoS A_r R, so gain_k = beta_k^NLoS A_r. These are
-    the gains with the surface on; ``pipeline`` zeroes them when it is off.
-    """
-    l, n = config.n_ap_antennas, config.n_ris_elements
-    a_r = ris.element_area
-
-    delta_ris = scenario.ris_position[:2] - scenario.ap_positions[:, :2]
-    theta_to_ris = np.arctan2(delta_ris[:, 1], delta_ris[:, 0])
+    theta_to_ris = np.arctan2(-delta_ap[:, 1], -delta_ap[:, 0])
     r_m = gaussian_local_scattering(
-        1.0, theta_to_ris, np.deg2rad(config.asd_deg), l, config.ap_antenna_spacing
+        1.0, theta_to_ris, np.deg2rad(cfg.asd_deg), l, cfg.ap_antenna_spacing
     )
-    gain_m = scenario.beta_m_nlos * a_r / (l * n * scenario.beta_m)
-    gain_k = scenario.beta_k_nlos * a_r
-    return NlosCovariances(R=ris.R, r_m=r_m, gain_m=gain_m, gain_k=gain_k)
+    g = phi.conj()[None, :, None] * hbar
+    return Surface(
+        R=R,
+        element_area=a_r,
+        phi=phi,
+        hbar=hbar,
+        zbar=zbar,
+        r_m=r_m,
+        gain_m=scenario.beta_m_nlos * a_r / (l * n * scenario.beta_m),
+        gain_k=scenario.beta_k_nlos * a_r,
+        gram=g.conj().transpose(0, 2, 1) @ (R @ g),
+        trace=float(np.sum(phi[:, None] * R * phi.conj()[None, :] * R.T).real),
+    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from riscf.correlation import NlosCovariances
+from riscf.correlation import Surface
 from riscf.linalg import sample_cn
 
 
@@ -34,24 +34,18 @@ def sigma_r2_from_rho(
     return float(p_max * beta_m.sum() / (beta_m.size * rho))
 
 
-def emi_noise_covariance(
-    nlos: NlosCovariances,
-    gram: np.ndarray,
-    trace: float,
-    sigma_r2: float,
-    element_area: float,
-) -> np.ndarray:
+def emi_noise_covariance(surface: Surface, sigma_r2: float) -> np.ndarray:
     """EMI covariance R_mm = sigma_r^2 A_r Hbar^H Phi R Phi^H Hbar + Q_m, (M, L, L).
 
-    The LoS part is sigma_r^2 A_r G_m^H R G_m with G_m = Phi^H Hbar_m, where
-    ``gram`` is ``nlos.cascade_gram(hbar, phi)``; the NLoS part is
-    Q_m = sigma_r^2 A_r gain_m tr(Phi R Phi^H R) R_m, with ``trace`` the
-    same trace as in Q2 (``nlos.phase_trace(phi)``). The pilot-phase noise
-    covariance is tau_p R_mm + tau_p sigma^2 I, assembled by the caller.
+    The LoS part is sigma_r^2 A_r G_m^H R G_m with G_m = Phi^H Hbar_m, the
+    surface's ``gram``; the NLoS part is
+    Q_m = sigma_r^2 A_r gain_m tr(Phi R Phi^H R) R_m, with the same
+    ``trace`` as in Q2. The pilot-phase noise covariance is
+    tau_p R_mm + tau_p sigma^2 I, assembled by the caller.
     """
-    scale = sigma_r2 * element_area
-    q_m = (scale * nlos.gain_m * trace)[:, None, None] * nlos.r_m
-    return scale * gram + q_m
+    scale = sigma_r2 * surface.element_area
+    q_m = (scale * surface.gain_m * surface.trace)[:, None, None] * surface.r_m
+    return scale * surface.gram + q_m
 
 
 def sample_emi(

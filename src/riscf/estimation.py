@@ -55,16 +55,14 @@ def assign_pilots(n_ues: int, tau_p: int, power: float) -> PilotAssignment:
 class EstimationStatistics:
     """Second-order quantities of the MMSE estimator, per (AP, UE).
 
-    psi is the pilot observation covariance divided by tau_p, x the
-    solution Psi^{-1} R^o, omega the estimate shape matrix, c the error
-    covariance, and gain the estimator matrix sqrt(p_hat_k) R^o Psi^{-1}
-    applied to the innovation.
+    With Psi the pilot observation covariance divided by tau_p, x is the
+    solution Psi^{-1} R^o, omega the estimate shape matrix R^o Psi^{-1} R^o,
+    and gain the estimator matrix sqrt(p_hat_k) R^o Psi^{-1} applied to the
+    innovation.
     """
 
-    psi: np.ndarray
     x: np.ndarray
     omega: np.ndarray
-    c: np.ndarray
     gain: np.ndarray
 
 
@@ -74,11 +72,12 @@ def estimation_statistics(
     assignment: PilotAssignment,
     noise_power: float,
 ) -> EstimationStatistics:
-    """Build Psi, Omega, C, and the estimator gain for every (AP, UE) pair.
+    """Build x, Omega and the estimator gain for every (AP, UE) pair.
 
     Psi_mk = sum_{i in P_k} p_hat_i tau_p R^o_mi + R_mm + sigma^2 I is
-    shared within a coset; Omega = R^o Psi^{-1} R^o and C = R^o -
-    p_hat tau_p Omega follow. ``r_mm`` is the (M, L, L) EMI covariance.
+    shared within a coset; x = Psi^{-1} R^o and Omega = R^o x follow, and
+    the error covariance is R^o - p_hat tau_p Omega. ``r_mm`` is the
+    (M, L, L) EMI covariance.
     Solves are linear (no explicit inverses) and refuse ill-conditioned Psi.
     """
     tau_p, pilot_powers = assignment.tau_p, assignment.powers
@@ -92,10 +91,8 @@ def estimation_statistics(
         psi[:, coset] = psi_coset[:, None]
 
     x = solve_hermitian(psi, stats.r_o)
-    omega = stats.r_o @ x
-    c = stats.r_o - pilot_powers[None, :, None, None] * tau_p * omega
     gain = np.sqrt(pilot_powers)[None, :, None, None] * x.conj().swapaxes(-1, -2)
-    return EstimationStatistics(psi=psi, x=x, omega=omega, c=c, gain=gain)
+    return EstimationStatistics(x=x, omega=stats.r_o @ x, gain=gain)
 
 
 def pilot_observation(

@@ -244,8 +244,8 @@ def _run_drop(
     mode-independent drop statistics are built once, from the first of them
     (they read no mode field). Link statistics and the closed-form moments
     depend on no mode field but (emi, ris), so each distinct (emi, ris)
-    builds them once on the shared drop statistics, which also keep one
-    copy of the aggregated moments per ``ris``. The modes are evaluated
+    builds them once on the shared drop statistics, which hold the
+    aggregated moments of the surface on. The modes are evaluated
     grouped by that key, and only one link bundle is alive at a time,
     beside the drop statistics.
     """

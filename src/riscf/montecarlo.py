@@ -197,7 +197,7 @@ def estimate_uatf_terms(
     acc_t = RunningMoments((n_ues, n_ues, 1))
     acc_d = RunningMoments((n_aps, n_ues))
     acc_e = RunningMoments((n_aps, n_ues))
-    sampler = ChannelSampler(link.stats, link.los, link.nlos)
+    sampler = ChannelSampler(link.stats, link.surface)
     if chunk_size is None:
         chunk_size = chunk_trials(cfg, sampler.ris_factor.shape[1])
     noise_scale = np.sqrt(cfg.noise_power / 2.0)
@@ -248,7 +248,7 @@ def _trials(
     n_ues, tau_p = cfg.n_ues, cfg.tau_p
     x = np.empty((batch, n_ues + tau_p + 1, cfg.n_ris_elements), dtype=complex)
     phase, g, x[:, :n_ues] = sampler.draw_unreflected(rng, batch)
-    emi_power = link.sigma_r2 * link.ris.element_area
+    emi_power = link.sigma_r2 * link.surface.element_area
     x[:, n_ues:-1] = sample_emi(rng, emi_power, sampler.ris_factor, (batch, tau_p))
     ap_noise = _ap_noise(rng, (batch, cfg.n_aps, cfg.n_ap_antennas, tau_p), noise_scale)
     x[:, -1:] = sample_emi(rng, emi_power, sampler.ris_factor, (batch, 1))

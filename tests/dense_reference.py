@@ -41,35 +41,35 @@ def quadratic_block_trace(a, cov, n, l):
     return np.einsum("ab,pbqa->qp", a, blocks)
 
 
-def dense_nlos(ris, scenario, config, r_m):
+def dense_nlos(surface, scenario, config, r_m):
     """Stacks rtilde_m (M, NL, NL) and rtilde_k (K, N, N); zero with the RIS off."""
     l, n = config.n_ap_antennas, config.n_ris_elements
-    a_r = ris.element_area
+    a_r = surface.element_area
     on = 0.0 if config.ris == "off" else 1.0
     rtilde_m = np.stack(
         [
             on
-            * np.kron(r_m[m].T, scenario.beta_m_nlos[m] * a_r * ris.R)
+            * np.kron(r_m[m].T, scenario.beta_m_nlos[m] * a_r * surface.R)
             / (l * n * scenario.beta_m[m])
             for m in range(config.n_aps)
         ]
     )
-    rtilde_k = on * scenario.beta_k_nlos[:, None, None] * a_r * ris.R[None, :, :]
+    rtilde_k = on * scenario.beta_k_nlos[:, None, None] * a_r * surface.R[None, :, :]
     return rtilde_m, rtilde_k
 
 
-def dense_aggregated(r_direct, los, rtilde_m, rtilde_k):
+def dense_aggregated(r_direct, surface, rtilde_m, rtilde_k):
     """obar, r_o, q1 and q2 by per-(AP, UE) block traces against rtilde_m."""
-    n_aps, n, l = los.hbar.shape
-    n_ues = los.zbar.shape[0]
-    obar = np.einsum("mna,n,kn->mka", los.hbar.conj(), los.phi, los.zbar)
+    n_aps, n, l = surface.hbar.shape
+    n_ues = surface.zbar.shape[0]
+    obar = np.einsum("mna,n,kn->mka", surface.hbar.conj(), surface.phi, surface.zbar)
 
-    g_phase = los.phi.conj()[None, :, None] * los.hbar
+    g_phase = surface.phi.conj()[None, :, None] * surface.hbar
     cascade = np.einsum("mna,knp,mpb->mkab", g_phase.conj(), rtilde_k, g_phase)
 
-    phi_z = los.phi[None, :] * los.zbar
+    phi_z = surface.phi[None, :] * surface.zbar
     b_k = phi_z[:, :, None] * phi_z.conj()[:, None, :]
-    phi_rk = np.einsum("n,knp,p->knp", los.phi, rtilde_k, los.phi.conj())
+    phi_rk = np.einsum("n,knp,p->knp", surface.phi, rtilde_k, surface.phi.conj())
 
     q1 = np.empty((n_aps, n_ues, l, l), dtype=complex)
     q2 = np.empty((n_aps, n_ues, l, l), dtype=complex)
@@ -128,7 +128,7 @@ def draw(sampler, rng, trials, phase=None):
     direct channels g, the W_m of every AP in one AP-major draw, then the
     RIS-to-UE channels z; o = g + H^H Phi z.
     """
-    los = sampler.los
+    surface = sampler.surface
     m, l, k = sampler.n_aps, sampler.l, sampler.n_ues
     if phase is None:
         phase = sample_phases(rng, (trials, k))
@@ -136,11 +136,13 @@ def draw(sampler, rng, trials, phase=None):
     w = standard_cn(rng, (m, trials, sampler.ris_factor.shape[1], l))
     z = sample_cn(rng, sampler.ris_factor, phase.shape)
     z *= sampler.ue_scale[:, None]
-    z += los.zbar * phase[:, :, None]
-    nlos = np.einsum("nr,mtrb,mab->tmna", sampler.ris_factor, w, sampler.ap_factors)
-    h = los.hbar[None] + nlos
-    o = g + np.einsum("tmna,n,tkn->tmka", h.conj(), los.phi, z)
-    return DenseDraw(phase=phase, g=g, w=w, z=z, h=h, o=o, phi=los.phi)
+    z += surface.zbar * phase[:, :, None]
+    nlos = np.einsum(
+        "nr,mtrb,mab->tmna", sampler.ris_factor, w, sampler.ap_factors, optimize=True
+    )
+    h = surface.hbar[None] + nlos
+    o = g + np.einsum("tmna,n,tkn->tmka", h.conj(), surface.phi, z)
+    return DenseDraw(phase=phase, g=g, w=w, z=z, h=h, o=o, phi=surface.phi)
 
 
 @dataclass(frozen=True)
@@ -173,8 +175,8 @@ def dense_batch(link, sampler, rng, trials):
     """
     cfg = link.config
     n_aps, n_ant, tau_p = cfg.n_aps, cfg.n_ap_antennas, cfg.tau_p
-    phi = link.los.phi
-    emi_power = link.sigma_r2 * link.ris.element_area
+    phi = link.surface.phi
+    emi_power = link.sigma_r2 * link.surface.element_area
     real = draw(sampler, rng, trials)
     h, o = real.h, real.o
     emi_pilot = sample_emi(rng, emi_power, sampler.ris_factor, (trials, tau_p))
@@ -214,7 +216,7 @@ def dense_estimates(batches, n_aps, n_ues):
 def dense_uatf_terms(link, trials, rng, chunk_size):
     """The dense moments from ``trials`` trials drawn in chunks of ``chunk_size``."""
     rng = np.random.default_rng(rng)
-    sampler = ChannelSampler(link.stats, link.los, link.nlos)
+    sampler = ChannelSampler(link.stats, link.surface)
     sizes = [min(chunk_size, trials - start) for start in range(0, trials, chunk_size)]
     batches = (dense_batch(link, sampler, rng, size) for size in sizes)
     return dense_estimates(batches, link.config.n_aps, link.config.n_ues)

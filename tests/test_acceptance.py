@@ -121,7 +121,7 @@ def test_criterion_02_covariance_oracles():
         tau_p=2,
     )
     link = _build(cfg, 2)
-    sampler = ChannelSampler(link.stats, link.los, link.nlos)
+    sampler = ChannelSampler(link.stats, link.surface)
     rng = np.random.default_rng(7)
     zero_powers = np.zeros(cfg.n_ues)
     noise_scale = np.sqrt(cfg.noise_power / 2.0)
@@ -135,7 +135,7 @@ def test_criterion_02_covariance_oracles():
         centered = real.o - link.stats.obar[None] * real.phase[:, None, :, None]
         mom_o.update(np.einsum("tmka,tmkb->tmkab", centered, centered.conj()))
         emi_pilot = sample_emi(
-            rng, link.sigma_r2 * link.ris.element_area, sampler.ris_factor, (batch, cfg.tau_p)
+            rng, link.sigma_r2 * link.surface.element_area, sampler.ris_factor, (batch, cfg.tau_p)
         ).transpose(0, 2, 1)
         raw = rng.standard_normal((batch, cfg.n_aps, cfg.n_ap_antennas, cfg.tau_p, 2))
         ap_noise = noise_scale * (raw[..., 0] + 1j * raw[..., 1])

@@ -1,4 +1,6 @@
 """The structured cascade statistics against the dense NL x NL reference."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -32,19 +34,20 @@ def test_structured_matches_dense(l, side, emi, ris):
     )
     scenario = generate_scenario(cfg, np.random.default_rng(11))
     link = build_link_statistics(scenario, cfg)
-    rtilde_m, rtilde_k = dense_nlos(link.ris, scenario, cfg, link.nlos.r_m)
+    surface = link.surface
+    rtilde_m, rtilde_k = dense_nlos(surface, scenario, cfg, surface.r_m)
 
-    dense = dense_aggregated(link.stats.r_direct, link.los, rtilde_m, rtilde_k)
+    dense = dense_aggregated(link.stats.r_direct, surface, rtilde_m, rtilde_k)
     for name in ("obar", "r_o", "q1", "q2"):
         assert _close(getattr(link.stats, name), dense[name]), name
 
     dense = dense_emi(
-        link.los.hbar, link.los.phi, link.ris.R, rtilde_m, link.sigma_r2, link.ris.element_area
+        surface.hbar, surface.phi, surface.R, rtilde_m, link.sigma_r2, surface.element_area
     )
     assert _close(link.r_mm, dense["r_mm"]), "r_mm"
     # the NLoS part Q_m alone: R_mm with the LoS Gram left out
-    trace = link.nlos.phase_trace(link.los.phi)
-    q_m = emi_noise_covariance(link.nlos, 0.0, trace, link.sigma_r2, link.ris.element_area)
+    no_gram = dataclasses.replace(surface, gram=np.zeros_like(surface.gram))
+    q_m = emi_noise_covariance(no_gram, link.sigma_r2)
     assert _close(q_m, dense["q_m"]), "q_m"
 
     if ris == "on":

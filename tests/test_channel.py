@@ -1,6 +1,4 @@
 """Aggregated channel statistics and the joint channel sampler."""
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -12,12 +10,12 @@ from dense_reference import dense_nlos, draw
 
 
 def _dense_nlos(link):
-    return dense_nlos(link.ris, link.scenario, link.config, link.nlos.r_m)
+    return dense_nlos(link.surface, link.scenario, link.config, link.surface.r_m)
 
 
 def test_aggregated_mean_is_cascaded_los(tiny_link):
     link = tiny_link
-    los = link.los
+    los = link.surface
     expect = np.einsum("mna,n,kn->mka", los.hbar.conj(), los.phi, los.zbar)
     assert np.allclose(link.stats.obar, expect)
 
@@ -42,7 +40,7 @@ def test_aggregated_covariance_dominates_direct(tiny_link):
 
 def test_sampler_shapes_and_determinism(tiny_link):
     cfg = tiny_link.config
-    sampler = ChannelSampler(tiny_link.stats, tiny_link.los, tiny_link.nlos)
+    sampler = ChannelSampler(tiny_link.stats, tiny_link.surface)
     a = draw(sampler, np.random.default_rng(3), 7)
     b = draw(sampler, np.random.default_rng(3), 7)
     m, k, l, n = cfg.n_aps, cfg.n_ues, cfg.n_ap_antennas, cfg.n_ris_elements
@@ -55,9 +53,9 @@ def test_sampler_shapes_and_determinism(tiny_link):
 
 def test_sampler_aggregates_parts(tiny_link):
     """o must equal g + H^H Phi z element by element on the same draw."""
-    sampler = ChannelSampler(tiny_link.stats, tiny_link.los, tiny_link.nlos)
+    sampler = ChannelSampler(tiny_link.stats, tiny_link.surface)
     real = draw(sampler, np.random.default_rng(4), 5)
-    phi_z = tiny_link.los.phi * real.z
+    phi_z = tiny_link.surface.phi * real.z
     cascade = np.array(
         [[h_m.conj().T @ phi_z[t].T for h_m in h_t] for t, h_t in enumerate(real.h)]
     )
@@ -68,7 +66,7 @@ def test_sampler_aggregates_parts(tiny_link):
 def test_sampler_first_moments(tiny_link):
     """Sample means converge on hbar, zbar, and the aggregated mean."""
     n_trials = 60000
-    sampler = ChannelSampler(tiny_link.stats, tiny_link.los, tiny_link.nlos)
+    sampler = ChannelSampler(tiny_link.stats, tiny_link.surface)
     ones = np.ones((n_trials, tiny_link.config.n_ues))
     real = draw(sampler, np.random.default_rng(5), n_trials, phase=ones)
     rtilde_m, rtilde_k = _dense_nlos(tiny_link)
@@ -82,14 +80,14 @@ def test_sampler_first_moments(tiny_link):
     se_o = np.sqrt(
         np.diagonal(tiny_link.stats.r_o, axis1=2, axis2=3).real.max() / n_trials
     )
-    assert np.abs(real.h.mean(axis=0) - tiny_link.los.hbar).max() < 6.0 * se_h
-    assert np.abs(real.z.mean(axis=0) - tiny_link.los.zbar).max() < 6.0 * se_z
+    assert np.abs(real.h.mean(axis=0) - tiny_link.surface.hbar).max() < 6.0 * se_h
+    assert np.abs(real.z.mean(axis=0) - tiny_link.surface.zbar).max() < 6.0 * se_z
     assert np.abs(real.o.mean(axis=0) - tiny_link.stats.obar).max() < 6.0 * se_o
 
 
 def test_sampler_aggregated_second_moment(tiny_link):
     """Sample covariance of o matches the closed-form r_o within noise."""
-    sampler = ChannelSampler(tiny_link.stats, tiny_link.los, tiny_link.nlos)
+    sampler = ChannelSampler(tiny_link.stats, tiny_link.surface)
     real = draw(sampler, np.random.default_rng(6), 120000, phase=np.ones((120000, 2)))
     centered = real.o - tiny_link.stats.obar
     sample = np.einsum("tmka,tmkb->mkab", centered, centered.conj()) / len(real.o)
@@ -99,30 +97,13 @@ def test_sampler_aggregated_second_moment(tiny_link):
 
 
 def test_fixed_phase_is_honored(tiny_link):
-    sampler = ChannelSampler(tiny_link.stats, tiny_link.los, tiny_link.nlos)
+    sampler = ChannelSampler(tiny_link.stats, tiny_link.surface)
     real = draw(sampler, np.random.default_rng(7), 4, phase=np.ones((4, 2)))
     assert np.allclose(real.phase, 1.0)
 
 
 def test_aggregated_covariance_zero_ris_reduces_to_direct(tiny_link):
-    los = tiny_link.los
-    nlos = tiny_link.nlos
-    zero_los = type(los)(
-        hbar=np.zeros_like(los.hbar),
-        zbar=np.zeros_like(los.zbar),
-        theta_m=los.theta_m,
-        phi=los.phi,
-    )
-    zero_nlos = dataclasses.replace(
-        nlos, gain_m=np.zeros_like(nlos.gain_m), gain_k=np.zeros_like(nlos.gain_k)
-    )
-    stats = aggregated_covariance(
-        tiny_link.stats.r_direct,
-        zero_los,
-        zero_nlos,
-        zero_nlos.cascade_gram(zero_los.hbar, zero_los.phi),
-        zero_nlos.phase_trace(zero_los.phi),
-    )
+    stats = aggregated_covariance(tiny_link.stats.r_direct, tiny_link.surface.off())
     assert np.allclose(stats.r_o, tiny_link.stats.r_direct)
     assert np.allclose(stats.obar, 0.0)
     assert np.allclose(stats.q1, 0.0)
@@ -137,10 +118,10 @@ def test_sampler_h_covariance_is_dense_kronecker(validation_link):
     """
     link = validation_link
     n_trials = 40000
-    sampler = ChannelSampler(link.stats, link.los, link.nlos)
+    sampler = ChannelSampler(link.stats, link.surface)
     real = draw(sampler, np.random.default_rng(8), n_trials)
     rtilde_m, _ = _dense_nlos(link)
-    nlos_part = real.h - link.los.hbar
+    nlos_part = real.h - link.surface.hbar
     vec = nlos_part.transpose(0, 1, 3, 2).reshape(n_trials, link.config.n_aps, -1)
     for m in range(link.config.n_aps):
         sample = vec[:, m].T @ vec[:, m].conj() / n_trials
@@ -160,12 +141,12 @@ def test_projected_reflection_reproduces_full_draw(request, config_name, seed, n
     config = request.getfixturevalue(config_name).replace(n_ap_antennas=n_ap_antennas)
     link = make_link(config, seed)
     cfg = link.config
-    sampler = ChannelSampler(link.stats, link.los, link.nlos)
+    sampler = ChannelSampler(link.stats, link.surface)
     rng = np.random.default_rng(9)
     trials, j, n = 6, cfg.n_ues + cfg.tau_p + 1, cfg.n_ris_elements
     real = draw(sampler, rng, trials)
     x = rng.standard_normal((trials, j, n)) + 1j * rng.standard_normal((trials, j, n))
-    y = (link.los.phi * x).conj() @ sampler.ris_factor
+    y = (link.surface.phi * x).conj() @ sampler.ris_factor
     q, r = np.linalg.qr(y.conj().swapaxes(1, 2))
     v = np.einsum("trk,mtrl->tkml", q, real.w.conj()).reshape(trials, q.shape[2], -1)
     got = sampler._reflect_projected(x, r, v)
@@ -182,14 +163,14 @@ def _reflection_covariance_checks(link):
     Y, within 5 standard errors (C_ii C_jj / T per entry).
     """
     cfg = link.config
-    sampler = ChannelSampler(link.stats, link.los, link.nlos)
+    sampler = ChannelSampler(link.stats, link.surface)
     rng = np.random.default_rng(10)
     j, n, l, trials = cfg.n_ues + cfg.tau_p + 1, cfg.n_ris_elements, cfg.n_ap_antennas, 40000
     x = rng.standard_normal((j, n)) + 1j * rng.standard_normal((j, n))
     x[-1] = 0.0  # a zero row, as with the EMI off
     got = sampler.draw_reflections(rng, np.broadcast_to(x, (trials, j, n)).copy())
-    mean = np.einsum("mna,n,jn->mja", link.los.hbar.conj(), link.los.phi, x)
-    y = (link.los.phi * x).conj() @ sampler.ris_factor
+    mean = np.einsum("mna,n,jn->mja", link.surface.hbar.conj(), link.surface.phi, x)
+    y = (link.surface.phi * x).conj() @ sampler.ris_factor
     gram = y @ y.conj().T
     checks = []
     for m in range(cfg.n_aps):

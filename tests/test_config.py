@@ -2,10 +2,12 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from riscf.config import MODES, SystemConfig, config_from_mapping
-from riscf.correlation import ris_sinc_correlation
+from riscf.correlation import surface_statistics
+from riscf.scenario import generate_scenario
 
 
 def test_default_dimensions():
@@ -18,19 +20,13 @@ def test_default_dimensions():
 
 
 def test_wavelength_and_element_area():
-    """The element area has one source, the surface correlation model."""
+    """The element area has one source, the surface of the drop."""
     cfg = SystemConfig()
     lam = 299792458.0 / 1.9e9
     assert cfg.wavelength == pytest.approx(lam, rel=1e-9)
     assert not hasattr(cfg, "element_area")
-    ris = ris_sinc_correlation(
-        cfg.ris_width_elements,
-        cfg.ris_height_elements,
-        cfg.ris_spacing_h * cfg.wavelength,
-        cfg.ris_spacing_v * cfg.wavelength,
-        cfg.wavelength,
-    )
-    assert ris.element_area == pytest.approx(0.25 * lam * lam, rel=1e-9)
+    surface = surface_statistics(generate_scenario(cfg, np.random.default_rng(0)), cfg)
+    assert surface.element_area == pytest.approx(0.25 * lam * lam, rel=1e-9)
 
 
 def test_noise_and_transmit_power():

@@ -1,4 +1,5 @@
-"""Spatial correlation models: sinc kernel, local scattering, LoS terms."""
+"""Spatial correlation models: sinc kernel, local scattering, the surface record."""
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,10 +10,9 @@ from riscf import correlation
 from riscf.config import SystemConfig
 from riscf.correlation import (
     gaussian_local_scattering,
-    los_components,
-    nlos_covariances,
     ris_element_positions,
     ris_sinc_correlation,
+    surface_statistics,
 )
 from riscf.pipeline import build_link_statistics
 from riscf.scenario import generate_scenario
@@ -20,6 +20,10 @@ from riscf.scenario import generate_scenario
 from dense_reference import dense_nlos
 
 LAM = 299792458.0 / 1.9e9
+
+
+def _sinc(n_h, n_v, d_h, d_v):
+    return ris_sinc_correlation(ris_element_positions(n_h, n_v, d_h, d_v), LAM)
 
 
 def test_element_positions_grid():
@@ -31,36 +35,36 @@ def test_element_positions_grid():
 
 
 def test_sinc_half_wavelength_linear_array_is_identity():
-    corr = ris_sinc_correlation(4, 1, LAM / 2, LAM / 2, LAM)
-    assert np.allclose(corr.R, np.eye(4), atol=1e-12)
+    assert np.allclose(_sinc(4, 1, LAM / 2, LAM / 2), np.eye(4), atol=1e-12)
 
 
 def test_sinc_quarter_wavelength_adjacent_value():
-    corr = ris_sinc_correlation(4, 1, LAM / 4, LAM / 4, LAM)
-    assert corr.R[0, 1] == pytest.approx(2.0 / np.pi, rel=1e-12)
-    assert np.allclose(np.diag(corr.R), 1.0)
+    r = _sinc(4, 1, LAM / 4, LAM / 4)
+    assert r[0, 1] == pytest.approx(2.0 / np.pi, rel=1e-12)
+    assert np.allclose(np.diag(r), 1.0)
 
 
 def test_sinc_matches_pairwise_distance_formula():
-    corr = ris_sinc_correlation(3, 2, LAM / 4, LAM / 3, LAM)
-    pos = corr.element_positions
+    pos = ris_element_positions(3, 2, LAM / 4, LAM / 3)
+    r = ris_sinc_correlation(pos, LAM)
     for i in range(6):
         for j in range(6):
             d = np.linalg.norm(pos[i] - pos[j])
             x = 2.0 * d / LAM
             expect = 1.0 if x == 0 else np.sin(np.pi * x) / (np.pi * x)
-            assert corr.R[i, j] == pytest.approx(expect, rel=1e-12)
+            assert r[i, j] == pytest.approx(expect, rel=1e-12)
 
 
 def test_sinc_correlation_symmetric_psd():
-    corr = ris_sinc_correlation(4, 4, LAM / 8, LAM / 8, LAM)
-    assert np.allclose(corr.R, corr.R.T)
-    assert np.linalg.eigvalsh(corr.R).min() > -1e-10
+    r = _sinc(4, 4, LAM / 8, LAM / 8)
+    assert np.allclose(r, r.T)
+    assert np.linalg.eigvalsh(r).min() > -1e-10
 
 
-def test_sinc_element_area():
-    corr = ris_sinc_correlation(2, 2, 0.03, 0.04, LAM)
-    assert corr.element_area == pytest.approx(0.0012)
+def test_surface_element_area():
+    cfg = SystemConfig(n_aps=3, n_ues=4, ris_spacing_h=0.25, ris_spacing_v=0.125)
+    surface = surface_statistics(generate_scenario(cfg, np.random.default_rng(2)), cfg)
+    assert surface.element_area == pytest.approx(LAM * LAM / 32, rel=1e-12)
 
 
 def test_local_scattering_trace_and_structure():
@@ -175,19 +179,11 @@ def test_local_scattering_order_cap_raises_without_warnings():
 def drop():
     cfg = SystemConfig(n_aps=3, n_ues=4, n_ap_antennas=2)
     scen = generate_scenario(cfg, np.random.default_rng(2))
-    ris = ris_sinc_correlation(
-        cfg.ris_width_elements,
-        cfg.ris_height_elements,
-        cfg.ris_spacing_h * cfg.wavelength,
-        cfg.ris_spacing_v * cfg.wavelength,
-        cfg.wavelength,
-    )
-    return cfg, scen, ris
+    return cfg, scen, surface_statistics(scen, cfg)
 
 
 def test_los_magnitudes(drop):
-    cfg, scen, ris = drop
-    los = los_components(scen, ris, cfg)
+    cfg, scen, los = drop
     assert np.allclose(np.abs(los.hbar), np.sqrt(scen.beta_m_los)[:, None, None])
     norms = np.sum(np.abs(los.zbar) ** 2, axis=1)
     assert np.allclose(norms, cfg.n_ris_elements * scen.beta_k_los)
@@ -196,16 +192,14 @@ def test_los_magnitudes(drop):
 
 def test_los_zero_with_ris_off(drop):
     """The link stage zeroes the surface-on LoS means of the drop."""
-    cfg, scen, ris = drop
-    los = build_link_statistics(scen, cfg.replace(ris="off")).los
+    cfg, scen, _ = drop
+    los = build_link_statistics(scen, cfg.replace(ris="off")).surface
     assert np.all(los.hbar == 0.0) and np.all(los.zbar == 0.0)
     assert np.allclose(los.phi, np.exp(1j * cfg.ris_phase))
-    assert np.array_equal(los.theta_m, los_components(scen, ris, cfg).theta_m)
 
 
 def test_nlos_ap_side_factor_unit_trace(drop):
-    cfg, scen, ris = drop
-    nlos = nlos_covariances(ris, scen, cfg)
+    cfg, scen, nlos = drop
     traces = np.trace(nlos.r_m, axis1=1, axis2=2).real
     assert np.allclose(traces, cfg.n_ap_antennas)
 
@@ -219,35 +213,45 @@ def _dense_rtilde_m(nlos):
 
 def test_nlos_trace_identities(drop):
     """tr rtilde_m = A_r / (1 + kappa_m); tr rtilde_k = N A_r beta_k_nlos."""
-    cfg, scen, ris = drop
-    nlos = nlos_covariances(ris, scen, cfg)
+    cfg, scen, nlos = drop
     tr_m = nlos.gain_m * np.trace(nlos.r_m, axis1=1, axis2=2).real * np.trace(nlos.R)
-    assert np.allclose(tr_m, ris.element_area / (1.0 + scen.kappa_m), rtol=1e-12)
+    assert np.allclose(tr_m, nlos.element_area / (1.0 + scen.kappa_m), rtol=1e-12)
     tr_k = nlos.gain_k * np.trace(nlos.R)
-    expect = cfg.n_ris_elements * ris.element_area * scen.beta_k_nlos
+    expect = cfg.n_ris_elements * nlos.element_area * scen.beta_k_nlos
     assert np.allclose(tr_k, expect, rtol=1e-12)
 
 
 def test_nlos_kronecker_assembly(drop):
-    cfg, scen, ris = drop
-    nlos = nlos_covariances(ris, scen, cfg)
-    rtilde_m, rtilde_k = dense_nlos(ris, scen, cfg, nlos.r_m)
+    cfg, scen, nlos = drop
+    rtilde_m, rtilde_k = dense_nlos(nlos, scen, cfg, nlos.r_m)
     assert np.allclose(_dense_rtilde_m(nlos), rtilde_m, rtol=1e-12)
     assert np.allclose(nlos.gain_k[:, None, None] * nlos.R, rtilde_k, rtol=1e-12)
-    assert np.array_equal(nlos.R, ris.R)
 
 
 def test_nlos_gains_vanish_with_ris_off(drop):
     """The link stage zeroes the gains and keeps the drop's AP-side factors."""
-    cfg, scen, ris = drop
-    nlos = build_link_statistics(scen, cfg.replace(ris="off")).nlos
+    cfg, scen, on = drop
+    nlos = build_link_statistics(scen, cfg.replace(ris="off")).surface
     assert np.all(nlos.gain_m == 0.0) and np.all(nlos.gain_k == 0.0)
-    assert np.array_equal(nlos.r_m, nlos_covariances(ris, scen, cfg).r_m)
+    assert np.array_equal(nlos.r_m, on.r_m)
+
+
+def test_surface_off_zeroes_exactly_the_surface_terms(drop):
+    """off() zeroes the LoS means, NLoS gains and Gram and keeps the rest."""
+    on = drop[2]
+    off = on.off()
+    zeroed = {"hbar", "zbar", "gain_m", "gain_k", "gram"}
+    for f in dataclasses.fields(on):
+        got, want = getattr(off, f.name), getattr(on, f.name)
+        if f.name in zeroed:
+            assert np.all(got == 0.0) and np.shape(got) == np.shape(want), f.name
+        else:
+            assert got is want, f.name
+    assert np.abs(on.gram).max() > 0.0
 
 
 def test_nlos_covariances_psd(drop):
-    cfg, scen, ris = drop
-    nlos = nlos_covariances(ris, scen, cfg)
+    cfg, scen, nlos = drop
     rtilde_m = _dense_rtilde_m(nlos)
     for m in range(cfg.n_aps):
         assert np.linalg.eigvalsh(rtilde_m[m]).min() > -1e-18

@@ -7,7 +7,7 @@ import pytest
 from riscf.emi import emi_noise_covariance, sample_emi, sigma_r2_from_rho
 from riscf.linalg import hermitize, psd_factor
 from riscf.config import SystemConfig
-from riscf.correlation import ris_sinc_correlation
+from riscf.correlation import ris_element_positions, ris_sinc_correlation
 
 from dense_reference import draw
 
@@ -43,10 +43,9 @@ def test_sigma_r2_scales_inverse_with_rho():
 def surface():
     """EMI power sigma_r^2 A_r, the correlation R and its factor F_R."""
     cfg = SystemConfig()
-    ris = ris_sinc_correlation(
-        4, 4, 0.25 * cfg.wavelength, 0.25 * cfg.wavelength, cfg.wavelength
-    )
-    return 2.0 * ris.element_area, ris.R, psd_factor(ris.R)
+    size = 0.25 * cfg.wavelength
+    r = ris_sinc_correlation(ris_element_positions(4, 4, size, size), cfg.wavelength)
+    return 2.0 * size * size, r, psd_factor(r)
 
 
 def test_sample_emi_covariance(surface):
@@ -76,37 +75,26 @@ def test_sample_emi_extra_axes(surface):
     assert draws.shape == (5, 3, r.shape[0])
 
 
-def _emi_covariance(link, sigma_r2):
-    los, nlos = link.los, link.nlos
-    return emi_noise_covariance(
-        nlos,
-        nlos.cascade_gram(los.hbar, los.phi),
-        nlos.phase_trace(los.phi),
-        sigma_r2,
-        link.ris.element_area,
-    )
-
-
 def test_emi_noise_covariance_zero_when_quiet(tiny_link):
-    assert np.allclose(_emi_covariance(tiny_link, 0.0), 0.0)
+    assert np.allclose(emi_noise_covariance(tiny_link.surface, 0.0), 0.0)
 
 
 def test_emi_noise_covariance_brute_force(tiny_link):
     """Propagating raw EMI draws through H reproduces the closed matrix."""
     cfg = tiny_link.config
-    los = tiny_link.los
+    surface = tiny_link.surface
     sigma_r2 = 3.0e-10
-    closed = _emi_covariance(tiny_link, sigma_r2)
+    closed = emi_noise_covariance(surface, sigma_r2)
     from riscf.channel import ChannelSampler
 
-    sampler = ChannelSampler(tiny_link.stats, tiny_link.los, tiny_link.nlos)
+    sampler = ChannelSampler(tiny_link.stats, surface)
     rng = np.random.default_rng(3)
     n_trials = 120000
     real = draw(sampler, rng, n_trials)
     noise = sample_emi(
-        rng, sigma_r2 * tiny_link.ris.element_area, psd_factor(tiny_link.ris.R), (n_trials,)
+        rng, sigma_r2 * surface.element_area, psd_factor(surface.R), (n_trials,)
     )
-    q = np.einsum("tmnl,n,tn->tml", real.h.conj(), los.phi, noise)
+    q = np.einsum("tmnl,n,tn->tml", real.h.conj(), surface.phi, noise)
     for m in range(cfg.n_aps):
         sample = q[:, m].T @ q[:, m].conj() / n_trials
         err = np.abs(sample - closed[m]).max()
@@ -114,6 +102,6 @@ def test_emi_noise_covariance_brute_force(tiny_link):
 
 
 def test_emi_noise_covariance_psd(tiny_link):
-    r_mm = _emi_covariance(tiny_link, 1e-9)
+    r_mm = emi_noise_covariance(tiny_link.surface, 1e-9)
     for m in range(r_mm.shape[0]):
         assert np.linalg.eigvalsh(hermitize(r_mm[m])).min() > -1e-24

@@ -5,7 +5,7 @@ import pytest
 from riscf.channel import ChannelSampler
 from riscf.emi import sample_emi
 from riscf.estimation import assign_pilots, mmse_estimate, pilot_observation
-from riscf.linalg import psd_factor
+from riscf.linalg import hermitize, psd_factor
 
 from dense_reference import draw
 
@@ -32,41 +32,49 @@ def test_assign_pilots_rejects_bad_sizes():
         assign_pilots(3, 0, 0.2)
 
 
-def test_psi_assembly_from_aggregated_covariances(tiny_link):
-    """Psi_mk = sum_{i in coset} p_i tau_p r_o_mi + r_mm + noise I."""
-    link = tiny_link
+def _psi(link):
+    """Psi_mk = sum_{i in coset} p_i tau_p r_o_mi + r_mm + noise I, entry by entry."""
     cfg = link.config
-    eye = np.eye(cfg.n_ap_antennas)
+    psi = np.empty_like(link.stats.r_o)
     for k in range(cfg.n_ues):
-        coset = link.assignment.coset(k)
         for m in range(cfg.n_aps):
-            expect = (
+            psi[m, k] = (
                 sum(
                     link.assignment.powers[i] * cfg.tau_p * link.stats.r_o[m, i]
-                    for i in coset
+                    for i in link.assignment.coset(k)
                 )
                 + link.r_mm[m]
-                + cfg.noise_power * eye
+                + cfg.noise_power * np.eye(cfg.n_ap_antennas)
             )
-            assert np.allclose(link.est.psi[m, k], expect, rtol=1e-12)
+    return psi
 
 
-def test_omega_and_error_covariance_split(tiny_link):
-    """r_o = p tau Omega + C, with Omega = r_o Psi^{-1} r_o."""
-    link = tiny_link
+def test_psi_assembly_from_aggregated_covariances(validation_link):
+    """x solves Psi x = r_o for Psi assembled from its definition."""
+    link = validation_link
+    assert np.allclose(link.est.x, np.linalg.solve(_psi(link), link.stats.r_o), rtol=1e-9)
+
+
+def test_omega_and_error_covariance_split(validation_link):
+    """Omega = r_o Psi^{-1} r_o, and the error covariance r_o - p tau Omega is PSD."""
+    link = validation_link
     tau = link.config.tau_p
-    recon = link.assignment.powers[None, :, None, None] * tau * link.est.omega + link.est.c
-    assert np.allclose(recon, link.stats.r_o, rtol=1e-10)
-    manual = link.stats.r_o @ np.linalg.solve(link.est.psi, link.stats.r_o)
+    manual = link.stats.r_o @ np.linalg.solve(_psi(link), link.stats.r_o)
     assert np.allclose(link.est.omega, manual, rtol=1e-9)
+    c = link.stats.r_o - link.assignment.powers[None, :, None, None] * tau * manual
+    scale = np.abs(link.stats.r_o).max()
+    for m in range(c.shape[0]):
+        for k in range(c.shape[1]):
+            assert np.allclose(c[m, k], c[m, k].conj().T, atol=1e-12 * scale)
+            assert np.linalg.eigvalsh(hermitize(c[m, k])).min() > -1e-12 * scale
 
 
 def _pilot_draw(link, rng, trials, phase=None):
     cfg = link.config
-    sampler = ChannelSampler(link.stats, link.los, link.nlos)
+    sampler = ChannelSampler(link.stats, link.surface)
     real = draw(sampler, rng, trials, phase=phase)
-    emi_power = link.sigma_r2 * link.ris.element_area
-    emi_pilot = sample_emi(rng, emi_power, psd_factor(link.ris.R), (trials, cfg.tau_p))
+    emi_power = link.sigma_r2 * link.surface.element_area
+    emi_pilot = sample_emi(rng, emi_power, psd_factor(link.surface.R), (trials, cfg.tau_p))
     raw = rng.standard_normal((trials, cfg.n_aps, cfg.n_ap_antennas, cfg.tau_p, 2))
     ap_noise = np.sqrt(cfg.noise_power / 2.0) * (raw[..., 0] + 1j * raw[..., 1])
     reflected = real.reflect(emi_pilot).swapaxes(2, 3)

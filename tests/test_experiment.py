@@ -11,7 +11,6 @@ import yaml
 from riscf import correlation, experiment, pipeline
 from riscf.cli import main
 from riscf.config import SystemConfig
-from riscf.correlation import NlosCovariances
 from riscf.experiment import (
     CDF_COLUMNS,
     CSV_COLUMNS,
@@ -344,8 +343,9 @@ def test_run_experiment_builds_links_once_per_emi_ris(tmp_path, monkeypatch):
 
 def test_run_experiment_builds_drop_statistics_once_per_drop(tmp_path, monkeypatch):
     """Mode-independent work runs once per drop whatever its (emi, ris) groups:
-    two local-scattering passes (direct links, AP-side factors), one cascade
-    Gram and one phase trace; the aggregated moments once per ris."""
+    two local-scattering passes (direct links, AP-side factors) and one
+    surface build with its Gram and trace; the aggregated moments once per
+    ris."""
     modes = [
         {"combiner": "lsfd", "emi": "on"},
         {"combiner": "lsfd", "emi": "off"},
@@ -368,15 +368,13 @@ def test_run_experiment_builds_drop_statistics_once_per_drop(tmp_path, monkeypat
 
     counting(pipeline, "gaussian_local_scattering")
     counting(correlation, "gaussian_local_scattering")
-    counting(NlosCovariances, "cascade_gram")
-    counting(NlosCovariances, "phase_trace")
+    counting(pipeline, "surface_statistics")
     counting(pipeline, "aggregated_covariance")
     counting(experiment, "build_link_statistics")
     run_experiment(write_spec(tmp_path / "s.yaml", payload), seed=2, out_dir=tmp_path / "o")
     assert counts == {
         "gaussian_local_scattering": 2 * drops,
-        "cascade_gram": drops,
-        "phase_trace": drops,
+        "surface_statistics": drops,
         "aggregated_covariance": 2 * drops,
         "build_link_statistics": 3 * drops,
     }

@@ -9,7 +9,7 @@ from riscf.pipeline import build_drop_statistics, build_link_statistics
 from riscf.scenario import generate_scenario
 
 MODES = [("on", "on"), ("off", "on"), ("on", "off")]
-PARTS = ("stats", "est", "los", "nlos")
+PARTS = ("stats", "est", "surface")
 
 
 def _arrays(obj):
