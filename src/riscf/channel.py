@@ -22,15 +22,12 @@ from riscf.linalg import psd_factor, sample_cn, sample_phases, standard_cn
 class ChannelStatistics:
     """First and second moments of the aggregated channels.
 
-    obar is the LoS mean (M, K, L); r_o the aggregated covariance
-    (M, K, L, L); q1 and q2 its two RIS-to-AP NLoS contributions;
-    r_direct the direct-link covariance R_mk.
+    obar is the LoS mean (M, K, L), r_o the aggregated covariance
+    (M, K, L, L) and r_direct the direct-link covariance R_mk.
     """
 
     obar: np.ndarray
     r_o: np.ndarray
-    q1: np.ndarray
-    q2: np.ndarray
     r_direct: np.ndarray
 
 
@@ -55,9 +52,7 @@ def aggregated_covariance(r_direct: np.ndarray, surface: Surface) -> ChannelStat
     q2_scale = s.gain_m[:, None] * s.gain_k[None, :] * s.trace
     q1 = q1_scale[:, :, None, None] * s.r_m[:, None]
     q2 = q2_scale[:, :, None, None] * s.r_m[:, None]
-    return ChannelStatistics(
-        obar=obar, r_o=r_direct + cascade + q1 + q2, q1=q1, q2=q2, r_direct=r_direct
-    )
+    return ChannelStatistics(obar=obar, r_o=r_direct + cascade + q1 + q2, r_direct=r_direct)
 
 
 class ChannelSampler:

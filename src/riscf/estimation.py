@@ -56,14 +56,13 @@ class EstimationStatistics:
     """Second-order quantities of the MMSE estimator, per (AP, UE).
 
     With Psi the pilot observation covariance divided by tau_p, x is the
-    solution Psi^{-1} R^o, omega the estimate shape matrix R^o Psi^{-1} R^o,
-    and gain the estimator matrix sqrt(p_hat_k) R^o Psi^{-1} applied to the
-    innovation.
+    solution Psi^{-1} R^o and omega the estimate shape matrix
+    R^o Psi^{-1} R^o. The estimator applies sqrt(p_hat_k) x^H =
+    sqrt(p_hat_k) R^o Psi^{-1} to the innovation.
     """
 
     x: np.ndarray
     omega: np.ndarray
-    gain: np.ndarray
 
 
 def estimation_statistics(
@@ -72,7 +71,7 @@ def estimation_statistics(
     assignment: PilotAssignment,
     noise_power: float,
 ) -> EstimationStatistics:
-    """Build x, Omega and the estimator gain for every (AP, UE) pair.
+    """Build x and Omega for every (AP, UE) pair.
 
     Psi_mk = sum_{i in P_k} p_hat_i tau_p R^o_mi + R_mm + sigma^2 I is
     shared within a coset; x = Psi^{-1} R^o and Omega = R^o x follow, and
@@ -91,8 +90,7 @@ def estimation_statistics(
         psi[:, coset] = psi_coset[:, None]
 
     x = solve_hermitian(psi, stats.r_o)
-    gain = np.sqrt(pilot_powers)[None, :, None, None] * x.conj().swapaxes(-1, -2)
-    return EstimationStatistics(x=x, omega=stats.r_o @ x, gain=gain)
+    return EstimationStatistics(x=x, omega=stats.r_o @ x)
 
 
 def pilot_observation(
@@ -126,9 +124,9 @@ def mmse_estimate(
 ) -> np.ndarray:
     """MMSE estimates o_hat_mk given the pilot observations and LoS phases.
 
-    o_hat = obar e^{j theta_k} + gain (y - ybar), where ybar collects the
-    phase-rotated LoS means of the whole coset: one GEMM of the phases
-    against the trial-independent coset means.
+    o_hat = obar e^{j theta_k} + sqrt(p_hat_k) x^H (y - ybar), where ybar
+    collects the phase-rotated LoS means of the whole coset: one GEMM of
+    the phases against the trial-independent coset means.
     """
     coset_means = np.einsum(
         "i,mia,ki->imka",
@@ -138,4 +136,5 @@ def mmse_estimate(
     )
     ybar = (phase @ coset_means.reshape(phase.shape[1], -1)).reshape(y.shape)
     prior = stats.obar[None] * phase[:, None, :, None]
-    return prior + np.einsum("mkab,tmkb->tmka", est.gain, y - ybar)
+    gain = np.sqrt(assignment.powers)[None, :, None, None] * est.x.conj().swapaxes(-1, -2)
+    return prior + np.einsum("mkab,tmkb->tmka", gain, y - ybar)

@@ -6,12 +6,13 @@ the Monte Carlo budget.  A mode is the base configuration with the mode
 fields of ``config.MODES`` set by one ``modes:`` entry; a field the entry
 leaves out keeps its base value.  The unit of work is the drop, one (sweep
 value, scenario) pair: its scenario and mode-independent statistics are
-built once, its link statistics once per distinct (emi, ris) among the
-modes, and every mode is evaluated on them.  Scenario draws are seeded per
-scenario index, so they are shared across sweep values for paired
-comparisons, and Monte Carlo draws per (sweep value, scenario, mode); the
-emitted CSV is therefore byte-identical for a given (spec, seed)
-regardless of thread count.
+built once, its link statistics once per distinct link key among the
+modes (``pipeline.link_mode``: the surface state, and the EMI state with
+the surface on), and every mode is evaluated on them.  Scenario draws are
+seeded per scenario index, so they are shared across sweep values for
+paired comparisons, and Monte Carlo draws per (sweep value, scenario,
+mode); the emitted CSV is therefore byte-identical for a given (spec,
+seed) regardless of thread count.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .config import (
     with_fields,
 )
 from .montecarlo import estimate_uatf_terms
-from .pipeline import LinkStatistics, build_drop_statistics, build_link_statistics
-from .power import aggregate_gain, fractional_power_control, full_power, maxmin_power_control
+from .pipeline import LinkStatistics, build_drop_statistics, build_link_statistics, link_mode
+from .power import aggregate_gain, fractional_power_control, maxmin_power_control
 from .scenario import generate_scenario
 from .se import closed_form_moments, spectral_efficiency
 from .uatf import UatfMoments, combine, uatf_sinr
@@ -211,21 +212,20 @@ def _evaluate_mode(
     """Closed-form SINR and, when mc_trials > 0, the simulated SINR of one mode.
 
     ``cfg`` is the mode's own config: power, combiner, noise and ``p_max``
-    all come from it. ``link`` and ``moments`` belong to its (emi, ris) and
-    may have been built from another mode of that group. The simulation
+    all come from it. ``link`` and ``moments`` belong to its link key and
+    may have been built from another mode with that key. The simulation
     keeps only the projections onto the closed form's weights, whose bound
     is that of one virtual AP with unit weight.
     """
     noise = cfg.noise_power
     if cfg.power == "full":
-        alloc = full_power(cfg.n_ues, cfg.p_max)
+        powers = np.full(cfg.n_ues, cfg.p_max)
     elif cfg.power == "fpc":
-        alloc = fractional_power_control(aggregate_gain(link), cfg.fpc_alpha, cfg.p_max)
+        powers = fractional_power_control(aggregate_gain(link), cfg.fpc_alpha, cfg.p_max)
     else:
-        alloc = maxmin_power_control(
+        powers = maxmin_power_control(
             moments, cfg.combiner, noise, cfg.p_max, tol=cfg.maxmin_tol
-        )
-    powers = alloc.powers
+        ).powers
 
     closed = combine(moments, cfg.combiner, powers, noise)
     sinr_mc = None
@@ -243,9 +243,9 @@ def _run_drop(
     The sweep value is applied to every mode's config. The scenario and its
     mode-independent drop statistics are built once, from the first of them
     (they read no mode field). Link statistics and the closed-form moments
-    depend on no mode field but (emi, ris), so each distinct (emi, ris)
-    builds them once on the shared drop statistics, which hold the
-    aggregated moments of the surface on. The modes are evaluated
+    depend on no mode field but the link key (``link_mode``), so each
+    distinct key builds them once on the shared drop statistics, which
+    hold the aggregated moments of the surface on. The modes are evaluated
     grouped by that key, and only one link bundle is alive at a time,
     beside the drop statistics.
     """
@@ -255,7 +255,7 @@ def _run_drop(
     drop = build_drop_statistics(scenario, modes[0])
     groups: dict[tuple[str, str], list[int]] = {}
     for mode_idx, mode in enumerate(modes):
-        groups.setdefault((mode.emi, mode.ris), []).append(mode_idx)
+        groups.setdefault(link_mode(mode), []).append(mode_idx)
     sinrs = {}
     for mode_indices in groups.values():
         link = build_link_statistics(drop, modes[mode_indices[0]])

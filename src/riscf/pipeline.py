@@ -4,12 +4,12 @@ The build has two stages. The drop stage, ``build_drop_statistics``, holds
 what no mode field changes: the direct-link covariances, the surface with
 its cascade Gram G_m^H R G_m and phase trace tr(Phi R Phi^H R), and the
 aggregated moments of the surface on. The link stage,
-``build_link_statistics``, applies the (emi, ris) mode: with the surface
-off it aggregates ``surface.off()`` instead, it sets the EMI power, and it
-builds the EMI covariance R_mm (one (M, L, L) array), the pilot
-assignment with its powers, and the estimation statistics. Everything
-downstream (closed-form SINR, Monte Carlo validation, power control)
-consumes the resulting link bundle.
+``build_link_statistics``, applies the link key ``link_mode``: with the
+surface off it aggregates ``surface.off()`` instead, it sets the EMI
+power, and it builds the EMI covariance R_mm (one (M, L, L) array), the
+pilot assignment with its powers, and the estimation statistics.
+Everything downstream (closed-form SINR, Monte Carlo validation, power
+control) consumes the resulting link bundle.
 """
 
 from __future__ import annotations
@@ -86,6 +86,15 @@ def direct_link_covariances(scenario: Scenario, config: SystemConfig) -> np.ndar
     )
 
 
+def link_mode(config: SystemConfig) -> tuple[str, str]:
+    """The (ris, emi) state a link bundle is built for.
+
+    With the surface off nothing reflects EMI, so ``emi`` is then "off"
+    whatever the config says; modes with the same key share one bundle.
+    """
+    return config.ris, config.emi if config.ris == "on" else "off"
+
+
 def build_drop_statistics(scenario: Scenario, config: SystemConfig) -> DropStatistics:
     """Build the statistics of one drop that no mode field changes."""
     direct = direct_link_covariances(scenario, config)
@@ -102,7 +111,7 @@ def build_drop_statistics(scenario: Scenario, config: SystemConfig) -> DropStati
 def build_link_statistics(
     drop: Scenario | DropStatistics, config: SystemConfig
 ) -> LinkStatistics:
-    """Build all deterministic statistics for one drop and (emi, ris) mode.
+    """Build all deterministic statistics for one drop and link key (``link_mode``).
 
     ``drop`` is either a scenario, whose drop statistics are then built
     here, or drop statistics built from ``config`` up to its mode fields.
@@ -113,14 +122,15 @@ def build_link_statistics(
     elif drop.config.replace(**cfg.mode) != cfg:
         raise ValueError("config differs from the drop's in more than its mode fields")
 
+    ris, emi = link_mode(cfg)
     surface, stats = drop.surface, drop.stats
-    if cfg.ris == "off":
+    if ris == "off":
         surface = surface.off()
         stats = aggregated_covariance(drop.direct, surface)
-    if cfg.emi == "off" or cfg.ris == "off":
-        sigma_r2 = 0.0
-    else:
+    if emi == "on":
         sigma_r2 = sigma_r2_from_rho(cfg.rho_db, cfg.p_max, drop.scenario.beta_m)
+    else:
+        sigma_r2 = 0.0
 
     r_mm = emi_noise_covariance(surface, sigma_r2)
     assignment = assign_pilots(cfg.n_ues, cfg.tau_p, cfg.pilot_power_value)

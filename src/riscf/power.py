@@ -7,7 +7,8 @@ fixed-weight form (``uatf.fixed_weight_form``) turns the SINR constraints
 of a target t into (diag(num) - t C) p >= t d with C >= 0 elementwise, so
 one K x K linear solve for the least powers that meet them with equality
 decides each candidate exactly (Yates, IEEE JSAC 1995).
-Both policies return per-UE data powers in watts, capped at p_max.
+Both policies give per-UE data powers in watts, capped at p_max; max-min
+also returns the target it certifies and the weights it committed to.
 """
 
 from __future__ import annotations
@@ -21,19 +22,17 @@ from .uatf import UatfMoments, combine, fixed_weight_form, uatf_sinr
 
 
 @dataclass(frozen=True)
-class PowerAllocation:
-    """Per-UE powers plus how they were obtained.
+class MaxMinAllocation:
+    """Max-min powers, the bisection steps taken, and what they certify.
 
-    ``target`` is the certified common SINR lower bound for max-min (NaN
-    otherwise); ``weights`` are the decoding weights the max-min solver
-    committed to, when applicable.
+    ``target`` is the certified common SINR lower bound and ``weights``
+    the decoding weights the solver committed to.
     """
 
     powers: np.ndarray
-    method: str
     iterations: int
     target: float
-    weights: np.ndarray | None = None
+    weights: np.ndarray
 
 
 def _check_p_max(p_max: float) -> None:
@@ -46,9 +45,7 @@ def aggregate_gain(link: LinkStatistics) -> np.ndarray:
     return np.trace(link.stats.r_o, axis1=-2, axis2=-1).real.sum(axis=0)
 
 
-def fractional_power_control(
-    gains: np.ndarray, alpha: float, p_max: float
-) -> PowerAllocation:
+def fractional_power_control(gains: np.ndarray, alpha: float, p_max: float) -> np.ndarray:
     """Powers p_k = p_max (min_i gain_i / gain_k)^alpha.
 
     alpha = 0 recovers full power; larger alpha compresses the received
@@ -63,20 +60,7 @@ def fractional_power_control(
         raise ValueError("alpha must be non-negative")
     _check_p_max(p_max)
     eta = (gains.min() / gains) ** alpha
-    return PowerAllocation(
-        powers=eta * p_max, method="fpc", iterations=0, target=float("nan")
-    )
-
-
-def full_power(n_ues: int, p_max: float) -> PowerAllocation:
-    """Every UE at p_max."""
-    _check_p_max(p_max)
-    return PowerAllocation(
-        powers=np.full(n_ues, p_max),
-        method="full",
-        iterations=0,
-        target=float("nan"),
-    )
+    return eta * p_max
 
 
 def least_powers(
@@ -101,7 +85,7 @@ def maxmin_power_control(
     noise_power: float,
     p_max: float,
     tol: float = 1e-3,
-) -> PowerAllocation:
+) -> MaxMinAllocation:
     """Max-min fair powers by bisection on the common SINR target.
 
     Decoding weights are fixed to those of the ``combiner`` mode under full
@@ -144,10 +128,4 @@ def maxmin_power_control(
     achieved = uatf_sinr(moments, weights, powers, noise_power)
     if achieved.min() < t_lo - 1e-8 * max(t_lo, 1.0):
         raise RuntimeError("bisection witness lost feasibility")
-    return PowerAllocation(
-        powers=powers,
-        method="maxmin",
-        iterations=iterations,
-        target=t_lo,
-        weights=weights,
-    )
+    return MaxMinAllocation(powers=powers, iterations=iterations, target=t_lo, weights=weights)

@@ -1,7 +1,10 @@
 """Shared fixtures: small deterministic links reused across test modules."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from riscf.channel import aggregated_covariance
 from riscf.config import SystemConfig
 from riscf.pipeline import build_link_statistics
 from riscf.scenario import generate_scenario
@@ -13,6 +16,20 @@ def make_link(config, seed):
     rng = np.random.default_rng(seed)
     scenario = generate_scenario(config, rng)
     return build_link_statistics(scenario, config)
+
+
+def q_terms(surface):
+    """Q1 and Q2 of ``aggregated_covariance``, each on its own.
+
+    Each is the aggregated covariance of the surface with no direct link,
+    no Gram (no cascade) and the other term switched off: Q2 scales with
+    gain_k and Q1 with the LoS RIS-UE means zbar.
+    """
+    zero = np.zeros_like
+    isolated = replace(surface, gram=zero(surface.gram))
+    q1 = aggregated_covariance(0.0, replace(isolated, gain_k=zero(surface.gain_k))).r_o
+    q2 = aggregated_covariance(0.0, replace(isolated, zbar=zero(surface.zbar))).r_o
+    return q1, q2
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ from riscf.emi import emi_noise_covariance
 from riscf.pipeline import build_link_statistics
 from riscf.scenario import generate_scenario
 
+from conftest import q_terms
 from dense_reference import dense_aggregated, dense_emi, dense_nlos
 
 RTOL = 1e-12
@@ -38,8 +39,12 @@ def test_structured_matches_dense(l, side, emi, ris):
     rtilde_m, rtilde_k = dense_nlos(surface, scenario, cfg, surface.r_m)
 
     dense = dense_aggregated(link.stats.r_direct, surface, rtilde_m, rtilde_k)
-    for name in ("obar", "r_o", "q1", "q2"):
+    for name in ("obar", "r_o"):
         assert _close(getattr(link.stats, name), dense[name]), name
+    # Q1 and Q2 alone: isolated surfaces with no direct link
+    q1, q2 = q_terms(surface)
+    assert _close(q1, dense["q1"]), "q1"
+    assert _close(q2, dense["q2"]), "q2"
 
     dense = dense_emi(
         surface.hbar, surface.phi, surface.R, rtilde_m, link.sigma_r2, surface.element_area
@@ -51,5 +56,5 @@ def test_structured_matches_dense(l, side, emi, ris):
     assert _close(q_m, dense["q_m"]), "q_m"
 
     if ris == "on":
-        assert np.abs(link.stats.q1).max() > 0.0 and np.abs(link.stats.q2).max() > 0.0
+        assert np.abs(q1).max() > 0.0 and np.abs(q2).max() > 0.0
         assert (emi == "on") == (np.abs(q_m).max() > 0.0)

@@ -5,7 +5,7 @@ import pytest
 from riscf.channel import ChannelSampler, aggregated_covariance
 from riscf.linalg import hermitize
 
-from conftest import make_link
+from conftest import make_link, q_terms
 from dense_reference import dense_nlos, draw
 
 
@@ -21,8 +21,7 @@ def test_aggregated_mean_is_cascaded_los(tiny_link):
 
 
 def test_aggregated_covariance_pieces_are_psd(tiny_link):
-    stats = tiny_link.stats
-    for arr in (stats.r_o, stats.q1, stats.q2):
+    for arr in (tiny_link.stats.r_o, *q_terms(tiny_link.surface)):
         for m in range(arr.shape[0]):
             for k in range(arr.shape[1]):
                 block = hermitize(arr[m, k])
@@ -103,11 +102,13 @@ def test_fixed_phase_is_honored(tiny_link):
 
 
 def test_aggregated_covariance_zero_ris_reduces_to_direct(tiny_link):
-    stats = aggregated_covariance(tiny_link.stats.r_direct, tiny_link.surface.off())
+    off = tiny_link.surface.off()
+    stats = aggregated_covariance(tiny_link.stats.r_direct, off)
     assert np.allclose(stats.r_o, tiny_link.stats.r_direct)
     assert np.allclose(stats.obar, 0.0)
-    assert np.allclose(stats.q1, 0.0)
-    assert np.allclose(stats.q2, 0.0)
+    q1, q2 = q_terms(off)
+    assert np.allclose(q1, 0.0)
+    assert np.allclose(q2, 0.0)
 
 
 def test_sampler_h_covariance_is_dense_kronecker(validation_link):

@@ -303,14 +303,16 @@ def test_run_experiment_deterministic_across_threads(micro_spec, tmp_path):
 
 
 def test_run_experiment_builds_links_once_per_emi_ris(tmp_path, monkeypatch):
-    """Each drop builds one link bundle per distinct (emi, ris) of its modes,
-    and its rows equal those of single-mode runs, each on a fresh bundle."""
+    """Each drop builds one link bundle per distinct link key of its modes,
+    so emi does not split modes with the surface off, and its rows equal
+    those of single-mode runs, each on a fresh bundle."""
     modes = [
         {"combiner": "lsfd", "emi": "on"},
         {"combiner": "mr", "emi": "off"},
         {"combiner": "mr", "emi": "on", "power": "fpc"},
         {"combiner": "lsfd", "ris": "off", "power": "maxmin"},
         {"combiner": "lsfd", "emi": "off", "power": "fpc"},
+        {"combiner": "mr", "emi": "off", "ris": "off"},
     ]
     payload = dict(MICRO, mc_trials=0, modes=modes)
     payload["sweep"] = {"param": "rho_db", "values": [10.0, 20.0]}
@@ -319,11 +321,11 @@ def test_run_experiment_builds_links_once_per_emi_ris(tmp_path, monkeypatch):
     monkeypatch.setattr(
         experiment,
         "build_link_statistics",
-        lambda scenario, cfg: calls.append((cfg.emi, cfg.ris)) or build(scenario, cfg),
+        lambda scenario, cfg: calls.append(pipeline.link_mode(cfg)) or build(scenario, cfg),
     )
     run_experiment(write_spec(tmp_path / "all.yaml", payload), seed=4, out_dir=tmp_path / "all")
     assert len(calls) == 2 * 2 * 3
-    assert set(calls) == {("on", "on"), ("off", "on"), ("on", "off")}
+    assert set(calls) == {("on", "on"), ("on", "off"), ("off", "off")}
 
     per_mode = []
     for i, mode in enumerate(modes):
@@ -342,7 +344,7 @@ def test_run_experiment_builds_links_once_per_emi_ris(tmp_path, monkeypatch):
 
 
 def test_run_experiment_builds_drop_statistics_once_per_drop(tmp_path, monkeypatch):
-    """Mode-independent work runs once per drop whatever its (emi, ris) groups:
+    """Mode-independent work runs once per drop whatever its link-key groups:
     two local-scattering passes (direct links, AP-side factors) and one
     surface build with its Gram and trace; the aggregated moments once per
     ris."""

@@ -63,6 +63,33 @@ def test_solve_hermitian_single_matrix():
     assert np.allclose(a @ solve_hermitian(a, b), b, rtol=1e-9, atol=1e-10)
 
 
+def test_solve_hermitian_accepts_condition_below_limit():
+    x = solve_hermitian(np.diag([1.0, 1e-11]), np.eye(2))
+    assert np.allclose(x, np.diag([1.0, 1e11]), rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.diag([1.0, 1e-13]),
+        np.array([[1.0, 1.0], [1.0, 1.0]]),
+        np.diag([1.0, -0.5]),
+    ],
+    ids=["above_limit", "singular", "indefinite"],
+)
+def test_solve_hermitian_refuses_ill_conditioned(a):
+    with pytest.raises(IllConditionedError):
+        solve_hermitian(a, np.eye(2))
+
+
+def test_solve_hermitian_refuses_whole_stack_for_one_bad_matrix():
+    rng = np.random.default_rng(6)
+    a = random_hpd(rng, 2, batch=(4,))
+    a[2] = np.diag([1.0, 1e-13])
+    with pytest.raises(IllConditionedError):
+        solve_hermitian(a, np.ones((4, 2, 2)))
+
+
 def test_sample_cn_matches_target_covariance():
     rng = np.random.default_rng(4)
     cov = np.array([[2.0, 0.5 + 0.5j], [0.5 - 0.5j, 1.0]])

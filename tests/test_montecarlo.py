@@ -17,7 +17,6 @@ from riscf.montecarlo import (
     estimate_uatf_terms,
 )
 from riscf.pipeline import build_link_statistics
-from riscf.power import full_power
 from riscf.scenario import generate_scenario
 from riscf.se import closed_form_moments
 from riscf.uatf import combine, optimal_lsfd_weights, uatf_sinr
@@ -183,7 +182,7 @@ def test_chunk_working_set_stays_within_budget(oracle_link):
 
 def _closed_weights(link, combiner):
     cfg = link.config
-    powers = full_power(cfg.n_ues, cfg.p_max).powers
+    powers = np.full(cfg.n_ues, cfg.p_max)
     closed = combine(
         closed_form_moments(link), combiner, powers, cfg.noise_power
     )
@@ -309,7 +308,7 @@ def test_run_path_matches_closed_form_sinr(direct_scale):
         tau_p=3,
         shadow_std_db=0.0,
     )
-    powers = full_power(cfg.n_ues, cfg.p_max).powers
+    powers = np.full(cfg.n_ues, cfg.p_max)
     gaps = []
     for seed in range(3):
         scenario = generate_scenario(cfg, np.random.default_rng(seed))

@@ -12,7 +12,6 @@ from riscf.pipeline import build_link_statistics
 from riscf.power import (
     aggregate_gain,
     fractional_power_control,
-    full_power,
     least_powers,
     maxmin_power_control,
 )
@@ -22,24 +21,18 @@ from riscf.uatf import combine, fixed_weight_form, optimal_lsfd_weights, uatf_si
 from uatf_reference import dense_second_moment, textbook_sinr
 
 
-def test_full_power_vector():
-    alloc = full_power(4, 0.2)
-    assert np.allclose(alloc.powers, 0.2)
-    assert alloc.method == "full"
-
-
 def test_fractional_exact_values():
     gains = np.array([4.0, 1.0, 16.0])
-    alloc = fractional_power_control(gains, 0.5, 0.2)
-    assert alloc.powers == pytest.approx([0.1, 0.2, 0.05])
+    powers = fractional_power_control(gains, 0.5, 0.2)
+    assert powers == pytest.approx([0.1, 0.2, 0.05])
 
 
 def test_fractional_weakest_gets_full_power():
     rng = np.random.default_rng(0)
     gains = rng.uniform(1e-9, 1e-6, 7)
-    alloc = fractional_power_control(gains, 0.6, 0.2)
-    assert alloc.powers[np.argmin(gains)] == pytest.approx(0.2)
-    assert np.all(alloc.powers <= 0.2 + 1e-15)
+    powers = fractional_power_control(gains, 0.6, 0.2)
+    assert powers[np.argmin(gains)] == pytest.approx(0.2)
+    assert np.all(powers <= 0.2 + 1e-15)
 
 
 @given(
@@ -49,15 +42,15 @@ def test_fractional_weakest_gets_full_power():
 @settings(max_examples=50)
 def test_fractional_monotone_in_gain(gains, alpha):
     gains = np.asarray(gains)
-    alloc = fractional_power_control(gains, alpha, 0.2)
+    powers = fractional_power_control(gains, alpha, 0.2)
     order = np.argsort(gains)
-    assert np.all(np.diff(alloc.powers[order]) <= 1e-15)
+    assert np.all(np.diff(powers[order]) <= 1e-15)
 
 
 def test_fractional_alpha_zero_is_full_power():
     gains = np.array([1e-8, 5e-7, 2e-6])
-    alloc = fractional_power_control(gains, 0.0, 0.2)
-    assert np.allclose(alloc.powers, 0.2)
+    powers = fractional_power_control(gains, 0.0, 0.2)
+    assert np.allclose(powers, 0.2)
 
 
 def test_fractional_rejects_bad_gains():
@@ -150,8 +143,6 @@ def test_maxmin_tolerance_validation(validation_moments, validation_config):
 
 
 def test_power_policies_reject_zero_p_max(validation_moments, validation_config):
-    with pytest.raises(ValueError, match="p_max"):
-        full_power(4, 0.0)
     with pytest.raises(ValueError, match="p_max"):
         fractional_power_control(np.array([1.0, 2.0]), 0.5, 0.0)
     with pytest.raises(ValueError, match="p_max"):
