@@ -17,6 +17,7 @@ SPEED_OF_LIGHT = 299_792_458.0
 #: The mode fields and their values, named nowhere else: MR vs LSFD
 #: combining, EMI at the RIS, full vs fractional vs max-min power, and the
 #: surface present or removed. Results label rows by them in this order.
+#: ``emi`` is the only EMI switch; ``rho_db`` is a finite level for EMI on.
 MODES = {
     "combiner": ("mr", "lsfd"),
     "emi": ("on", "off"),
@@ -67,7 +68,7 @@ class SystemConfig:
     p_max: float = 10.0 ** (-0.7)
     pilot_power: float | None = None
     noise_dbm: float = -94.0
-    rho_db: float | None = 20.0
+    rho_db: float = 20.0
     ris_phase: float = 0.25 * math.pi
 
     # Geometry
@@ -75,6 +76,7 @@ class SystemConfig:
     ap_height: float = 15.0
     ue_height: float = 1.65
     ris_height: float = 30.0
+    ris_position_xy: tuple[float, float] | None = None
 
     # Large-scale propagation
     pl_const_db: float = -30.18
@@ -85,10 +87,6 @@ class SystemConfig:
     shadow_std_db: float = 8.0
     shadow_decorr: float = 100.0
     shadow_ap_frac: float = 0.5
-
-    # Channel-model switches
-    ris_position_xy: tuple[float, float] | None = None
-    ue_ris_rician: bool = True
 
     # Power control
     fpc_alpha: float = 0.6
@@ -105,15 +103,14 @@ class SystemConfig:
             value = getattr(self, f.name)
             if f.type == "int" and not is_count(value):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "bool" and not isinstance(value, bool):
-                raise ValueError(f"{f.name} must be true or false, got {value!r}")
             optional = f.type == "float | None" and value is None
             if f.type in ("float", "float | None") and not optional:
+                # EMI is switched off by its mode, never by an EMI level
+                hint = "; emi: off turns EMI off" if f.name == "rho_db" else ""
                 if not is_real(value):
-                    raise ValueError(f"{f.name} must be a number, got {value!r}")
-                # rho_db = +inf is the documented "no EMI" level
-                if not (math.isfinite(value) or (f.name == "rho_db" and value > 0)):
-                    raise ValueError(f"{f.name} must be finite, got {value!r}")
+                    raise ValueError(f"{f.name} must be a number, got {value!r}{hint}")
+                if not math.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite, got {value!r}{hint}")
         xy = self.ris_position_xy
         if xy is not None and not (
             isinstance(xy, tuple)

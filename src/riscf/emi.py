@@ -15,21 +15,15 @@ from riscf.correlation import Surface
 from riscf.linalg import sample_cn
 
 
-def sigma_r2_from_rho(
-    rho_db: float | None, p_max: float, beta_m: np.ndarray
-) -> float:
+def sigma_r2_from_rho(rho_db: float, p_max: float, beta_m: np.ndarray) -> float:
     """EMI power from the signal-to-EMI ratio rho = p_max sum(beta) / (M sigma_r^2).
 
-    ``rho_db`` of None or +inf means no EMI; -inf (unbounded EMI) and NaN
-    are errors.
+    ``rho_db`` is the finite level ``SystemConfig`` guarantees; no EMI is
+    the mode ``emi: off``, which does not call this.
     """
     beta_m = np.asarray(beta_m, dtype=float)
     if beta_m.size == 0:
         raise ValueError("beta_m must be non-empty")
-    if rho_db is None or rho_db == np.inf:
-        return 0.0
-    if not np.isfinite(rho_db):
-        raise ValueError(f"rho_db must be finite or +inf, got {rho_db!r}")
     rho = 10.0 ** (rho_db / 10.0)
     return float(p_max * beta_m.sum() / (beta_m.size * rho))
 

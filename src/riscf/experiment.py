@@ -376,11 +376,7 @@ def run_experiment(
         "sweep_values": [_fmt(v) for v in spec.sweep_values],
         "n_scenarios": spec.n_scenarios,
         "modes": [mode.mode for mode in spec.modes],
-        # non-finite floats (rho_db: .inf) as strings, which strict JSON allows
-        "config": {
-            key: str(value) if isinstance(value, float) and not math.isfinite(value) else value
-            for key, value in asdict(spec.config).items()
-        },
+        "config": asdict(spec.config),
         "rows": len(rows),
         "wall_time_s": time.perf_counter() - started,
         "closed_vs_mc_warnings": warnings,

@@ -163,7 +163,7 @@ def chunk_trials(cfg: SystemConfig, rank: int) -> int:
 def estimate_uatf_terms(
     link: LinkStatistics,
     trials: int,
-    rng: np.random.Generator | int,
+    rng: np.random.Generator,
     weights: np.ndarray,
     chunk_size: int | None = None,
 ) -> UatfEstimates:
@@ -180,8 +180,6 @@ def estimate_uatf_terms(
     ``chunk_trials``; the random stream depends on it. ``trials`` and
     ``chunk_size`` must be positive counts.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     if not is_count(trials) or trials <= 0:
         raise ValueError(f"trials must be a positive count, got {trials!r}")
     if chunk_size is not None and (not is_count(chunk_size) or chunk_size <= 0):

@@ -108,18 +108,13 @@ def build_drop_statistics(scenario: Scenario, config: SystemConfig) -> DropStati
     )
 
 
-def build_link_statistics(
-    drop: Scenario | DropStatistics, config: SystemConfig
-) -> LinkStatistics:
+def build_link_statistics(drop: DropStatistics, config: SystemConfig) -> LinkStatistics:
     """Build all deterministic statistics for one drop and link key (``link_mode``).
 
-    ``drop`` is either a scenario, whose drop statistics are then built
-    here, or drop statistics built from ``config`` up to its mode fields.
+    ``drop`` must be built from ``config`` up to its mode fields.
     """
     cfg = config
-    if isinstance(drop, Scenario):
-        drop = build_drop_statistics(drop, cfg)
-    elif drop.config.replace(**cfg.mode) != cfg:
+    if drop.config.replace(**cfg.mode) != cfg:
         raise ValueError("config differs from the drop's in more than its mode fields")
 
     ris, emi = link_mode(cfg)

@@ -71,7 +71,6 @@ class Scenario:
     Shadow realizations are in dB; gains and Rician factors are linear.
     """
 
-    config: SystemConfig
     ap_positions: np.ndarray
     ue_positions: np.ndarray
     ris_position: np.ndarray
@@ -186,12 +185,9 @@ def generate_scenario(config: SystemConfig, rng: np.random.Generator) -> Scenari
 
     rician = (config.rician_b0_db, config.rician_slope_db)
     kappa_m = rician_factor(d_m, *rician)
-    kappa_k = (
-        rician_factor(d_k, *rician) if config.ue_ris_rician else np.zeros(config.n_ues)
-    )
+    kappa_k = rician_factor(d_k, *rician)
 
     return Scenario(
-        config=config,
         ap_positions=ap_positions,
         ue_positions=ue_positions,
         ris_position=ris_position,

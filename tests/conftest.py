@@ -6,16 +6,19 @@ import pytest
 
 from riscf.channel import aggregated_covariance
 from riscf.config import SystemConfig
-from riscf.pipeline import build_link_statistics
+from riscf.pipeline import build_drop_statistics, build_link_statistics
 from riscf.scenario import generate_scenario
 from riscf.se import closed_form_moments
 
 
 def make_link(config, seed):
-    """One scenario drop plus its full second-order link statistics."""
-    rng = np.random.default_rng(seed)
-    scenario = generate_scenario(config, rng)
-    return build_link_statistics(scenario, config)
+    """One scenario drop plus its full second-order link statistics.
+
+    ``seed`` is anything ``np.random.default_rng`` takes: an int, a
+    ``SeedSequence`` or a generator, which is then drawn from.
+    """
+    scenario = generate_scenario(config, np.random.default_rng(seed))
+    return build_link_statistics(build_drop_statistics(scenario, config), config)
 
 
 def q_terms(surface):

@@ -21,12 +21,11 @@ from riscf.emi import sample_emi
 from riscf.estimation import pilot_observation
 from riscf.experiment import run_experiment
 from riscf.montecarlo import RunningMoments
-from riscf.pipeline import build_link_statistics
 from riscf.power import aggregate_gain, fractional_power_control, maxmin_power_control
-from riscf.scenario import generate_scenario
 from riscf.se import closed_form_moments, spectral_efficiency
 from riscf.uatf import combine, fixed_weight_form, optimal_lsfd_weights, uatf_sinr
 from closed_form_reference import paper_terms
+from conftest import make_link
 from dense_reference import dense_uatf_terms, draw
 from uatf_reference import dense_second_moment
 
@@ -37,14 +36,8 @@ def _report(criterion, ok, detail):
     print(f"CRITERION {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def _build(config, seed):
-    rng = np.random.default_rng(seed)
-    return build_link_statistics(generate_scenario(config, rng), config)
-
-
 def _ensemble_link(config, family, index):
-    rng = np.random.default_rng(np.random.SeedSequence([family, 0xA, index]))
-    return build_link_statistics(generate_scenario(config, rng), config)
+    return make_link(config, np.random.SeedSequence([family, 0xA, index]))
 
 
 def _max_sigma(closed, estimate):
@@ -115,7 +108,7 @@ def test_criterion_02_covariance_oracles():
         ris_height_elements=4,
         tau_p=2,
     )
-    link = _build(cfg, 2)
+    link = make_link(cfg, 2)
     sampler = ChannelSampler(link.stats, link.surface)
     rng = np.random.default_rng(7)
     zero_powers = np.zeros(cfg.n_ues)
@@ -163,23 +156,15 @@ def test_criterion_03_closed_form_closures(validation_config):
     cfg = validation_config
     powers = np.full(cfg.n_ues, cfg.p_max)
 
-    link_off = _build(cfg.replace(emi="off"), 1)
-    link_none = _build(cfg.replace(rho_db=None), 1)
+    link_off = make_link(cfg.replace(emi="off"), 1)
     terms_off = paper_terms(link_off)
-    terms_none = paper_terms(link_none)
     quiet = (
         link_off.sigma_r2 == 0.0
         and np.all(terms_off.w == 0.0)
         and np.all(link_off.r_mm == 0.0)
-        and np.array_equal(terms_off.w, terms_none.w)
     )
-    sinr_off = optimal_lsfd_weights(closed_form_moments(link_off), powers, cfg.noise_power).sinr
-    sinr_none = optimal_lsfd_weights(
-        closed_form_moments(link_none), powers, cfg.noise_power
-    ).sinr
-    quiet = quiet and np.allclose(sinr_off, sinr_none, rtol=1e-12, atol=0)
 
-    link = _build(cfg, 1)
+    link = make_link(cfg, 1)
     terms = paper_terms(link)
     manual = np.zeros(cfg.n_ues)
     p_hat, tau_p = terms.pilot_powers, terms.tau_p
@@ -205,7 +190,7 @@ def test_criterion_03_closed_form_closures(validation_config):
         atol=0,
     )
 
-    link_ris_off = _build(cfg.replace(ris="off"), 1)
+    link_ris_off = make_link(cfg.replace(ris="off"), 1)
     ris_ok = (
         np.all(link_ris_off.stats.obar == 0.0)
         and np.all(link_ris_off.r_mm == 0.0)
@@ -259,14 +244,11 @@ def test_criterion_05_interference_strength_monotonicity():
     rhos = (10.0, 20.0, 30.0, None)
     bad_order, bad_gap = [], []
     for s in range(5):
-        rng = np.random.default_rng(np.random.SeedSequence([99, 0xA, s]))
-        scenario = generate_scenario(cfg, rng)
+        seed = np.random.SeedSequence([99, 0xA, s])
         avg = {}
         for rho in rhos:
-            cfg_rho = cfg.replace(
-                rho_db=rho, emi="on" if rho is not None else "off"
-            )
-            link = build_link_statistics(scenario, cfg_rho)
+            cfg_rho = cfg.replace(emi="off") if rho is None else cfg.replace(rho_db=rho)
+            link = make_link(cfg_rho, seed)
             res = combine(
                 closed_form_moments(link),
                 cfg_rho.combiner,

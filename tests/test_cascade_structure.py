@@ -6,10 +6,8 @@ import pytest
 
 from riscf.config import SystemConfig
 from riscf.emi import emi_noise_covariance
-from riscf.pipeline import build_link_statistics
-from riscf.scenario import generate_scenario
 
-from conftest import q_terms
+from conftest import make_link, q_terms
 from dense_reference import dense_aggregated, dense_emi, dense_nlos
 
 RTOL = 1e-12
@@ -33,10 +31,9 @@ def test_structured_matches_dense(l, side, emi, ris):
         emi=emi,
         ris=ris,
     )
-    scenario = generate_scenario(cfg, np.random.default_rng(11))
-    link = build_link_statistics(scenario, cfg)
+    link = make_link(cfg, 11)
     surface = link.surface
-    rtilde_m, rtilde_k = dense_nlos(surface, scenario, cfg, surface.r_m)
+    rtilde_m, rtilde_k = dense_nlos(surface, link.scenario, cfg, surface.r_m)
 
     dense = dense_aggregated(link.stats.r_direct, surface, rtilde_m, rtilde_k)
     for name in ("obar", "r_o"):

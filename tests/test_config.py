@@ -48,9 +48,9 @@ def test_prelog_fraction():
 
 def test_replace_returns_modified_copy():
     cfg = SystemConfig()
-    other = cfg.replace(n_ues=7, rho_db=None)
+    other = cfg.replace(n_ues=7, rho_db=10.0)
     assert other.n_ues == 7
-    assert other.rho_db is None
+    assert other.rho_db == 10.0
     assert cfg.n_ues == 5
 
 
@@ -169,23 +169,25 @@ def test_n_ris_elements_product():
     assert cfg.n_ris_elements == 24
 
 
-def test_rho_infinite_means_no_interference():
-    assert SystemConfig(rho_db=math.inf).rho_db == math.inf
-    assert SystemConfig(rho_db=None).rho_db is None
-
-
-@pytest.mark.parametrize("rho_db", [-math.inf, math.nan])
+@pytest.mark.parametrize("rho_db", [-math.inf, math.nan, math.inf, None])
 def test_rho_rejects_unbounded_emi_and_nan(rho_db):
-    """-inf dB would be infinite EMI, not none; NaN is no level at all."""
-    with pytest.raises(ValueError, match="rho_db"):
+    """-inf dB would be infinite EMI; NaN, +inf and None are no level at all.
+
+    No EMI is the mode ``emi: off``, and the message says so.
+    """
+    with pytest.raises(ValueError, match="rho_db .*emi: off"):
         SystemConfig(rho_db=rho_db)
 
 
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
 def test_bool_fields_reject_non_booleans(value):
-    """A quoted YAML "false" is a truthy string, not a switch turned off."""
-    with pytest.raises(ValueError, match="ue_ris_rician"):
-        config_from_mapping({"ue_ris_rician": value})
+    """A quoted YAML "false" or a 0 is no switch turned off.
+
+    ``emi``, the one on/off switch of EMI, reads YAML true/false or on/off
+    and rejects anything else.
+    """
+    with pytest.raises(ValueError, match="invalid mode emi"):
+        config_from_mapping({"emi": value})
 
 
 @pytest.mark.parametrize(
@@ -194,7 +196,6 @@ def test_bool_fields_reject_non_booleans(value):
         (field, value)
         for field in FLOAT_FIELDS
         for value in (math.nan, math.inf, -math.inf)
-        if not (field == "rho_db" and value == math.inf)  # +inf dB: no EMI
     ],
 )
 def test_float_fields_reject_nan_and_infinities(field, value):

@@ -14,9 +14,9 @@ from riscf.correlation import (
     ris_sinc_correlation,
     surface_statistics,
 )
-from riscf.pipeline import build_link_statistics
 from riscf.scenario import generate_scenario
 
+from conftest import make_link
 from dense_reference import dense_nlos
 
 LAM = 299792458.0 / 1.9e9
@@ -193,7 +193,7 @@ def test_los_magnitudes(drop):
 def test_los_zero_with_ris_off(drop):
     """The link stage zeroes the surface-on LoS means of the drop."""
     cfg, scen, _ = drop
-    los = build_link_statistics(scen, cfg.replace(ris="off")).surface
+    los = make_link(cfg.replace(ris="off"), 2).surface
     assert np.all(los.hbar == 0.0) and np.all(los.zbar == 0.0)
     assert np.allclose(los.phi, np.exp(1j * cfg.ris_phase))
 
@@ -231,7 +231,7 @@ def test_nlos_kronecker_assembly(drop):
 def test_nlos_gains_vanish_with_ris_off(drop):
     """The link stage zeroes the gains and keeps the drop's AP-side factors."""
     cfg, scen, on = drop
-    nlos = build_link_statistics(scen, cfg.replace(ris="off")).surface
+    nlos = make_link(cfg.replace(ris="off"), 2).surface
     assert np.all(nlos.gain_m == 0.0) and np.all(nlos.gain_k == 0.0)
     assert np.array_equal(nlos.r_m, on.r_m)
 

@@ -260,13 +260,22 @@ def _strict_json(text):
 
 
 def test_manifest_is_strict_json_without_emi(tmp_path):
-    """rho_db: .inf, the documented "no EMI" level, is echoed as the string "inf"."""
-    payload = {"schema_version": 1, "config": {"n_aps": 3, "n_ues": 2, "rho_db": math.inf}}
+    """A run without EMI echoes its config, finite rho_db included, as strict JSON."""
+    payload = {"schema_version": 1, "config": {"n_aps": 3, "n_ues": 2, "emi": "off"}}
     out = tmp_path / "out"
     run_experiment(write_spec(tmp_path / "quiet.yaml", payload), seed=1, out_dir=out)
     manifest = _strict_json((out / "manifest.json").read_text())
-    assert manifest["config"]["rho_db"] == "inf"
+    assert manifest["config"]["rho_db"] == 20.0
+    assert manifest["config"]["emi"] == "off"
     assert manifest["config"]["n_aps"] == 3
+
+
+@pytest.mark.parametrize("rho_db", [math.inf, None], ids=[".inf", "null"])
+def test_load_run_spec_rejects_no_emi_levels(tmp_path, rho_db):
+    """rho_db: .inf or null is no EMI level; the error points to emi: off."""
+    bad = dict(MICRO, config={**MICRO["config"], "rho_db": rho_db})
+    with pytest.raises(ValueError, match="rho_db .*emi: off"):
+        load_run_spec(write_spec(tmp_path / "bad.yaml", bad))
 
 
 def read_rows(path):

@@ -16,7 +16,7 @@ from riscf.montecarlo import (
     chunk_trials,
     estimate_uatf_terms,
 )
-from riscf.pipeline import build_link_statistics
+from riscf.pipeline import build_drop_statistics, build_link_statistics
 from riscf.scenario import generate_scenario
 from riscf.se import closed_form_moments
 from riscf.uatf import combine, optimal_lsfd_weights, uatf_sinr
@@ -60,8 +60,8 @@ def test_running_moments_requires_samples():
 
 def test_estimate_uatf_terms_deterministic(tiny_link):
     weights = np.ones((tiny_link.config.n_aps, tiny_link.config.n_ues))
-    a = estimate_uatf_terms(tiny_link, 512, rng=42, weights=weights)
-    b = estimate_uatf_terms(tiny_link, 512, rng=42, weights=weights)
+    a = estimate_uatf_terms(tiny_link, 512, rng=np.random.default_rng(42), weights=weights)
+    b = estimate_uatf_terms(tiny_link, 512, rng=np.random.default_rng(42), weights=weights)
     assert np.array_equal(a.u.mean, b.u.mean)
     assert np.array_equal(a.t.mean, b.t.mean)
     assert np.array_equal(a.d.mean, b.d.mean)
@@ -86,7 +86,7 @@ def test_estimate_uatf_terms_validates_trials(tiny_link, counts, name):
     weights = np.ones((cfg.n_aps, cfg.n_ues))
     kwargs = {"trials": 8, "chunk_size": None, **counts}
     with pytest.raises(ValueError, match=name):
-        estimate_uatf_terms(tiny_link, rng=1, weights=weights, **kwargs)
+        estimate_uatf_terms(tiny_link, rng=np.random.default_rng(1), weights=weights, **kwargs)
 
 
 def test_estimated_selfterm_matches_combiner_norm(tiny_link):
@@ -172,7 +172,9 @@ def test_chunk_working_set_stays_within_budget(oracle_link):
     trials = 2 * chunk + 1
     tracemalloc.start()
     try:
-        est = estimate_uatf_terms(oracle_link, trials, rng=0, weights=weights)
+        est = estimate_uatf_terms(
+            oracle_link, trials, rng=np.random.default_rng(0), weights=weights
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -208,7 +210,9 @@ def test_projected_sinr_matches_dense_moments(validation_config, modes, combiner
     batch = dense_batch(link, sampler, np.random.default_rng(6), 300)
     monkeypatch.setattr(montecarlo, "_trials", lambda *args: batch)
     dense = dense_estimates([batch], cfg.n_aps, cfg.n_ues)
-    projected = estimate_uatf_terms(link, 300, rng=0, chunk_size=300, weights=weights)
+    projected = estimate_uatf_terms(
+        link, 300, rng=np.random.default_rng(0), chunk_size=300, weights=weights
+    )
     expected = uatf_sinr(dense.moments(), weights, powers, cfg.noise_power)
     ones = np.ones((1, cfg.n_ues))
     got = uatf_sinr(projected.moments(), ones, powers, cfg.noise_power)
@@ -231,7 +235,8 @@ def test_run_path_sinr_agrees_with_validation_path(validation_config, modes):
     ones = np.ones((1, cfg.n_ues))
     run, dense = [], []
     for seed in range(12):
-        est = estimate_uatf_terms(link, 1500, rng=100 + seed, weights=weights)
+        rng = np.random.default_rng(100 + seed)
+        est = estimate_uatf_terms(link, 1500, rng=rng, weights=weights)
         run.append(uatf_sinr(est.moments(), ones, powers, cfg.noise_power))
         est = dense_uatf_terms(link, 1500, 200 + seed, 4096)
         dense.append(uatf_sinr(est.moments(), weights, powers, cfg.noise_power))
@@ -257,7 +262,9 @@ def test_run_path_degenerate_links_run_warning_free(request, config_name, modes)
     weights, _ = _closed_weights(link, "lsfd")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = estimate_uatf_terms(link, 200, rng=3, chunk_size=64, weights=weights)
+        est = estimate_uatf_terms(
+            link, 200, rng=np.random.default_rng(3), chunk_size=64, weights=weights
+        )
     for part in (est.u, est.t, est.d, est.u_emi):
         assert np.all(np.isfinite(part.mean)) and np.all(np.isfinite(part.std_error))
     assert np.all(est.d.mean.real > 0.0)
@@ -266,8 +273,9 @@ def test_run_path_degenerate_links_run_warning_free(request, config_name, modes)
 
 
 def test_estimate_uatf_terms_validates_weights(tiny_link):
+    rng = np.random.default_rng(1)
     with pytest.raises(ValueError, match="weights"):
-        estimate_uatf_terms(tiny_link, 8, rng=1, weights=np.ones((3, 2)))
+        estimate_uatf_terms(tiny_link, 8, rng=rng, weights=np.ones((3, 2)))
 
 
 #: Largest relative SINR gap |MC - closed| / closed allowed over the 15 UEs
@@ -313,9 +321,11 @@ def test_run_path_matches_closed_form_sinr(direct_scale):
     for seed in range(3):
         scenario = generate_scenario(cfg, np.random.default_rng(seed))
         scenario = dataclasses.replace(scenario, beta_mk=direct_scale * scenario.beta_mk)
-        link = build_link_statistics(scenario, cfg)
+        link = build_link_statistics(build_drop_statistics(scenario, cfg), cfg)
         closed = combine(closed_form_moments(link), "lsfd", powers, cfg.noise_power)
-        est = estimate_uatf_terms(link, 4000, seed, weights=closed.weights)
+        est = estimate_uatf_terms(
+            link, 4000, np.random.default_rng(seed), weights=closed.weights
+        )
         mc = uatf_sinr(est.moments(), np.ones((1, cfg.n_ues)), powers, cfg.noise_power)
         gaps.append((mc - closed.sinr) / closed.sinr)
     gaps = np.concatenate(gaps)

@@ -8,6 +8,8 @@ from riscf.config import SystemConfig
 from riscf.pipeline import build_drop_statistics, build_link_statistics
 from riscf.scenario import generate_scenario
 
+from conftest import make_link
+
 MODES = [("on", "on"), ("off", "on"), ("on", "off")]
 PARTS = ("stats", "est", "surface")
 
@@ -31,7 +33,7 @@ def test_shared_drop_matches_standalone_links(l):
     for emi, ris in MODES:
         mode_cfg = cfg.replace(emi=emi, ris=ris)
         shared = build_link_statistics(drop, mode_cfg)
-        alone = build_link_statistics(scenario, mode_cfg)
+        alone = make_link(mode_cfg, 6)
         assert shared.sigma_r2 == alone.sigma_r2
         assert np.array_equal(shared.r_mm, alone.r_mm), f"{emi}/{ris} r_mm"
         for part in PARTS:

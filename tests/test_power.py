@@ -8,16 +8,15 @@ from scipy.optimize import linprog
 
 from riscf import power
 from riscf.config import SystemConfig
-from riscf.pipeline import build_link_statistics
 from riscf.power import (
     aggregate_gain,
     fractional_power_control,
     least_powers,
     maxmin_power_control,
 )
-from riscf.scenario import generate_scenario
 from riscf.se import closed_form_moments
 from riscf.uatf import combine, fixed_weight_form, optimal_lsfd_weights, uatf_sinr
+from conftest import make_link
 from uatf_reference import dense_second_moment, textbook_sinr
 
 
@@ -203,8 +202,7 @@ def maxmin_ensemble():
     cfg = SystemConfig()
     moments = []
     for index in range(25):
-        rng = np.random.default_rng(np.random.SeedSequence([77, 0xA, index]))
-        link = build_link_statistics(generate_scenario(cfg, rng), cfg)
+        link = make_link(cfg, np.random.SeedSequence([77, 0xA, index]))
         moments.append(closed_form_moments(link))
     return cfg, moments
 

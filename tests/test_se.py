@@ -5,11 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from riscf import uatf
 from riscf.config import SystemConfig
-from riscf.pipeline import build_link_statistics
-from riscf.scenario import generate_scenario
 from riscf.se import closed_form_moments, spectral_efficiency
 from riscf.uatf import combine, optimal_lsfd_weights, uatf_sinr
 from closed_form_reference import paper_terms, terms_moments
+from conftest import make_link
 from uatf_reference import dense_second_moment
 
 
@@ -108,7 +107,7 @@ def test_closed_form_moments_map_the_paper_terms(ris, validation_config, validat
     link = validation_link
     if ris == "off":
         cfg = validation_config.replace(ris="off")
-        link = build_link_statistics(link.scenario, cfg)
+        link = make_link(cfg, 1)
     got = closed_form_moments(link)
     want = terms_moments(paper_terms(link))
     for name in ("u", "cov", "d", "w"):
@@ -219,13 +218,8 @@ def test_evaluate_closed_form_lsfd_vs_mr(validation_moments, validation_link):
 
 def test_no_interference_limit_increases_sinr(validation_config):
     """Removing the ambient field can only help."""
-    quiet_cfg = validation_config.replace(rho_db=None)
-    rng_a = np.random.default_rng(21)
-    rng_b = np.random.default_rng(21)
-    noisy = build_link_statistics(
-        generate_scenario(validation_config, rng_a), validation_config
-    )
-    quiet = build_link_statistics(generate_scenario(quiet_cfg, rng_b), quiet_cfg)
+    noisy = make_link(validation_config, 21)
+    quiet = make_link(validation_config.replace(emi="off"), 21)
     p = np.full(validation_config.n_ues, validation_config.p_max)
     assert np.all(closed_sinr(quiet, p) + 1e-15 >= closed_sinr(noisy, p))
 
@@ -245,7 +239,7 @@ def test_plain_system_closed_form_dual_route():
         tau_p=2,
         ris="off",
     )
-    link = build_link_statistics(generate_scenario(cfg, np.random.default_rng(8)), cfg)
+    link = make_link(cfg, 8)
     moments = closed_form_moments(link)
 
     tau, noise = cfg.tau_p, cfg.noise_power
