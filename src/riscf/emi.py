@@ -18,12 +18,14 @@ from riscf.linalg import sample_cn
 def sigma_r2_from_rho(rho_db: float, p_max: float, beta_m: np.ndarray) -> float:
     """EMI power from the signal-to-EMI ratio rho = p_max sum(beta) / (M sigma_r^2).
 
-    ``rho_db`` is the finite level ``SystemConfig`` guarantees; no EMI is
+    ``rho_db`` must be finite, as ``SystemConfig`` guarantees; no EMI is
     the mode ``emi: off``, which does not call this.
     """
     beta_m = np.asarray(beta_m, dtype=float)
     if beta_m.size == 0:
         raise ValueError("beta_m must be non-empty")
+    if not np.isfinite(rho_db):
+        raise ValueError(f"rho_db must be finite, got {rho_db!r}; emi: off turns EMI off")
     rho = 10.0 ** (rho_db / 10.0)
     return float(p_max * beta_m.sum() / (beta_m.size * rho))
 

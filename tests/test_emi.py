@@ -1,4 +1,6 @@
 """Interference field at the surface and its covariance after reflection."""
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,13 @@ def test_sigma_r2_no_interference_limits(tiny_config):
     assert 0.0 < sigma_r2_from_rho(300.0, 0.2, beta_m) < 1e-30
     quiet = make_link(tiny_config.replace(emi="off"), 5)
     assert quiet.sigma_r2 == 0.0 and not quiet.r_mm.any()
+
+
+@pytest.mark.parametrize("rho_db", [-math.inf, math.nan])
+def test_sigma_r2_rejects_unbounded_emi_and_nan(rho_db):
+    """-inf dB would be infinite EMI and NaN no level; neither yields a power."""
+    with pytest.raises(ValueError, match="rho_db .*emi: off"):
+        sigma_r2_from_rho(rho_db, 0.2, np.array([1e-7]))
 
 
 def test_sigma_r2_scales_inverse_with_rho():
