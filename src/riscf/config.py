@@ -25,6 +25,10 @@ MODES = {
     "ris": ("on", "off"),
 }
 
+#: |rho_db| bound: 10^(rho_db/10) and the EMI power sigma_r^2 it sets stay
+#: normal, finite and nonzero floats (4000 dB overflows, 3000 dB is subnormal).
+RHO_DB_BOUND = 300.0
+
 
 def is_count(value: object) -> bool:
     """An int that is not a bool (YAML true/false load as bools, which are ints)."""
@@ -66,7 +70,6 @@ class SystemConfig:
     ris_spacing_v: float = 0.5
     ap_antenna_spacing: float = 0.5
     p_max: float = 10.0 ** (-0.7)
-    pilot_power: float | None = None
     noise_dbm: float = -94.0
     rho_db: float = 20.0
     ris_phase: float = 0.25 * math.pi
@@ -103,8 +106,7 @@ class SystemConfig:
             value = getattr(self, f.name)
             if f.type == "int" and not is_count(value):
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            optional = f.type == "float | None" and value is None
-            if f.type in ("float", "float | None") and not optional:
+            if f.type == "float":
                 # EMI is switched off by its mode, never by an EMI level
                 hint = "; emi: off turns EMI off" if f.name == "rho_db" else ""
                 if not is_real(value):
@@ -131,8 +133,11 @@ class SystemConfig:
             (self.ris_spacing_v > 0, "ris_spacing_v must be positive"),
             (self.ap_antenna_spacing > 0, "ap_antenna_spacing must be positive"),
             (self.p_max > 0, "p_max must be positive"),
-            (self.pilot_power is None or self.pilot_power > 0,
-             "pilot_power must be positive when given"),
+            (
+                abs(self.rho_db) <= RHO_DB_BOUND,
+                f"rho_db must lie in [-{RHO_DB_BOUND:g}, {RHO_DB_BOUND:g}] dB, "
+                f"got {self.rho_db!r}; emi: off turns EMI off",
+            ),
             (self.area_side > 0, "area_side must be positive"),
             (
                 self.ris_position_xy is None
@@ -169,11 +174,6 @@ class SystemConfig:
     @property
     def noise_power(self) -> float:
         return dbm_to_watt(self.noise_dbm)
-
-    @property
-    def pilot_power_value(self) -> float:
-        """Pilot transmit power; defaults to p_max when not set explicitly."""
-        return self.p_max if self.pilot_power is None else self.pilot_power
 
     @property
     def prelog(self) -> float:

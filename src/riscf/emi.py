@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from riscf.config import RHO_DB_BOUND
 from riscf.correlation import Surface
 from riscf.linalg import sample_cn
 
@@ -18,14 +19,17 @@ from riscf.linalg import sample_cn
 def sigma_r2_from_rho(rho_db: float, p_max: float, beta_m: np.ndarray) -> float:
     """EMI power from the signal-to-EMI ratio rho = p_max sum(beta) / (M sigma_r^2).
 
-    ``rho_db`` must be finite, as ``SystemConfig`` guarantees; no EMI is
-    the mode ``emi: off``, which does not call this.
+    ``rho_db`` must lie within +-``RHO_DB_BOUND`` dB, as ``SystemConfig``
+    guarantees; no EMI is the mode ``emi: off``, which does not call this.
     """
     beta_m = np.asarray(beta_m, dtype=float)
     if beta_m.size == 0:
         raise ValueError("beta_m must be non-empty")
-    if not np.isfinite(rho_db):
-        raise ValueError(f"rho_db must be finite, got {rho_db!r}; emi: off turns EMI off")
+    if not abs(rho_db) <= RHO_DB_BOUND:  # NaN fails too
+        raise ValueError(
+            f"rho_db must lie in [-{RHO_DB_BOUND:g}, {RHO_DB_BOUND:g}] dB, "
+            f"got {rho_db!r}; emi: off turns EMI off"
+        )
     rho = 10.0 ** (rho_db / 10.0)
     return float(p_max * beta_m.sum() / (beta_m.size * rho))
 

@@ -333,7 +333,7 @@ def run_experiment(
     def execute(drop: tuple[int, int]) -> list[dict]:
         return _run_drop(spec, seed, *drop, trials)
 
-    if threads == 1:
+    if threads == 1:  # inline: a one-worker pool would add its start-up and no parallelism
         outputs = [execute(drop) for drop in drops]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:

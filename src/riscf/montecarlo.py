@@ -35,6 +35,7 @@ from .channel import ChannelSampler
 from .config import SystemConfig, is_count
 from .emi import sample_emi
 from .estimation import mmse_estimate, pilot_observation
+from .linalg import standard_cn
 from .pipeline import LinkStatistics
 from .uatf import UatfMoments
 
@@ -198,12 +199,11 @@ def estimate_uatf_terms(
     sampler = ChannelSampler(link.stats, link.surface)
     if chunk_size is None:
         chunk_size = chunk_trials(cfg, sampler.ris_factor.shape[1])
-    noise_scale = np.sqrt(cfg.noise_power / 2.0)
     remaining = trials
     while remaining > 0:
         batch = min(chunk_size, remaining)
         remaining -= batch
-        o, v, q = _trials(link, sampler, rng, batch, noise_scale)
+        o, v, q = _trials(link, sampler, rng, batch)
         acc_d.update(np.einsum("tmkl,tmkl->tmk", v.conj(), v).real)
         acc_e.update(np.abs(np.einsum("tmkl,tml->tmk", v.conj(), q)) ** 2)
         del q
@@ -223,17 +223,11 @@ def estimate_uatf_terms(
     )
 
 
-def _ap_noise(rng: np.random.Generator, shape: tuple[int, ...], scale: float) -> np.ndarray:
-    raw = rng.standard_normal(shape + (2,))
-    return scale * (raw[..., 0] + 1j * raw[..., 1])
-
-
 def _trials(
     link: LinkStatistics,
     sampler: ChannelSampler,
     rng: np.random.Generator,
     batch: int,
-    noise_scale: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """o, the estimates v and the reflected data EMI q of ``batch`` trials.
 
@@ -248,7 +242,9 @@ def _trials(
     phase, g, x[:, :n_ues] = sampler.draw_unreflected(rng, batch)
     emi_power = link.sigma_r2 * link.surface.element_area
     x[:, n_ues:-1] = sample_emi(rng, emi_power, sampler.ris_factor, (batch, tau_p))
-    ap_noise = _ap_noise(rng, (batch, cfg.n_aps, cfg.n_ap_antennas, tau_p), noise_scale)
+    ap_noise = np.sqrt(cfg.noise_power) * standard_cn(
+        rng, (batch, cfg.n_aps, cfg.n_ap_antennas, tau_p)
+    )
     x[:, -1:] = sample_emi(rng, emi_power, sampler.ris_factor, (batch, 1))
     reflected = sampler.draw_reflections(rng, x)
     del x

@@ -7,7 +7,7 @@ aggregated moments of the surface on. The link stage,
 ``build_link_statistics``, applies the link key ``link_mode``: with the
 surface off it aggregates ``surface.off()`` instead, it sets the EMI
 power, and it builds the EMI covariance R_mm (one (M, L, L) array), the
-pilot assignment with its powers, and the estimation statistics.
+pilot assignment (every UE at ``p_max``), and the estimation statistics.
 Everything downstream (closed-form SINR, Monte Carlo validation, power
 control) consumes the resulting link bundle.
 """
@@ -22,12 +22,7 @@ from .channel import ChannelStatistics, aggregated_covariance
 from .config import SystemConfig
 from .correlation import Surface, gaussian_local_scattering, surface_statistics
 from .emi import emi_noise_covariance, sigma_r2_from_rho
-from .estimation import (
-    EstimationStatistics,
-    PilotAssignment,
-    assign_pilots,
-    estimation_statistics,
-)
+from .estimation import EstimationStatistics, PilotAssignment, estimation_statistics
 from .scenario import Scenario, wrap_displacement
 
 
@@ -53,7 +48,7 @@ class LinkStatistics:
 
     ``surface`` is the drop's surface in this link's ``ris`` state,
     ``r_mm`` the (M, L, L) EMI covariance at the APs; ``assignment``
-    carries the pilot powers.
+    carries the pilot power.
     """
 
     scenario: Scenario
@@ -128,7 +123,7 @@ def build_link_statistics(drop: DropStatistics, config: SystemConfig) -> LinkSta
         sigma_r2 = 0.0
 
     r_mm = emi_noise_covariance(surface, sigma_r2)
-    assignment = assign_pilots(cfg.n_ues, cfg.tau_p, cfg.pilot_power_value)
+    assignment = PilotAssignment(cfg.n_ues, cfg.tau_p, cfg.p_max)
     est = estimation_statistics(stats, r_mm, assignment, cfg.noise_power)
     return LinkStatistics(
         scenario=drop.scenario,

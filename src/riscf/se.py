@@ -41,12 +41,13 @@ def closed_form_moments(link: LinkStatistics) -> UatfMoments:
     w[m, k] the reflected-interference power after combining.
 
     They map onto the moments as d = z and w = w; u[k, k] is z_k, a coset
-    partner i of UE k carries the coherent mean sqrt(p_k^hat p_i^hat)
-    tau_p varpi_ki, and every other u[k, i] averages to zero.  cov keeps
-    only its AP diagonal, E{|v_mk^H o_mi|^2} - |u[k, i, m]|^2 =
-    xi_ki - delta_ki j2_k.  That is an approximation: every AP sees the same
-    RIS-to-UE channel z_k and the same UE phase theta_k, so the inner
-    products at different APs are correlated through the cascade.  It holds
+    partner i of UE k carries the coherent mean p_hat tau_p varpi_ki, with
+    p_hat the one pilot power ``p_max``, and every other u[k, i] averages
+    to zero.  cov keeps only its AP diagonal,
+    E{|v_mk^H o_mi|^2} - |u[k, i, m]|^2 = xi_ki - delta_ki j2_k.  That is
+    an approximation: every AP sees the same RIS-to-UE channel z_k and the
+    same UE phase theta_k, so the inner products at different APs are
+    correlated through the cascade.  It holds
     while the direct links dominate and fails when they are weak; with them
     removed, every UE's simulated SINR falls well below this bound
     (``tests/test_montecarlo.py::test_run_path_matches_closed_form_sinr``).
@@ -57,21 +58,21 @@ def closed_form_moments(link: LinkStatistics) -> UatfMoments:
     r_o = stats.r_o
     omega = est.omega
     r_mm = link.r_mm
-    p_hat = link.assignment.powers
+    p_hat = link.assignment.power
     tau_p = link.assignment.tau_p
 
     trace_omega = _real_part(np.trace(omega, axis1=-2, axis2=-1), "trace of omega")
     obar_norm2 = _real_part(
         np.einsum("mka,mka->mk", obar.conj(), obar), "LoS norm"
     )
-    z = p_hat[None, :] * tau_p * trace_omega + obar_norm2
+    z = p_hat * tau_p * trace_omega + obar_norm2
 
     est_cross = np.einsum("miab,mkba->kim", r_o, omega)
     los_through = np.einsum("mka,miab,mkb->kim", obar.conj(), r_o, obar)
     los_filtered = np.einsum("mia,mkab,mib->kim", obar.conj(), omega, obar)
     los_inner = np.einsum("mka,mia->kim", obar.conj(), obar)
     xi = _real_part(
-        p_hat[:, None, None] * tau_p * (est_cross + los_filtered)
+        p_hat * tau_p * (est_cross + los_filtered)
         + los_through
         + np.abs(los_inner) ** 2,
         "interference statistic",
@@ -83,12 +84,11 @@ def closed_form_moments(link: LinkStatistics) -> UatfMoments:
     j2 = obar_norm2**2
     w = _real_part(
         np.einsum("mka,mab,mkb->mk", obar.conj(), r_mm, obar)
-        + p_hat[None, :] * tau_p * np.einsum("mab,mkba->mk", r_mm, omega),
+        + p_hat * tau_p * np.einsum("mab,mkba->mk", r_mm, omega),
         "reflected interference statistic",
     )
 
-    coherent = np.sqrt(np.outer(p_hat, p_hat))[:, :, None] * tau_p
-    u = (coherent * varpi).astype(complex)
+    u = p_hat * tau_p * varpi
     ues = np.arange(z.shape[1])
     u[ues, ues] = z.T
     cov = xi

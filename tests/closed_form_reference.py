@@ -43,8 +43,9 @@ def paper_terms(link):
     obar, r_o = link.stats.obar, link.stats.r_o
     omega, x = link.est.omega, link.est.x
     r_mm = link.r_mm
-    p_hat, tau = link.assignment.powers, link.assignment.tau_p
+    tau = link.assignment.tau_p
     n_aps, n_ues = obar.shape[:2]
+    p_hat = np.full(n_ues, link.assignment.power)
     z = np.zeros((n_aps, n_ues))
     xi = np.zeros((n_ues, n_ues, n_aps))
     varpi = np.zeros((n_ues, n_ues, n_aps), dtype=complex)
@@ -60,7 +61,7 @@ def paper_terms(link):
                 np.vdot(own, r_mm[m] @ own)
                 + p_hat[k] * tau * np.trace(r_mm[m] @ omega[m, k])
             ).real
-            coset = link.assignment.coset(k)
+            coset = np.flatnonzero(link.assignment.mask[k])
             for i in range(n_ues):
                 other = obar[m, i]
                 xi[k, i, m] = (

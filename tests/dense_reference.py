@@ -184,11 +184,12 @@ def dense_batch(link, sampler, rng, trials):
     ap_noise = np.sqrt(cfg.noise_power / 2.0) * (raw[..., 0] + 1j * raw[..., 1])
     reflected = np.einsum("tmna,n,tpn->tmap", h.conj(), phi, emi_pilot)
     noise = np.sqrt(tau_p) * (reflected + ap_noise)
+    p_hat = np.full(cfg.n_ues, link.assignment.power)
     y = np.empty_like(o)
     for k in range(cfg.n_ues):
-        pilot = link.assignment.pilot_of[k]
-        coset = link.assignment.coset(k)
-        scale = np.sqrt(link.assignment.powers[coset]) * tau_p
+        pilot = k % tau_p
+        coset = np.flatnonzero(link.assignment.mask[k])
+        scale = np.sqrt(p_hat[coset]) * tau_p
         y[:, :, k] = np.einsum("i,tmia->tma", scale, o[:, :, coset]) + noise[..., pilot]
     v = mmse_estimate(y, link.stats, link.est, link.assignment, real.phase)
     n_data = sample_emi(rng, emi_power, sampler.ris_factor, (trials,))

@@ -111,7 +111,6 @@ def test_criterion_02_covariance_oracles():
     link = make_link(cfg, 2)
     sampler = ChannelSampler(link.stats, link.surface)
     rng = np.random.default_rng(7)
-    zero_powers = np.zeros(cfg.n_ues)
     noise_scale = np.sqrt(cfg.noise_power / 2.0)
     mom_o = RunningMoments(link.stats.r_o.shape)
     mom_y = RunningMoments(link.r_mm.shape)
@@ -130,7 +129,7 @@ def test_criterion_02_covariance_oracles():
         y = pilot_observation(
             real.o,
             real.reflect(emi_pilot.swapaxes(1, 2)).swapaxes(2, 3) + ap_noise,
-            replace(link.assignment, powers=zero_powers),
+            replace(link.assignment, power=0.0),
         )
         y0 = y[:, :, 0]
         mom_y.update(np.einsum("tma,tmb->tmab", y0, y0.conj()))
@@ -169,7 +168,7 @@ def test_criterion_03_closed_form_closures(validation_config):
     manual = np.zeros(cfg.n_ues)
     p_hat, tau_p = terms.pilot_powers, terms.tau_p
     for k in range(cfg.n_ues):
-        coset = terms.assignment.coset(k)
+        coset = np.flatnonzero(terms.assignment.mask[k])
         den = cfg.noise_power * terms.z[:, k].sum() + terms.w[:, k].sum()
         den -= powers[k] * terms.j2[:, k].sum()
         for i in range(cfg.n_ues):

@@ -1,12 +1,14 @@
 """System configuration defaults, derived quantities, and validation."""
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from riscf.config import MODES, SystemConfig, config_from_mapping
+from riscf.config import MODES, RHO_DB_BOUND, SystemConfig, config_from_mapping
 from riscf.correlation import surface_statistics
+from riscf.emi import sigma_r2_from_rho
 from riscf.scenario import generate_scenario
 
 
@@ -33,12 +35,6 @@ def test_noise_and_transmit_power():
     cfg = SystemConfig()
     assert cfg.noise_power == pytest.approx(10.0 ** ((-94.0 - 30.0) / 10.0))
     assert cfg.p_max == pytest.approx(10.0 ** (-0.7))
-    assert cfg.pilot_power_value == pytest.approx(cfg.p_max)
-
-
-def test_explicit_pilot_power_overrides():
-    cfg = SystemConfig(pilot_power=0.05)
-    assert cfg.pilot_power_value == pytest.approx(0.05)
 
 
 def test_prelog_fraction():
@@ -95,7 +91,7 @@ def test_count_fields_reject_booleans_and_floats(field, value):
 
 
 FLOAT_FIELDS = [
-    f.name for f in dataclasses.fields(SystemConfig) if f.type in ("float", "float | None")
+    f.name for f in dataclasses.fields(SystemConfig) if f.type == "float"
 ]
 
 
@@ -169,14 +165,25 @@ def test_n_ris_elements_product():
     assert cfg.n_ris_elements == 24
 
 
-@pytest.mark.parametrize("rho_db", [-math.inf, math.nan, math.inf, None])
+@pytest.mark.parametrize(
+    "rho_db", [-math.inf, math.nan, math.inf, None, 4000.0, -4000.0, 300.5, -300.5]
+)
 def test_rho_rejects_unbounded_emi_and_nan(rho_db):
     """-inf dB would be infinite EMI; NaN, +inf and None are no level at all.
 
-    No EMI is the mode ``emi: off``, and the message says so.
+    Beyond +-RHO_DB_BOUND dB the EMI power overflows, divides by zero or
+    turns subnormal. No EMI is the mode ``emi: off``, and the message says so.
     """
     with pytest.raises(ValueError, match="rho_db .*emi: off"):
         SystemConfig(rho_db=rho_db)
+
+
+@pytest.mark.parametrize("rho_db", [-RHO_DB_BOUND, RHO_DB_BOUND])
+def test_rho_bound_edges_give_a_normal_emi_power(rho_db):
+    cfg = SystemConfig(rho_db=rho_db)
+    beta_m = generate_scenario(cfg, np.random.default_rng(0)).beta_m
+    sigma_r2 = sigma_r2_from_rho(cfg.rho_db, cfg.p_max, beta_m)
+    assert sys.float_info.min <= sigma_r2 <= sys.float_info.max
 
 
 @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])

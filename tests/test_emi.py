@@ -29,9 +29,12 @@ def test_sigma_r2_no_interference_limits(tiny_config):
     assert quiet.sigma_r2 == 0.0 and not quiet.r_mm.any()
 
 
-@pytest.mark.parametrize("rho_db", [-math.inf, math.nan])
+@pytest.mark.parametrize("rho_db", [-math.inf, math.nan, 4000.0, -4000.0])
 def test_sigma_r2_rejects_unbounded_emi_and_nan(rho_db):
-    """-inf dB would be infinite EMI and NaN no level; neither yields a power."""
+    """-inf dB would be infinite EMI and NaN no level; neither yields a power.
+
+    Past +-RHO_DB_BOUND dB the power overflows or divides by zero.
+    """
     with pytest.raises(ValueError, match="rho_db .*emi: off"):
         sigma_r2_from_rho(rho_db, 0.2, np.array([1e-7]))
 

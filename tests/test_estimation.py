@@ -4,32 +4,27 @@ import pytest
 
 from riscf.channel import ChannelSampler
 from riscf.emi import sample_emi
-from riscf.estimation import assign_pilots, mmse_estimate, pilot_observation
+from riscf.estimation import PilotAssignment, mmse_estimate, pilot_observation
 from riscf.linalg import hermitize, psd_factor
 
 from dense_reference import draw
 
 
-def test_assign_pilots_round_robin():
-    a = assign_pilots(5, 3, 0.2)
-    assert list(a.pilot_of) == [0, 1, 2, 0, 1]
-    assert list(a.coset(0)) == [0, 3]
-    assert list(a.coset(1)) == [1, 4]
-    assert list(a.coset(2)) == [2]
-
-
-def test_assign_pilots_orthogonal_when_enough():
-    a = assign_pilots(3, 4, 0.2)
-    assert len(set(a.pilot_of)) == 3
-    for k in range(3):
-        assert list(a.coset(k)) == [k]
-
-
-def test_assign_pilots_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        assign_pilots(0, 2, 0.2)
-    with pytest.raises(ValueError):
-        assign_pilots(3, 0, 0.2)
+@pytest.mark.parametrize(
+    "n_ues, tau_p, expected",
+    [(5, 3, [[0, 3], [1, 4], [2]]), (4, 4, [[0], [1], [2], [3]]), (3, 4, [[0], [1], [2]])],
+    ids=["5-3", "4-4", "3-4"],
+)
+def test_cosets_partition_the_ues_and_match_the_mask(n_ues, tau_p, expected):
+    """Round robin: UE k sends pilot k mod tau_p; mask[k, i] flags a shared pilot."""
+    a = PilotAssignment(n_ues, tau_p, 0.2)
+    members = [list(range(n_ues))[coset] for coset in a.cosets]
+    assert members == expected
+    assert sorted(sum(members, [])) == list(range(n_ues))
+    shared = np.zeros((n_ues, n_ues))
+    for ues in members:
+        shared[np.ix_(ues, ues)] = 1.0
+    assert np.array_equal(a.mask, shared)
 
 
 def _psi(link):
@@ -40,8 +35,8 @@ def _psi(link):
         for m in range(cfg.n_aps):
             psi[m, k] = (
                 sum(
-                    link.assignment.powers[i] * cfg.tau_p * link.stats.r_o[m, i]
-                    for i in link.assignment.coset(k)
+                    link.assignment.power * cfg.tau_p * link.stats.r_o[m, i]
+                    for i in np.flatnonzero(link.assignment.mask[k])
                 )
                 + link.r_mm[m]
                 + cfg.noise_power * np.eye(cfg.n_ap_antennas)
@@ -61,7 +56,7 @@ def test_omega_and_error_covariance_split(validation_link):
     tau = link.config.tau_p
     manual = link.stats.r_o @ np.linalg.solve(_psi(link), link.stats.r_o)
     assert np.allclose(link.est.omega, manual, rtol=1e-9)
-    c = link.stats.r_o - link.assignment.powers[None, :, None, None] * tau * manual
+    c = link.stats.r_o - link.assignment.power * tau * manual
     scale = np.abs(link.stats.r_o).max()
     for m in range(c.shape[0]):
         for k in range(c.shape[1]):
@@ -89,7 +84,7 @@ def test_coset_mates_share_observation(validation_link):
     rng = np.random.default_rng(11)
     _, y, _ = _pilot_draw(link, rng, 8)
     for k in range(link.config.n_ues):
-        for i in link.assignment.coset(k):
+        for i in np.flatnonzero(link.assignment.mask[k]):
             assert np.allclose(y[:, :, k], y[:, :, i])
 
 
@@ -124,6 +119,6 @@ def test_mmse_estimate_second_moment(tiny_link):
     _, _, v = _pilot_draw(tiny_link, rng, n_trials, phase=ones)
     centered = v - tiny_link.stats.obar
     sample = np.einsum("tmkl,tmkn->mkln", centered, centered.conj()) / n_trials
-    expect = tiny_link.assignment.powers[None, :, None, None] * cfg.tau_p * tiny_link.est.omega
+    expect = tiny_link.assignment.power * cfg.tau_p * tiny_link.est.omega
     scale = max(np.abs(expect).max(), 1e-30)
     assert np.abs(sample - expect).max() < 0.04 * scale

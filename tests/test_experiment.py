@@ -97,7 +97,7 @@ def test_load_run_spec_rejects_boolean_counts(tmp_path, key, value):
         load_run_spec(write_spec(tmp_path / "bad.yaml", bad))
 
 
-@pytest.mark.parametrize("field", ["p_max", "rho_db", "noise_dbm", "carrier_hz", "pilot_power"])
+@pytest.mark.parametrize("field", ["p_max", "rho_db", "noise_dbm", "carrier_hz"])
 def test_load_run_spec_rejects_boolean_float_fields(tmp_path, field):
     bad = dict(MICRO, config={**MICRO["config"], field: True})
     with pytest.raises(ValueError, match=field):
@@ -275,6 +275,13 @@ def test_load_run_spec_rejects_no_emi_levels(tmp_path, rho_db):
     """rho_db: .inf or null is no EMI level; the error points to emi: off."""
     bad = dict(MICRO, config={**MICRO["config"], "rho_db": rho_db})
     with pytest.raises(ValueError, match="rho_db .*emi: off"):
+        load_run_spec(write_spec(tmp_path / "bad.yaml", bad))
+
+
+def test_load_run_spec_rejects_pilot_power(tmp_path):
+    """Every UE sends its pilot at p_max, so a pilot power is an unknown key."""
+    bad = dict(MICRO, config={**MICRO["config"], "pilot_power": 0.05})
+    with pytest.raises(ValueError, match="unknown configuration keys: pilot_power"):
         load_run_spec(write_spec(tmp_path / "bad.yaml", bad))
 
 

@@ -243,7 +243,7 @@ def test_plain_system_closed_form_dual_route():
     moments = closed_form_moments(link)
 
     tau, noise = cfg.tau_p, cfg.noise_power
-    p_hat = link.assignment.powers
+    p_hat = np.full(cfg.n_ues, link.assignment.power)
     r = link.stats.r_direct
     m_aps, k_ues = cfg.n_aps, cfg.n_ues
     eye = np.eye(cfg.n_ap_antennas)
@@ -251,7 +251,7 @@ def test_plain_system_closed_form_dual_route():
     xi = np.zeros((k_ues, k_ues, m_aps))
     varpi = np.zeros((k_ues, k_ues, m_aps), dtype=complex)
     for k in range(k_ues):
-        coset = link.assignment.coset(k)
+        coset = np.flatnonzero(link.assignment.mask[k])
         for m in range(m_aps):
             psi = sum(p_hat[i] * tau * r[m, i] for i in coset) + noise * eye
             omega = r[m, k] @ np.linalg.solve(psi, r[m, k])
