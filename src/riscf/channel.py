@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from riscf.correlation import Surface
-from riscf.linalg import psd_factor, sample_cn, sample_phases, standard_cn
+from riscf.linalg import psd_sqrt, sample_cn, sample_phases, standard_cn
 
 
 @dataclass(frozen=True)
@@ -58,16 +58,16 @@ def aggregated_covariance(r_direct: np.ndarray, surface: Surface) -> ChannelStat
 class ChannelSampler:
     """Draws joint channel batches from precomputed covariance factors.
 
-    Setup takes one eigendecomposition of the shared sinc matrix R, one
-    stacked factorization of the M AP-side L x L factors and one of the
-    M K direct-link covariances. The NLoS part of H_m is F_R W_m A_m^T with
-    F_R F_R^H = R, W_m white and A_m = sqrt(gain_m) times the conjugate of
-    the factor of R_m (``ap_factors``), so vec(H_m - Hbar_m) keeps
-    covariance gain_m (R_m^T kron R); the NLoS part of z_k is
-    sqrt(gain_k) F_R w. H itself is never formed: ``draw_reflections``
-    reflects a fixed set of J vectors per trial and draws only the
-    J-dimensional projection of W that they see (k <= J white rows per AP
-    instead of r).
+    Setup takes the Hermitian square roots (``linalg.psd_sqrt``) of the
+    shared sinc matrix R, of the M AP-side L x L factors and of the M K
+    direct-link covariances; unlike eigenvector factors they move only as
+    much as the covariances do. The NLoS part of H_m is F_R W_m A_m^T with
+    F_R = R^(1/2), W_m white and A_m = sqrt(gain_m) times the conjugate of
+    the root of R_m (``ap_factors``), so vec(H_m - Hbar_m) keeps covariance
+    gain_m (R_m^T kron R); the NLoS part of z_k is sqrt(gain_k) F_R w. H
+    itself is never formed: ``draw_reflections`` reflects a fixed set of J
+    vectors per trial and draws only the J-dimensional projection of W that
+    they see (k <= J white rows per AP instead of N).
     ``ris_factor`` is F_R, which ``emi.sample_emi`` draws from too.
     """
 
@@ -75,9 +75,9 @@ class ChannelSampler:
         self.surface = surface
         self.n_aps, self.n, self.l = surface.hbar.shape
         self.n_ues = surface.zbar.shape[0]
-        self.g_factors = psd_factor(stats.r_direct)
-        self.ris_factor = psd_factor(surface.R)
-        self.ap_factors = np.sqrt(surface.gain_m)[:, None, None] * psd_factor(surface.r_m).conj()
+        self.g_factors = psd_sqrt(stats.r_direct)
+        self.ris_factor = psd_sqrt(surface.R)
+        self.ap_factors = np.sqrt(surface.gain_m)[:, None, None] * psd_sqrt(surface.r_m).conj()
         self.ue_scale = np.sqrt(surface.gain_k)
         # For draw_reflections, with Phi and the conjugates folded in: the
         # rows of (Hbar^H Phi) and of (F_R^H Phi), the small left operands of
@@ -110,14 +110,15 @@ class ChannelSampler:
 
         ``x`` has shape (trials, J, N); the result (trials, M, J, L) has the
         joint law of H_m^H Phi x_j, over all J vectors and APs, for
-        H_m = Hbar_m + F_R W_m A_m^T with every W_m white and r x L.
-        With Y the J x r matrix of rows (Phi x_j)^H F_R and the reduced QR
-        Y^H = Q R (R is k x J, k = min(r, J), rank-safe for zero or
-        dependent rows), Y W_m = R^H (Q^H W_m), and Q^H W_m is white and
-        independent of Y because W_m is. So one white k x (M L) matrix per
-        trial replaces the r x L draws W_m of all APs: its block V_m stands
-        for conj(Q^H W_m), white as well, and the NLoS part of
-        H_m^H Phi x_j is row j of R^T V_m A_m^H.
+        H_m = Hbar_m + F_R W_m A_m^T with every W_m white and r x L, where
+        r = N is the column count of F_R. With Y the J x r matrix of rows
+        (Phi x_j)^H F_R and the reduced QR Y^H = Q R (R is k x J,
+        k = min(r, J), rank-safe for zero or dependent rows),
+        Y W_m = R^H (Q^H W_m), and Q^H W_m is white and independent of Y
+        because W_m is. So one white k x (M L) matrix per trial replaces the
+        r x L draws W_m of all APs: its block V_m stands for conj(Q^H W_m),
+        white as well, and the NLoS part of H_m^H Phi x_j is row j of
+        R^T V_m A_m^H.
         """
         trials, j, n = x.shape
         y_h = self._ris_rows @ x.reshape(trials * j, n).T

@@ -144,6 +144,7 @@ class SystemConfig:
                 or all(0.0 <= v <= self.area_side for v in self.ris_position_xy),
                 "ris_position_xy must lie inside the area",
             ),
+            (self.asd_deg > 0, f"asd_deg must be positive, got {self.asd_deg!r}"),
             (self.shadow_std_db >= 0, "shadow_std_db must be >= 0"),
             (self.shadow_decorr > 0, "shadow_decorr must be positive"),
             (0.0 <= self.shadow_ap_frac <= 1.0, "shadow_ap_frac must be in [0, 1]"),

@@ -10,7 +10,6 @@ the RIS-to-UE covariances, all kept in their shared structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -79,11 +78,6 @@ def ris_sinc_correlation(positions: np.ndarray, wavelength: float) -> np.ndarray
     return np.sinc(2.0 * dist / wavelength)
 
 
-@lru_cache(maxsize=None)
-def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.hermite.hermgauss(order)
-
-
 def gaussian_local_scattering(
     beta_nlos: float | np.ndarray,
     theta: float | np.ndarray,
@@ -95,48 +89,35 @@ def gaussian_local_scattering(
 
     Entry (l, n) is beta_nlos E{exp(j 2 pi spacing (l - n) sin(theta + d))}
     with d ~ N(0, sigma_phi^2); spacing is in wavelengths and sigma_phi in
-    radians. beta_nlos and theta broadcast against each other, the result
-    has their broadcast shape + (L, L), and every pair is evaluated in one
-    batched Gauss-Hermite pass: all pairs start at order 30 and double
-    together up to order 240, and each pair keeps the first result that
-    agrees with its predecessor to 1e-9 relative; a pair still open at order
-    240 raises RuntimeError. 240 is the last doubling at which numpy's
-    hermgauss stays finite: near order 400 it overflows, and at 480 its
-    weights are NaN. Zero-beta pairs give zero matrices. Entries depend on
-    l - n only, so one offset row per pair suffices, and the row is a
-    Vandermonde sum: each node takes one complex exponential, whose powers
-    along the offsets come from a cumulative product (offset 0 is exactly 1).
+    radians. beta_nlos and theta broadcast against each other and the result
+    has their broadcast shape + (L, L); zero-beta pairs give zero matrices.
+    Entries depend on l - n only, so one offset row per pair suffices. By the
+    Jacobi-Anger series exp(j a sin u) = sum_n J_n(a) exp(j n u) and
+    E{exp(j n d)} = exp(-n^2 sigma_phi^2 / 2), offset l is beta_nlos
+    sum_n J_n(2 pi spacing l) exp(j n theta - n^2 sigma_phi^2 / 2), and
+    offset 0 is exactly beta_nlos, so one antenna needs no series. One FFT
+    of exp(j a sin u) on Q = 2 ceil(a_max) + 64 points gives the J_n(a) of
+    every offset; their aliases J_{n + iQ}(a) lie below rounding, since
+    J_n(a) decays faster than exponentially for |n| > a. Each row is summed
+    elementwise over the Q terms, so a pair's row does not depend on the
+    batch around it.
     """
     if sigma_phi <= 0.0:
         raise ValueError("sigma_phi must be positive")
     beta_b, theta_b = np.broadcast_arrays(np.asarray(beta_nlos, dtype=float), theta)
     beta_flat, theta_flat = beta_b.ravel(), theta_b.ravel()
+    rows = np.empty((beta_flat.size, n_antennas), dtype=complex)
+    rows[:, 0] = beta_flat
+    if n_antennas > 1:
+        a = 2.0 * np.pi * spacing * np.arange(1, n_antennas)
+        q = 2 * int(np.ceil(np.abs(a).max())) + 64
+        u = 2.0 * np.pi * np.arange(q) / q
+        bessel = np.fft.fft(np.exp(1j * a[:, None] * np.sin(u))).real / q
+        n = np.fft.fftfreq(q, 1.0 / q)
+        weights = np.exp(1j * np.outer(theta_flat, n) - 0.5 * (n * sigma_phi) ** 2)
+        rows[:, 1:] = beta_flat[:, None] * np.sum(weights[:, None, :] * bessel, axis=-1)
+
     offsets = np.arange(n_antennas)
-    rows = np.zeros((beta_flat.size, n_antennas), dtype=complex)
-
-    def quadrature(order: int, pairs: np.ndarray) -> np.ndarray:
-        nodes, weights = _hermgauss(order)
-        angles = np.sin(theta_flat[pairs][:, None] + np.sqrt(2.0) * sigma_phi * nodes)
-        phases = np.ones((pairs.size, n_antennas, order), dtype=complex)
-        if n_antennas > 1:
-            step = np.exp(2j * np.pi * spacing * angles)
-            phases[:, 1:] = step[:, None, :]
-            np.cumprod(phases[:, 1:], axis=1, out=phases[:, 1:])
-        return beta_flat[pairs][:, None] * (phases @ weights) / np.sqrt(np.pi)
-
-    pairs = np.flatnonzero(beta_flat != 0.0)
-    order = 30
-    row = quadrature(order, pairs)
-    while pairs.size and order < 240:
-        finer = quadrature(2 * order, pairs)
-        done = np.linalg.norm(finer - row, axis=1) <= 1e-9 * np.linalg.norm(finer, axis=1)
-        rows[pairs[done]] = finer[done]
-        pairs, row, order = pairs[~done], finer[~done], 2 * order
-    if pairs.size:
-        raise RuntimeError(
-            f"local-scattering quadrature did not converge by order {order}"
-        )
-
     l_idx = offsets[:, None] - offsets[None, :]
     lagged = rows[:, np.abs(l_idx)]
     matrix = np.where(l_idx >= 0, lagged, np.conj(lagged))

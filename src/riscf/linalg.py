@@ -24,8 +24,8 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def psd_factor(a: np.ndarray) -> np.ndarray:
-    """Factor a PSD Hermitian matrix as A = F F^H via eigendecomposition.
+def _psd_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors V and root eigenvalues sqrt(Lambda) of a PSD Hermitian matrix.
 
     Eigenvalues within ``PSD_REL_TOL * max_eig`` of zero are clipped to zero so
     rank-deficient covariances (e.g. fully correlated RIS elements) factor
@@ -40,8 +40,23 @@ def psd_factor(a: np.ndarray) -> np.ndarray:
             f"matrix is not PSD: min eigenvalue {eigvals.min():.3e} "
             f"with max {scale:.3e}"
         )
-    clipped = np.clip(eigvals, 0.0, None)
-    return eigvecs * np.sqrt(clipped)[..., None, :]
+    return eigvecs, np.sqrt(np.clip(eigvals, 0.0, None))
+
+
+def psd_factor(a: np.ndarray) -> np.ndarray:
+    """Factor a PSD Hermitian matrix as A = F F^H with F = V sqrt(Lambda)."""
+    eigvecs, roots = _psd_eigh(a)
+    return eigvecs * roots[..., None, :]
+
+
+def psd_sqrt(a: np.ndarray) -> np.ndarray:
+    """The Hermitian square root V sqrt(Lambda) V^H, a factor of A = S S^H.
+
+    Unlike ``psd_factor`` it does not depend on the eigenvectors' signs and
+    phases, which ``eigh`` picks freely, so it moves only as much as A does.
+    """
+    eigvecs, roots = _psd_eigh(a)
+    return (eigvecs * roots[..., None, :]) @ eigvecs.conj().swapaxes(-1, -2)
 
 
 def solve_hermitian(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -125,8 +125,8 @@ def bytes_per_trial(cfg: SystemConfig, rank: int) -> int:
 
     A trial stacks the J = K + tau_p + 1 RIS-side vectors it reflects in
     x, and holds x, the UE phases and g from the start and from the pilot
-    EMI on the AP noise too. With r the rank of
-    ``ChannelSampler.ris_factor`` and k = min(r, J): from the UE draws on,
+    EMI on the AP noise too. With r = ``rank``, the column count N of
+    ``ChannelSampler.ris_factor``, and k = min(r, J): from the UE draws on,
     a trial holds the copy of their K r white entries that a threaded BLAS
     packs and keeps resident. While it draws g, z and the EMI into x, it
     holds the draws of z or of the pilot EMI; then x while it factors Y

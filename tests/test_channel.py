@@ -1,8 +1,12 @@
 """Aggregated channel statistics and the joint channel sampler."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from riscf.channel import ChannelSampler, aggregated_covariance
+from riscf.config import SystemConfig
+from riscf.correlation import ris_element_positions, ris_sinc_correlation
 from riscf.linalg import hermitize
 
 from conftest import make_link, q_terms
@@ -199,3 +203,24 @@ def test_covariance_check_catches_scaled_white_draws(validation_link, monkeypatc
 
     monkeypatch.setattr(ChannelSampler, "_reflect_projected", scaled)
     assert not any(_reflection_covariance_checks(validation_link))
+
+
+def test_ris_factor_moves_with_r_only_in_its_last_bits():
+    """A 1e-13 Hermitian change of R moves F_R by at most 1e-10 relative.
+
+    The sinc R of a 4x4 half-wavelength array has repeated eigenvalues, so
+    an eigenvector factor of it can jump by O(1) on such a change; the
+    Hermitian square root cannot.
+    """
+    cfg = SystemConfig(n_aps=2, n_ues=2, tau_p=2, shadow_std_db=0.0)
+    link = make_link(cfg, 0)
+    lam = cfg.wavelength
+    R = ris_sinc_correlation(ris_element_positions(4, 4, lam / 2, lam / 2), lam)
+    rng = np.random.default_rng(0)
+    e = rng.standard_normal(R.shape) + 1j * rng.standard_normal(R.shape)
+    nudge = 1e-13 * hermitize(e) / np.linalg.norm(hermitize(e))
+    base, moved = (
+        ChannelSampler(link.stats, replace(link.surface, R=r)).ris_factor
+        for r in (R, R + nudge)
+    )
+    assert np.linalg.norm(moved - base) <= 1e-10 * np.linalg.norm(base)

@@ -72,6 +72,13 @@ def test_invalid_configs_rejected(kwargs):
         SystemConfig(**kwargs)
 
 
+@pytest.mark.parametrize("asd_deg", [0.0, -15.0])
+def test_angular_spread_must_be_positive(asd_deg):
+    """Local scattering needs a spread; the error names the field."""
+    with pytest.raises(ValueError, match="asd_deg"):
+        SystemConfig(asd_deg=asd_deg)
+
+
 COUNT_FIELDS = [
     "n_aps",
     "n_ues",

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from riscf import correlation
 from riscf.config import SystemConfig
 from riscf.correlation import (
     gaussian_local_scattering,
@@ -77,24 +76,26 @@ def test_local_scattering_trace_and_structure():
     assert np.linalg.eigvalsh(r).min() > -1e-10 * beta
 
 
+def _quad_row(theta, sigma, n_antennas, spacing):
+    """Offset row of a unit-beta correlation by adaptive quadrature of each entry."""
+    def entry(lag, part):
+        def integrand(x):
+            phase = 2 * np.pi * spacing * lag * np.sin(theta + x)
+            density = np.exp(-(x**2) / (2 * sigma**2)) / (sigma * np.sqrt(2 * np.pi))
+            return part(phase) * density
+
+        return integrate.quad(integrand, -12 * sigma, 12 * sigma, limit=400)[0]
+
+    return np.array(
+        [entry(lag, np.cos) + 1j * entry(lag, np.sin) for lag in range(n_antennas)]
+    )
+
+
 def test_local_scattering_matches_direct_quadrature():
     """Each entry is a Gaussian integral; adaptive quad is the oracle."""
-    beta, theta, sigma, spacing = 1.0, 0.4, np.deg2rad(15.0), 0.5
-    r = gaussian_local_scattering(beta, theta, sigma, 3, spacing)
-    for lag in (1, 2):
-        def integrand_re(x):
-            return np.cos(2 * np.pi * spacing * lag * np.sin(theta + x)) * np.exp(
-                -(x**2) / (2 * sigma**2)
-            ) / (sigma * np.sqrt(2 * np.pi))
-
-        def integrand_im(x):
-            return np.sin(2 * np.pi * spacing * lag * np.sin(theta + x)) * np.exp(
-                -(x**2) / (2 * sigma**2)
-            ) / (sigma * np.sqrt(2 * np.pi))
-
-        re, _ = integrate.quad(integrand_re, -12 * sigma, 12 * sigma, limit=200)
-        im, _ = integrate.quad(integrand_im, -12 * sigma, 12 * sigma, limit=200)
-        assert r[lag, 0] == pytest.approx(re + 1j * im, abs=1e-6)
+    theta, sigma = 0.4, np.deg2rad(15.0)
+    r = gaussian_local_scattering(1.0, theta, sigma, 3, 0.5)
+    np.testing.assert_allclose(r[:, 0], _quad_row(theta, sigma, 3, 0.5), rtol=0, atol=1e-6)
 
 
 @pytest.mark.parametrize("n_antennas", [1, 2, 4, 8])
@@ -123,18 +124,8 @@ def test_local_scattering_rejects_zero_spread():
         gaussian_local_scattering(1.0, 0.0, 0.0, 2, 0.5)
 
 
-def test_local_scattering_batch_matches_scalar_calls(monkeypatch):
-    """A batch equals a loop of 0-d calls, though its pairs stop at different orders.
-
-    At a 20 degree spread and 7 antennas the broadside pair (theta = 0),
-    where sin varies fastest across the spread, needs order 240; the pairs
-    off broadside stop at 120. Zero-beta pairs are zero.
-    """
-    orders = []
-    hermgauss = correlation._hermgauss
-    monkeypatch.setattr(
-        correlation, "_hermgauss", lambda order: orders.append(order) or hermgauss(order)
-    )
+def test_local_scattering_batch_matches_scalar_calls():
+    """A batch equals a loop of 0-d calls; zero-beta pairs are zero."""
     rng = np.random.default_rng(7)
     sigma, n_ant, spacing = np.deg2rad(20.0), 7, 0.5
     beta = rng.uniform(1e-9, 1e-6, size=(4, 5))
@@ -144,35 +135,41 @@ def test_local_scattering_batch_matches_scalar_calls(monkeypatch):
 
     batch = gaussian_local_scattering(beta, theta, sigma, n_ant, spacing)
     assert batch.shape == (4, 5, n_ant, n_ant)
-    needed = np.zeros(beta.shape, dtype=int)
     for idx in np.ndindex(beta.shape):
-        orders.clear()
         single = gaussian_local_scattering(
             float(beta[idx]), float(theta[idx]), sigma, n_ant, spacing
         )
         assert single.shape == (n_ant, n_ant)
         np.testing.assert_allclose(batch[idx], single, rtol=1e-15, atol=0.0)
-        needed[idx] = max(orders)
     assert not batch[0, 1].any() and not batch[3, 4].any()
-    off_broadside = beta != 0.0
-    off_broadside[2, 2] = False
-    assert needed[2, 2] == 240 and needed[off_broadside].max() == 120
 
 
-def test_local_scattering_raises_at_order_cap():
-    """Pairs still open past the order cap raise, batched or not."""
-    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="converge"):
-        gaussian_local_scattering(1.0, 0.0, np.deg2rad(40.0), 8, 0.5)
-    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="converge"):
-        gaussian_local_scattering(np.array([1.0, 0.0]), 0.0, np.deg2rad(40.0), 8, 0.5)
+def test_local_scattering_large_spread_matches_quadrature_without_warnings():
+    """At 40 degrees and 8 antennas, scalar or batched, every entry matches quad.
 
-
-def test_local_scattering_order_cap_raises_without_warnings():
-    """The cap stops at order 240, before hermgauss overflows into NaN weights."""
+    The results are PSD and the call raises no warning.
+    """
+    sigma = np.deg2rad(40.0)
+    expect = _quad_row(0.0, sigma, 8, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(RuntimeError, match="order 240"):
-            gaussian_local_scattering(1.0, 0.0, np.deg2rad(40.0), 8, 0.5)
+        single = gaussian_local_scattering(1.0, 0.0, sigma, 8, 0.5)
+        batch = gaussian_local_scattering(np.array([1.0, 0.0]), 0.0, sigma, 8, 0.5)
+    np.testing.assert_allclose(single[:, 0], expect, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(batch[0, :, 0], expect, rtol=0, atol=1e-9)
+    assert not batch[1].any()
+    for r in (single, *batch):
+        assert np.linalg.eigvalsh(r).min() >= -1e-12
+
+
+@pytest.mark.parametrize("n_antennas, asd_deg", [(8, 30.0), (8, 40.0), (4, 60.0)])
+def test_large_spread_drops_build(n_antennas, asd_deg):
+    """Wide angular spreads with several antennas build a link on every seed."""
+    cfg = SystemConfig(n_ap_antennas=n_antennas, asd_deg=asd_deg, shadow_std_db=0.0)
+    for seed in range(5):
+        link = make_link(cfg, seed)
+        traces = np.trace(link.stats.r_direct, axis1=-2, axis2=-1).real
+        np.testing.assert_allclose(traces, n_antennas * link.scenario.beta_mk, rtol=1e-12)
 
 
 @pytest.fixture(scope="module")

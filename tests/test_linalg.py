@@ -7,6 +7,7 @@ from riscf.linalg import (
     IllConditionedError,
     hermitize,
     psd_factor,
+    psd_sqrt,
     sample_cn,
     sample_phases,
     solve_hermitian,
@@ -46,6 +47,23 @@ def test_psd_factor_accepts_rank_deficient():
 def test_psd_factor_rejects_indefinite():
     with pytest.raises(ValueError):
         psd_factor(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("rank", [6, 3])
+def test_psd_sqrt_is_a_hermitian_root(rank):
+    """S = S^H and S S = A within 1e-12 relative, full rank or not, stacked."""
+    rng = np.random.default_rng(4)
+    b = rng.standard_normal((2, 6, rank)) + 1j * rng.standard_normal((2, 6, rank))
+    a = b @ b.conj().swapaxes(-1, -2)
+    s = psd_sqrt(a)
+    scale = np.abs(a).max()
+    np.testing.assert_allclose(s, s.conj().swapaxes(-1, -2), rtol=0, atol=1e-12 * np.sqrt(scale))
+    np.testing.assert_allclose(s @ s, a, rtol=0, atol=1e-12 * scale)
+
+
+def test_psd_sqrt_rejects_indefinite():
+    with pytest.raises(ValueError, match="not PSD"):
+        psd_sqrt(np.diag([1.0, -1.0]))
 
 
 def test_solve_hermitian_matches_numpy_batch():
