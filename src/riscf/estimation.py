@@ -112,14 +112,17 @@ def mmse_estimate(
     """MMSE estimates o_hat_mk given the pilot observations and LoS phases.
 
     o_hat = obar e^{j theta_k} + sqrt(p_hat) x^H (y - ybar), where ybar
-    collects the phase-rotated LoS means of the whole coset: one GEMM of
-    the phases against the trial-independent coset means.
+    collects the phase-rotated LoS means of the whole coset: per coset, one
+    GEMM of the coset's phases against its LoS means, so nothing larger
+    than obar is formed outside the trial axis.
     """
+    trials, n_aps, _, n_antennas = y.shape
     root_p = np.sqrt(assignment.power)
-    coset_means = np.einsum(
-        "mia,ki->imka", root_p * assignment.tau_p * stats.obar, assignment.mask
-    )
-    ybar = (phase @ coset_means.reshape(phase.shape[1], -1)).reshape(y.shape)
+    means = root_p * assignment.tau_p * stats.obar.transpose(1, 0, 2)
+    innovation = y.copy()
+    for coset in assignment.cosets:
+        ybar = phase[:, coset] @ means[coset].reshape(-1, n_aps * n_antennas)
+        innovation[:, :, coset] -= ybar.reshape(trials, n_aps, 1, n_antennas)
     prior = stats.obar[None] * phase[:, None, :, None]
     gain = root_p * est.x.conj().swapaxes(-1, -2)
-    return prior + np.einsum("mkab,tmkb->tmka", gain, y - ybar)
+    return prior + np.einsum("mkab,tmkb->tmka", gain, innovation)

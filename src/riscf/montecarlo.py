@@ -40,9 +40,11 @@ from .pipeline import LinkStatistics
 from .uatf import UatfMoments
 
 #: Most trials in one chunk.
-CHUNK_TRIALS = 4096
+CHUNK_TRIALS = 1024
 #: Bytes the working arrays of one default chunk may hold (``bytes_per_trial``).
-CHUNK_BYTES = 32 * 2**20
+#: The draws and the per-trial kernels set the cost, so a larger chunk saves
+#: little but page faults, while the peak RSS grows with it.
+CHUNK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -120,31 +122,31 @@ class UatfEstimates:
         )
 
 
-def bytes_per_trial(cfg: SystemConfig, rank: int) -> int:
+def bytes_per_trial(cfg: SystemConfig) -> int:
     """Bytes of working arrays one trial adds to a chunk, from the shapes alone.
 
     A trial stacks the J = K + tau_p + 1 RIS-side vectors it reflects in
     x, and holds x, the UE phases and g from the start and from the pilot
-    EMI on the AP noise too. With r = ``rank``, the column count N of
-    ``ChannelSampler.ris_factor``, and k = min(r, J): from the UE draws on,
-    a trial holds the copy of their K r white entries that a threaded BLAS
-    packs and keeps resident. While it draws g, z and the EMI into x, it
-    holds the draws of z or of the pilot EMI; then x while it factors Y
-    (Y^H, its copy inside the QR and R) or reflects (R, the M L k white
-    entries V, their product with A^H, and the J M L result with one
-    temporary). It then estimates (o, q and the observation, LoS mean,
-    prior, innovation and estimate arrays) and projects (o, v and the two
-    (K, M L) operands). The largest step counts, at 16 bytes per complex
-    entry, plus an eighth for the small temporaries left out.
+    EMI on the AP noise too. With N the column count of
+    ``ChannelSampler.ris_factor`` (the N x N root of R) and k = min(N, J):
+    from the UE draws on, a trial holds the copy of their K N white entries
+    that a threaded BLAS packs and keeps resident. While it draws g, z and
+    the EMI into x, it holds the draws of z or of the pilot EMI; then x
+    while it factors Y (Y^H, its copy inside the QR and R) or reflects (R,
+    the M L k white entries V, their product with A^H, and the J M L result
+    with one temporary). It then estimates (o, q and the observation,
+    prior, innovation, correction and estimate arrays) and projects (o, v
+    and the two (K, M L) operands). The largest step counts, at 16 bytes
+    per complex entry, plus an eighth for the small temporaries left out.
     """
     m, k, l, n, tau = cfg.n_aps, cfg.n_ues, cfg.n_ap_antennas, cfg.n_ris_elements, cfg.tau_p
     mkl, j = m * k * l, k + tau + 1
-    kj, mlk, jml = min(rank, j) * j, m * l * min(rank, j), j * m * l
-    packed = k * rank
+    kj, mlk, jml = min(n, j) * j, m * l * min(n, j), j * m * l
+    packed = k * n
     held = k + mkl + m * l * tau + j * n + packed
     steps = [
-        j * n + k + mkl + max(mkl, 2 * k * (rank + n), packed + tau * (rank + 2 * n)),
-        held + 2 * j * rank + kj,
+        j * n + k + mkl + max(mkl, 4 * k * n, packed + 3 * tau * n),
+        held + 2 * j * n + kj,
         held + kj + mlk + max(mlk + jml, 2 * jml),
         packed + k + m * l + 6 * mkl,
         packed + m * l + 4 * mkl + k * k,
@@ -152,13 +154,13 @@ def bytes_per_trial(cfg: SystemConfig, rank: int) -> int:
     return 16 * max(steps) * 9 // 8
 
 
-def chunk_trials(cfg: SystemConfig, rank: int) -> int:
+def chunk_trials(cfg: SystemConfig) -> int:
     """Default chunk: as many trials as fit ``CHUNK_BYTES``, at most ``CHUNK_TRIALS``.
 
     It depends on the shapes only, so the random stream, and with it every
     estimate, is the same whatever the thread count.
     """
-    return max(1, min(CHUNK_TRIALS, CHUNK_BYTES // bytes_per_trial(cfg, rank)))
+    return max(1, min(CHUNK_TRIALS, CHUNK_BYTES // bytes_per_trial(cfg)))
 
 
 def estimate_uatf_terms(
@@ -198,7 +200,7 @@ def estimate_uatf_terms(
     acc_e = RunningMoments((n_aps, n_ues))
     sampler = ChannelSampler(link.stats, link.surface)
     if chunk_size is None:
-        chunk_size = chunk_trials(cfg, sampler.ris_factor.shape[1])
+        chunk_size = chunk_trials(cfg)
     remaining = trials
     while remaining > 0:
         batch = min(chunk_size, remaining)

@@ -140,15 +140,11 @@ def test_closed_form_agrees_with_short_simulation(tiny_link):
     assert np.abs(sim / opt.sinr - 1.0).max() < 0.05
 
 
-def _rank(link):
-    return ChannelSampler(link.stats, link.surface).ris_factor.shape[1]
-
-
 @pytest.mark.parametrize("link_name", ["tiny_link", "validation_link"])
 def test_small_links_keep_full_chunks(request, link_name):
     """Where a full chunk fits the budget, the random stream is unchanged."""
     link = request.getfixturevalue(link_name)
-    assert chunk_trials(link.config, _rank(link)) == CHUNK_TRIALS
+    assert chunk_trials(link.config) == CHUNK_TRIALS
 
 
 @pytest.fixture(scope="module")
@@ -160,26 +156,71 @@ def oracle_link():
     return make_link(cfg, 3)
 
 
-def test_chunk_working_set_stays_within_budget(oracle_link):
-    """The traced peak of a budget-sized run stays within CHUNK_BYTES plus the sums."""
-    cfg = oracle_link.config
+def _sums_bytes(cfg):
+    """Bytes of the running sums: a complex sum and two real sums of squares per entry."""
     m, k = cfg.n_aps, cfg.n_ues
-    chunk = chunk_trials(cfg, _rank(oracle_link))
-    assert chunk < 1000  # the budget, not the cap, sizes these chunks
-    weights = np.ones((m, k), dtype=complex)
-    # 32 bytes per entry: the complex sum and two real sums of squares
-    sums = 32 * 2 * k * k + 32 * 2 * m * k
-    trials = 2 * chunk + 1
+    return 32 * 2 * k * k + 32 * 2 * m * k
+
+
+def _traced_peak(link, trials):
+    """The tracemalloc peak of one ``estimate_uatf_terms`` call at the default chunk."""
+    cfg = link.config
+    weights = np.ones((cfg.n_aps, cfg.n_ues), dtype=complex)
     tracemalloc.start()
     try:
-        est = estimate_uatf_terms(
-            oracle_link, trials, rng=np.random.default_rng(0), weights=weights
-        )
+        est = estimate_uatf_terms(link, trials, rng=np.random.default_rng(0), weights=weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert est.u.trials == trials
-    assert peak <= CHUNK_BYTES + sums
+    return peak
+
+
+def test_chunk_working_set_stays_within_budget(oracle_link):
+    """The traced peak of a budget-sized run stays within CHUNK_BYTES plus the sums."""
+    cfg = oracle_link.config
+    chunk = chunk_trials(cfg)
+    assert chunk < 1000  # the budget, not the cap, sizes these chunks
+    peak = _traced_peak(oracle_link, 2 * chunk + 1)
+    assert peak <= CHUNK_BYTES + _sums_bytes(cfg)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        dict(
+            n_aps=100,
+            n_ues=40,
+            n_ap_antennas=4,
+            ris_width_elements=16,
+            ris_height_elements=16,
+            tau_p=10,
+        ),
+        dict(n_aps=40, n_ues=20, n_ap_antennas=1, ris_width_elements=8, ris_height_elements=8),
+        dict(n_aps=20, n_ues=10, n_ap_antennas=4, ris_width_elements=2, ris_height_elements=2),
+    ],
+    ids=["cell-free", "single-antenna-aps", "surface-smaller-than-reflected-vectors"],
+)
+def test_chunk_working_set_stays_within_budget_at_scale(shape):
+    """Past the oracle's size, the traced peak stays within CHUNK_BYTES, the sums and the sampler.
+
+    The sampler's factors are resident for the whole call and do not grow
+    with the chunk, so they are counted apart: tracemalloc's current count
+    right after constructing one. Work that does not scale with the chunk
+    but is redone per chunk would break the bound at the cell-free size.
+    """
+    link = make_link(SystemConfig(shadow_std_db=0.0, **shape), 3)
+    chunk = chunk_trials(link.config)
+    assert chunk < CHUNK_TRIALS  # the budget, not the cap, sizes these chunks
+    tracemalloc.start()
+    try:
+        sampler = ChannelSampler(link.stats, link.surface)
+        resident = tracemalloc.get_traced_memory()[0]
+        del sampler
+    finally:
+        tracemalloc.stop()
+    peak = _traced_peak(link, 2 * chunk + 1)
+    assert peak <= CHUNK_BYTES + _sums_bytes(link.config) + resident
 
 
 def _closed_weights(link, combiner):
