@@ -2,17 +2,18 @@
 
 A YAML run spec names a base configuration, an optional parameter sweep,
 the number of random scenarios, the mode combinations to evaluate, and
-the Monte Carlo budget.  A mode is the base configuration with the mode
-fields of ``config.MODES`` set by one ``modes:`` entry; a field the entry
+the Monte Carlo budget.  ``load_run_spec`` builds and validates every
+config once: one per sweep value, and one mode per ``modes:`` entry, the
+mapping of the four fields of ``config.MODES``, where a field the entry
 leaves out keeps its base value.  The unit of work is the drop, one (sweep
 value, scenario) pair: its scenario and mode-independent statistics are
-built once, its link statistics once per distinct link key among the
-modes (``pipeline.link_mode``: the surface state, and the EMI state with
-the surface on), and every mode is evaluated on them.  Scenario draws are
-seeded per scenario index, so they are shared across sweep values for
-paired comparisons, and Monte Carlo draws per (sweep value, scenario,
-mode); the emitted CSV is therefore byte-identical for a given (spec,
-seed) regardless of thread count.
+built once from its sweep value's config, its link statistics once per
+distinct link key among the modes (``pipeline.link_mode``: the surface
+state, and the EMI state with the surface on), and every mode is
+evaluated on them.  Scenario draws are seeded per scenario index, so they
+are shared across sweep values for paired comparisons, and Monte Carlo
+draws per (sweep value, scenario, mode); the emitted CSV is therefore
+byte-identical for a given (spec, seed) regardless of thread count.
 """
 
 from __future__ import annotations
@@ -81,13 +82,18 @@ _MC_STREAM = 0xB
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Parsed and validated run description; each mode is a full config."""
+    """Parsed and validated run description.
+
+    ``configs`` holds the config of each sweep value, ``modes`` the mode
+    fields (``SystemConfig.mode``) of each ``modes:`` entry.
+    """
 
     config: SystemConfig
     sweep_param: str
     sweep_values: tuple
+    configs: tuple[SystemConfig, ...]
     n_scenarios: int
-    modes: tuple[SystemConfig, ...]
+    modes: tuple[dict[str, str], ...]
     mc_trials: int
 
 
@@ -123,7 +129,7 @@ def load_run_spec(path: str | Path) -> RunSpec:
 
     sweep = data.get("sweep")
     if sweep is None:
-        param, values = "none", (0,)
+        param, values = "none", [0]
     else:
         sweep = _require_mapping(sweep, "sweep")
         _reject_unknown(sweep, {"param", "values"}, "sweep")
@@ -139,12 +145,12 @@ def load_run_spec(path: str | Path) -> RunSpec:
             )
         if not isinstance(values, list) or not values:
             raise ValueError("sweep.values must be a non-empty list")
-        for value in values:
-            try:
-                apply_sweep(config, param, value)
-            except ValueError as err:
-                raise ValueError(f"sweep.values: {err}") from None
-        values = tuple(values)
+    configs = []
+    for value in values:
+        try:
+            configs.append(apply_sweep(config, param, value))
+        except ValueError as err:
+            raise ValueError(f"sweep.values: {err}") from None
 
     n_scenarios = data.get("n_scenarios", 1)
     if not is_count(n_scenarios) or n_scenarios < 1:
@@ -162,11 +168,12 @@ def load_run_spec(path: str | Path) -> RunSpec:
     for entry in raw_modes:
         entry = _require_mapping(entry, "mode")
         _reject_unknown(entry, set(MODES), "mode")
-        modes.append(with_fields(config, entry))
+        modes.append(with_fields(config, entry).mode)
     return RunSpec(
         config=config,
         sweep_param=param,
-        sweep_values=values,
+        sweep_values=tuple(values),
+        configs=tuple(configs),
         n_scenarios=n_scenarios,
         modes=tuple(modes),
         mc_trials=mc_trials,
@@ -204,6 +211,7 @@ def _fmt(value: object) -> str:
 
 def _evaluate_mode(
     cfg: SystemConfig,
+    mode: dict[str, str],
     link: LinkStatistics,
     moments: UatfMoments,
     mc_trials: int,
@@ -211,23 +219,23 @@ def _evaluate_mode(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Closed-form SINR and, when mc_trials > 0, the simulated SINR of one mode.
 
-    ``cfg`` is the mode's own config: power, combiner, noise and ``p_max``
-    all come from it. ``link`` and ``moments`` belong to its link key and
-    may have been built from another mode with that key. The simulation
+    ``mode`` sets the power control and the combiner, the drop's ``cfg``
+    everything else. ``link`` and ``moments`` belong to the mode's link key
+    and may have been built for another mode with that key. The simulation
     keeps only the projections onto the closed form's weights, whose bound
     is that of one virtual AP with unit weight.
     """
     noise = cfg.noise_power
-    if cfg.power == "full":
+    if mode["power"] == "full":
         powers = np.full(cfg.n_ues, cfg.p_max)
-    elif cfg.power == "fpc":
+    elif mode["power"] == "fpc":
         powers = fractional_power_control(aggregate_gain(link), cfg.fpc_alpha, cfg.p_max)
     else:
         powers = maxmin_power_control(
-            moments, cfg.combiner, noise, cfg.p_max, tol=cfg.maxmin_tol
+            moments, mode["combiner"], noise, cfg.p_max, tol=cfg.maxmin_tol
         ).powers
 
-    closed = combine(moments, cfg.combiner, powers, noise)
+    closed = combine(moments, mode["combiner"], powers, noise)
     sinr_mc = None
     if mc_trials > 0:
         estimates = estimate_uatf_terms(link, mc_trials, mc_rng, weights=closed.weights)
@@ -240,38 +248,38 @@ def _run_drop(
 ) -> list[dict]:
     """Rows of every mode on one (sweep value, scenario) drop, in spec order.
 
-    The sweep value is applied to every mode's config. The scenario and its
-    mode-independent drop statistics are built once, from the first of them
-    (they read no mode field). Link statistics and the closed-form moments
-    depend on no mode field but the link key (``link_mode``), so each
-    distinct key builds them once on the shared drop statistics, which
-    hold the aggregated moments of the surface on. The modes are evaluated
-    grouped by that key, and only one link bundle is alive at a time,
-    beside the drop statistics.
+    The scenario and its mode-independent drop statistics are built once,
+    from the sweep value's config (``spec.configs``). Link statistics and
+    the closed-form moments depend on no mode field but the link key
+    (``link_mode``), so each distinct key builds them once on the shared
+    drop statistics, which hold the aggregated moments of the surface on.
+    The modes are evaluated grouped by that key, and only one link bundle
+    is alive at a time, beside the drop statistics.
     """
     value = spec.sweep_values[sweep_idx]
-    modes = [apply_sweep(mode, spec.sweep_param, value) for mode in spec.modes]
-    scenario = generate_scenario(modes[0], _scenario_rng(seed, scen_idx))
-    drop = build_drop_statistics(scenario, modes[0])
+    cfg = spec.configs[sweep_idx]
+    scenario = generate_scenario(cfg, _scenario_rng(seed, scen_idx))
+    drop = build_drop_statistics(scenario, cfg)
     groups: dict[tuple[str, str], list[int]] = {}
-    for mode_idx, mode in enumerate(modes):
+    for mode_idx, mode in enumerate(spec.modes):
         groups.setdefault(link_mode(mode), []).append(mode_idx)
     sinrs = {}
     for mode_indices in groups.values():
-        link = build_link_statistics(drop, modes[mode_indices[0]])
+        link = build_link_statistics(drop, spec.modes[mode_indices[0]])
         moments = closed_form_moments(link)
         for mode_idx in mode_indices:
             mc_rng = _mc_rng(seed, sweep_idx, scen_idx, mode_idx) if mc_trials > 0 else None
-            sinrs[mode_idx] = _evaluate_mode(modes[mode_idx], link, moments, mc_trials, mc_rng)
+            mode = spec.modes[mode_idx]
+            sinrs[mode_idx] = _evaluate_mode(cfg, mode, link, moments, mc_trials, mc_rng)
         del link, moments  # freed before the next group builds its bundle
 
     rows = []
-    for mode_idx, mode in enumerate(modes):
+    for mode_idx, mode in enumerate(spec.modes):
         sinr_closed, sinr_mc = sinrs[mode_idx]
-        se_closed = spectral_efficiency(sinr_closed, mode.prelog)
-        se_mc = None if sinr_mc is None else spectral_efficiency(sinr_mc, mode.prelog)
-        labels = dict(zip(MODE_COLUMNS, mode.mode.values()))
-        for ue in range(mode.n_ues):
+        se_closed = spectral_efficiency(sinr_closed, cfg.prelog)
+        se_mc = None if sinr_mc is None else spectral_efficiency(sinr_mc, cfg.prelog)
+        labels = dict(zip(MODE_COLUMNS, mode.values()))
+        for ue in range(cfg.n_ues):
             rows.append(
                 {
                     "sweep_param": spec.sweep_param,
@@ -297,9 +305,9 @@ def run_experiment(
 ) -> dict:
     """Execute a run spec and write results.csv plus manifest.json.
 
-    Each mode is a full ``SystemConfig``, the spec's ``config:`` with one
-    ``modes:`` entry's fields set (``load_run_spec``), and every row is
-    labelled by its ``mode_*`` columns, one per ``config.MODES`` field.
+    ``load_run_spec`` builds every config the run reads: one per sweep
+    value, and each mode as the mapping of its ``config.MODES`` fields.
+    Every row is labelled by its ``mode_*`` columns, one per mode field.
     ``mc_trials`` overrides the spec's Monte Carlo budget when given.
     Each (sweep value, scenario) drop is one unit of work, and ``threads``
     runs that many drops in parallel; both must be integers, not booleans.
@@ -375,7 +383,7 @@ def run_experiment(
         "sweep_param": spec.sweep_param,
         "sweep_values": [_fmt(v) for v in spec.sweep_values],
         "n_scenarios": spec.n_scenarios,
-        "modes": [mode.mode for mode in spec.modes],
+        "modes": list(spec.modes),
         "config": asdict(spec.config),
         "rows": len(rows),
         "wall_time_s": time.perf_counter() - started,
@@ -402,19 +410,15 @@ def emit_cdf(in_path: str | Path, out_path: str | Path) -> dict:
             raise ValueError(f"input CSV lacks columns: {sorted(missing)}")
         group_columns = ["sweep_param", "sweep_value", *MODE_COLUMNS]
         groups: dict[tuple, list[float]] = {}
-        order = []
         for row in reader:
             key = tuple(row[column] for column in group_columns)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(float(row["se_closed"]))
+            groups.setdefault(key, []).append(float(row["se_closed"]))
     if not groups:
         raise ValueError("input CSV has no data rows")
 
     out_rows = []
-    for key in order:
-        samples = sorted(groups[key])
+    for key, samples in groups.items():
+        samples = sorted(samples)
         n = len(samples)
         q05 = samples[max(0, math.ceil(0.05 * n) - 1)]
         for i, value in enumerate(samples):

@@ -17,8 +17,8 @@ per AP (``ChannelSampler.draw_reflections``); H is never formed.  It then
 synthesizes the pilot observation, runs the estimator and keeps only the
 projections g_ki = a_k^H u_ki of the inner products u_ki[m] = v_mk^H o_mi
 onto the weights a, a (K, K) matrix per trial, which is all the bound of
-those weights reads.  Memory is bounded by ``CHUNK_BYTES``: the default
-chunk holds as many trials as fit it (``chunk_trials``), at most
+those weights reads.  Memory is bounded by ``CHUNK_BYTES``: a chunk
+holds as many trials as fit it (``chunk_trials``), at most
 ``CHUNK_TRIALS``, counted from the shapes alone.
 
 The dense oracle that keeps u and its AP-to-AP second moment, with every
@@ -41,7 +41,7 @@ from .uatf import UatfMoments
 
 #: Most trials in one chunk.
 CHUNK_TRIALS = 1024
-#: Bytes the working arrays of one default chunk may hold (``bytes_per_trial``).
+#: Bytes the working arrays of one chunk may hold (``bytes_per_trial``).
 #: The draws and the per-trial kernels set the cost, so a larger chunk saves
 #: little but page faults, while the peak RSS grows with it.
 CHUNK_BYTES = 8 * 2**20
@@ -155,7 +155,7 @@ def bytes_per_trial(cfg: SystemConfig) -> int:
 
 
 def chunk_trials(cfg: SystemConfig) -> int:
-    """Default chunk: as many trials as fit ``CHUNK_BYTES``, at most ``CHUNK_TRIALS``.
+    """Trials per chunk: as many as fit ``CHUNK_BYTES``, at most ``CHUNK_TRIALS``.
 
     It depends on the shapes only, so the random stream, and with it every
     estimate, is the same whatever the thread count.
@@ -168,7 +168,6 @@ def estimate_uatf_terms(
     trials: int,
     rng: np.random.Generator,
     weights: np.ndarray,
-    chunk_size: int | None = None,
 ) -> UatfEstimates:
     """Estimate the moments of the SINR bound of ``weights`` by direct simulation.
 
@@ -179,14 +178,11 @@ def estimate_uatf_terms(
     draw. H is drawn only where it reflects, and for the (M, K) decoding
     ``weights`` a only the projections g_ki = sum_m a_mk^* v_mk^H o_mi are
     kept, one (K, M L) by (M L, K) product per trial (see
-    ``UatfEstimates``). ``chunk_size`` overrides the default chunk of
-    ``chunk_trials``; the random stream depends on it. ``trials`` and
-    ``chunk_size`` must be positive counts.
+    ``UatfEstimates``). Trials run in chunks of ``chunk_trials``, on
+    which the random stream depends; ``trials`` must be a positive count.
     """
     if not is_count(trials) or trials <= 0:
         raise ValueError(f"trials must be a positive count, got {trials!r}")
-    if chunk_size is not None and (not is_count(chunk_size) or chunk_size <= 0):
-        raise ValueError(f"chunk_size must be a positive count, got {chunk_size!r}")
     cfg = link.config
     n_aps, n_ues = cfg.n_aps, cfg.n_ues
     weights = np.asarray(weights)
@@ -199,8 +195,7 @@ def estimate_uatf_terms(
     acc_d = RunningMoments((n_aps, n_ues))
     acc_e = RunningMoments((n_aps, n_ues))
     sampler = ChannelSampler(link.stats, link.surface)
-    if chunk_size is None:
-        chunk_size = chunk_trials(cfg)
+    chunk_size = chunk_trials(cfg)
     remaining = trials
     while remaining > 0:
         batch = min(chunk_size, remaining)

@@ -4,10 +4,12 @@ The build has two stages. The drop stage, ``build_drop_statistics``, holds
 what no mode field changes: the direct-link covariances, the surface with
 its cascade Gram G_m^H R G_m and phase trace tr(Phi R Phi^H R), and the
 aggregated moments of the surface on. The link stage,
-``build_link_statistics``, applies the link key ``link_mode``: with the
-surface off it aggregates ``surface.off()`` instead, it sets the EMI
-power, and it builds the EMI covariance R_mm (one (M, L, L) array), the
-pilot assignment (every UE at ``p_max``), and the estimation statistics.
+``build_link_statistics``, reads a mode, one mapping of the ``config.MODES``
+fields, and applies its link key ``link_mode``: with the surface off it
+aggregates ``surface.off()`` instead, it sets the EMI power, and it builds
+the EMI covariance R_mm (one (M, L, L) array), the pilot assignment (every
+UE at ``p_max``), and the estimation statistics. Every other field comes
+from the drop's config.
 Everything downstream (closed-form SINR, Monte Carlo validation, power
 control) consumes the resulting link bundle.
 """
@@ -46,8 +48,10 @@ class DropStatistics:
 class LinkStatistics:
     """Everything the closed forms and the sampler need for one scenario.
 
-    ``surface`` is the drop's surface in this link's ``ris`` state,
-    ``r_mm`` the (M, L, L) EMI covariance at the APs; ``assignment``
+    The surface and EMI state are those of the mode the link was built for
+    (``link_mode``); ``config`` is the drop's config, whose mode fields the
+    link does not read. ``surface`` is the drop's surface in that ``ris``
+    state, ``r_mm`` the (M, L, L) EMI covariance at the APs; ``assignment``
     carries the pilot power.
     """
 
@@ -81,13 +85,13 @@ def direct_link_covariances(scenario: Scenario, config: SystemConfig) -> np.ndar
     )
 
 
-def link_mode(config: SystemConfig) -> tuple[str, str]:
-    """The (ris, emi) state a link bundle is built for.
+def link_mode(mode: dict[str, str]) -> tuple[str, str]:
+    """The (ris, emi) state a link bundle is built for, from a mode mapping.
 
     With the surface off nothing reflects EMI, so ``emi`` is then "off"
-    whatever the config says; modes with the same key share one bundle.
+    whatever the mode says; modes with the same key share one bundle.
     """
-    return config.ris, config.emi if config.ris == "on" else "off"
+    return mode["ris"], mode["emi"] if mode["ris"] == "on" else "off"
 
 
 def build_drop_statistics(scenario: Scenario, config: SystemConfig) -> DropStatistics:
@@ -103,16 +107,10 @@ def build_drop_statistics(scenario: Scenario, config: SystemConfig) -> DropStati
     )
 
 
-def build_link_statistics(drop: DropStatistics, config: SystemConfig) -> LinkStatistics:
-    """Build all deterministic statistics for one drop and link key (``link_mode``).
-
-    ``drop`` must be built from ``config`` up to its mode fields.
-    """
-    cfg = config
-    if drop.config.replace(**cfg.mode) != cfg:
-        raise ValueError("config differs from the drop's in more than its mode fields")
-
-    ris, emi = link_mode(cfg)
+def build_link_statistics(drop: DropStatistics, mode: dict[str, str]) -> LinkStatistics:
+    """Build all deterministic statistics for one drop and the link key of ``mode``."""
+    cfg = drop.config
+    ris, emi = link_mode(mode)
     surface, stats = drop.surface, drop.stats
     if ris == "off":
         surface = surface.off()

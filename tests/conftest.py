@@ -18,7 +18,7 @@ def make_link(config, seed):
     ``SeedSequence`` or a generator, which is then drawn from.
     """
     scenario = generate_scenario(config, np.random.default_rng(seed))
-    return build_link_statistics(build_drop_statistics(scenario, config), config)
+    return build_link_statistics(build_drop_statistics(scenario, config), config.mode)
 
 
 def q_terms(surface):

@@ -56,8 +56,8 @@ def test_load_run_spec_roundtrip(micro_spec):
     assert spec.mc_trials == 128
     assert spec.sweep_param == "none"
     assert len(spec.modes) == 2
-    assert spec.modes[1].combiner == "mr"
-    assert spec.modes[1].emi == "off"
+    assert spec.modes[1]["combiner"] == "mr"
+    assert spec.modes[1]["emi"] == "off"
 
 
 def test_load_run_spec_rejects_unknown_keys(tmp_path):
@@ -163,8 +163,8 @@ def test_load_run_spec_coerces_yaml_booleans(tmp_path):
     payload = dict(MICRO)
     payload["modes"] = [{"emi": True, "ris": False}]
     spec = load_run_spec(write_spec(tmp_path / "bools.yaml", payload))
-    assert spec.modes[0].emi == "on"
-    assert spec.modes[0].ris == "off"
+    assert spec.modes[0]["emi"] == "on"
+    assert spec.modes[0]["ris"] == "off"
 
 
 @pytest.mark.parametrize(
@@ -321,7 +321,8 @@ def test_run_experiment_deterministic_across_threads(micro_spec, tmp_path):
 def test_run_experiment_builds_links_once_per_emi_ris(tmp_path, monkeypatch):
     """Each drop builds one link bundle per distinct link key of its modes,
     so emi does not split modes with the surface off, and its rows equal
-    those of single-mode runs, each on a fresh bundle."""
+    those of single-mode runs, each on a fresh bundle. Configs are built
+    only at load: the base, one per sweep value and one per mode."""
     modes = [
         {"combiner": "lsfd", "emi": "on"},
         {"combiner": "mr", "emi": "off"},
@@ -337,9 +338,15 @@ def test_run_experiment_builds_links_once_per_emi_ris(tmp_path, monkeypatch):
     monkeypatch.setattr(
         experiment,
         "build_link_statistics",
-        lambda scenario, cfg: calls.append(pipeline.link_mode(cfg)) or build(scenario, cfg),
+        lambda drop, mode: calls.append(pipeline.link_mode(mode)) or build(drop, mode),
+    )
+    built = []
+    post_init = SystemConfig.__post_init__
+    monkeypatch.setattr(
+        SystemConfig, "__post_init__", lambda cfg: built.append(cfg) or post_init(cfg)
     )
     run_experiment(write_spec(tmp_path / "all.yaml", payload), seed=4, out_dir=tmp_path / "all")
+    assert len(built) == 1 + 2 + len(modes)
     assert len(calls) == 2 * 2 * 3
     assert set(calls) == {("on", "on"), ("on", "off"), ("off", "off")}
 

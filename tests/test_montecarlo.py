@@ -74,17 +74,14 @@ def test_estimate_uatf_terms_deterministic(tiny_link):
         ({"trials": 0}, "trials"),
         ({"trials": True}, "trials"),
         ({"trials": 2.5}, "trials"),
-        ({"chunk_size": 0}, "chunk_size"),
-        ({"chunk_size": -3}, "chunk_size"),
-        ({"chunk_size": 2.5}, "chunk_size"),
     ],
-    ids=["trials-0", "trials-bool", "trials-float", "chunk-0", "chunk-negative", "chunk-float"],
+    ids=["trials-0", "trials-bool", "trials-float"],
 )
 def test_estimate_uatf_terms_validates_trials(tiny_link, counts, name):
     """Non-count or non-positive counts are refused up front, by name."""
     cfg = tiny_link.config
     weights = np.ones((cfg.n_aps, cfg.n_ues))
-    kwargs = {"trials": 8, "chunk_size": None, **counts}
+    kwargs = {"trials": 8, **counts}
     with pytest.raises(ValueError, match=name):
         estimate_uatf_terms(tiny_link, rng=np.random.default_rng(1), weights=weights, **kwargs)
 
@@ -251,9 +248,7 @@ def test_projected_sinr_matches_dense_moments(validation_config, modes, combiner
     batch = dense_batch(link, sampler, np.random.default_rng(6), 300)
     monkeypatch.setattr(montecarlo, "_trials", lambda *args: batch)
     dense = dense_estimates([batch], cfg.n_aps, cfg.n_ues)
-    projected = estimate_uatf_terms(
-        link, 300, rng=np.random.default_rng(0), chunk_size=300, weights=weights
-    )
+    projected = estimate_uatf_terms(link, 300, rng=np.random.default_rng(0), weights=weights)
     expected = uatf_sinr(dense.moments(), weights, powers, cfg.noise_power)
     ones = np.ones((1, cfg.n_ues))
     got = uatf_sinr(projected.moments(), ones, powers, cfg.noise_power)
@@ -296,16 +291,16 @@ def test_run_path_sinr_agrees_with_validation_path(validation_config, modes):
     ],
     ids=["emi-off", "ris-off", "surface-smaller-than-reflected-vectors", "unused-pilot"],
 )
-def test_run_path_degenerate_links_run_warning_free(request, config_name, modes):
-    """Zero EMI rows, zero RIS gains and K + tau_p + 1 > r reflect without warnings."""
+def test_run_path_degenerate_links_run_warning_free(request, config_name, modes, monkeypatch):
+    """Zero EMI rows, zero RIS gains and K + tau_p + 1 > r reflect without warnings,
+    in chunks of 64 trials, the last one partial."""
     link = make_link(request.getfixturevalue(config_name).replace(**modes), 1)
     cfg = link.config
     weights, _ = _closed_weights(link, "lsfd")
+    monkeypatch.setattr(montecarlo, "chunk_trials", lambda cfg: 64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = estimate_uatf_terms(
-            link, 200, rng=np.random.default_rng(3), chunk_size=64, weights=weights
-        )
+        est = estimate_uatf_terms(link, 200, rng=np.random.default_rng(3), weights=weights)
     for part in (est.u, est.t, est.d, est.u_emi):
         assert np.all(np.isfinite(part.mean)) and np.all(np.isfinite(part.std_error))
     assert np.all(est.d.mean.real > 0.0)
@@ -362,7 +357,7 @@ def test_run_path_matches_closed_form_sinr(direct_scale):
     for seed in range(3):
         scenario = generate_scenario(cfg, np.random.default_rng(seed))
         scenario = dataclasses.replace(scenario, beta_mk=direct_scale * scenario.beta_mk)
-        link = build_link_statistics(build_drop_statistics(scenario, cfg), cfg)
+        link = build_link_statistics(build_drop_statistics(scenario, cfg), cfg.mode)
         closed = combine(closed_form_moments(link), "lsfd", powers, cfg.noise_power)
         est = estimate_uatf_terms(
             link, 4000, np.random.default_rng(seed), weights=closed.weights

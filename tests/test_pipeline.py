@@ -32,7 +32,7 @@ def test_shared_drop_matches_standalone_links(l):
     drop = build_drop_statistics(scenario, cfg)
     for emi, ris in MODES:
         mode_cfg = cfg.replace(emi=emi, ris=ris)
-        shared = build_link_statistics(drop, mode_cfg)
+        shared = build_link_statistics(drop, mode_cfg.mode)
         alone = make_link(mode_cfg, 6)
         assert shared.sigma_r2 == alone.sigma_r2
         assert np.array_equal(shared.r_mm, alone.r_mm), f"{emi}/{ris} r_mm"
@@ -49,18 +49,10 @@ def test_links_share_moments_per_surface_state():
     cfg = SystemConfig(n_aps=3, n_ues=4)
     drop = build_drop_statistics(generate_scenario(cfg, np.random.default_rng(2)), cfg)
     links = {
-        (emi, ris): build_link_statistics(drop, cfg.replace(emi=emi, ris=ris))
+        (emi, ris): build_link_statistics(drop, dict(cfg.mode, emi=emi, ris=ris))
         for emi, ris in MODES
     }
     assert links["on", "on"].stats is links["off", "on"].stats
     assert links["on", "off"].stats is not links["on", "on"].stats
     assert np.abs(links["on", "on"].r_mm).max() > 0.0
     assert not np.any(links["off", "on"].r_mm)
-
-
-def test_link_rejects_drop_of_another_config():
-    cfg = SystemConfig(n_aps=3, n_ues=4)
-    drop = build_drop_statistics(generate_scenario(cfg, np.random.default_rng(2)), cfg)
-    build_link_statistics(drop, cfg.replace(combiner="mr", power="fpc", emi="off"))
-    with pytest.raises(ValueError, match="mode fields"):
-        build_link_statistics(drop, cfg.replace(rho_db=10.0))

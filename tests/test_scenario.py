@@ -184,3 +184,25 @@ def test_propagation_fields_move_the_scenario(field, value, moved):
     )
     rician = (cfg.rician_b0_db, cfg.rician_slope_db)
     assert np.allclose(scen.kappa_k, rician_factor(scen.d_k, *rician))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: the shadow-field kernel std^2 2^(-d/decorr) on torus "
+    "distances is not PSD, so psd_factor refuses the drop",
+)
+@pytest.mark.parametrize(
+    "shape",
+    [{"n_aps": 20}, {"n_ues": 40, "tau_p": 10}],
+    ids=["20-aps", "40-ues"],
+)
+def test_correlated_shadowing_builds_many_aps_and_ues(shape):
+    """Every accepted size builds: seeds 0-19 all give a drop."""
+    cfg = SystemConfig(**shape)
+    failed = {}
+    for seed in range(20):
+        try:
+            generate_scenario(cfg, np.random.default_rng(seed))
+        except ValueError as err:
+            failed[seed] = str(err)
+    assert not failed, f"{len(failed)}/20 seeds fail: {failed}"
