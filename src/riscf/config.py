@@ -1,8 +1,10 @@
 """System configuration: physical constants, network geometry, run modes.
 
-A SystemConfig collects every knob the simulator reads. Values default to
-the urban microcell setup used throughout the test suite; experiment YAML
-files override fields by name and unknown keys are rejected.
+A SystemConfig collects every physical knob the simulator reads. Values
+default to the urban microcell setup used throughout the test suite;
+experiment YAML files override fields by name and unknown keys are
+rejected. A mode is not a config field: it is one mapping of the four
+``MODES`` fields, read from a ``modes:`` entry by ``mode_from_mapping``.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299_792_458.0
 
-#: The mode fields and their values, named nowhere else: MR vs LSFD
+#: The mode fields and their values, named nowhere else: LSFD vs MR
 #: combining, EMI at the RIS, full vs fractional vs max-min power, and the
-#: surface present or removed. Results label rows by them in this order.
+#: surface present or removed. Results label rows by them in this order,
+#: and a field a ``modes:`` entry leaves out takes its first value.
 #: ``emi`` is the only EMI switch; ``rho_db`` is a finite level for EMI on.
 MODES = {
-    "combiner": ("mr", "lsfd"),
+    "combiner": ("lsfd", "mr"),
     "emi": ("on", "off"),
     "power": ("full", "fpc", "maxmin"),
     "ris": ("on", "off"),
@@ -95,12 +98,6 @@ class SystemConfig:
     fpc_alpha: float = 0.6
     maxmin_tol: float = 1e-3
 
-    # Modes
-    combiner: str = "lsfd"
-    emi: str = "on"
-    power: str = "full"
-    ris: str = "on"
-
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):  # annotations are strings here
             value = getattr(self, f.name)
@@ -108,7 +105,7 @@ class SystemConfig:
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
             if f.type == "float":
                 # EMI is switched off by its mode, never by an EMI level
-                hint = "; emi: off turns EMI off" if f.name == "rho_db" else ""
+                hint = "; emi: off under modes: turns EMI off" if f.name == "rho_db" else ""
                 if not is_real(value):
                     raise ValueError(f"{f.name} must be a number, got {value!r}{hint}")
                 if not math.isfinite(value):
@@ -136,7 +133,7 @@ class SystemConfig:
             (
                 abs(self.rho_db) <= RHO_DB_BOUND,
                 f"rho_db must lie in [-{RHO_DB_BOUND:g}, {RHO_DB_BOUND:g}] dB, "
-                f"got {self.rho_db!r}; emi: off turns EMI off",
+                f"got {self.rho_db!r}; emi: off under modes: turns EMI off",
             ),
             (self.area_side > 0, "area_side must be positive"),
             (
@@ -151,18 +148,9 @@ class SystemConfig:
             (self.fpc_alpha >= 0, "fpc_alpha must be >= 0"),
             (self.maxmin_tol > 0, "maxmin_tol must be positive"),
         ]
-        checks += [
-            (value in MODES[name], f"invalid mode {name}={value!r}, not in {MODES[name]}")
-            for name, value in self.mode.items()
-        ]
         for ok, message in checks:
             if not ok:
                 raise ValueError(message)
-
-    @property
-    def mode(self) -> dict[str, str]:
-        """The mode fields and their values, in ``MODES`` order."""
-        return {name: getattr(self, name) for name in MODES}
 
     @property
     def n_ris_elements(self) -> int:
@@ -189,28 +177,42 @@ _FIELD_NAMES = {f.name for f in dataclasses.fields(SystemConfig)}
 
 
 def _coerce(data: dict[str, object]) -> dict[str, object]:
-    """Read YAML values as field values.
-
-    A boolean under a mode field is on/off (YAML loads on/off as booleans),
-    and a list under ``ris_position_xy`` is its (x, y) tuple.
-    """
-    coerced = dict(data)
-    for key, value in data.items():
-        if key in MODES and isinstance(value, bool):
-            coerced[key] = "on" if value else "off"
-        elif key == "ris_position_xy" and isinstance(value, list):
-            coerced[key] = tuple(value)
-    return coerced
+    """Read YAML values as field values: a list under ``ris_position_xy`` is its (x, y) tuple."""
+    xy = data.get("ris_position_xy")
+    return dict(data, ris_position_xy=tuple(xy)) if isinstance(xy, list) else data
 
 
 def config_from_mapping(data: dict[str, object]) -> SystemConfig:
-    """Build a SystemConfig from a plain mapping, rejecting unknown keys."""
+    """Build a SystemConfig from a plain mapping, rejecting unknown keys and mode fields."""
     unknown = sorted(set(data) - _FIELD_NAMES)
     if unknown:
-        raise ValueError(f"unknown configuration keys: {', '.join(unknown)}")
+        hint = "; mode fields go under modes:" if MODES.keys() & set(unknown) else ""
+        raise ValueError(f"unknown configuration keys: {', '.join(unknown)}{hint}")
     return SystemConfig(**_coerce(data))  # type: ignore[arg-type]
 
 
 def with_fields(config: SystemConfig, data: dict[str, object]) -> SystemConfig:
     """``config`` with the fields ``data`` sets, read as ``config_from_mapping`` reads them."""
     return config.replace(**_coerce(data))
+
+
+def mode_from_mapping(data: dict[str, object]) -> dict[str, str]:
+    """The mode a ``modes:`` entry names, as a mapping in ``MODES`` order.
+
+    Unknown keys are rejected. A YAML boolean reads as on/off (YAML loads
+    on/off as booleans), any other value outside the field's ``MODES``
+    entry is rejected, and a field the entry leaves out takes that entry's
+    first value.
+    """
+    unknown = sorted(set(data) - MODES.keys())
+    if unknown:
+        raise ValueError(f"unknown mode keys: {', '.join(unknown)}")
+    mode = {}
+    for name, values in MODES.items():
+        value = data.get(name, values[0])
+        if isinstance(value, bool):
+            value = "on" if value else "off"
+        if value not in values:
+            raise ValueError(f"invalid mode {name}={value!r}, not in {values}")
+        mode[name] = value
+    return mode

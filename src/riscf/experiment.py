@@ -3,9 +3,10 @@
 A YAML run spec names a base configuration, an optional parameter sweep,
 the number of random scenarios, the mode combinations to evaluate, and
 the Monte Carlo budget.  ``load_run_spec`` builds and validates every
-config once: one per sweep value, and one mode per ``modes:`` entry, the
-mapping of the four fields of ``config.MODES``, where a field the entry
-leaves out keeps its base value.  The unit of work is the drop, one (sweep
+config once, one per sweep value, and reads each ``modes:`` entry once into
+its mode (``config.mode_from_mapping``), the mapping of the four fields of
+``config.MODES``, where a field the entry leaves out takes the first value
+of its ``MODES`` entry.  The unit of work is the drop, one (sweep
 value, scenario) pair: its scenario and mode-independent statistics are
 built once from its sweep value's config, its link statistics once per
 distinct link key among the modes (``pipeline.link_mode``: the surface
@@ -37,6 +38,7 @@ from .config import (
     SystemConfig,
     config_from_mapping,
     is_count,
+    mode_from_mapping,
     with_fields,
 )
 from .montecarlo import estimate_uatf_terms
@@ -85,7 +87,7 @@ class RunSpec:
     """Parsed and validated run description.
 
     ``configs`` holds the config of each sweep value, ``modes`` the mode
-    fields (``SystemConfig.mode``) of each ``modes:`` entry.
+    (``config.mode_from_mapping``) of each ``modes:`` entry.
     """
 
     config: SystemConfig
@@ -113,7 +115,9 @@ def load_run_spec(path: str | Path) -> RunSpec:
     """Load and validate a YAML run spec; unknown keys are errors.
 
     Parsing uses libyaml's safe loader when PyYAML was built with it, and
-    the pure-Python one otherwise; both give the same mapping.
+    the pure-Python one otherwise; both give the same mapping. A mode field
+    is set only under ``modes:``; under ``config:`` or as the sweep
+    parameter it is an error, and so is ``sweep.param: none``.
     """
     raw = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER)
     data = _require_mapping(raw, "run spec")
@@ -137,12 +141,14 @@ def load_run_spec(path: str | Path) -> RunSpec:
         values = sweep.get("values")
         if not isinstance(param, str):
             raise ValueError("sweep.param must be a string")
-        if param not in _FIELD_NAMES and param not in _SWEEP_ALIASES:
-            raise ValueError(f"unknown sweep parameter: {param!r}")
         if param in MODES:
             raise ValueError(
                 f"sweep parameter {param!r} is a mode field; list its values under modes"
             )
+        if param == "none":
+            raise ValueError("sweep.param none is no sweep; leave out sweep:")
+        if param not in _FIELD_NAMES and param not in _SWEEP_ALIASES:
+            raise ValueError(f"unknown sweep parameter: {param!r}")
         if not isinstance(values, list) or not values:
             raise ValueError("sweep.values must be a non-empty list")
     configs = []
@@ -164,11 +170,7 @@ def load_run_spec(path: str | Path) -> RunSpec:
         raw_modes = [{}]
     if not isinstance(raw_modes, list) or not raw_modes:
         raise ValueError("modes must be a non-empty list")
-    modes = []
-    for entry in raw_modes:
-        entry = _require_mapping(entry, "mode")
-        _reject_unknown(entry, set(MODES), "mode")
-        modes.append(with_fields(config, entry).mode)
+    modes = [mode_from_mapping(_require_mapping(entry, "mode")) for entry in raw_modes]
     return RunSpec(
         config=config,
         sweep_param=param,
@@ -305,7 +307,7 @@ def run_experiment(
 ) -> dict:
     """Execute a run spec and write results.csv plus manifest.json.
 
-    ``load_run_spec`` builds every config the run reads: one per sweep
+    ``load_run_spec`` builds every config the run reads, one per sweep
     value, and each mode as the mapping of its ``config.MODES`` fields.
     Every row is labelled by its ``mode_*`` columns, one per mode field.
     ``mc_trials`` overrides the spec's Monte Carlo budget when given.
@@ -314,9 +316,9 @@ def run_experiment(
     Rows are emitted in sweep, scenario, mode order whatever the thread
     count, so the CSV is byte-stable. The manifest holds the schema and
     package versions, the seed, thread and trial counts, the spec hash,
-    sweep, modes and config echo, the row count, the total ``wall_time_s``
-    of the run (there is no per-task timing), and the rows whose
-    closed-form and Monte Carlo SE differ by more than 2%.
+    sweep, modes and config echo (which has no mode field), the row count,
+    the total ``wall_time_s`` of the run (there is no per-task timing), and
+    the rows whose closed-form and Monte Carlo SE differ by more than 2%.
     """
     spec_path = Path(spec_path)
     spec = load_run_spec(spec_path)

@@ -49,10 +49,10 @@ class LinkStatistics:
     """Everything the closed forms and the sampler need for one scenario.
 
     The surface and EMI state are those of the mode the link was built for
-    (``link_mode``); ``config`` is the drop's config, whose mode fields the
-    link does not read. ``surface`` is the drop's surface in that ``ris``
-    state, ``r_mm`` the (M, L, L) EMI covariance at the APs; ``assignment``
-    carries the pilot power.
+    (``link_mode``), the physical fields those of ``config``, the drop's
+    config. ``surface`` is the drop's surface in that ``ris`` state,
+    ``r_mm`` the (M, L, L) EMI covariance at the APs and ``sigma_r2`` its
+    EMI power, zero with EMI off; ``assignment`` carries the pilot power.
     """
 
     scenario: Scenario

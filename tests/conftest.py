@@ -5,20 +5,22 @@ import numpy as np
 import pytest
 
 from riscf.channel import aggregated_covariance
-from riscf.config import SystemConfig
+from riscf.config import SystemConfig, mode_from_mapping
 from riscf.pipeline import build_drop_statistics, build_link_statistics
 from riscf.scenario import generate_scenario
 from riscf.se import closed_form_moments
 
 
-def make_link(config, seed):
+def make_link(config, seed, **mode):
     """One scenario drop plus its full second-order link statistics.
 
     ``seed`` is anything ``np.random.default_rng`` takes: an int, a
-    ``SeedSequence`` or a generator, which is then drawn from.
+    ``SeedSequence`` or a generator, which is then drawn from. ``mode``
+    sets mode fields by name, as a ``modes:`` entry does.
     """
     scenario = generate_scenario(config, np.random.default_rng(seed))
-    return build_link_statistics(build_drop_statistics(scenario, config), config.mode)
+    drop = build_drop_statistics(scenario, config)
+    return build_link_statistics(drop, mode_from_mapping(mode))
 
 
 def q_terms(surface):

@@ -41,11 +41,11 @@ def quadratic_block_trace(a, cov, n, l):
     return np.einsum("ab,pbqa->qp", a, blocks)
 
 
-def dense_nlos(surface, scenario, config, r_m):
-    """Stacks rtilde_m (M, NL, NL) and rtilde_k (K, N, N); zero with the RIS off."""
+def dense_nlos(surface, scenario, config, r_m, ris):
+    """Stacks rtilde_m (M, NL, NL) and rtilde_k (K, N, N); zero with ``ris`` "off"."""
     l, n = config.n_ap_antennas, config.n_ris_elements
     a_r = surface.element_area
-    on = 0.0 if config.ris == "off" else 1.0
+    on = 0.0 if ris == "off" else 1.0
     rtilde_m = np.stack(
         [
             on

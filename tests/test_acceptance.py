@@ -155,7 +155,7 @@ def test_criterion_03_closed_form_closures(validation_config):
     cfg = validation_config
     powers = np.full(cfg.n_ues, cfg.p_max)
 
-    link_off = make_link(cfg.replace(emi="off"), 1)
+    link_off = make_link(cfg, 1, emi="off")
     terms_off = paper_terms(link_off)
     quiet = (
         link_off.sigma_r2 == 0.0
@@ -189,7 +189,7 @@ def test_criterion_03_closed_form_closures(validation_config):
         atol=0,
     )
 
-    link_ris_off = make_link(cfg.replace(ris="off"), 1)
+    link_ris_off = make_link(cfg, 1, ris="off")
     ris_ok = (
         np.all(link_ris_off.stats.obar == 0.0)
         and np.all(link_ris_off.r_mm == 0.0)
@@ -246,15 +246,17 @@ def test_criterion_05_interference_strength_monotonicity():
         seed = np.random.SeedSequence([99, 0xA, s])
         avg = {}
         for rho in rhos:
-            cfg_rho = cfg.replace(emi="off") if rho is None else cfg.replace(rho_db=rho)
-            link = make_link(cfg_rho, seed)
+            if rho is None:
+                link = make_link(cfg, seed, emi="off")
+            else:
+                link = make_link(cfg.replace(rho_db=rho), seed)
             res = combine(
                 closed_form_moments(link),
-                cfg_rho.combiner,
+                "lsfd",
                 np.full(cfg.n_ues, cfg.p_max),
-                cfg_rho.noise_power,
+                cfg.noise_power,
             )
-            avg[rho] = float(spectral_efficiency(res.sinr, cfg_rho.prelog).mean())
+            avg[rho] = float(spectral_efficiency(res.sinr, cfg.prelog).mean())
         seq = [avg[rho] for rho in rhos]
         if not all(seq[i] <= seq[i + 1] + 1e-12 for i in range(len(seq) - 1)):
             bad_order.append(s)
@@ -285,7 +287,7 @@ def test_criterion_06_element_count_trend():
                 spectral_efficiency(
                     combine(
                         closed_form_moments(_ensemble_link(cfg, 99, s)),
-                        cfg.combiner,
+                        "lsfd",
                         powers,
                         cfg.noise_power,
                     ).sinr,
@@ -412,7 +414,7 @@ def test_criterion_09_element_spacing_trend():
                 spectral_efficiency(
                     combine(
                         closed_form_moments(_ensemble_link(cfg, 99, s)),
-                        cfg.combiner,
+                        "lsfd",
                         powers,
                         cfg.noise_power,
                     ).sinr,

@@ -28,12 +28,10 @@ def test_structured_matches_dense(l, side, emi, ris):
         ris_width_elements=side,
         ris_height_elements=side,
         tau_p=3,
-        emi=emi,
-        ris=ris,
     )
-    link = make_link(cfg, 11)
+    link = make_link(cfg, 11, emi=emi, ris=ris)
     surface = link.surface
-    rtilde_m, rtilde_k = dense_nlos(surface, link.scenario, cfg, surface.r_m)
+    rtilde_m, rtilde_k = dense_nlos(surface, link.scenario, cfg, surface.r_m, ris)
 
     dense = dense_aggregated(link.stats.r_direct, surface, rtilde_m, rtilde_k)
     for name in ("obar", "r_o"):

@@ -14,7 +14,7 @@ from dense_reference import dense_nlos, draw
 
 
 def _dense_nlos(link):
-    return dense_nlos(link.surface, link.scenario, link.config, link.surface.r_m)
+    return dense_nlos(link.surface, link.scenario, link.config, link.surface.r_m, "on")
 
 
 def test_aggregated_mean_is_cascaded_los(tiny_link):

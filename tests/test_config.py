@@ -1,12 +1,19 @@
 """System configuration defaults, derived quantities, and validation."""
 import dataclasses
+import itertools
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from riscf.config import MODES, RHO_DB_BOUND, SystemConfig, config_from_mapping
+from riscf.config import (
+    MODES,
+    RHO_DB_BOUND,
+    SystemConfig,
+    config_from_mapping,
+    mode_from_mapping,
+)
 from riscf.correlation import surface_statistics
 from riscf.emi import sigma_r2_from_rho
 from riscf.scenario import generate_scenario
@@ -68,8 +75,19 @@ def test_replace_returns_modified_copy():
     ],
 )
 def test_invalid_configs_rejected(kwargs):
-    with pytest.raises(ValueError):
-        SystemConfig(**kwargs)
+    """Physical fields are checked by SystemConfig, mode fields by mode_from_mapping."""
+    if kwargs.keys() <= MODES.keys():
+        with pytest.raises(ValueError, match="invalid mode"):
+            mode_from_mapping(kwargs)
+    else:
+        with pytest.raises(ValueError):
+            SystemConfig(**kwargs)
+
+
+def test_config_has_no_mode_fields():
+    """A mode is no config: its fields are set only under modes:."""
+    assert not {f.name for f in dataclasses.fields(SystemConfig)} & MODES.keys()
+    assert not hasattr(SystemConfig, "mode")
 
 
 @pytest.mark.parametrize("asd_deg", [0.0, -15.0])
@@ -134,14 +152,38 @@ def test_float_fields_accept_integers():
 
 
 def test_mode_lists_the_mode_fields_in_table_order():
-    cfg = SystemConfig(combiner="mr", power="maxmin", ris="off")
-    assert cfg.mode == {"combiner": "mr", "emi": "on", "power": "maxmin", "ris": "off"}
-    assert list(cfg.mode) == list(MODES)
+    mode = mode_from_mapping({"combiner": "mr", "power": "maxmin", "ris": "off"})
+    assert mode == {"combiner": "mr", "emi": "on", "power": "maxmin", "ris": "off"}
+    assert list(mode) == list(MODES)
     for name, values in MODES.items():
         for value in values:
-            assert SystemConfig(**{name: value}).mode[name] == value
+            assert mode_from_mapping({name: value})[name] == value
         with pytest.raises(ValueError, match="invalid mode"):
-            SystemConfig(**{name: "bogus"})
+            mode_from_mapping({name: "bogus"})
+
+
+def test_every_mode_round_trips():
+    """Each of the 24 combinations reads back as itself, in MODES order."""
+    combos = list(itertools.product(*MODES.values()))
+    assert len(combos) == 24
+    for combo in combos:
+        mode = dict(zip(MODES, combo))
+        assert mode_from_mapping(mode) == mode
+        assert list(mode_from_mapping(dict(reversed(mode.items())))) == list(MODES)
+
+
+def test_empty_mode_takes_the_first_value_of_each_field():
+    assert mode_from_mapping({}) == {
+        "combiner": "lsfd",
+        "emi": "on",
+        "power": "full",
+        "ris": "on",
+    }
+
+
+def test_mode_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="unknown mode keys: n_aps"):
+        mode_from_mapping({"combiner": "mr", "n_aps": 4})
 
 
 def test_mapping_round_trip():
@@ -157,9 +199,9 @@ def test_mapping_rejects_unknown_keys():
 
 
 def test_mapping_coerces_yaml_booleans():
-    cfg = config_from_mapping({"emi": True, "ris": False})
-    assert cfg.emi == "on"
-    assert cfg.ris == "off"
+    mode = mode_from_mapping({"emi": True, "ris": False})
+    assert mode["emi"] == "on"
+    assert mode["ris"] == "off"
 
 
 def test_mapping_accepts_ris_position_list():
@@ -201,7 +243,7 @@ def test_bool_fields_reject_non_booleans(value):
     and rejects anything else.
     """
     with pytest.raises(ValueError, match="invalid mode emi"):
-        config_from_mapping({"emi": value})
+        mode_from_mapping({"emi": value})
 
 
 @pytest.mark.parametrize(

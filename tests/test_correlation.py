@@ -190,7 +190,7 @@ def test_los_magnitudes(drop):
 def test_los_zero_with_ris_off(drop):
     """The link stage zeroes the surface-on LoS means of the drop."""
     cfg, scen, _ = drop
-    los = make_link(cfg.replace(ris="off"), 2).surface
+    los = make_link(cfg, 2, ris="off").surface
     assert np.all(los.hbar == 0.0) and np.all(los.zbar == 0.0)
     assert np.allclose(los.phi, np.exp(1j * cfg.ris_phase))
 
@@ -220,7 +220,7 @@ def test_nlos_trace_identities(drop):
 
 def test_nlos_kronecker_assembly(drop):
     cfg, scen, nlos = drop
-    rtilde_m, rtilde_k = dense_nlos(nlos, scen, cfg, nlos.r_m)
+    rtilde_m, rtilde_k = dense_nlos(nlos, scen, cfg, nlos.r_m, "on")
     assert np.allclose(_dense_rtilde_m(nlos), rtilde_m, rtol=1e-12)
     assert np.allclose(nlos.gain_k[:, None, None] * nlos.R, rtilde_k, rtol=1e-12)
 
@@ -228,7 +228,7 @@ def test_nlos_kronecker_assembly(drop):
 def test_nlos_gains_vanish_with_ris_off(drop):
     """The link stage zeroes the gains and keeps the drop's AP-side factors."""
     cfg, scen, on = drop
-    nlos = make_link(cfg.replace(ris="off"), 2).surface
+    nlos = make_link(cfg, 2, ris="off").surface
     assert np.all(nlos.gain_m == 0.0) and np.all(nlos.gain_k == 0.0)
     assert np.array_equal(nlos.r_m, on.r_m)
 

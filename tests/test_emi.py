@@ -25,7 +25,7 @@ def test_sigma_r2_no_interference_limits(tiny_config):
     """EMI power falls toward zero as rho grows; zero itself is ``emi: off``."""
     beta_m = np.array([1e-7])
     assert 0.0 < sigma_r2_from_rho(300.0, 0.2, beta_m) < 1e-30
-    quiet = make_link(tiny_config.replace(emi="off"), 5)
+    quiet = make_link(tiny_config, 5, emi="off")
     assert quiet.sigma_r2 == 0.0 and not quiet.r_mm.any()
 
 

@@ -86,6 +86,10 @@ def test_load_run_spec_rejects_bad_sweep(tmp_path):
         bad["sweep"] = {"param": field, "values": ["on", "off"]}
         with pytest.raises(ValueError, match="modes"):
             load_run_spec(write_spec(tmp_path / "bad.yaml", bad))
+    # none marks "no sweep"; as a parameter it would repeat one config per value
+    bad["sweep"] = {"param": "none", "values": [1, 2]}
+    with pytest.raises(ValueError, match="leave out sweep"):
+        load_run_spec(write_spec(tmp_path / "bad.yaml", bad))
 
 
 @pytest.mark.parametrize("key", ["n_scenarios", "mc_trials"])
@@ -159,6 +163,14 @@ def test_load_run_spec_rejects_bad_mode(tmp_path):
         load_run_spec(write_spec(tmp_path / "bad.yaml", bad))
 
 
+@pytest.mark.parametrize("field", ["combiner", "emi", "power", "ris"])
+def test_load_run_spec_rejects_mode_fields_under_config(tmp_path, field):
+    """A mode field has one place, modes:; under config: the error names it."""
+    bad = dict(MICRO, config={**MICRO["config"], field: "off"})
+    with pytest.raises(ValueError, match=f"unknown configuration keys: {field}.*modes"):
+        load_run_spec(write_spec(tmp_path / "bad.yaml", bad))
+
+
 def test_load_run_spec_coerces_yaml_booleans(tmp_path):
     payload = dict(MICRO)
     payload["modes"] = [{"emi": True, "ris": False}]
@@ -186,25 +198,25 @@ def test_load_run_spec_rejects_non_count_config_fields(tmp_path, field, value):
         load_run_spec(write_spec(tmp_path / "bad.yaml", bad))
 
 
-def test_modes_inherit_unset_fields_from_config(tmp_path):
-    """A mode entry sets only the fields it names; the rest come from config:."""
+def test_modes_take_defaults_for_unset_fields(tmp_path):
+    """A mode entry sets only the fields it names; the rest take the first
+    value of their MODES entry (lsfd, on, full, on)."""
     sparse = [
-        {"combiner": "lsfd"},
+        {},
         {"power": "maxmin"},
-        {"power": "full"},
+        {"power": "fpc"},
         {"emi": False},
-        {"ris": "off"},
+        {"ris": "off", "combiner": "mr"},
     ]
     full = [
+        {"combiner": "lsfd", "emi": "on", "power": "full", "ris": "on"},
+        {"combiner": "lsfd", "emi": "on", "power": "maxmin", "ris": "on"},
         {"combiner": "lsfd", "emi": "on", "power": "fpc", "ris": "on"},
-        {"combiner": "mr", "emi": "on", "power": "maxmin", "ris": "on"},
-        {"combiner": "mr", "emi": "on", "power": "full", "ris": "on"},
-        {"combiner": "mr", "emi": "off", "power": "fpc", "ris": "on"},
-        {"combiner": "mr", "emi": "on", "power": "fpc", "ris": "off"},
+        {"combiner": "lsfd", "emi": "off", "power": "full", "ris": "on"},
+        {"combiner": "mr", "emi": "on", "power": "full", "ris": "off"},
     ]
-    config = {**MICRO["config"], "power": "fpc", "combiner": "mr"}
     for name, modes in (("sparse", sparse), ("full", full)):
-        payload = dict(MICRO, config=config, mc_trials=0, modes=modes)
+        payload = dict(MICRO, mc_trials=0, modes=modes)
         spec = write_spec(tmp_path / f"{name}.yaml", payload)
         run_experiment(spec, seed=6, out_dir=tmp_path / name)
     sparse_csv = tmp_path / "sparse" / "results.csv"
@@ -215,7 +227,7 @@ def test_modes_inherit_unset_fields_from_config(tmp_path):
     for row in read_rows(tmp_path / "cdf.csv"):
         key = tuple(row[column] for column in experiment.MODE_COLUMNS)
         sizes[key] = sizes.get(key, 0) + 1
-    # modes 2 and 3 differ in mode_power alone and still form two groups
+    # modes 1 and 2 differ in mode_power alone and still form two groups
     assert sizes == {tuple(mode.values()): 2 * 2 for mode in full}
 
 
@@ -260,14 +272,20 @@ def _strict_json(text):
 
 
 def test_manifest_is_strict_json_without_emi(tmp_path):
-    """A run without EMI echoes its config, finite rho_db included, as strict JSON."""
-    payload = {"schema_version": 1, "config": {"n_aps": 3, "n_ues": 2, "emi": "off"}}
+    """A run without EMI echoes its config, finite rho_db included, and its
+    modes as strict JSON; the config echo holds no mode field."""
+    payload = {
+        "schema_version": 1,
+        "config": {"n_aps": 3, "n_ues": 2},
+        "modes": [{"emi": "off"}],
+    }
     out = tmp_path / "out"
     run_experiment(write_spec(tmp_path / "quiet.yaml", payload), seed=1, out_dir=out)
     manifest = _strict_json((out / "manifest.json").read_text())
     assert manifest["config"]["rho_db"] == 20.0
-    assert manifest["config"]["emi"] == "off"
+    assert manifest["modes"] == [{"combiner": "lsfd", "emi": "off", "power": "full", "ris": "on"}]
     assert manifest["config"]["n_aps"] == 3
+    assert not manifest["config"].keys() & {"combiner", "emi", "power", "ris"}
 
 
 @pytest.mark.parametrize("rho_db", [math.inf, None], ids=[".inf", "null"])
@@ -322,7 +340,7 @@ def test_run_experiment_builds_links_once_per_emi_ris(tmp_path, monkeypatch):
     """Each drop builds one link bundle per distinct link key of its modes,
     so emi does not split modes with the surface off, and its rows equal
     those of single-mode runs, each on a fresh bundle. Configs are built
-    only at load: the base, one per sweep value and one per mode."""
+    only at load: the base and one per sweep value; a mode is no config."""
     modes = [
         {"combiner": "lsfd", "emi": "on"},
         {"combiner": "mr", "emi": "off"},
@@ -346,7 +364,7 @@ def test_run_experiment_builds_links_once_per_emi_ris(tmp_path, monkeypatch):
         SystemConfig, "__post_init__", lambda cfg: built.append(cfg) or post_init(cfg)
     )
     run_experiment(write_spec(tmp_path / "all.yaml", payload), seed=4, out_dir=tmp_path / "all")
-    assert len(built) == 1 + 2 + len(modes)
+    assert len(built) == 1 + 2
     assert len(calls) == 2 * 2 * 3
     assert set(calls) == {("on", "on"), ("on", "off"), ("off", "off")}
 

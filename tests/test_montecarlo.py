@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from riscf.channel import ChannelSampler
-from riscf.config import SystemConfig
+from riscf.config import SystemConfig, mode_from_mapping
 from riscf import montecarlo
 from riscf.montecarlo import (
     CHUNK_BYTES,
@@ -241,7 +241,7 @@ def test_projected_sinr_matches_dense_moments(validation_config, modes, combiner
     The run path and the dense oracle draw differently, so the run path is
     fed the oracle's batch in place of its own draws.
     """
-    link = make_link(validation_config.replace(**modes), 1)
+    link = make_link(validation_config, 1, **modes)
     cfg = link.config
     weights, powers = _closed_weights(link, combiner)
     sampler = ChannelSampler(link.stats, link.surface)
@@ -265,7 +265,7 @@ def test_run_path_sinr_agrees_with_validation_path(validation_config, modes):
     1500 trials; the two means agree within 4 combined standard errors of
     the mean (sample spread over seeds) for every UE.
     """
-    link = make_link(validation_config.replace(**modes), 1)
+    link = make_link(validation_config, 1, **modes)
     cfg = link.config
     weights, powers = _closed_weights(link, "lsfd")
     ones = np.ones((1, cfg.n_ues))
@@ -282,20 +282,22 @@ def test_run_path_sinr_agrees_with_validation_path(validation_config, modes):
 
 
 @pytest.mark.parametrize(
-    "config_name, modes",
+    "config_name, changes, mode",
     [
-        ("validation_config", {"emi": "off"}),
-        ("validation_config", {"ris": "off"}),
-        ("tiny_config", {}),
-        ("tiny_config", {"tau_p": 3}),
+        ("validation_config", {}, {"emi": "off"}),
+        ("validation_config", {}, {"ris": "off"}),
+        ("tiny_config", {}, {}),
+        ("tiny_config", {"tau_p": 3}, {}),
     ],
     ids=["emi-off", "ris-off", "surface-smaller-than-reflected-vectors", "unused-pilot"],
 )
-def test_run_path_degenerate_links_run_warning_free(request, config_name, modes, monkeypatch):
+def test_run_path_degenerate_links_run_warning_free(
+    request, config_name, changes, mode, monkeypatch
+):
     """Zero EMI rows, zero RIS gains and K + tau_p + 1 > r reflect without warnings,
-    in chunks of 64 trials, the last one partial."""
-    link = make_link(request.getfixturevalue(config_name).replace(**modes), 1)
-    cfg = link.config
+    in chunks of 64 trials, the last one partial. A link with no EMI power,
+    EMI off or the surface off, samples no EMI."""
+    link = make_link(request.getfixturevalue(config_name).replace(**changes), 1, **mode)
     weights, _ = _closed_weights(link, "lsfd")
     monkeypatch.setattr(montecarlo, "chunk_trials", lambda cfg: 64)
     with warnings.catch_warnings():
@@ -304,7 +306,7 @@ def test_run_path_degenerate_links_run_warning_free(request, config_name, modes,
     for part in (est.u, est.t, est.d, est.u_emi):
         assert np.all(np.isfinite(part.mean)) and np.all(np.isfinite(part.std_error))
     assert np.all(est.d.mean.real > 0.0)
-    if cfg.emi == "off":
+    if link.sigma_r2 == 0.0:
         assert np.all(est.u_emi.mean == 0.0)
 
 
@@ -357,7 +359,7 @@ def test_run_path_matches_closed_form_sinr(direct_scale):
     for seed in range(3):
         scenario = generate_scenario(cfg, np.random.default_rng(seed))
         scenario = dataclasses.replace(scenario, beta_mk=direct_scale * scenario.beta_mk)
-        link = build_link_statistics(build_drop_statistics(scenario, cfg), cfg.mode)
+        link = build_link_statistics(build_drop_statistics(scenario, cfg), mode_from_mapping({}))
         closed = combine(closed_form_moments(link), "lsfd", powers, cfg.noise_power)
         est = estimate_uatf_terms(
             link, 4000, np.random.default_rng(seed), weights=closed.weights

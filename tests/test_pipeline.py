@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from riscf.config import SystemConfig
+from riscf.config import SystemConfig, mode_from_mapping
 from riscf.pipeline import build_drop_statistics, build_link_statistics
 from riscf.scenario import generate_scenario
 
@@ -31,9 +31,8 @@ def test_shared_drop_matches_standalone_links(l):
     scenario = generate_scenario(cfg, np.random.default_rng(6))
     drop = build_drop_statistics(scenario, cfg)
     for emi, ris in MODES:
-        mode_cfg = cfg.replace(emi=emi, ris=ris)
-        shared = build_link_statistics(drop, mode_cfg.mode)
-        alone = make_link(mode_cfg, 6)
+        shared = build_link_statistics(drop, mode_from_mapping({"emi": emi, "ris": ris}))
+        alone = make_link(cfg, 6, emi=emi, ris=ris)
         assert shared.sigma_r2 == alone.sigma_r2
         assert np.array_equal(shared.r_mm, alone.r_mm), f"{emi}/{ris} r_mm"
         for part in PARTS:
@@ -49,7 +48,7 @@ def test_links_share_moments_per_surface_state():
     cfg = SystemConfig(n_aps=3, n_ues=4)
     drop = build_drop_statistics(generate_scenario(cfg, np.random.default_rng(2)), cfg)
     links = {
-        (emi, ris): build_link_statistics(drop, dict(cfg.mode, emi=emi, ris=ris))
+        (emi, ris): build_link_statistics(drop, mode_from_mapping({"emi": emi, "ris": ris}))
         for emi, ris in MODES
     }
     assert links["on", "on"].stats is links["off", "on"].stats

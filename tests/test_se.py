@@ -17,10 +17,9 @@ def full_powers(link):
 
 
 def closed_sinr(link, powers):
-    """SINR of a link under its configured combiner, in closed form."""
+    """SINR of a link under LSFD, in closed form."""
     moments = closed_form_moments(link)
-    cfg = link.config
-    return combine(moments, cfg.combiner, powers, cfg.noise_power).sinr
+    return combine(moments, "lsfd", powers, link.config.noise_power).sinr
 
 
 def equal_sinr(moments, powers, noise):
@@ -106,8 +105,7 @@ def test_closed_form_moments_map_the_paper_terms(ris, validation_config, validat
     """The batched moments are the (u, cov, d, w) map of the entrywise terms."""
     link = validation_link
     if ris == "off":
-        cfg = validation_config.replace(ris="off")
-        link = make_link(cfg, 1)
+        link = make_link(validation_config, 1, ris="off")
     got = closed_form_moments(link)
     want = terms_moments(paper_terms(link))
     for name in ("u", "cov", "d", "w"):
@@ -219,7 +217,7 @@ def test_evaluate_closed_form_lsfd_vs_mr(validation_moments, validation_link):
 def test_no_interference_limit_increases_sinr(validation_config):
     """Removing the ambient field can only help."""
     noisy = make_link(validation_config, 21)
-    quiet = make_link(validation_config.replace(emi="off"), 21)
+    quiet = make_link(validation_config, 21, emi="off")
     p = np.full(validation_config.n_ues, validation_config.p_max)
     assert np.all(closed_sinr(quiet, p) + 1e-15 >= closed_sinr(noisy, p))
 
@@ -237,9 +235,8 @@ def test_plain_system_closed_form_dual_route():
         ris_width_elements=2,
         ris_height_elements=2,
         tau_p=2,
-        ris="off",
     )
-    link = make_link(cfg, 8)
+    link = make_link(cfg, 8, ris="off")
     moments = closed_form_moments(link)
 
     tau, noise = cfg.tau_p, cfg.noise_power
