@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -36,6 +37,20 @@ RHO_DB_BOUND = 300.0
 def is_count(value: object) -> bool:
     """An int that is not a bool (YAML true/false load as bools, which are ints)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_count(value: object, name: str, least: int) -> int:
+    """``value`` if it is a count of at least ``least``; else a ValueError naming ``name``."""
+    if not is_count(value) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def reject_unknown(data: dict, allowed: Iterable[str], what: str, hint: str = "") -> None:
+    """Refuse keys of ``data`` not in ``allowed``: ``unknown <what> keys: a, b``, then ``hint``."""
+    unknown = sorted(map(str, data.keys() - allowed))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(unknown)}{hint}")
 
 
 def is_real(value: object) -> bool:
@@ -184,10 +199,8 @@ def _coerce(data: dict[str, object]) -> dict[str, object]:
 
 def config_from_mapping(data: dict[str, object]) -> SystemConfig:
     """Build a SystemConfig from a plain mapping, rejecting unknown keys and mode fields."""
-    unknown = sorted(set(data) - _FIELD_NAMES)
-    if unknown:
-        hint = "; mode fields go under modes:" if MODES.keys() & set(unknown) else ""
-        raise ValueError(f"unknown configuration keys: {', '.join(unknown)}{hint}")
+    hint = "; mode fields go under modes:" if MODES.keys() & data.keys() else ""
+    reject_unknown(data, _FIELD_NAMES, "configuration", hint)
     return SystemConfig(**_coerce(data))  # type: ignore[arg-type]
 
 
@@ -204,9 +217,7 @@ def mode_from_mapping(data: dict[str, object]) -> dict[str, str]:
     entry is rejected, and a field the entry leaves out takes that entry's
     first value.
     """
-    unknown = sorted(set(data) - MODES.keys())
-    if unknown:
-        raise ValueError(f"unknown mode keys: {', '.join(unknown)}")
+    reject_unknown(data, MODES, "mode")
     mode = {}
     for name, values in MODES.items():
         value = data.get(name, values[0])

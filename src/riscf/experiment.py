@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import time
+from collections.abc import Hashable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -39,6 +40,8 @@ from .config import (
     config_from_mapping,
     is_count,
     mode_from_mapping,
+    reject_unknown,
+    require_count,
     with_fields,
 )
 from .montecarlo import estimate_uatf_terms
@@ -74,7 +77,11 @@ CDF_COLUMNS = [
     "q05",
 ]
 
-_SWEEP_ALIASES = ("none", "ris_elements_side", "ris_spacing")
+#: Sweep parameters that set several config fields to one value, by those fields.
+_SWEEP_ALIASES = {
+    "ris_elements_side": ("ris_width_elements", "ris_height_elements"),
+    "ris_spacing": ("ris_spacing_h", "ris_spacing_v"),
+}
 
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -105,10 +112,14 @@ def _require_mapping(obj: object, where: str) -> dict:
     return obj
 
 
-def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+def _reject_repeats(where: str, entries: list, keys: Iterable[Hashable]) -> None:
+    """Refuse two entries with one key: the run would repeat their work and
+    ``emit_cdf`` would pool both copies into one group."""
+    first: dict = {}
+    for entry, key in zip(entries, keys):
+        if key in first:
+            raise ValueError(f"{where} name one entry twice: {first[key]!r} and {entry!r}")
+        first[key] = entry
 
 
 def load_run_spec(path: str | Path) -> RunSpec:
@@ -117,15 +128,14 @@ def load_run_spec(path: str | Path) -> RunSpec:
     Parsing uses libyaml's safe loader when PyYAML was built with it, and
     the pure-Python one otherwise; both give the same mapping. A mode field
     is set only under ``modes:``; under ``config:`` or as the sweep
-    parameter it is an error, and so is ``sweep.param: none``.
+    parameter it is an error. A spec without ``sweep:`` is one point,
+    ``config:`` itself, labelled ``none`` 0. Two sweep values with one
+    label or one config, and two equal modes, are errors.
     """
     raw = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER)
     data = _require_mapping(raw, "run spec")
-    _reject_unknown(
-        data,
-        {"schema_version", "config", "sweep", "n_scenarios", "modes", "mc_trials"},
-        "run spec",
-    )
+    keys = {"schema_version", "config", "sweep", "n_scenarios", "modes", "mc_trials"}
+    reject_unknown(data, keys, "run spec")
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
@@ -133,37 +143,30 @@ def load_run_spec(path: str | Path) -> RunSpec:
 
     sweep = data.get("sweep")
     if sweep is None:
-        param, values = "none", [0]
+        param, values, configs = "none", [0], [config]
     else:
         sweep = _require_mapping(sweep, "sweep")
-        _reject_unknown(sweep, {"param", "values"}, "sweep")
+        reject_unknown(sweep, {"param", "values"}, "sweep")
         param = sweep.get("param")
         values = sweep.get("values")
         if not isinstance(param, str):
             raise ValueError("sweep.param must be a string")
-        if param in MODES:
-            raise ValueError(
-                f"sweep parameter {param!r} is a mode field; list its values under modes"
-            )
-        if param == "none":
-            raise ValueError("sweep.param none is no sweep; leave out sweep:")
-        if param not in _FIELD_NAMES and param not in _SWEEP_ALIASES:
-            raise ValueError(f"unknown sweep parameter: {param!r}")
+        if param not in _FIELD_NAMES | _SWEEP_ALIASES.keys():
+            hint = "mode fields go under modes:" if param in MODES else "leave out sweep: for no sweep"
+            raise ValueError(f"unknown sweep parameter: {param!r}; {hint}")
         if not isinstance(values, list) or not values:
             raise ValueError("sweep.values must be a non-empty list")
-    configs = []
-    for value in values:
-        try:
-            configs.append(apply_sweep(config, param, value))
-        except ValueError as err:
-            raise ValueError(f"sweep.values: {err}") from None
+        configs = []
+        for value in values:
+            try:
+                configs.append(apply_sweep(config, param, value))
+            except ValueError as err:
+                raise ValueError(f"sweep.values: {err}") from None
+        _reject_repeats("sweep.values", values, map(_fmt, values))
+        _reject_repeats("sweep.values", values, configs)
 
-    n_scenarios = data.get("n_scenarios", 1)
-    if not is_count(n_scenarios) or n_scenarios < 1:
-        raise ValueError("n_scenarios must be a positive integer")
-    mc_trials = data.get("mc_trials", 0)
-    if not is_count(mc_trials) or mc_trials < 0:
-        raise ValueError("mc_trials must be a non-negative integer")
+    n_scenarios = require_count(data.get("n_scenarios", 1), "n_scenarios", 1)
+    mc_trials = require_count(data.get("mc_trials", 0), "mc_trials", 0)
 
     raw_modes = data.get("modes")
     if raw_modes is None:
@@ -171,6 +174,7 @@ def load_run_spec(path: str | Path) -> RunSpec:
     if not isinstance(raw_modes, list) or not raw_modes:
         raise ValueError("modes must be a non-empty list")
     modes = [mode_from_mapping(_require_mapping(entry, "mode")) for entry in raw_modes]
+    _reject_repeats("modes", raw_modes, [tuple(mode.values()) for mode in modes])
     return RunSpec(
         config=config,
         sweep_param=param,
@@ -183,14 +187,8 @@ def load_run_spec(path: str | Path) -> RunSpec:
 
 
 def apply_sweep(config: SystemConfig, param: str, value: object) -> SystemConfig:
-    """Return a config with one swept parameter applied."""
-    if param == "none":
-        return config
-    if param == "ris_elements_side":
-        return config.replace(ris_width_elements=value, ris_height_elements=value)
-    if param == "ris_spacing":
-        return config.replace(ris_spacing_h=value, ris_spacing_v=value)
-    return with_fields(config, {param: value})
+    """Return a config with the swept field, or each field of an alias, set to ``value``."""
+    return with_fields(config, dict.fromkeys(_SWEEP_ALIASES.get(param, (param,)), value))
 
 
 def _scenario_rng(seed: int, scen_idx: int) -> np.random.Generator:
@@ -324,11 +322,8 @@ def run_experiment(
     spec = load_run_spec(spec_path)
     if not is_count(seed) or not 0 <= seed < 2**64:
         raise ValueError("seed must be an unsigned 64-bit integer")
-    if not is_count(threads) or threads < 1:
-        raise ValueError("threads must be a positive integer")
-    trials = spec.mc_trials if mc_trials is None else mc_trials
-    if not is_count(trials) or trials < 0:
-        raise ValueError("mc_trials must be a non-negative integer")
+    require_count(threads, "threads", 1)
+    trials = require_count(spec.mc_trials if mc_trials is None else mc_trials, "mc_trials", 0)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSampler
-from .config import SystemConfig, is_count
+from .config import SystemConfig, require_count
 from .emi import sample_emi
 from .estimation import mmse_estimate, pilot_observation
 from .linalg import standard_cn
@@ -181,8 +181,7 @@ def estimate_uatf_terms(
     ``UatfEstimates``). Trials run in chunks of ``chunk_trials``, on
     which the random stream depends; ``trials`` must be a positive count.
     """
-    if not is_count(trials) or trials <= 0:
-        raise ValueError(f"trials must be a positive count, got {trials!r}")
+    require_count(trials, "trials", 1)
     cfg = link.config
     n_aps, n_ues = cfg.n_aps, cfg.n_ues
     weights = np.asarray(weights)

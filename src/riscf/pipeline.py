@@ -32,14 +32,13 @@ from .scenario import Scenario, wrap_displacement
 class DropStatistics:
     """The mode-independent statistics of one scenario drop.
 
-    ``direct`` holds the (M, K, L, L) direct-link covariances R_mk,
-    ``surface`` the surface switched on and ``stats`` the aggregated
-    moments of the links built with it on.
+    ``surface`` holds the surface switched on and ``stats`` the aggregated
+    moments of the links built with it on, the (M, K, L, L) direct-link
+    covariances R_mk among them (``stats.r_direct``).
     """
 
     scenario: Scenario
     config: SystemConfig
-    direct: np.ndarray
     surface: Surface
     stats: ChannelStatistics
 
@@ -96,14 +95,12 @@ def link_mode(mode: dict[str, str]) -> tuple[str, str]:
 
 def build_drop_statistics(scenario: Scenario, config: SystemConfig) -> DropStatistics:
     """Build the statistics of one drop that no mode field changes."""
-    direct = direct_link_covariances(scenario, config)
     surface = surface_statistics(scenario, config)
     return DropStatistics(
         scenario=scenario,
         config=config,
-        direct=direct,
         surface=surface,
-        stats=aggregated_covariance(direct, surface),
+        stats=aggregated_covariance(direct_link_covariances(scenario, config), surface),
     )
 
 
@@ -114,7 +111,7 @@ def build_link_statistics(drop: DropStatistics, mode: dict[str, str]) -> LinkSta
     surface, stats = drop.surface, drop.stats
     if ris == "off":
         surface = surface.off()
-        stats = aggregated_covariance(drop.direct, surface)
+        stats = aggregated_covariance(drop.stats.r_direct, surface)
     if emi == "on":
         sigma_r2 = sigma_r2_from_rho(cfg.rho_db, cfg.p_max, drop.scenario.beta_m)
     else:

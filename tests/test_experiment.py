@@ -231,6 +231,46 @@ def test_modes_take_defaults_for_unset_fields(tmp_path):
     assert sizes == {tuple(mode.values()): 2 * 2 for mode in full}
 
 
+REPEATS = [
+    ({"sweep": {"param": "rho_db", "values": [10, 10.0]}}, r"sweep.values .*10 and 10.0"),
+    (
+        {"sweep": {"param": "rho_db", "values": [10, 10 + 1e-13]}},
+        r"sweep.values .*10 and 10.0000000000001",
+    ),
+    (
+        {"sweep": {"param": "ris_position_xy", "values": [[10, 10], [10.0, 10.0]]}},
+        r"sweep.values .*\[10, 10\] and \[10.0, 10.0\]",
+    ),
+    ({"modes": [{}, {"combiner": "lsfd"}]}, r"modes .*\{\} and \{'combiner': 'lsfd'\}"),
+    ({"modes": [{"emi": "off"}, {"power": "fpc"}, {"emi": False}]}, r"modes .*'emi': False"),
+]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    REPEATS,
+    ids=["rho-int-float", "rho-one-label", "xy-int-float", "mode-default", "mode-bool"],
+)
+def test_load_run_spec_rejects_repeated_points_and_modes(tmp_path, change, message):
+    """One sweep label, one config or one mode named twice would run twice
+    and count every CDF sample twice; the error names both entries."""
+    with pytest.raises(ValueError, match=message):
+        load_run_spec(write_spec(tmp_path / "bad.yaml", {**MICRO, **change}))
+
+
+@pytest.mark.parametrize(
+    "change", [change for change, _ in REPEATS[::2]], ids=["rho", "xy", "mode"]
+)
+def test_cli_refuses_repeats_before_running(tmp_path, capsys, change):
+    spec = write_spec(tmp_path / "bad.yaml", {**MICRO, **change})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(spec), "--seed", "1", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValueError"
+    assert "twice" in err["error"]["message"]
+    assert not out.exists()
+
+
 def test_example_configs_parse():
     for name in ("configs/example.yaml", "configs/spacing_sweep.yaml"):
         spec = load_run_spec(name)
@@ -245,7 +285,25 @@ def test_apply_sweep_aliases():
     assert swept.ris_spacing_h == 0.125 and swept.ris_spacing_v == 0.125
     swept = apply_sweep(cfg, "rho_db", 10.0)
     assert swept.rho_db == 10.0
-    assert apply_sweep(cfg, "none", 0) is cfg
+    for alias, fields in experiment._SWEEP_ALIASES.items():
+        assert apply_sweep(cfg, alias, 3) == cfg.replace(**dict.fromkeys(fields, 3)), alias
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"surprise": 1, "extra": 2}, "unknown run spec keys: extra, surprise"),
+        ({"config": {**MICRO["config"], "n_app": 4}}, "unknown configuration keys: n_app"),
+        ({"modes": [{"combiner": "mr", "n_aps": 4}]}, "unknown mode keys: n_aps"),
+        ({"sweep": {"param": "rho_db", "values": [10], "step": 1}}, "unknown sweep keys: step"),
+    ],
+    ids=["run-spec", "config", "mode", "sweep"],
+)
+def test_every_reader_names_unknown_keys_one_way(tmp_path, change, message):
+    """Each mapping a spec holds refuses its unknown keys, sorted, in one message form."""
+    bad = write_spec(tmp_path / "bad.yaml", {**MICRO, **change})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_run_spec(bad)
 
 
 def test_ris_position_sweep_runs_end_to_end(tmp_path):
