@@ -47,12 +47,15 @@ class EstimationStatistics:
 
     With Psi the pilot observation covariance divided by tau_p, x is the
     solution Psi^{-1} R^o and omega the estimate shape matrix
-    R^o Psi^{-1} R^o. The estimator applies sqrt(p_hat) x^H =
-    sqrt(p_hat) R^o Psi^{-1} to the innovation.
+    R^o Psi^{-1} R^o. The estimator applies ``gain`` = sqrt(p_hat) x^H =
+    sqrt(p_hat) R^o Psi^{-1} to the innovation; it is formed once here, not
+    per batch of trials, since Monte Carlo chunks in flight at once would
+    each hold a copy.
     """
 
     x: np.ndarray
     omega: np.ndarray
+    gain: np.ndarray
 
 
 def estimation_statistics(
@@ -78,7 +81,8 @@ def estimation_statistics(
         psi[:, coset] = psi_coset[:, None]
 
     x = solve_hermitian(psi, stats.r_o)
-    return EstimationStatistics(x=x, omega=stats.r_o @ x)
+    gain = np.sqrt(assignment.power) * x.conj().swapaxes(-1, -2)
+    return EstimationStatistics(x=x, omega=stats.r_o @ x, gain=gain)
 
 
 def pilot_observation(
@@ -114,7 +118,8 @@ def mmse_estimate(
     o_hat = obar e^{j theta_k} + sqrt(p_hat) x^H (y - ybar), where ybar
     collects the phase-rotated LoS means of the whole coset: per coset, one
     GEMM of the coset's phases against its LoS means, so nothing larger
-    than obar is formed outside the trial axis.
+    than obar is formed outside the trial axis; sqrt(p_hat) x^H is
+    ``est.gain``.
     """
     trials, n_aps, _, n_antennas = y.shape
     root_p = np.sqrt(assignment.power)
@@ -124,5 +129,4 @@ def mmse_estimate(
         ybar = phase[:, coset] @ means[coset].reshape(-1, n_aps * n_antennas)
         innovation[:, :, coset] -= ybar.reshape(trials, n_aps, 1, n_antennas)
     prior = stats.obar[None] * phase[:, None, :, None]
-    gain = root_p * est.x.conj().swapaxes(-1, -2)
-    return prior + np.einsum("mkab,tmkb->tmka", gain, innovation)
+    return prior + np.einsum("mkab,tmkb->tmka", est.gain, innovation)

@@ -44,6 +44,7 @@ from .config import (
     require_count,
     with_fields,
 )
+from .linalg import one_blas_thread
 from .montecarlo import estimate_uatf_terms
 from .pipeline import LinkStatistics, build_drop_statistics, build_link_statistics, link_mode
 from .power import aggregate_gain, fractional_power_control, maxmin_power_control
@@ -94,7 +95,8 @@ class RunSpec:
     """Parsed and validated run description.
 
     ``configs`` holds the config of each sweep value, ``modes`` the mode
-    (``config.mode_from_mapping``) of each ``modes:`` entry.
+    (``config.mode_from_mapping``) of each ``modes:`` entry, and ``sha256``
+    the hex SHA-256 of the spec file's bytes that were parsed.
     """
 
     config: SystemConfig
@@ -104,6 +106,7 @@ class RunSpec:
     n_scenarios: int
     modes: tuple[dict[str, str], ...]
     mc_trials: int
+    sha256: str
 
 
 def _require_mapping(obj: object, where: str) -> dict:
@@ -130,10 +133,12 @@ def load_run_spec(path: str | Path) -> RunSpec:
     is set only under ``modes:``; under ``config:`` or as the sweep
     parameter it is an error. A spec without ``sweep:`` is one point,
     ``config:`` itself, labelled ``none`` 0. Two sweep values with one
-    label or one config, and two equal modes, are errors.
+    label or one config, and two equal modes, are errors. The file is read
+    once, so a pipe such as ``/dev/stdin`` works and ``sha256`` hashes
+    what was parsed.
     """
-    raw = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER)
-    data = _require_mapping(raw, "run spec")
+    spec_bytes = Path(path).read_bytes()
+    data = _require_mapping(yaml.load(spec_bytes, Loader=_YAML_LOADER), "run spec")
     keys = {"schema_version", "config", "sweep", "n_scenarios", "modes", "mc_trials"}
     reject_unknown(data, keys, "run spec")
     version = data.get("schema_version")
@@ -183,6 +188,7 @@ def load_run_spec(path: str | Path) -> RunSpec:
         n_scenarios=n_scenarios,
         modes=tuple(modes),
         mc_trials=mc_trials,
+        sha256=hashlib.sha256(spec_bytes).hexdigest(),
     )
 
 
@@ -296,6 +302,7 @@ def _run_drop(
     return rows
 
 
+@one_blas_thread()
 def run_experiment(
     spec_path: str | Path,
     seed: int,
@@ -311,14 +318,19 @@ def run_experiment(
     ``mc_trials`` overrides the spec's Monte Carlo budget when given.
     Each (sweep value, scenario) drop is one unit of work, and ``threads``
     runs that many drops in parallel; both must be integers, not booleans.
-    Rows are emitted in sweep, scenario, mode order whatever the thread
-    count, so the CSV is byte-stable. The manifest holds the schema and
-    package versions, the seed, thread and trial counts, the spec hash,
-    sweep, modes and config echo (which has no mode field), the row count,
-    the total ``wall_time_s`` of the run (there is no per-task timing), and
-    the rows whose closed-form and Monte Carlo SE differ by more than 2%.
+    For the whole run OpenBLAS is held at one thread
+    (``linalg.one_blas_thread``, restored when the run returns or raises),
+    and each Monte Carlo estimate runs its chunks on up to
+    ``montecarlo.CHUNK_WORKERS`` threads of its own. Rows are emitted in
+    sweep, scenario, mode order, and the chunks' random streams and sums
+    depend on the shapes only, so the CSV is byte-stable whatever the
+    thread, worker or CPU count. The manifest holds the schema and package
+    versions, the seed, thread and trial counts, the SHA-256 of the spec
+    bytes that were parsed, sweep, modes and config echo (which has no mode
+    field), the row count, the total ``wall_time_s`` of the run (there is
+    no per-task timing), and the rows whose closed-form and Monte Carlo SE
+    differ by more than 2%.
     """
-    spec_path = Path(spec_path)
     spec = load_run_spec(spec_path)
     if not is_count(seed) or not 0 <= seed < 2**64:
         raise ValueError("seed must be an unsigned 64-bit integer")
@@ -376,7 +388,7 @@ def run_experiment(
         "seed": seed,
         "threads": threads,
         "mc_trials": trials,
-        "spec_sha256": hashlib.sha256(spec_path.read_bytes()).hexdigest(),
+        "spec_sha256": spec.sha256,
         "sweep_param": spec.sweep_param,
         "sweep_values": [_fmt(v) for v in spec.sweep_values],
         "n_scenarios": spec.n_scenarios,

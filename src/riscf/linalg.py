@@ -2,9 +2,19 @@
 
 Everything here operates on small Hermitian matrices (RIS or antenna
 dimension), so dense eigendecompositions and Cholesky-free solves are fine.
+The same small sizes are why ``one_blas_thread`` holds OpenBLAS at one
+thread during a run: its GEMMs are too small to split, and a second BLAS
+thread only spins a core that a Monte Carlo chunk worker could use.
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import threading
+from collections.abc import Callable, Iterator
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +27,14 @@ class IllConditionedError(ValueError):
 CONDITION_LIMIT = 1e12
 #: Relative eigenvalue tolerance below which ``psd_factor`` clips to zero.
 PSD_REL_TOL = 1e-12
+
+#: OpenBLAS's thread-count entry points (getter, setter), by build: numpy's
+#: scipy-openblas wheels, a 64-bit-integer build, and the plain library.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -105,3 +123,64 @@ def sample_phases(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarra
     """Draw uniform phase factors e^{j theta} with theta ~ U[0, 2pi)."""
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=shape))
 
+
+@functools.lru_cache(maxsize=None)
+def openblas_threads() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """The (get, set) thread-count entry points of each OpenBLAS in the process.
+
+    Found once, on first use, among the shared libraries mapped at that
+    time (``/proc/self/maps``); empty where there is none, or no such map.
+    """
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return ()
+    paths = sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line.lower()})
+    entries = []
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, set_ = getattr(library, get_name, None), getattr(library, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                entries.append((get, set_))
+                break
+    return tuple(entries)
+
+
+class _BlasCap:
+    """How many ``one_blas_thread`` blocks are open, and the counts they saved."""
+
+    lock = threading.Lock()
+    depth = 0
+    saved: list[int] = []
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Hold every OpenBLAS in the process at one thread inside the block.
+
+    The first block to open saves each library's thread count and sets it
+    to 1; the last to close, also when it raises, restores the saved
+    counts. Nested blocks, and blocks open at once in several threads,
+    share the one cap. Without OpenBLAS the block does nothing.
+    """
+    entries = openblas_threads()
+    with _BlasCap.lock:
+        if _BlasCap.depth == 0:
+            _BlasCap.saved = [get() for get, _ in entries]
+            for _, set_ in entries:
+                set_(1)
+        _BlasCap.depth += 1
+    try:
+        yield
+    finally:
+        with _BlasCap.lock:
+            _BlasCap.depth -= 1
+            if _BlasCap.depth == 0:
+                for (_, set_), count in zip(entries, _BlasCap.saved):
+                    set_(count)

@@ -5,8 +5,6 @@ MMSE estimator on each draw, and averages the combined statistics that the
 closed forms predict deterministically.  ``UatfEstimates.moments`` hands
 the sample means to ``uatf`` as the moment bundle of one virtual AP, so the
 bound of the decoding weights is ``uatf_sinr`` of them with unit weights.
-Work proceeds in chunks from a caller-seeded generator, so an estimate is
-bit-for-bit reproducible no matter how the surrounding run is scheduled.
 
 A trial (``_trials``) draws the phases, the direct channels g, the
 RIS-to-UE channels z and both EMI draws in one order, stacks the
@@ -17,9 +15,18 @@ per AP (``ChannelSampler.draw_reflections``); H is never formed.  It then
 synthesizes the pilot observation, runs the estimator and keeps only the
 projections g_ki = a_k^H u_ki of the inner products u_ki[m] = v_mk^H o_mi
 onto the weights a, a (K, K) matrix per trial, which is all the bound of
-those weights reads.  Memory is bounded by ``CHUNK_BYTES``: a chunk
-holds as many trials as fit it (``chunk_trials``), at most
-``CHUNK_TRIALS``, counted from the shapes alone.
+those weights reads.
+
+Trials run in chunks, up to ``CHUNK_WORKERS`` of them at once on worker
+threads (fewer where fewer CPUs are usable), with OpenBLAS held at one
+thread (``linalg.one_blas_thread``).  Memory is bounded by ``CHUNK_BYTES``,
+which the chunks in flight share: a chunk holds as many trials as fit
+``CHUNK_BYTES // CHUNK_WORKERS`` (``chunk_trials``), at most
+``CHUNK_TRIALS``, counted from the shapes alone.  Chunk i draws from the
+i-th child of the caller's generator (``Generator.spawn``), and the
+chunks' statistics enter the sums in chunk order, so an estimate is
+bit-for-bit the same whatever the worker count, the CPU count or the
+schedule of the surrounding run.
 
 The dense oracle that keeps u and its AP-to-AP second moment, with every
 H formed, lives beside the tests (``tests/dense_reference.py``).
@@ -27,6 +34,10 @@ H formed, lives beside the tests (``tests/dense_reference.py``).
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,16 +46,20 @@ from .channel import ChannelSampler
 from .config import SystemConfig, require_count
 from .emi import sample_emi
 from .estimation import mmse_estimate, pilot_observation
-from .linalg import standard_cn
+from .linalg import one_blas_thread, standard_cn
 from .pipeline import LinkStatistics
 from .uatf import UatfMoments
 
 #: Most trials in one chunk.
 CHUNK_TRIALS = 1024
-#: Bytes the working arrays of one chunk may hold (``bytes_per_trial``).
-#: The draws and the per-trial kernels set the cost, so a larger chunk saves
-#: little but page faults, while the peak RSS grows with it.
+#: Bytes the working arrays of the chunks in flight may hold together
+#: (``bytes_per_trial``). The draws and the per-trial kernels set the cost,
+#: so a larger chunk saves little but page faults, while the peak RSS grows
+#: with it.
 CHUNK_BYTES = 8 * 2**20
+#: Most chunks in flight at once, each on its own worker thread; each
+#: chunk's share of ``CHUNK_BYTES`` is ``CHUNK_BYTES // CHUNK_WORKERS``.
+CHUNK_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -155,12 +170,40 @@ def bytes_per_trial(cfg: SystemConfig) -> int:
 
 
 def chunk_trials(cfg: SystemConfig) -> int:
-    """Trials per chunk: as many as fit ``CHUNK_BYTES``, at most ``CHUNK_TRIALS``.
+    """Trials per chunk: as many as fit a chunk's share of ``CHUNK_BYTES``,
+    ``CHUNK_BYTES // CHUNK_WORKERS``, at most ``CHUNK_TRIALS``.
 
     It depends on the shapes only, so the random stream, and with it every
-    estimate, is the same whatever the thread count.
+    estimate, is the same whatever the thread, worker or CPU count.
     """
-    return max(1, min(CHUNK_TRIALS, CHUNK_BYTES // bytes_per_trial(cfg)))
+    share = CHUNK_BYTES // CHUNK_WORKERS
+    return max(1, min(CHUNK_TRIALS, share // bytes_per_trial(cfg)))
+
+
+def _workers() -> int:
+    """Chunk workers: ``CHUNK_WORKERS``, or the usable CPUs where fewer."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        usable = os.cpu_count() or 1
+    return min(CHUNK_WORKERS, usable)
+
+
+def _in_order(fn: Callable, jobs: Iterable[tuple], workers: int) -> Iterator:
+    """``fn(*job)`` of each job, in job order, with at most ``workers`` running.
+
+    A pool of ``workers`` threads runs them, and a job is taken from
+    ``jobs`` only once the result ``workers`` jobs before it has been
+    handed out, so only one more job waits in the pool's queue than it runs.
+    """
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for job in jobs:
+            pending.append(pool.submit(fn, *job))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def estimate_uatf_terms(
@@ -178,8 +221,9 @@ def estimate_uatf_terms(
     draw. H is drawn only where it reflects, and for the (M, K) decoding
     ``weights`` a only the projections g_ki = sum_m a_mk^* v_mk^H o_mi are
     kept, one (K, M L) by (M L, K) product per trial (see
-    ``UatfEstimates``). Trials run in chunks of ``chunk_trials``, on
-    which the random stream depends; ``trials`` must be a positive count.
+    ``UatfEstimates``). Trials run in chunks of ``chunk_trials`` on up to
+    ``CHUNK_WORKERS`` threads, chunk i on the i-th child of ``rng``, with
+    OpenBLAS at one thread; ``trials`` must be a positive count.
     """
     require_count(trials, "trials", 1)
     cfg = link.config
@@ -194,22 +238,27 @@ def estimate_uatf_terms(
     acc_d = RunningMoments((n_aps, n_ues))
     acc_e = RunningMoments((n_aps, n_ues))
     sampler = ChannelSampler(link.stats, link.surface)
-    chunk_size = chunk_trials(cfg)
-    remaining = trials
-    while remaining > 0:
-        batch = min(chunk_size, remaining)
-        remaining -= batch
-        o, v, q = _trials(link, sampler, rng, batch)
-        acc_d.update(np.einsum("tmkl,tmkl->tmk", v.conj(), v).real)
-        acc_e.update(np.abs(np.einsum("tmkl,tml->tmk", v.conj(), q)) ** 2)
+
+    def chunk(batch: int, chunk_rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+        """The per-trial d, data-EMI power and projections g of one chunk."""
+        o, v, q = _trials(link, sampler, chunk_rng, batch)
+        d = np.einsum("tmkl,tmkl->tmk", v.conj(), v).real
+        e = np.abs(np.einsum("tmkl,tml->tmk", v.conj(), q)) ** 2
         del q
         left = v.conj().transpose(0, 2, 1, 3).reshape(batch, n_ues, -1) * a_conj
         right = o.transpose(0, 1, 3, 2).reshape(batch, -1, n_ues)
         del v, o
-        g = (left @ right)[..., None]
-        del left, right
-        acc_u.update(g)
-        acc_t.update(g.real**2 + g.imag**2)
+        return d, e, (left @ right)[..., None]
+
+    size = chunk_trials(cfg)
+    # spawned lazily, in chunk order, as the chunks are handed to the workers
+    jobs = ((min(size, trials - start), rng.spawn(1)[0]) for start in range(0, trials, size))
+    with one_blas_thread():
+        for d, e, g in _in_order(chunk, jobs, _workers()):
+            acc_d.update(d)
+            acc_e.update(e)
+            acc_u.update(g)
+            acc_t.update(g.real**2 + g.imag**2)
     return UatfEstimates(
         u=acc_u.finalize(),
         t=acc_t.finalize(),

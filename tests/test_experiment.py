@@ -1,5 +1,6 @@
 """Experiment harness: run specs, CSV emission, determinism, CLI."""
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from riscf import correlation, experiment, pipeline
+from riscf import correlation, experiment, linalg, pipeline
 from riscf.cli import main
 from riscf.config import SystemConfig
 from riscf.experiment import (
@@ -392,6 +393,67 @@ def test_run_experiment_deterministic_across_threads(micro_spec, tmp_path):
     b = (tmp_path / "b" / "results.csv").read_bytes()
     c = (tmp_path / "c" / "results.csv").read_bytes()
     assert a == b == c
+
+
+def test_run_holds_blas_at_one_thread_and_restores_it(micro_spec, tmp_path, monkeypatch):
+    """OpenBLAS runs at one thread inside a run, and its count after the run
+    equals the count before it, also when the run raises inside the cap."""
+    entries = linalg.openblas_threads()
+    if not entries:
+        pytest.skip("no OpenBLAS is loaded, so there is no thread count to hold")
+    get, set_ = entries[0]
+    before = get()
+    seen = []
+    run_drop = experiment._run_drop
+
+    def recording(*args):
+        seen.append(get())
+        return run_drop(*args)
+
+    def failing(*args):
+        seen.append(get())
+        raise RuntimeError("drop failed")
+
+    set_(2)
+    try:
+        monkeypatch.setattr(experiment, "_run_drop", recording)
+        run_experiment(micro_spec, seed=1, out_dir=tmp_path / "ok")
+        assert get() == 2
+        monkeypatch.setattr(experiment, "_run_drop", failing)
+        with pytest.raises(RuntimeError, match="drop failed"):
+            run_experiment(micro_spec, seed=1, out_dir=tmp_path / "failed")
+        assert get() == 2
+    finally:
+        set_(before)
+    assert seen == [1, 1, 1]
+
+
+def test_results_do_not_depend_on_the_blas_cap(micro_spec, tmp_path, monkeypatch):
+    """Without OpenBLAS's thread entry point the run is uncapped, with the
+    same results.csv."""
+    run_experiment(micro_spec, seed=5, out_dir=tmp_path / "capped")
+    monkeypatch.setattr(linalg, "openblas_threads", lambda: ())
+    run_experiment(micro_spec, seed=5, out_dir=tmp_path / "uncapped")
+    capped = (tmp_path / "capped" / "results.csv").read_bytes()
+    assert (tmp_path / "uncapped" / "results.csv").read_bytes() == capped
+
+
+def test_manifest_hashes_the_spec_that_ran(micro_spec, tmp_path, monkeypatch):
+    """The spec is read once: rewriting the file during the run changes
+    neither the run nor the hash of the spec it parsed."""
+    parsed = micro_spec.read_bytes()
+    run_drop = experiment._run_drop
+
+    def rewriting(*args):
+        write_spec(micro_spec, {**MICRO, "n_scenarios": 1})
+        return run_drop(*args)
+
+    monkeypatch.setattr(experiment, "_run_drop", rewriting)
+    run_experiment(micro_spec, seed=1, out_dir=tmp_path / "out")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert micro_spec.read_bytes() != parsed
+    assert manifest["spec_sha256"] == hashlib.sha256(parsed).hexdigest()
+    assert manifest["n_scenarios"] == 2
 
 
 def test_run_experiment_builds_links_once_per_emi_ris(tmp_path, monkeypatch):

@@ -1,11 +1,16 @@
-"""Hermitian linear algebra and complex Gaussian sampling primitives."""
+"""Hermitian linear algebra, complex Gaussian sampling and the BLAS thread cap."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from riscf import linalg
 from riscf.linalg import (
     IllConditionedError,
     hermitize,
+    one_blas_thread,
     psd_factor,
     psd_sqrt,
     sample_cn,
@@ -193,3 +198,66 @@ def test_quadratic_block_trace_kronecker_identity():
 def test_quadratic_block_trace_shape_check():
     with pytest.raises(ValueError):
         quadratic_block_trace(np.eye(2), np.eye(5), 2, 2)
+
+
+def test_one_blas_thread_restores_when_the_last_block_closes():
+    """Blocks that overlap, as concurrent runs do, hold one cap: the count
+    stays 1 until the last of them closes, which restores it."""
+    entries = linalg.openblas_threads()
+    if not entries:
+        pytest.skip("no OpenBLAS is loaded, so there is no thread count to hold")
+    get, set_ = entries[0]
+    before = get()
+    set_(2)
+    try:
+        first, second = one_blas_thread(), one_blas_thread()
+        first.__enter__()
+        second.__enter__()
+        assert get() == 1
+        first.__exit__(None, None, None)
+        assert get() == 1
+        second.__exit__(None, None, None)
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def test_one_blas_thread_holds_under_contention():
+    """Eight threads open and close the cap 200 times each, with a short
+    switch interval: every block sees one thread, and the count is restored
+    once all have closed. A lost update of the open-block count would
+    restore it early or never."""
+    entries = linalg.openblas_threads()
+    if not entries:
+        pytest.skip("no OpenBLAS is loaded, so there is no thread count to hold")
+    get, set_ = entries[0]
+    before = get()
+    seen = []
+
+    def open_and_close():
+        for _ in range(200):
+            with one_blas_thread():
+                seen.append(get())
+
+    interval = sys.getswitchinterval()
+    set_(2)
+    try:
+        sys.setswitchinterval(1e-6)
+        workers = [threading.Thread(target=open_and_close) for _ in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not any(worker.is_alive() for worker in workers)
+        assert get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        set_(before)
+    assert seen == [1] * 1600
+
+
+def test_one_blas_thread_without_openblas_does_nothing(monkeypatch):
+    monkeypatch.setattr(linalg, "openblas_threads", lambda: ())
+    with one_blas_thread():
+        with one_blas_thread():
+            pass

@@ -12,7 +12,9 @@ from riscf import montecarlo
 from riscf.montecarlo import (
     CHUNK_BYTES,
     CHUNK_TRIALS,
+    CHUNK_WORKERS,
     RunningMoments,
+    bytes_per_trial,
     chunk_trials,
     estimate_uatf_terms,
 )
@@ -139,9 +141,19 @@ def test_closed_form_agrees_with_short_simulation(tiny_link):
 
 @pytest.mark.parametrize("link_name", ["tiny_link", "validation_link"])
 def test_small_links_keep_full_chunks(request, link_name):
-    """Where a full chunk fits the budget, the random stream is unchanged."""
+    """A chunk is as many trials as fit its share of the budget,
+    ``CHUNK_BYTES // CHUNK_WORKERS``, at most ``CHUNK_TRIALS``: the tiny
+    link keeps full chunks, while the validation link (5.3 MiB at 1024
+    trials) fills its 4 MiB share."""
     link = request.getfixturevalue(link_name)
-    assert chunk_trials(link.config) == CHUNK_TRIALS
+    share = CHUNK_BYTES // CHUNK_WORKERS
+    per_trial = bytes_per_trial(link.config)
+    chunk = chunk_trials(link.config)
+    assert chunk * per_trial <= share
+    if link_name == "tiny_link":
+        assert chunk == CHUNK_TRIALS
+    else:
+        assert chunk < CHUNK_TRIALS and (chunk + 1) * per_trial > share
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +163,28 @@ def oracle_link():
         n_aps=10, n_ues=5, n_ap_antennas=4, ris_width_elements=8, ris_height_elements=8
     )
     return make_link(cfg, 3)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_estimate_is_bit_identical_across_worker_counts(oracle_link, workers, monkeypatch):
+    """Chunk i draws from child i of the caller's generator and the chunks
+    enter the sums in chunk order, so the worker count changes no bit. The
+    run has three full chunks and a partial one."""
+    cfg = oracle_link.config
+    trials = 3 * chunk_trials(cfg) + 5
+    weights = np.ones((cfg.n_aps, cfg.n_ues), dtype=complex)
+
+    def estimate():
+        return estimate_uatf_terms(oracle_link, trials, np.random.default_rng(8), weights)
+
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
+    one = estimate()
+    monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+    threaded = estimate()
+    for name in ("u", "t", "d", "u_emi"):
+        a, b = getattr(one, name), getattr(threaded, name)
+        assert a.trials == b.trials == trials
+        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std_error, b.std_error)
 
 
 def _sums_bytes(cfg):
