@@ -20,11 +20,12 @@ byte-identical for a given (spec, seed) regardless of thread count.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
 import time
-from collections.abc import Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -50,7 +51,7 @@ from .pipeline import LinkStatistics, build_drop_statistics, build_link_statisti
 from .power import aggregate_gain, fractional_power_control, maxmin_power_control
 from .scenario import generate_scenario
 from .se import closed_form_moments, spectral_efficiency
-from .uatf import UatfMoments, combine, uatf_sinr
+from .uatf import Combining, UatfMoments, combine, uatf_sinr
 
 SCHEMA_VERSION = 1
 
@@ -220,6 +221,7 @@ def _evaluate_mode(
     mode: dict[str, str],
     link: LinkStatistics,
     moments: UatfMoments,
+    full: Callable[[str], Combining],
     mc_trials: int,
     mc_rng: np.random.Generator | None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -227,21 +229,23 @@ def _evaluate_mode(
 
     ``mode`` sets the power control and the combiner, the drop's ``cfg``
     everything else. ``link`` and ``moments`` belong to the mode's link key
-    and may have been built for another mode with that key. The simulation
-    keeps only the projections onto the closed form's weights, whose bound
-    is that of one virtual AP with unit weight.
+    and may have been built for another mode with that key; ``full(combiner)``
+    is that combiner at full power on them, which the ``full`` power mode
+    reports and max-min holds the weights of. The simulation keeps
+    only the projections onto the closed form's weights, whose bound is
+    that of one virtual AP with unit weight.
     """
     noise = cfg.noise_power
     if mode["power"] == "full":
-        powers = np.full(cfg.n_ues, cfg.p_max)
-    elif mode["power"] == "fpc":
-        powers = fractional_power_control(aggregate_gain(link), cfg.fpc_alpha, cfg.p_max)
+        powers, closed = np.full(cfg.n_ues, cfg.p_max), full(mode["combiner"])
     else:
-        powers = maxmin_power_control(
-            moments, mode["combiner"], noise, cfg.p_max, tol=cfg.maxmin_tol
-        ).powers
-
-    closed = combine(moments, mode["combiner"], powers, noise)
+        if mode["power"] == "fpc":
+            powers = fractional_power_control(aggregate_gain(link), cfg.fpc_alpha, cfg.p_max)
+        else:
+            powers = maxmin_power_control(
+                moments, full(mode["combiner"]), noise, cfg.p_max, tol=cfg.maxmin_tol
+            ).powers
+        closed = combine(moments, mode["combiner"], powers, noise)
     sinr_mc = None
     if mc_trials > 0:
         estimates = estimate_uatf_terms(link, mc_trials, mc_rng, weights=closed.weights)
@@ -260,12 +264,15 @@ def _run_drop(
     (``link_mode``), so each distinct key builds them once on the shared
     drop statistics, which hold the aggregated moments of the surface on.
     The modes are evaluated grouped by that key, and only one link bundle
-    is alive at a time, beside the drop statistics.
+    is alive at a time, beside the drop statistics. Within a group each
+    combiner's full-power ``combine`` runs at most once, shared by its
+    ``full`` and ``maxmin`` modes.
     """
     value = spec.sweep_values[sweep_idx]
     cfg = spec.configs[sweep_idx]
     scenario = generate_scenario(cfg, _scenario_rng(seed, scen_idx))
     drop = build_drop_statistics(scenario, cfg)
+    p_full = np.full(cfg.n_ues, cfg.p_max)
     groups: dict[tuple[str, str], list[int]] = {}
     for mode_idx, mode in enumerate(spec.modes):
         groups.setdefault(link_mode(mode), []).append(mode_idx)
@@ -273,11 +280,12 @@ def _run_drop(
     for mode_indices in groups.values():
         link = build_link_statistics(drop, spec.modes[mode_indices[0]])
         moments = closed_form_moments(link)
+        full = functools.cache(lambda combiner: combine(moments, combiner, p_full, cfg.noise_power))
         for mode_idx in mode_indices:
             mc_rng = _mc_rng(seed, sweep_idx, scen_idx, mode_idx) if mc_trials > 0 else None
             mode = spec.modes[mode_idx]
-            sinrs[mode_idx] = _evaluate_mode(cfg, mode, link, moments, mc_trials, mc_rng)
-        del link, moments  # freed before the next group builds its bundle
+            sinrs[mode_idx] = _evaluate_mode(cfg, mode, link, moments, full, mc_trials, mc_rng)
+        del link, moments, full  # freed before the next group builds its bundle
 
     rows = []
     for mode_idx, mode in enumerate(spec.modes):

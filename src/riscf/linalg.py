@@ -1,7 +1,9 @@
 """Shared dense linear-algebra helpers.
 
 Everything here operates on small Hermitian matrices (RIS or antenna
-dimension), so dense eigendecompositions and Cholesky-free solves are fine.
+dimension), so dense eigendecompositions and solves are fine; a Hermitian
+solve is guarded by a Cholesky certificate and checks eigenvalues only
+where that fails.
 The same small sizes are why ``one_blas_thread`` holds OpenBLAS at one
 thread during a run: its GEMMs are too small to split, and a second BLAS
 thread only spins a core that a Monte Carlo chunk worker could use.
@@ -80,19 +82,28 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
 def solve_hermitian(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for Hermitian positive-definite A with a condition guard.
 
-    Accepts stacked systems (leading batch axes). Refuses any matrix whose
-    2-norm condition number exceeds CONDITION_LIMIT instead of silently
-    returning noise.
+    Accepts stacked systems (leading batch axes). Refuses the whole stack
+    if any matrix's 2-norm condition number exceeds CONDITION_LIMIT instead
+    of silently returning noise. The guard first tries a Cholesky factor of
+    A - (tr A / CONDITION_LIMIT) I for every matrix at once: where it
+    exists, lambda_min > tr A / CONDITION_LIMIT >= lambda_max /
+    CONDITION_LIMIT, so the stack passes. Only where it does not are the
+    eigenvalues computed (``eigvalsh``), and their condition numbers decide.
+    The solve is the plain ``np.linalg.solve`` of the Hermitian part.
     """
     a = hermitize(np.asarray(a))
-    eigvals = np.linalg.eigvalsh(a)
-    lo, hi = eigvals[..., 0], eigvals[..., -1]
-    if np.any(lo <= 0.0) or np.any(hi > CONDITION_LIMIT * lo):
-        worst = np.where(lo <= 0.0, np.inf, hi / np.maximum(lo, 1e-300)).max()
-        raise IllConditionedError(
-            f"Hermitian solve refused: condition number {worst:.3e} exceeds "
-            f"{CONDITION_LIMIT:.0e}"
-        )
+    shift = np.trace(a, axis1=-2, axis2=-1).real / CONDITION_LIMIT
+    try:
+        np.linalg.cholesky(a - shift[..., None, None] * np.eye(a.shape[-1]))
+    except np.linalg.LinAlgError:
+        eigvals = np.linalg.eigvalsh(a)
+        lo, hi = eigvals[..., 0], eigvals[..., -1]
+        if np.any(lo <= 0.0) or np.any(hi > CONDITION_LIMIT * lo):
+            worst = np.where(lo <= 0.0, np.inf, hi / np.maximum(lo, 1e-300)).max()
+            raise IllConditionedError(
+                f"Hermitian solve refused: condition number {worst:.3e} exceeds "
+                f"{CONDITION_LIMIT:.0e}"
+            ) from None
     return np.linalg.solve(a, b)
 
 

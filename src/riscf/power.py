@@ -1,32 +1,36 @@
 """Uplink transmit power control.
 
 Two policies: a fractional heuristic that hands weaker UEs relatively
-more power, and max-min fairness solved by bisecting the common SINR
-target of the UatF bound.  For fixed decoding weights the bound's
-fixed-weight form (``uatf.fixed_weight_form``) turns the SINR constraints
-of a target t into (diag(num) - t C) p >= t d with C >= 0 elementwise, so
-one K x K linear solve for the least powers that meet them with equality
-decides each candidate exactly (Yates, IEEE JSAC 1995).
+more power, and max-min fairness at fixed decoding weights.  For fixed
+weights the UatF bound's fixed-weight form (``uatf.fixed_weight_form``)
+reads SINR_k = p_k / I_k(p) with I_k(p) = (c_k . p + d_k) / num_k and
+c >= 0 elementwise, a standard interference function (Yates, IEEE JSAC
+1995).  Max-min runs its normalized fixed point p <- p_max I(p) / max_j
+I_j(p) (Krause, Nonlinear Analysis 2001), whose SINRs bracket the optimum
+at every step, and certifies the result with one K x K linear solve for
+the least powers that meet the bracket's lower end (``least_powers``).
 Both policies give per-UE data powers in watts, capped at p_max; max-min
 also returns the target it certifies and the weights it committed to.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pipeline import LinkStatistics
-from .uatf import UatfMoments, combine, fixed_weight_form, uatf_sinr
+from .uatf import Combining, UatfMoments, fixed_weight_form
 
 
 @dataclass(frozen=True)
 class MaxMinAllocation:
-    """Max-min powers, the bisection steps taken, and what they certify.
+    """Max-min powers, the steps taken, and what they certify.
 
-    ``target`` is the certified common SINR lower bound and ``weights``
-    the decoding weights the solver committed to.
+    ``iterations`` counts the fixed-point steps plus any bisection steps
+    (see ``maxmin_powers``), ``target`` is the certified common SINR lower
+    bound and ``weights`` the decoding weights the solver committed to.
     """
 
     powers: np.ndarray
@@ -69,8 +73,13 @@ def least_powers(
     """Least powers giving every UE an SINR of at least ``target``.
 
     Solves (diag(num) - target c) p = target d, with c >= 0 elementwise and
-    d > 0 as from ``uatf.fixed_weight_form``.  Returns None when the target is
-    out of reach within 0 < p <= p_max (see ``maxmin_power_control``).
+    d > 0 as from ``uatf.fixed_weight_form``.  If the solution is positive,
+    A = diag(num) - target c is a nonsingular M-matrix, so A^{-1} >= 0 and
+    every p >= 0 meeting the targets satisfies p >= A^{-1} target d: the
+    solution is the least power vector reaching ``target``, and it meets
+    every target with equality.  Conversely any p >= 0 meeting them is
+    positive and makes A a nonsingular M-matrix.  Returns None, the target
+    being out of reach, unless the solve gives 0 < p <= p_max.
     """
     try:
         p = np.linalg.solve(np.diag(num) - target * c, target * d)
@@ -79,44 +88,56 @@ def least_powers(
     return p if np.all(p > 0) and np.all(p <= p_max) else None
 
 
-def maxmin_power_control(
-    moments: UatfMoments,
-    combiner: str,
-    noise_power: float,
-    p_max: float,
-    tol: float = 1e-3,
-) -> MaxMinAllocation:
-    """Max-min fair powers by bisection on the common SINR target.
+def maxmin_powers(
+    num: np.ndarray, c: np.ndarray, d: np.ndarray, p_max: float, tol: float = 1e-3
+) -> tuple[np.ndarray, int, float]:
+    """Max-min fair powers of SINR_k = p_k num_k / (c_k . p + d_k), p <= p_max.
 
-    Decoding weights are fixed to those of the ``combiner`` mode under full
-    power (``uatf.combine``): the optimum for ``lsfd``, unit weights for
-    ``mr``.  With them held, SINR_k >= t for every UE reads A(t) p >= t d
-    with A(t) = diag(num) - t C, and C >= 0 makes A(t) a Z-matrix.  Each
-    candidate t takes one solve of A(t) p = t d (``least_powers``).  If
-    its solution is positive, A(t) is a nonsingular M-matrix, so
-    A(t)^{-1} >= 0 and every p >= 0 meeting the constraints satisfies
-    p >= A(t)^{-1} t d: that solution is the least power vector reaching
-    t.  Conversely, any p >= 0 meeting them is positive and makes A(t) a
-    nonsingular M-matrix.  Hence t is feasible iff the solve succeeds with
-    0 < p <= p_max.  Bisection keeps a feasible witness at all times, so
-    the returned allocation certifiably reaches ``target`` and never falls
-    below the full-power minimum.
+    Returns (powers, iterations, target).  The normalized fixed point
+    p <- p_max I(p) / max_j I_j(p) starts from full power, with I_k(p) =
+    (c_k . p + d_k) / num_k.  At any p with max_k p_k = p_max, which every
+    step keeps, min_k SINR_k(p) <= t* <= max_k SINR_k(p) (Krause,
+    Nonlinear Analysis 2001), so the bracket [t_lo, t_hi], the best of
+    those bounds so far, holds the max-min SINR t* and only shrinks; t_lo
+    starts at the full-power floor.  It stops once t_hi - t_lo <= tol.
+    ``iterations`` never passes the budget ceil(log2(t_hi0 / tol)) that
+    bisection from [0, t_hi0], t_hi0 = max_k p_max num_k / d_k, would
+    take: when one more step could leave more bisection steps than the
+    budget has left, the rest of the bracket is bisected with
+    ``least_powers`` and each of those steps counts too.  The powers are
+    the least powers reaching ``target`` = t_lo, so every UE ends at the
+    same SINR.  Where t_lo is t* itself, rounding can put them a few ulps
+    above p_max; they are then scaled back into the box, which moves each
+    SINR by as little.  Should that solve fail, the fixed-point powers that
+    certified t_lo are returned.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     _check_p_max(p_max)
-    p_full = np.full(moments.d.shape[1], p_max)
-    full = combine(moments, combiner, p_full, noise_power)
-    weights = full.weights
-    num, c, d = fixed_weight_form(moments, weights, noise_power)
+    if np.any(num <= 0):
+        raise ValueError("useful-signal gains must be positive")
     if np.any(d <= 0):
         raise ValueError("SINR denominator offsets must be positive")
     if np.any(c < -1e-12 * np.abs(c).max()):
         raise ValueError("interference coefficients must be non-negative")
-    t_lo = float(full.sinr.min())
     t_hi = float(np.max(p_max * num / d))
-    powers = p_full
-    iterations = 0
+    budget = math.ceil(math.log2(t_hi / tol))
+    t_lo, iterations = 0.0, 0
+    p = witness = np.full(num.size, float(p_max))
+    while True:
+        interference = c @ p + d
+        sinr = p * num / interference
+        if sinr.min() > t_lo:
+            t_lo, witness = float(sinr.min()), p
+        t_hi = min(t_hi, float(sinr.max()))
+        width = t_hi - t_lo
+        if width <= tol or iterations + 1 + math.ceil(math.log2(width / tol)) > budget:
+            break
+        p = interference / num
+        p = p_max * (p / p.max())
+        iterations += 1
+
+    powers = None
     while t_hi - t_lo > tol:
         t = 0.5 * (t_lo + t_hi)
         least = least_powers(num, c, d, t, p_max)
@@ -125,7 +146,33 @@ def maxmin_power_control(
             t_lo, powers = t, least
         else:
             t_hi = t
-    achieved = uatf_sinr(moments, weights, powers, noise_power)
+    if powers is None:
+        powers = least_powers(num, c, d, t_lo, p_max * (1 + 1e-9))
+        powers = witness if powers is None else powers * min(1.0, p_max / powers.max())
+    achieved = powers * num / (c @ powers + d)
     if achieved.min() < t_lo - 1e-8 * max(t_lo, 1.0):
-        raise RuntimeError("bisection witness lost feasibility")
-    return MaxMinAllocation(powers=powers, iterations=iterations, target=t_lo, weights=weights)
+        raise RuntimeError("max-min powers fall short of the certified target")
+    return powers, iterations, t_lo
+
+
+def maxmin_power_control(
+    moments: UatfMoments,
+    full: Combining,
+    noise_power: float,
+    p_max: float,
+    tol: float = 1e-3,
+) -> MaxMinAllocation:
+    """Max-min fair powers at the decoding weights of a full-power combiner.
+
+    ``full`` is the combiner mode's ``uatf.combine`` at full power p_max,
+    so a caller that also reports full power shares its solve; its weights
+    are held: the optimum for ``lsfd``, unit weights for ``mr``.  With them
+    fixed the SINRs take the fixed-weight form (num, c, d), which
+    ``maxmin_powers`` solves to within ``tol`` of the optimum, never below
+    the full-power floor.
+    """
+    num, c, d = fixed_weight_form(moments, full.weights, noise_power)
+    powers, iterations, target = maxmin_powers(num, c, d, p_max, tol)
+    return MaxMinAllocation(
+        powers=powers, iterations=iterations, target=target, weights=full.weights
+    )

@@ -328,7 +328,7 @@ def test_criterion_07_maxmin_power_control():
         full_se.append(spectral_efficiency(opt.sinr, cfg.prelog))
 
         alloc = maxmin_power_control(
-            terms, "lsfd", cfg.noise_power, cfg.p_max, tol=cfg.maxmin_tol
+            terms, opt, cfg.noise_power, cfg.p_max, tol=cfg.maxmin_tol
         )
         sinr_mm = uatf_sinr(terms, alloc.weights, alloc.powers, cfg.noise_power)
         mm_se.append(spectral_efficiency(sinr_mm, cfg.prelog))

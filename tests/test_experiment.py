@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from riscf import correlation, experiment, linalg, pipeline
+from riscf import correlation, experiment, linalg, pipeline, uatf
 from riscf.cli import main
 from riscf.config import SystemConfig
 from riscf.experiment import (
@@ -541,6 +541,21 @@ def test_run_experiment_builds_drop_statistics_once_per_drop(tmp_path, monkeypat
         "aggregated_covariance": 2 * drops,
         "build_link_statistics": 3 * drops,
     }
+
+
+def test_full_power_and_maxmin_share_one_lsfd_solve(tmp_path, monkeypatch):
+    """On configs/power_control.yaml a drop solves for LSFD weights three
+    times: at full power, shared by the lsfd full and maxmin modes, then at
+    the max-min and the fractional powers; the mr mode solves none."""
+    spec = Path(__file__).parent.parent / "configs/power_control.yaml"
+    drops = load_run_spec(spec).n_scenarios
+    calls = []
+    solve = uatf.optimal_lsfd_weights
+    monkeypatch.setattr(
+        uatf, "optimal_lsfd_weights", lambda *args: calls.append(args) or solve(*args)
+    )
+    run_experiment(spec, seed=1, out_dir=tmp_path)
+    assert len(calls) == 3 * drops
 
 
 def test_run_experiment_seed_changes_output(micro_spec, tmp_path):

@@ -113,6 +113,72 @@ def test_solve_hermitian_refuses_whole_stack_for_one_bad_matrix():
         solve_hermitian(a, np.ones((4, 2, 2)))
 
 
+def _spectrum_stack(rng, kappas, n, indefinite=False):
+    """Random Hermitian matrices of size n, one per condition number in ``kappas``.
+
+    Eigenvalues run from s down to s / kappa, the others log-uniform between,
+    at a random scale s; with ``indefinite`` the smallest one is negated.
+    """
+    batch = (len(kappas),)
+    g = rng.standard_normal(batch + (n, n)) + 1j * rng.standard_normal(batch + (n, n))
+    q, _ = np.linalg.qr(g)
+    span = np.log10(kappas)[:, None]
+    exponents = np.concatenate(
+        [np.zeros((len(kappas), 1)), -span * rng.random((len(kappas), n - 2)), -span], axis=1
+    )
+    eig = 10.0 ** (exponents + rng.uniform(-15.0, 5.0))
+    if indefinite:
+        eig[:, -1] *= -1.0
+    return (q * eig[:, None, :]) @ q.conj().swapaxes(-1, -2)
+
+
+def _eigvalsh_verdict(a):
+    """Accept iff every matrix is positive definite within CONDITION_LIMIT, and each kappa."""
+    eig = np.linalg.eigvalsh(hermitize(a))
+    lo, hi = eig[..., 0], eig[..., -1]
+    kappa = np.where(lo > 0.0, hi / np.maximum(lo, 1e-300), np.inf)
+    return bool(np.all(kappa <= linalg.CONDITION_LIMIT)), kappa
+
+
+def test_solve_hermitian_verdict_is_eigvalsh_verdict():
+    """Near and far beyond the limit, the guard decides as eigvalsh does."""
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for trial in range(300):
+        n = int(rng.integers(2, 7))
+        kappas = 10.0 ** rng.uniform(8.0, 16.0, int(rng.integers(1, 4)))
+        a = _spectrum_stack(rng, kappas, n, indefinite=trial % 5 == 0)
+        b = rng.standard_normal((len(kappas), n, 2)) + 1j * rng.standard_normal((len(kappas), n, 2))
+        accept, kappa = _eigvalsh_verdict(a)
+        if np.any(np.abs(np.log(kappa / linalg.CONDITION_LIMIT)) < np.log(1.01)):
+            continue  # within 1% of the limit, rounding decides either way
+        verdicts.add(accept)
+        if accept:
+            assert np.array_equal(solve_hermitian(a, b), np.linalg.solve(hermitize(a), b))
+        else:
+            with pytest.raises(IllConditionedError):
+                solve_hermitian(a, b)
+    assert verdicts == {True, False}
+
+
+def test_solve_hermitian_certifies_well_conditioned_stacks_without_eigvalsh(monkeypatch):
+    rng = np.random.default_rng(12)
+    stacks = []
+    for _ in range(100):
+        n = int(rng.integers(2, 7))
+        kappas = 10.0 ** rng.uniform(0.0, 8.0, int(rng.integers(1, 4)))
+        a = _spectrum_stack(rng, kappas, n)
+        stacks.append((a, rng.standard_normal((len(kappas), n)) + 0j))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called on a certified stack")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for a, b in stacks:
+        x = solve_hermitian(a, b[..., None])
+        assert np.array_equal(x, np.linalg.solve(hermitize(a), b[..., None]))
+
+
 def test_sample_cn_matches_target_covariance():
     rng = np.random.default_rng(4)
     cov = np.array([[2.0, 0.5 + 0.5j], [0.5 - 0.5j, 1.0]])

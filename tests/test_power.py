@@ -1,4 +1,4 @@
-"""Power control: fractional heuristic, fixed-weight form, max-min bisection."""
+"""Power control: fractional heuristic, fixed-weight form, max-min fixed point."""
 import math
 
 import numpy as np
@@ -13,11 +13,17 @@ from riscf.power import (
     fractional_power_control,
     least_powers,
     maxmin_power_control,
+    maxmin_powers,
 )
 from riscf.se import closed_form_moments
 from riscf.uatf import combine, fixed_weight_form, optimal_lsfd_weights, uatf_sinr
 from conftest import make_link
 from uatf_reference import dense_second_moment, textbook_sinr
+
+
+def _full(moments, combiner, config):
+    """The combiner's ``combine`` at full power, whose weights max-min holds."""
+    return combine(moments, combiner, np.full(config.n_ues, config.p_max), config.noise_power)
 
 
 def test_fractional_exact_values():
@@ -86,7 +92,8 @@ def test_decomposition_reproduces_closed_form(validation_moments, validation_con
 def test_maxmin_improves_min_sinr(validation_moments, validation_config):
     noise = validation_config.noise_power
     p_max = validation_config.p_max
-    alloc = maxmin_power_control(validation_moments, "lsfd", noise, p_max, tol=1e-3)
+    full = _full(validation_moments, "lsfd", validation_config)
+    alloc = maxmin_power_control(validation_moments, full, noise, p_max, tol=1e-3)
     assert np.all(alloc.powers >= -1e-12)
     assert np.all(alloc.powers <= p_max + 1e-12)
 
@@ -101,7 +108,8 @@ def test_maxmin_improves_min_sinr(validation_moments, validation_config):
 def test_maxmin_iteration_bound(validation_moments, validation_config):
     noise = validation_config.noise_power
     p_max = validation_config.p_max
-    alloc = maxmin_power_control(validation_moments, "lsfd", noise, p_max, tol=1e-3)
+    full = _full(validation_moments, "lsfd", validation_config)
+    alloc = maxmin_power_control(validation_moments, full, noise, p_max, tol=1e-3)
     weights = alloc.weights
     num, c, d = fixed_weight_form(validation_moments, weights, noise)
     t_hi = float(np.max(p_max * num / d))
@@ -109,10 +117,14 @@ def test_maxmin_iteration_bound(validation_moments, validation_config):
 
 
 def test_maxmin_balances_sinrs(validation_moments, validation_config):
-    """Bisection pushes the spread of achieved SINRs toward the target."""
+    """Max-min pushes the spread of achieved SINRs toward the target."""
     noise = validation_config.noise_power
     alloc = maxmin_power_control(
-        validation_moments, "lsfd", noise, validation_config.p_max, tol=1e-4
+        validation_moments,
+        _full(validation_moments, "lsfd", validation_config),
+        noise,
+        validation_config.p_max,
+        tol=1e-4,
     )
     achieved = uatf_sinr(validation_moments, alloc.weights, alloc.powers, noise)
     full_sinr = optimal_lsfd_weights(
@@ -130,14 +142,18 @@ def test_maxmin_tolerance_validation(validation_moments, validation_config):
     with pytest.raises(ValueError):
         maxmin_power_control(
             validation_moments,
-            "lsfd",
+            _full(validation_moments, "lsfd", validation_config),
             validation_config.noise_power,
             validation_config.p_max,
             tol=0.0,
         )
     with pytest.raises(ValueError):
         maxmin_power_control(
-            validation_moments, "lsfd", validation_config.noise_power, -0.1, tol=1e-3
+            validation_moments,
+            _full(validation_moments, "lsfd", validation_config),
+            validation_config.noise_power,
+            -0.1,
+            tol=1e-3,
         )
 
 
@@ -146,7 +162,10 @@ def test_power_policies_reject_zero_p_max(validation_moments, validation_config)
         fractional_power_control(np.array([1.0, 2.0]), 0.5, 0.0)
     with pytest.raises(ValueError, match="p_max"):
         maxmin_power_control(
-            validation_moments, "lsfd", validation_config.noise_power, 0.0
+            validation_moments,
+            _full(validation_moments, "lsfd", validation_config),
+            validation_config.noise_power,
+            0.0,
         )
 
 
@@ -217,15 +236,53 @@ def _perron_target(num, c, d, p_max):
     return 1.0 / max(radii)
 
 
+@st.composite
+def _maxmin_systems(draw):
+    k = draw(st.integers(1, 10))
+    floats = st.floats(min_value=0.05, max_value=5.0)
+    num = np.array(draw(st.lists(floats, min_size=k, max_size=k)))
+    d = np.array(draw(st.lists(floats, min_size=k, max_size=k)))
+    c = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=k * k, max_size=k * k)))
+    zero = np.array(draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k)))
+    c = np.where(zero, 0.0, c).reshape(k, k)
+    p_max = draw(st.floats(min_value=0.1, max_value=10.0))
+    tol = draw(st.floats(min_value=1e-4, max_value=0.1))
+    return num, c, d, p_max, tol
+
+
+@given(_maxmin_systems())
+# The plain fixed point takes 132 steps here, past the budget of 16.
+@example(
+    (np.array([4.56, 2.1]), np.array([[0.0, 0.4], [1.91, 0.0]]), np.array([0.74, 0.06]), 1.0, 1e-3)
+)
+# Full power is optimal, and the least powers at t* land ulps above p_max.
+@example((np.array([4.29]), np.array([[1.46]]), np.array([0.22]), 1.0, 1e-3))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_maxmin_powers_reach_the_perron_frobenius_target(system):
+    """Within tol below t*, at equal SINRs in the box, inside the bisection budget."""
+    num, c, d, p_max, tol = system
+    t_hi = float(np.max(p_max * num / d))
+    assume(t_hi >= tol)
+    powers, iterations, target = maxmin_powers(num, c, d, p_max, tol)
+    t_star = _perron_target(num, c, d, p_max)
+    assert target <= t_star * (1 + 1e-9)
+    assert t_star - target <= tol
+    sinr = powers * num / (c @ powers + d)
+    assert sinr.max() <= sinr.min() * (1 + 1e-9)
+    assert sinr.min() >= target * (1 - 1e-9)
+    assert np.all(powers > 0) and np.all(powers <= p_max)
+    assert iterations <= math.ceil(math.log2(t_hi / tol))
+
+
 def test_maxmin_target_matches_perron_frobenius(
     validation_moments, validation_config, maxmin_ensemble
 ):
-    """The bisection target lies within tol below the Perron-Frobenius optimum."""
+    """The max-min target lies within tol below the Perron-Frobenius optimum."""
     cfg, ensemble = maxmin_ensemble
     cases = [(validation_moments, validation_config)] + [(m, cfg) for m in ensemble]
     for moments, config in cases:
         noise, p_max, tol = config.noise_power, config.p_max, config.maxmin_tol
-        alloc = maxmin_power_control(moments, "lsfd", noise, p_max, tol=tol)
+        alloc = maxmin_power_control(moments, _full(moments, "lsfd", config), noise, p_max, tol=tol)
         num, c, d = fixed_weight_form(moments, alloc.weights, noise)
         t_star = _perron_target(num, c, d, p_max)
         assert alloc.target <= t_star * (1 + 1e-9)
@@ -249,19 +306,25 @@ def test_interference_coefficients_nonnegative_and_guarded(maxmin_ensemble, monk
     monkeypatch.setattr(power, "fixed_weight_form", one_negative)
     with pytest.raises(ValueError, match="non-negative"):
         maxmin_power_control(
-            ensemble[0], "lsfd", cfg.noise_power, cfg.p_max, tol=cfg.maxmin_tol
+            ensemble[0],
+            _full(ensemble[0], "lsfd", cfg),
+            cfg.noise_power,
+            cfg.p_max,
+            tol=cfg.maxmin_tol,
         )
 
 
 def test_maxmin_under_mr_is_fair_for_unit_weights(
     validation_moments, validation_config, maxmin_ensemble
 ):
-    """Under MR the bisection certifies unit weights, the ones MR decodes with."""
+    """Under MR max-min certifies unit weights, the ones MR decodes with."""
     cfg, ensemble = maxmin_ensemble
     cases = [(validation_moments, validation_config)] + [(m, cfg) for m in ensemble]
     for moments, config in cases:
         noise, p_max = config.noise_power, config.p_max
-        alloc = maxmin_power_control(moments, "mr", noise, p_max, tol=config.maxmin_tol)
+        alloc = maxmin_power_control(
+            moments, _full(moments, "mr", config), noise, p_max, tol=config.maxmin_tol
+        )
         assert np.array_equal(alloc.weights, np.ones_like(moments.d))
         sinr = combine(moments, "mr", alloc.powers, noise).sinr
         floor = combine(moments, "mr", np.full(config.n_ues, p_max), noise).sinr.min()
