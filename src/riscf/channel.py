@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from riscf.correlation import Surface
-from riscf.linalg import psd_sqrt, sample_cn, sample_phases, standard_cn
+from riscf.linalg import pair_matvec, psd_sqrt, sample_cn, sample_phases, standard_cn
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,13 @@ class ChannelSampler:
 
         The UE LoS phase factors e^{j theta_k} are drawn fresh; H enters
         only through ``draw_reflections``. Draw order is fixed (phases, g,
-        z) so a seeded stream reproduces the batch bit-for-bit.
+        z) so a seeded stream reproduces the batch bit-for-bit. g's white
+        draws meet the direct-link roots in one GEMM per (AP, UE) pair over
+        the trials (``linalg.pair_matvec``).
         """
         phase = sample_phases(rng, (trials, self.n_ues))
         w_g = standard_cn(rng, (trials, self.n_aps, self.n_ues, self.l))
-        g = np.einsum("mkab,tmkb->tmka", self.g_factors, w_g)
+        g = pair_matvec(self.g_factors, w_g)
         z = sample_cn(rng, self.ris_factor, phase.shape)
         z *= self.ue_scale[:, None]
         z += self.surface.zbar * phase[:, :, None]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from riscf.channel import ChannelStatistics
-from riscf.linalg import solve_hermitian
+from riscf.linalg import pair_matvec, solve_hermitian
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,8 @@ def mmse_estimate(
     collects the phase-rotated LoS means of the whole coset: per coset, one
     GEMM of the coset's phases against its LoS means, so nothing larger
     than obar is formed outside the trial axis; sqrt(p_hat) x^H is
-    ``est.gain``.
+    ``est.gain``, which meets the innovation in one GEMM per (AP, UE) pair
+    over the trials (``linalg.pair_matvec``).
     """
     trials, n_aps, _, n_antennas = y.shape
     root_p = np.sqrt(assignment.power)
@@ -128,5 +129,6 @@ def mmse_estimate(
     for coset in assignment.cosets:
         ybar = phase[:, coset] @ means[coset].reshape(-1, n_aps * n_antennas)
         innovation[:, :, coset] -= ybar.reshape(trials, n_aps, 1, n_antennas)
-    prior = stats.obar[None] * phase[:, None, :, None]
-    return prior + np.einsum("mkab,tmkb->tmka", est.gain, innovation)
+    estimate = pair_matvec(est.gain, innovation)
+    estimate += stats.obar[None] * phase[:, None, :, None]
+    return estimate

@@ -107,6 +107,25 @@ def solve_hermitian(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
+def pair_matvec(
+    a: np.ndarray, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """y[t, m, k] = A[m, k] x[t, m, k] for every trial t and (AP, UE) pair (m, k).
+
+    ``a`` has shape (M, K, L, L) and ``x`` (T, M, K, L). Each pair's T
+    trials meet its matrix in one GEMM, X_mk A_mk^T on the (T, L) rows
+    X_mk of the pair, written through a strided view of ``out`` (a new
+    (T, M, K, L) array when not given), so neither x nor y is copied to a
+    pair-major layout. Returns ``out``.
+    """
+    if out is None:
+        out = np.empty(x.shape, dtype=np.result_type(a, x))
+    np.matmul(
+        x.transpose(1, 2, 0, 3), a.swapaxes(-1, -2), out=out.transpose(1, 2, 0, 3)
+    )
+    return out
+
+
 def standard_cn(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Draw i.i.d. CN(0, 1) entries, built as (x + jy)/sqrt(2).
 

@@ -51,15 +51,22 @@ def closed_form_moments(link: LinkStatistics) -> UatfMoments:
     while the direct links dominate and fails when they are weak; with them
     removed, every UE's simulated SINR falls well below this bound
     (``tests/test_montecarlo.py::test_run_path_matches_closed_form_sinr``).
+
+    Every (k, i) statistic is a trace against R_mi or Omega_mk, so each is
+    one batched GEMM per AP on the flattened L^2 axis, (M, K, L^2) @
+    (M, L^2, K): tr(Omega_mk R_mi), tr(X_mk R_mi) and the LoS forms
+    against P_mk = vec(conj(obar_mk) obar_mk^T), with obar^H obar an
+    (M, K, L) @ (M, L, K) product; w's two terms are GEMMs against the
+    flattened R_mm.
     """
     stats = link.stats
     est = link.est
     obar = stats.obar
-    r_o = stats.r_o
     omega = est.omega
-    r_mm = link.r_mm
     p_hat = link.assignment.power
     tau_p = link.assignment.tau_p
+    n_aps, n_ues, n_antennas = obar.shape
+    flat = (n_aps, n_ues, n_antennas * n_antennas)
 
     trace_omega = _real_part(np.trace(omega, axis1=-2, axis2=-1), "trace of omega")
     obar_norm2 = _real_part(
@@ -67,29 +74,36 @@ def closed_form_moments(link: LinkStatistics) -> UatfMoments:
     )
     z = p_hat * tau_p * trace_omega + obar_norm2
 
-    est_cross = np.einsum("miab,mkba->kim", r_o, omega)
-    los_through = np.einsum("mka,miab,mkb->kim", obar.conj(), r_o, obar)
-    los_filtered = np.einsum("mia,mkab,mib->kim", obar.conj(), omega, obar)
-    los_inner = np.einsum("mka,mia->kim", obar.conj(), obar)
+    # tr(A_mk B_mi) = vec(A_mk^T) . vec(B_mi) and obar^H B obar = P . vec(B):
+    # each GEMM gives [m, k, i], moved to [k, i, m] at the end.
+    r_cols = stats.r_o.reshape(flat).swapaxes(1, 2)
+    omega_t = omega.swapaxes(-1, -2).reshape(flat)
+    los_outer = (obar.conj()[..., :, None] * obar[..., None, :]).reshape(flat)
+    est_cross = omega_t @ r_cols
+    los_through = los_outer @ r_cols
+    los_filtered = omega.reshape(flat) @ los_outer.swapaxes(1, 2)
+    los_inner = obar.conj() @ obar.swapaxes(1, 2)
     xi = _real_part(
-        p_hat * tau_p * (est_cross + los_filtered)
-        + los_through
-        + np.abs(los_inner) ** 2,
+        (
+            p_hat * tau_p * (est_cross + los_filtered)
+            + los_through
+            + np.abs(los_inner) ** 2
+        ).transpose(1, 2, 0),
         "interference statistic",
     )
 
-    varpi = np.einsum("miab,mkba->kim", r_o, est.x)
-    varpi = varpi * link.assignment.mask[:, :, None]
+    varpi = est.x.swapaxes(-1, -2).reshape(flat) @ r_cols
+    varpi = varpi.transpose(1, 2, 0) * link.assignment.mask[:, :, None]
 
     j2 = obar_norm2**2
+    r_mm_col = link.r_mm.reshape(n_aps, -1, 1)
     w = _real_part(
-        np.einsum("mka,mab,mkb->mk", obar.conj(), r_mm, obar)
-        + p_hat * tau_p * np.einsum("mab,mkba->mk", r_mm, omega),
+        (los_outer @ r_mm_col + p_hat * tau_p * (omega_t @ r_mm_col))[..., 0],
         "reflected interference statistic",
     )
 
     u = p_hat * tau_p * varpi
-    ues = np.arange(z.shape[1])
+    ues = np.arange(n_ues)
     u[ues, ues] = z.T
     cov = xi
     cov[ues, ues] -= j2.T

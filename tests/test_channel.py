@@ -7,7 +7,7 @@ import pytest
 from riscf.channel import ChannelSampler, aggregated_covariance
 from riscf.config import SystemConfig
 from riscf.correlation import ris_element_positions, ris_sinc_correlation
-from riscf.linalg import hermitize
+from riscf.linalg import hermitize, sample_cn, sample_phases, standard_cn
 
 from conftest import make_link, q_terms
 from dense_reference import dense_nlos, draw
@@ -52,6 +52,25 @@ def test_sampler_shapes_and_determinism(tiny_link):
     assert a.z.shape == (7, k, n)
     assert a.o.shape == (7, m, k, l)
     assert np.array_equal(a.o, b.o)
+
+
+@pytest.mark.parametrize("trials", [1, 9])
+def test_draw_unreflected_keeps_the_stream(validation_link, trials):
+    """The unreflected draw takes the phases, g's and z's white draws, in that
+    order, and nothing else from the generator."""
+    sampler = ChannelSampler(validation_link.stats, validation_link.surface)
+    m, k, l, n = sampler.n_aps, sampler.n_ues, sampler.l, sampler.n
+    rng = np.random.default_rng(17)
+    phase, g, z = sampler.draw_unreflected(rng, trials)
+    by_hand = np.random.default_rng(17)
+    want_phase = sample_phases(by_hand, (trials, k))
+    white = standard_cn(by_hand, (trials, m, k, l))
+    sample_cn(by_hand, sampler.ris_factor, (trials, k))
+    assert rng.bit_generator.state == by_hand.bit_generator.state
+    assert np.array_equal(phase, want_phase)
+    want_g = np.einsum("mkab,tmkb->tmka", sampler.g_factors, white)
+    np.testing.assert_allclose(g, want_g, rtol=1e-13, atol=0.0)
+    assert z.shape == (trials, k, n)
 
 
 def test_sampler_aggregates_parts(tiny_link):

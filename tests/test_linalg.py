@@ -11,6 +11,7 @@ from riscf.linalg import (
     IllConditionedError,
     hermitize,
     one_blas_thread,
+    pair_matvec,
     psd_factor,
     psd_sqrt,
     sample_cn,
@@ -194,6 +195,23 @@ def test_sample_cn_is_circular():
     draws = sample_cn(rng, psd_factor(cov), (40000,))
     pseudo = draws.T @ draws / len(draws)
     assert np.abs(pseudo).max() < 0.05
+
+
+@pytest.mark.parametrize("trials", [1, 94], ids=["one-trial", "chunk"])
+@pytest.mark.parametrize("antennas", [1, 4])
+def test_pair_matvec_is_the_per_pair_einsum(trials, antennas):
+    """One GEMM per (AP, UE) pair at the mc_oracle pairs (M=10, K=5), for one
+    trial and for a chunk, written into the array it is given."""
+    rng = np.random.default_rng(antennas + trials)
+    pairs = (10, 5, antennas)
+    a = rng.standard_normal(pairs + (antennas,)) + 1j * rng.standard_normal(pairs + (antennas,))
+    x = rng.standard_normal((trials,) + pairs) + 1j * rng.standard_normal((trials,) + pairs)
+    want = np.einsum("mkab,tmkb->tmka", a, x)
+    np.testing.assert_allclose(pair_matvec(a, x), want, rtol=1e-13, atol=0.0)
+    out = np.empty_like(x)
+    got = pair_matvec(a, x, out=out)
+    assert np.shares_memory(got, out)
+    np.testing.assert_allclose(out, want, rtol=1e-13, atol=0.0)
 
 
 def test_sample_phases_unit_modulus_and_determinism():

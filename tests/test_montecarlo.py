@@ -9,6 +9,7 @@ import pytest
 from riscf.channel import ChannelSampler
 from riscf.config import SystemConfig, mode_from_mapping
 from riscf import montecarlo
+from riscf.linalg import one_blas_thread
 from riscf.montecarlo import (
     CHUNK_BYTES,
     CHUNK_TRIALS,
@@ -304,12 +305,15 @@ def test_run_path_sinr_agrees_with_validation_path(validation_config, modes):
     weights, powers = _closed_weights(link, "lsfd")
     ones = np.ones((1, cfg.n_ues))
     run, dense = [], []
-    for seed in range(12):
-        rng = np.random.default_rng(100 + seed)
-        est = estimate_uatf_terms(link, 1500, rng=rng, weights=weights)
-        run.append(uatf_sinr(est.moments(), ones, powers, cfg.noise_power))
-        est = dense_uatf_terms(link, 1500, 200 + seed, 4096)
-        dense.append(uatf_sinr(est.moments(), weights, powers, cfg.noise_power))
+    # One cap for the loop: a direct call caps BLAS on its own, and
+    # OpenBLAS's idle threads spin between uncapped calls.
+    with one_blas_thread():
+        for seed in range(12):
+            rng = np.random.default_rng(100 + seed)
+            est = estimate_uatf_terms(link, 1500, rng=rng, weights=weights)
+            run.append(uatf_sinr(est.moments(), ones, powers, cfg.noise_power))
+            est = dense_uatf_terms(link, 1500, 200 + seed, 4096)
+            dense.append(uatf_sinr(est.moments(), weights, powers, cfg.noise_power))
     run, dense = np.array(run), np.array(dense)
     se = np.sqrt((run.var(axis=0, ddof=1) + dense.var(axis=0, ddof=1)) / len(run))
     assert np.all(np.abs(run.mean(axis=0) - dense.mean(axis=0)) <= 4.0 * se)
@@ -390,15 +394,18 @@ def test_run_path_matches_closed_form_sinr(direct_scale):
     )
     powers = np.full(cfg.n_ues, cfg.p_max)
     gaps = []
-    for seed in range(3):
-        scenario = generate_scenario(cfg, np.random.default_rng(seed))
-        scenario = dataclasses.replace(scenario, beta_mk=direct_scale * scenario.beta_mk)
-        link = build_link_statistics(build_drop_statistics(scenario, cfg), mode_from_mapping({}))
-        closed = combine(closed_form_moments(link), "lsfd", powers, cfg.noise_power)
-        est = estimate_uatf_terms(
-            link, 4000, np.random.default_rng(seed), weights=closed.weights
-        )
-        mc = uatf_sinr(est.moments(), np.ones((1, cfg.n_ues)), powers, cfg.noise_power)
-        gaps.append((mc - closed.sinr) / closed.sinr)
+    with one_blas_thread():
+        for seed in range(3):
+            scenario = generate_scenario(cfg, np.random.default_rng(seed))
+            scenario = dataclasses.replace(scenario, beta_mk=direct_scale * scenario.beta_mk)
+            link = build_link_statistics(
+                build_drop_statistics(scenario, cfg), mode_from_mapping({})
+            )
+            closed = combine(closed_form_moments(link), "lsfd", powers, cfg.noise_power)
+            est = estimate_uatf_terms(
+                link, 4000, np.random.default_rng(seed), weights=closed.weights
+            )
+            mc = uatf_sinr(est.moments(), np.ones((1, cfg.n_ues)), powers, cfg.noise_power)
+            gaps.append((mc - closed.sinr) / closed.sinr)
     gaps = np.concatenate(gaps)
     assert np.abs(gaps).max() <= CLOSED_FORM_GAP, gaps

@@ -1,4 +1,6 @@
 """Closed-form effective SINR, decoding weights, and spectral efficiency."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,12 +102,40 @@ def test_closed_form_moments_match_per_pair_second_moments(validation_link):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("ris", ["on", "off"])
-def test_closed_form_moments_map_the_paper_terms(ris, validation_config, validation_link):
-    """The batched moments are the (u, cov, d, w) map of the entrywise terms."""
-    link = validation_link
-    if ris == "off":
-        link = make_link(validation_config, 1, ris="off")
+@pytest.mark.parametrize(
+    "antennas, mode, random_los",
+    [
+        (2, {}, False),
+        (2, {"ris": "off"}, False),
+        (2, {"emi": "off"}, False),
+        (1, {}, False),
+        (4, {}, False),
+        (1, {}, True),
+        (2, {}, True),
+        (4, {}, True),
+    ],
+    ids=["on", "off", "emi-off", "L1", "L4", "L1-random-los", "L2-random-los", "L4-random-los"],
+)
+def test_closed_form_moments_map_the_paper_terms(antennas, mode, random_los, validation_config):
+    """The per-AP GEMMs on the flattened L^2 axis are the (u, cov, d, w) map
+    of the entrywise terms: on the L = 2 validation link with the surface on
+    and off and with EMI off, and at L = 1 (an L^2 axis of one) and L = 4.
+
+    On these links the LoS means carry about 3e-8 of the channel energy and
+    have no phase step across the antennas, so an error in the LoS forms, a
+    conjugate among them, hides under the 1e-12 tolerance. The random-los
+    cases replace them by means of random phase as strong as the NLoS part;
+    the map is an identity in its inputs, so that link need not be physical.
+    """
+    link = make_link(validation_config.replace(n_ap_antennas=antennas), 1, **mode)
+    if random_los:
+        r_o = link.stats.r_o
+        rng = np.random.default_rng(antennas)
+        scale = np.sqrt(np.trace(r_o, axis1=-2, axis2=-1).real / antennas)
+        obar = scale[..., None] * (
+            rng.standard_normal(r_o.shape[:-1]) + 1j * rng.standard_normal(r_o.shape[:-1])
+        )
+        link = dataclasses.replace(link, stats=dataclasses.replace(link.stats, obar=obar))
     got = closed_form_moments(link)
     want = terms_moments(paper_terms(link))
     for name in ("u", "cov", "d", "w"):
