@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riscf.correlation import Surface
-from riscf.linalg import pair_matvec, psd_sqrt, sample_cn, sample_phases, standard_cn
+from .correlation import Surface
+from .linalg import pair_matvec, psd_sqrt, sample_cn, sample_phases, standard_cn
 
 
 @dataclass(frozen=True)

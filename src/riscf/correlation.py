@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from riscf.config import SystemConfig
-from riscf.scenario import Scenario
+from .config import SystemConfig
+from .scenario import Scenario
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,23 @@ def ris_element_positions(n_h: int, n_v: int, d_h: float, d_v: float) -> np.ndar
     )
 
 
-def ris_sinc_correlation(positions: np.ndarray, wavelength: float) -> np.ndarray:
+def ris_sinc_correlation(
+    n_h: int, n_v: int, d_h: float, d_v: float, wavelength: float
+) -> np.ndarray:
     """Isotropic-scattering RIS correlation R[i,j] = sinc(2 d_ij / lambda).
 
-    ``positions`` are the (N, 3) element centers in meters.
+    The elements form the n_v x n_h grid of ``ris_element_positions`` with
+    spacings d_h and d_v in meters. d_ij depends only on the row and column
+    lags |r_i - r_j| and |c_i - c_j|, so sinc is evaluated once per lag on
+    the (n_v, n_h) lag table and R, two-level Toeplitz, is gathered from
+    it by the lags of every (row, column, row, column) quadruple: exactly
+    symmetric with a unit diagonal.
     """
-    dist = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1)
-    return np.sinc(2.0 * dist / wavelength)
+    v, h = np.arange(n_v), np.arange(n_h)
+    table = np.sinc(2.0 * np.hypot(d_v * v[:, None], d_h * h) / wavelength)
+    lag_v = np.abs(v[:, None] - v)[:, None, :, None]
+    lag_h = np.abs(h[:, None] - h)[None, :, None, :]
+    return table[lag_v, lag_h].reshape(n_h * n_v, n_h * n_v)
 
 
 def gaussian_local_scattering(
@@ -94,13 +104,17 @@ def gaussian_local_scattering(
     Entries depend on l - n only, so one offset row per pair suffices. By the
     Jacobi-Anger series exp(j a sin u) = sum_n J_n(a) exp(j n u) and
     E{exp(j n d)} = exp(-n^2 sigma_phi^2 / 2), offset l is beta_nlos
-    sum_n J_n(2 pi spacing l) exp(j n theta - n^2 sigma_phi^2 / 2), and
+    sum_n J_n(2 pi spacing l) exp(-n^2 sigma_phi^2 / 2) exp(j n theta), and
     offset 0 is exactly beta_nlos, so one antenna needs no series. One FFT
     of exp(j a sin u) on Q = 2 ceil(a_max) + 64 points gives the J_n(a) of
-    every offset; their aliases J_{n + iQ}(a) lie below rounding, since
-    J_n(a) decays faster than exponentially for |n| > a. Each row is summed
-    elementwise over the Q terms, so a pair's row does not depend on the
-    batch around it.
+    every offset; their aliases J_{n + iQ}(a) decay faster than
+    exponentially for |n| > a, and the largest, J_{Q/2}(a_max), is 8e-24
+    at 4 half-wavelength antennas and 6e-13 at 16 (it grows with a_max).
+    The Gaussian factors fold into that (offset, order) table. Each pair takes one
+    exp(j theta) and its powers up to Q / 2 by a cumulative product; the
+    negative orders are their conjugates. Each row is one ``einsum``
+    against the table, summed elementwise over the Q orders, so a pair's
+    row does not depend on the batch around it.
     """
     if sigma_phi <= 0.0:
         raise ValueError("sigma_phi must be positive")
@@ -112,16 +126,45 @@ def gaussian_local_scattering(
         a = 2.0 * np.pi * spacing * np.arange(1, n_antennas)
         q = 2 * int(np.ceil(np.abs(a).max())) + 64
         u = 2.0 * np.pi * np.arange(q) / q
-        bessel = np.fft.fft(np.exp(1j * a[:, None] * np.sin(u))).real / q
         n = np.fft.fftfreq(q, 1.0 / q)
-        weights = np.exp(1j * np.outer(theta_flat, n) - 0.5 * (n * sigma_phi) ** 2)
-        rows[:, 1:] = beta_flat[:, None] * np.sum(weights[:, None, :] * bessel, axis=-1)
+        bessel = np.fft.fft(np.exp(1j * a[:, None] * np.sin(u))).real / q
+        bessel *= np.exp(-0.5 * (n * sigma_phi) ** 2)
+        # Order n sits in column n mod Q: orders 1 .. Q/2 - 1 in columns
+        # 1 .. Q/2 - 1, orders -1 .. -Q/2 in columns Q - 1 down to Q/2.
+        half = q // 2
+        table = np.zeros((2, a.size, half))
+        table[0, :, :-1] = bessel[:, 1:half]
+        table[1] = bessel[:, : half - 1 : -1]
+        powers = np.cumprod(
+            np.broadcast_to(np.exp(1j * theta_flat)[:, None], (theta_flat.size, half)),
+            axis=1,
+        )
+        sums = np.einsum("pk,slk->spl", powers, table)
+        rows[:, 1:] = beta_flat[:, None] * (bessel[:, 0] + sums[0] + np.conj(sums[1]))
 
     offsets = np.arange(n_antennas)
     l_idx = offsets[:, None] - offsets[None, :]
     lagged = rows[:, np.abs(l_idx)]
     matrix = np.where(l_idx >= 0, lagged, np.conj(lagged))
     return matrix.reshape(beta_b.shape + (n_antennas, n_antennas))
+
+
+def _gram_and_trace(
+    R: np.ndarray, phi: np.ndarray, hbar: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The Gram G_m^H R G_m, (M, L, L), and the trace tr(Phi R Phi^H R).
+
+    G_m = Phi^H Hbar_m for ``hbar`` (M, N, L). R is real and symmetric, so
+    both run in real arithmetic: R multiplies the real and imaginary parts
+    of every AP's columns of G_m, laid side by side, in one real
+    (N, N) @ (N, 2 M L) GEMM, and the trace is phi^T (R o R) conj(phi), the
+    real quadratic form of R o R in the real and imaginary parts of phi.
+    """
+    g = np.ascontiguousarray((phi.conj()[None, :, None] * hbar).transpose(1, 0, 2))
+    r_g = (R @ g.reshape(len(phi), -1).view(float)).view(complex).reshape(g.shape)
+    parts = np.column_stack([phi.real, phi.imag])
+    gram = g.conj().transpose(1, 2, 0) @ r_g.transpose(1, 0, 2)
+    return gram, float(np.sum(parts * ((R * R) @ parts)))
 
 
 def surface_statistics(scenario: Scenario, config: SystemConfig) -> Surface:
@@ -137,12 +180,16 @@ def surface_statistics(scenario: Scenario, config: SystemConfig) -> Surface:
     R_m from local scattering toward the RIS, so
     gain_m = beta_m^NLoS A_r / (L N beta_m). The RIS-to-UE covariance is
     beta_k^NLoS A_r R, so gain_k = beta_k^NLoS A_r.
+
+    R comes from its lag table (``ris_sinc_correlation``), and the Gram
+    and phase trace from ``_gram_and_trace``, in real arithmetic.
     """
     cfg = config
     n, l = cfg.n_ris_elements, cfg.n_ap_antennas
     d_h, d_v = cfg.ris_spacing_h * cfg.wavelength, cfg.ris_spacing_v * cfg.wavelength
-    positions = ris_element_positions(cfg.ris_width_elements, cfg.ris_height_elements, d_h, d_v)
-    R = ris_sinc_correlation(positions, cfg.wavelength)
+    grid = (cfg.ris_width_elements, cfg.ris_height_elements, d_h, d_v)
+    positions = ris_element_positions(*grid)
+    R = ris_sinc_correlation(*grid, cfg.wavelength)
     a_r = d_h * d_v
 
     delta_ap = scenario.ap_positions[:, :2] - scenario.ris_position[:2]
@@ -165,7 +212,7 @@ def surface_statistics(scenario: Scenario, config: SystemConfig) -> Surface:
     r_m = gaussian_local_scattering(
         1.0, theta_to_ris, np.deg2rad(cfg.asd_deg), l, cfg.ap_antenna_spacing
     )
-    g = phi.conj()[None, :, None] * hbar
+    gram, trace = _gram_and_trace(R, phi, hbar)
     return Surface(
         R=R,
         element_area=a_r,
@@ -175,6 +222,6 @@ def surface_statistics(scenario: Scenario, config: SystemConfig) -> Surface:
         r_m=r_m,
         gain_m=scenario.beta_m_nlos * a_r / (l * n * scenario.beta_m),
         gain_k=scenario.beta_k_nlos * a_r,
-        gram=g.conj().transpose(0, 2, 1) @ (R @ g),
-        trace=float(np.sum(phi[:, None] * R * phi.conj()[None, :] * R.T).real),
+        gram=gram,
+        trace=trace,
     )

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from riscf.config import RHO_DB_BOUND
-from riscf.correlation import Surface
-from riscf.linalg import sample_cn
+from .config import RHO_DB_BOUND
+from .correlation import Surface
+from .linalg import sample_cn
 
 
 def sigma_r2_from_rho(rho_db: float, p_max: float, beta_m: np.ndarray) -> float:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riscf.channel import ChannelStatistics
-from riscf.linalg import pair_matvec, solve_hermitian
+from .channel import ChannelStatistics
+from .linalg import pair_matvec, solve_hermitian
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riscf.config import SystemConfig
-from riscf.linalg import psd_factor
+from .config import SystemConfig
+from .linalg import psd_factor
 
 
 def path_loss_db(

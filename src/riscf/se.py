@@ -19,14 +19,21 @@ _IMAG_TOL = 1e-9
 
 
 def _real_part(values: np.ndarray, what: str) -> np.ndarray:
-    """Strip a provably-real quantity's numerical imaginary residue."""
+    """Strip a provably-real quantity's numerical imaginary residue.
+
+    The residue may reach ``_IMAG_TOL`` times the largest magnitude, or
+    ``_IMAG_TOL`` itself below unit magnitude. A residue within
+    ``_IMAG_TOL`` passes on two reductions of the imaginary part; only a
+    larger one reads the magnitudes.
+    """
     values = np.asarray(values)
     if not np.iscomplexobj(values):
         return values
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    tol = _IMAG_TOL * max(scale, 1.0)
-    if np.max(np.abs(values.imag)) > tol:
-        raise ValueError(f"{what} has a non-negligible imaginary part")
+    residue = values.imag
+    if residue.size and max(residue.max(), -residue.min()) > _IMAG_TOL:
+        scale = float(np.abs(values).max())
+        if np.abs(residue).max() > _IMAG_TOL * max(scale, 1.0):
+            raise ValueError(f"{what} has a non-negligible imaginary part")
     return values.real.copy()
 
 

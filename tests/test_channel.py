@@ -6,7 +6,7 @@ import pytest
 
 from riscf.channel import ChannelSampler, aggregated_covariance
 from riscf.config import SystemConfig
-from riscf.correlation import ris_element_positions, ris_sinc_correlation
+from riscf.correlation import ris_sinc_correlation
 from riscf.linalg import hermitize, sample_cn, sample_phases, standard_cn
 
 from conftest import make_link, q_terms
@@ -234,7 +234,7 @@ def test_ris_factor_moves_with_r_only_in_its_last_bits():
     cfg = SystemConfig(n_aps=2, n_ues=2, tau_p=2, shadow_std_db=0.0)
     link = make_link(cfg, 0)
     lam = cfg.wavelength
-    R = ris_sinc_correlation(ris_element_positions(4, 4, lam / 2, lam / 2), lam)
+    R = ris_sinc_correlation(4, 4, lam / 2, lam / 2, lam)
     rng = np.random.default_rng(0)
     e = rng.standard_normal(R.shape) + 1j * rng.standard_normal(R.shape)
     nudge = 1e-13 * hermitize(e) / np.linalg.norm(hermitize(e))

@@ -8,6 +8,7 @@ from scipy import integrate
 
 from riscf.config import SystemConfig
 from riscf.correlation import (
+    _gram_and_trace,
     gaussian_local_scattering,
     ris_element_positions,
     ris_sinc_correlation,
@@ -22,7 +23,7 @@ LAM = 299792458.0 / 1.9e9
 
 
 def _sinc(n_h, n_v, d_h, d_v):
-    return ris_sinc_correlation(ris_element_positions(n_h, n_v, d_h, d_v), LAM)
+    return ris_sinc_correlation(n_h, n_v, d_h, d_v, LAM)
 
 
 def test_element_positions_grid():
@@ -44,20 +45,60 @@ def test_sinc_quarter_wavelength_adjacent_value():
 
 
 def test_sinc_matches_pairwise_distance_formula():
-    pos = ris_element_positions(3, 2, LAM / 4, LAM / 3)
-    r = ris_sinc_correlation(pos, LAM)
-    for i in range(6):
-        for j in range(6):
-            d = np.linalg.norm(pos[i] - pos[j])
-            x = 2.0 * d / LAM
-            expect = 1.0 if x == 0 else np.sin(np.pi * x) / (np.pi * x)
-            assert r[i, j] == pytest.approx(expect, rel=1e-12)
+    """The lag-table R of a grid with unequal spacings, square or not, is
+    the pairwise sinc of the element distances, exactly symmetric with a
+    unit diagonal."""
+    for n_h, n_v in [(3, 2), (3, 5), (5, 3), (1, 7), (7, 1)]:
+        n = n_h * n_v
+        pos = ris_element_positions(n_h, n_v, LAM / 4, LAM / 3)
+        r = ris_sinc_correlation(n_h, n_v, LAM / 4, LAM / 3, LAM)
+        for i in range(n):
+            for j in range(n):
+                d = np.linalg.norm(pos[i] - pos[j])
+                x = 2.0 * d / LAM
+                expect = 1.0 if x == 0 else np.sin(np.pi * x) / (np.pi * x)
+                assert r[i, j] == pytest.approx(expect, rel=1e-12)
+        assert np.array_equal(r, r.T)
+        assert np.all(np.diag(r) == 1.0)
 
 
 def test_sinc_correlation_symmetric_psd():
     r = _sinc(4, 4, LAM / 8, LAM / 8)
     assert np.allclose(r, r.T)
     assert np.linalg.eigvalsh(r).min() > -1e-10
+
+
+def _elementwise_gram_and_trace(R, phi, hbar):
+    """G_m^H (R G_m) as complex products and tr(Phi R Phi^H R) entrywise."""
+    g = phi.conj()[None, :, None] * hbar
+    gram = g.conj().transpose(0, 2, 1) @ (R @ g)
+    trace = float(np.sum(phi[:, None] * R * phi.conj()[None, :] * R.T).real)
+    return gram, trace
+
+
+@pytest.mark.parametrize("side", [4, 12])
+def test_gram_and_trace_match_the_elementwise_formulas(side):
+    """The real-arithmetic Gram and trace are the complex entrywise ones at
+    N = 16 and 144: on a drop's surface and with random phases and means,
+    which the drop's uniform phases and equal antenna columns cannot tell
+    apart from a conjugate or transpose."""
+    cfg = SystemConfig(
+        n_aps=3, n_ues=2, n_ap_antennas=3, ris_width_elements=side,
+        ris_height_elements=side, ris_phase=0.7,
+    )
+    surface = surface_statistics(generate_scenario(cfg, np.random.default_rng(3)), cfg)
+    gram, trace = _elementwise_gram_and_trace(surface.R, surface.phi, surface.hbar)
+    np.testing.assert_allclose(surface.gram, gram, rtol=1e-13, atol=0.0)
+    assert surface.trace == pytest.approx(trace, rel=1e-13)
+
+    rng = np.random.default_rng(side)
+    n = side * side
+    phi = np.exp(2j * np.pi * rng.uniform(size=n))
+    hbar = rng.standard_normal((3, n, 3)) + 1j * rng.standard_normal((3, n, 3))
+    got_gram, got_trace = _gram_and_trace(surface.R, phi, hbar)
+    gram, trace = _elementwise_gram_and_trace(surface.R, phi, hbar)
+    np.testing.assert_allclose(got_gram, gram, rtol=1e-13, atol=1e-13 * np.abs(gram).max())
+    assert got_trace == pytest.approx(trace, rel=1e-13)
 
 
 def test_surface_element_area():
@@ -98,9 +139,13 @@ def test_local_scattering_matches_direct_quadrature():
     np.testing.assert_allclose(r[:, 0], _quad_row(theta, sigma, 3, 0.5), rtol=0, atol=1e-6)
 
 
-@pytest.mark.parametrize("n_antennas", [1, 2, 4, 8])
+@pytest.mark.parametrize("n_antennas", [1, 2, 4, 8, 16])
 def test_local_scattering_powers_match_one_exponential_per_offset(n_antennas):
-    """Powers of one exponential per node give every offset's row (order-240 reference)."""
+    """Powers of one exponential per node give every offset's row (order-240 reference).
+
+    At 16 antennas the series runs to the longest tail of the recurrence
+    (Q = 160 orders, powers of exp(j theta) up to 80).
+    """
     theta = np.linspace(-3.0, 3.0, 7)
     sigma, spacing = np.deg2rad(15.0), 0.5
     r = gaussian_local_scattering(1.0, theta, sigma, n_antennas, spacing)

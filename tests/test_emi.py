@@ -7,7 +7,7 @@ import pytest
 from riscf.emi import emi_noise_covariance, sample_emi, sigma_r2_from_rho
 from riscf.linalg import hermitize, psd_factor
 from riscf.config import SystemConfig
-from riscf.correlation import ris_element_positions, ris_sinc_correlation
+from riscf.correlation import ris_sinc_correlation
 
 from conftest import make_link
 from dense_reference import draw
@@ -51,7 +51,7 @@ def surface():
     """EMI power sigma_r^2 A_r, the correlation R and its factor F_R."""
     cfg = SystemConfig()
     size = 0.25 * cfg.wavelength
-    r = ris_sinc_correlation(ris_element_positions(4, 4, size, size), cfg.wavelength)
+    r = ris_sinc_correlation(4, 4, size, size, cfg.wavelength)
     return 2.0 * size * size, r, psd_factor(r)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from riscf import uatf
 from riscf.config import SystemConfig
-from riscf.se import closed_form_moments, spectral_efficiency
+from riscf.se import _real_part, closed_form_moments, spectral_efficiency
 from riscf.uatf import combine, optimal_lsfd_weights, uatf_sinr
 from closed_form_reference import paper_terms, terms_moments
 from conftest import make_link
@@ -142,6 +142,39 @@ def test_closed_form_moments_map_the_paper_terms(antennas, mode, random_los, val
         np.testing.assert_allclose(
             getattr(got, name), getattr(want, name), rtol=1e-12, atol=0.0, err_msg=name
         )
+
+
+def test_planted_imaginary_residue_is_refused(validation_link):
+    """An omega whose trace carries an imaginary residue above 1e-9 is refused.
+
+    The statistics of this link lie far below unit magnitude, so the bound
+    is 1e-9 absolute: a residue of 1e-12 per diagonal entry still passes.
+    """
+    est = validation_link.est
+    eye = np.eye(est.omega.shape[-1])
+    for residue, refused in ((1e-8, True), (1e-12, False)):
+        omega = est.omega + 1j * residue * eye
+        link = dataclasses.replace(validation_link, est=dataclasses.replace(est, omega=omega))
+        if refused:
+            with pytest.raises(ValueError, match="trace of omega"):
+                closed_form_moments(link)
+        else:
+            closed_form_moments(link)
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e3])
+def test_real_part_bound_is_relative_above_unit_magnitude(scale):
+    """The residue may reach 1e-9 times max(largest magnitude, 1), no more."""
+    values = np.array([scale, -0.5 * scale, 0.0], dtype=complex)
+    bound = 1e-9 * max(scale, 1.0)
+    for sign in (1.0, -1.0):
+        passed = values.copy()
+        passed[2] += 1j * sign * 0.99 * bound
+        np.testing.assert_array_equal(_real_part(passed, "x"), values.real)
+        refused = values.copy()
+        refused[2] += 1j * sign * 1.01 * bound
+        with pytest.raises(ValueError, match="x has a non-negligible imaginary part"):
+            _real_part(refused, "x")
 
 
 def test_equal_weights_is_ones_path(validation_moments, validation_config):
