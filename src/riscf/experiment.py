@@ -26,7 +26,6 @@ import json
 import math
 import time
 from collections.abc import Callable, Hashable, Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -46,7 +45,7 @@ from .config import (
     with_fields,
 )
 from .linalg import one_blas_thread
-from .montecarlo import estimate_uatf_terms
+from .montecarlo import estimate_uatf_terms, in_order
 from .pipeline import LinkStatistics, build_drop_statistics, build_link_statistics, link_mode
 from .power import aggregate_gain, fractional_power_control, maxmin_power_control
 from .scenario import generate_scenario
@@ -324,8 +323,10 @@ def run_experiment(
     value, and each mode as the mapping of its ``config.MODES`` fields.
     Every row is labelled by its ``mode_*`` columns, one per mode field.
     ``mc_trials`` overrides the spec's Monte Carlo budget when given.
-    Each (sweep value, scenario) drop is one unit of work, and ``threads``
-    runs that many drops in parallel; both must be integers, not booleans.
+    Each (sweep value, scenario) drop is one unit of work, and
+    ``montecarlo.in_order`` runs ``threads`` drops in parallel, or each on
+    the calling thread when ``threads`` is 1; seed and thread count must be
+    integers, not booleans.
     For the whole run OpenBLAS is held at one thread
     (``linalg.one_blas_thread``, restored when the run returns or raises),
     and each Monte Carlo estimate runs its chunks on up to
@@ -349,23 +350,12 @@ def run_experiment(
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
-    drops = [
-        (sweep_idx, scen_idx)
+    drops = (
+        (spec, seed, sweep_idx, scen_idx, trials)
         for sweep_idx in range(len(spec.sweep_values))
         for scen_idx in range(spec.n_scenarios)
-    ]
-
-    def execute(drop: tuple[int, int]) -> list[dict]:
-        return _run_drop(spec, seed, *drop, trials)
-
-    if threads == 1:  # inline: a one-worker pool would add its start-up and no parallelism
-        outputs = [execute(drop) for drop in drops]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(execute, drop) for drop in drops]
-            outputs = [future.result() for future in futures]
-
-    rows = [row for chunk in outputs for row in chunk]
+    )
+    rows = [row for drop_rows in in_order(_run_drop, drops, threads) for row in drop_rows]
     csv_path = out_dir / "results.csv"
     with csv_path.open("w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS, lineterminator="\n")

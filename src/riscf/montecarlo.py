@@ -18,8 +18,9 @@ onto the weights a, a (K, K) matrix per trial, which is all the bound of
 those weights reads.
 
 Trials run in chunks, up to ``CHUNK_WORKERS`` of them at once on worker
-threads (fewer where fewer CPUs are usable), with OpenBLAS held at one
-thread (``linalg.one_blas_thread``).  Memory is bounded by ``CHUNK_BYTES``,
+threads (``in_order``; fewer where fewer CPUs are usable or there are fewer
+chunks, and none where one chunk or one CPU leaves a single worker), with
+OpenBLAS held at one thread (``linalg.one_blas_thread``).  Memory is bounded by ``CHUNK_BYTES``,
 which the chunks in flight share: a chunk holds as many trials as fit
 ``CHUNK_BYTES // CHUNK_WORKERS`` (``chunk_trials``), at most
 ``CHUNK_TRIALS``, counted from the shapes alone.  Chunk i draws from the
@@ -189,13 +190,18 @@ def _workers() -> int:
     return min(CHUNK_WORKERS, usable)
 
 
-def _in_order(fn: Callable, jobs: Iterable[tuple], workers: int) -> Iterator:
+def in_order(fn: Callable, jobs: Iterable[tuple], workers: int) -> Iterator:
     """``fn(*job)`` of each job, in job order, with at most ``workers`` running.
 
-    A pool of ``workers`` threads runs them, and a job is taken from
-    ``jobs`` only once the result ``workers`` jobs before it has been
+    With one worker the jobs run on the caller's thread, one after another.
+    Otherwise a pool of ``workers`` threads runs them, and a job is taken
+    from ``jobs`` only once the result ``workers`` jobs before it has been
     handed out, so only one more job waits in the pool's queue than it runs.
+    A job's exception is raised where its result would have been handed out.
     """
+    if workers == 1:
+        yield from (fn(*job) for job in jobs)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for job in jobs:
@@ -222,8 +228,9 @@ def estimate_uatf_terms(
     ``weights`` a only the projections g_ki = sum_m a_mk^* v_mk^H o_mi are
     kept, one (K, M L) by (M L, K) product per trial (see
     ``UatfEstimates``). Trials run in chunks of ``chunk_trials`` on up to
-    ``CHUNK_WORKERS`` threads, chunk i on the i-th child of ``rng``, with
-    OpenBLAS at one thread; ``trials`` must be a positive count.
+    ``CHUNK_WORKERS`` threads, no more than there are chunks (one chunk
+    runs on the caller's thread), chunk i on the i-th child of ``rng``,
+    with OpenBLAS at one thread; ``trials`` must be a positive count.
     """
     require_count(trials, "trials", 1)
     cfg = link.config
@@ -251,10 +258,11 @@ def estimate_uatf_terms(
         return d, e, (left @ right)[..., None]
 
     size = chunk_trials(cfg)
+    starts = range(0, trials, size)
     # spawned lazily, in chunk order, as the chunks are handed to the workers
-    jobs = ((min(size, trials - start), rng.spawn(1)[0]) for start in range(0, trials, size))
+    jobs = ((min(size, trials - start), rng.spawn(1)[0]) for start in starts)
     with one_blas_thread():
-        for d, e, g in _in_order(chunk, jobs, _workers()):
+        for d, e, g in in_order(chunk, jobs, min(_workers(), len(starts))):
             acc_d.update(d)
             acc_e.update(e)
             acc_u.update(g)

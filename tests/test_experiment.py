@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from riscf import correlation, experiment, linalg, pipeline, uatf
+from riscf import correlation, experiment, linalg, montecarlo, pipeline, uatf
 from riscf.cli import main
 from riscf.config import SystemConfig
 from riscf.experiment import (
@@ -393,6 +393,23 @@ def test_run_experiment_deterministic_across_threads(micro_spec, tmp_path):
     b = (tmp_path / "b" / "results.csv").read_bytes()
     c = (tmp_path / "c" / "results.csv").read_bytes()
     assert a == b == c
+
+
+def test_one_thread_run_starts_no_thread_pool(micro_spec, tmp_path, monkeypatch):
+    """At ``threads=1`` the drops run on the caller's thread, and so do the
+    Monte Carlo estimates, one chunk each here: no pool is started, and the
+    results are those of a run on three drop threads."""
+    run_experiment(micro_spec, seed=11, out_dir=tmp_path / "pooled", threads=3)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+    run_experiment(micro_spec, seed=11, out_dir=tmp_path / "inline", threads=1)
+    pooled = (tmp_path / "pooled" / "results.csv").read_bytes()
+    assert (tmp_path / "inline" / "results.csv").read_bytes() == pooled
+    with pytest.raises(AssertionError, match="thread pool"):
+        run_experiment(micro_spec, seed=11, out_dir=tmp_path / "again", threads=2)
 
 
 def test_run_holds_blas_at_one_thread_and_restores_it(micro_spec, tmp_path, monkeypatch):

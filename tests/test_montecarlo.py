@@ -1,5 +1,7 @@
 """Simulation oracle: streaming moments and moment-based SINR assembly."""
 import dataclasses
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -186,6 +188,49 @@ def test_estimate_is_bit_identical_across_worker_counts(oracle_link, workers, mo
         a, b = getattr(one, name), getattr(threaded, name)
         assert a.trials == b.trials == trials
         assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std_error, b.std_error)
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was started")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_in_order_keeps_job_order_and_reraises(workers, monkeypatch):
+    """Results come in job order whatever the worker count, and a job's
+    exception reaches the caller. One worker runs every job on the caller's
+    thread and starts no pool."""
+    if workers == 1:
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_pool)
+    ran_on = []
+
+    def job(i, delay):
+        ran_on.append(threading.get_ident())
+        time.sleep(delay)
+        if i == 5:
+            raise ValueError("job 5")
+        return i
+
+    jobs = [(i, 0.002 * (i % 3 == 0)) for i in range(8)]
+    assert list(montecarlo.in_order(job, jobs[:5], workers)) == list(range(5))
+    results = montecarlo.in_order(job, jobs, workers)
+    assert [next(results) for _ in range(5)] == list(range(5))
+    with pytest.raises(ValueError, match="job 5"):
+        next(results)
+    if workers == 1:
+        assert set(ran_on) == {threading.get_ident()}
+
+
+def test_one_chunk_estimate_starts_no_thread(tiny_link, monkeypatch):
+    """An estimate of one chunk runs it on the caller's thread, even where
+    two chunk workers are usable."""
+    cfg = tiny_link.config
+    weights = np.ones((cfg.n_aps, cfg.n_ues), dtype=complex)
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_pool)
+    est = estimate_uatf_terms(tiny_link, chunk_trials(cfg), np.random.default_rng(4), weights)
+    assert est.u.trials == chunk_trials(cfg)
+    with pytest.raises(AssertionError, match="thread pool"):
+        estimate_uatf_terms(tiny_link, chunk_trials(cfg) + 1, np.random.default_rng(4), weights)
 
 
 def _sums_bytes(cfg):
