@@ -106,11 +106,12 @@ def gaussian_local_scattering(
     E{exp(j n d)} = exp(-n^2 sigma_phi^2 / 2), offset l is beta_nlos
     sum_n J_n(2 pi spacing l) exp(-n^2 sigma_phi^2 / 2) exp(j n theta), and
     offset 0 is exactly beta_nlos, so one antenna needs no series. One FFT
-    of exp(j a sin u) on Q = 2 ceil(a_max) + 64 points gives the J_n(a) of
-    every offset; their aliases J_{n + iQ}(a) decay faster than
-    exponentially for |n| > a, and the largest, J_{Q/2}(a_max), is 8e-24
-    at 4 half-wavelength antennas and 6e-13 at 16 (it grows with a_max).
-    The Gaussian factors fold into that (offset, order) table. Each pair takes one
+    of exp(j a sin u) on Q points gives the J_n(a) of every offset; their
+    aliases J_{n + iQ}(a) decay faster than exponentially for |n| > a, past
+    a transition that widens like a^(1/3), so the margin grows with it:
+    Q / 2 = ceil(a_max) + max(32, ceil(12 a_max^(1/3))). The largest alias,
+    J_{Q/2}(a_max), is 8e-24 at 4 half-wavelength antennas, 3e-19 at 16 and
+    2e-19 at 101. The Gaussian factors fold into that (offset, order) table. Each pair takes one
     exp(j theta) and its powers up to Q / 2 by a cumulative product; the
     negative orders are their conjugates. Each row is one ``einsum``
     against the table, summed elementwise over the Q orders, so a pair's
@@ -124,14 +125,15 @@ def gaussian_local_scattering(
     rows[:, 0] = beta_flat
     if n_antennas > 1:
         a = 2.0 * np.pi * spacing * np.arange(1, n_antennas)
-        q = 2 * int(np.ceil(np.abs(a).max())) + 64
+        a_max = np.abs(a).max()
+        half = int(np.ceil(a_max)) + max(32, int(np.ceil(12.0 * a_max ** (1 / 3))))
+        q = 2 * half
         u = 2.0 * np.pi * np.arange(q) / q
         n = np.fft.fftfreq(q, 1.0 / q)
         bessel = np.fft.fft(np.exp(1j * a[:, None] * np.sin(u))).real / q
         bessel *= np.exp(-0.5 * (n * sigma_phi) ** 2)
         # Order n sits in column n mod Q: orders 1 .. Q/2 - 1 in columns
         # 1 .. Q/2 - 1, orders -1 .. -Q/2 in columns Q - 1 down to Q/2.
-        half = q // 2
         table = np.zeros((2, a.size, half))
         table[0, :, :-1] = bessel[:, 1:half]
         table[1] = bessel[:, : half - 1 : -1]

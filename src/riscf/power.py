@@ -104,12 +104,13 @@ def maxmin_powers(
     bisection from [0, t_hi0], t_hi0 = max_k p_max num_k / d_k, would
     take: when one more step could leave more bisection steps than the
     budget has left, the rest of the bracket is bisected with
-    ``least_powers`` and each of those steps counts too.  The powers are
-    the least powers reaching ``target`` = t_lo, so every UE ends at the
-    same SINR.  Where t_lo is t* itself, rounding can put them a few ulps
-    above p_max; they are then scaled back into the box, which moves each
-    SINR by as little.  Should that solve fail, the fixed-point powers that
-    certified t_lo are returned.
+    ``least_powers`` and each of those steps counts too; a step moves only
+    t_lo or t_hi.  However the bracket closed, one last ``least_powers``
+    solve at ``target`` = t_lo gives the powers, the least that reach it,
+    so every UE ends at the same SINR.  Where t_lo is t* itself, rounding
+    can put them a few ulps above p_max; they are then scaled back into
+    the box, which moves each SINR by as little.  Should that solve fail,
+    the fixed-point powers that certified t_lo are returned.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -137,18 +138,15 @@ def maxmin_powers(
         p = p_max * (p / p.max())
         iterations += 1
 
-    powers = None
     while t_hi - t_lo > tol:
         t = 0.5 * (t_lo + t_hi)
-        least = least_powers(num, c, d, t, p_max)
         iterations += 1
-        if least is not None:
-            t_lo, powers = t, least
-        else:
+        if least_powers(num, c, d, t, p_max) is None:
             t_hi = t
-    if powers is None:
-        powers = least_powers(num, c, d, t_lo, p_max * (1 + 1e-9))
-        powers = witness if powers is None else powers * min(1.0, p_max / powers.max())
+        else:
+            t_lo = t
+    powers = least_powers(num, c, d, t_lo, p_max * (1 + 1e-9))
+    powers = witness if powers is None else powers * min(1.0, p_max / powers.max())
     achieved = powers * num / (c @ powers + d)
     if achieved.min() < t_lo - 1e-8 * max(t_lo, 1.0):
         raise RuntimeError("max-min powers fall short of the certified target")

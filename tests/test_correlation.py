@@ -144,7 +144,7 @@ def test_local_scattering_powers_match_one_exponential_per_offset(n_antennas):
     """Powers of one exponential per node give every offset's row (order-240 reference).
 
     At 16 antennas the series runs to the longest tail of the recurrence
-    (Q = 160 orders, powers of exp(j theta) up to 80).
+    (Q = 184 orders, powers of exp(j theta) up to 92).
     """
     theta = np.linspace(-3.0, 3.0, 7)
     sigma, spacing = np.deg2rad(15.0), 0.5
@@ -155,6 +155,19 @@ def test_local_scattering_powers_match_one_exponential_per_offset(n_antennas):
     phases = np.exp(2j * np.pi * spacing * offsets[:, None] * angles[:, None, :])
     row = phases @ weights / np.sqrt(np.pi)
     np.testing.assert_allclose(r[:, :, 0], row, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n_antennas", [16, 64, 101])
+def test_local_scattering_series_margin_grows_with_the_array(n_antennas):
+    """At a spread too small to damp the high orders, the rows of long
+    half-wavelength arrays meet the order-240 Gauss-Hermite reference
+    to 1e-12: the aliased orders stay below rounding as a_max grows."""
+    theta, sigma, spacing = 0.3, 1e-4, 0.5
+    r = gaussian_local_scattering(1.0, theta, sigma, n_antennas, spacing)
+    nodes, weights = np.polynomial.hermite.hermgauss(240)
+    angles = np.sin(theta + np.sqrt(2.0) * sigma * nodes)
+    phases = np.exp(2j * np.pi * spacing * np.arange(n_antennas)[:, None] * angles)
+    np.testing.assert_allclose(r[:, 0], phases @ weights / np.sqrt(np.pi), rtol=0, atol=1e-12)
 
 
 def test_local_scattering_small_spread_is_nearly_rank_one():

@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from riscf.config import SystemConfig
 from riscf.scenario import (
+    chordal_distance,
     correlated_shadow_fading,
     generate_scenario,
     path_loss_db,
     rician_factor,
+    shadow_field_factor,
     torus_distance,
     wrap_displacement,
 )
@@ -186,11 +188,6 @@ def test_propagation_fields_move_the_scenario(field, value, moved):
     assert np.allclose(scen.kappa_k, rician_factor(scen.d_k, *rician))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 3: the shadow-field kernel std^2 2^(-d/decorr) on torus "
-    "distances is not PSD, so psd_factor refuses the drop",
-)
 @pytest.mark.parametrize(
     "shape",
     [{"n_aps": 20}, {"n_ues": 40, "tau_p": 10}],
@@ -206,3 +203,46 @@ def test_correlated_shadowing_builds_many_aps_and_ues(shape):
         except ValueError as err:
             failed[seed] = str(err)
     assert not failed, f"{len(failed)}/20 seeds fail: {failed}"
+
+
+def test_chordal_kernel_stays_near_the_wrap_around_kernel_at_short_range():
+    """With d_w the wrap-around distance, sin x >= x (1 - x^2 / 6) puts the
+    chordal distance d in [d_w (1 - (pi d_w / side)^2 / 6), d_w], so the
+    kernel 2^(-d/decorr) lies at or above 2^(-d_w/decorr) and within the
+    factor 2^(d_w (pi d_w / side)^2 / (6 decorr)) of it: 1.8% below a
+    quarter of the side at the default side and decorrelation distance."""
+    cfg = SystemConfig()
+    side, decorr = cfg.area_side, cfg.shadow_decorr
+    rng = np.random.default_rng(3)
+    p = rng.uniform(0, side, (300, 2))
+    d_w = torus_distance(p, p, side)
+    d = chordal_distance(p, p, side)
+    kernel, wrapped = np.exp2(-d / decorr), np.exp2(-d_w / decorr)
+    assert np.all(d <= d_w * (1 + 1e-12))
+    assert np.all(d >= d_w * (1 - (np.pi * d_w / side) ** 2 / 6) - 1e-9)
+    excess = kernel / wrapped - 1.0
+    assert np.all(excess >= -1e-12)
+    assert np.all(excess <= np.exp2(d_w * (np.pi * d_w / side) ** 2 / (6 * decorr)) - 1 + 1e-12)
+    near = d_w <= side / 4
+    assert near.sum() > 1000 and excess[near].max() <= 0.018
+
+
+def test_shadow_field_sample_correlation_matches_the_chordal_kernel():
+    """The AP field's sample covariance over 20000 draws meets
+    std^2 2^(-d/decorr) on chordal distances within 4.5 standard errors at
+    every pair, among them pairs across the wrap and at half the side, where
+    the wrap-around kernel would miss by more than 10."""
+    cfg = SystemConfig()
+    side, std, decorr = cfg.area_side, cfg.shadow_std_db, cfg.shadow_decorr
+    pos = np.array(
+        [[5.0, 5.0], [95.0, 5.0], [30.0, 70.0], [80.0, 20.0], [55.0, 55.0], [50.0, 5.0]]
+    )
+    draws = shadow_field_factor(pos, side, std, decorr) @ np.random.default_rng(9).standard_normal(
+        (len(pos), 20000)
+    )
+    sample = draws @ draws.T / draws.shape[1]
+    kernel = std**2 * np.exp2(-chordal_distance(pos, pos, side) / decorr)
+    std_error = np.sqrt((kernel**2 + np.outer(np.diag(kernel), np.diag(kernel))) / draws.shape[1])
+    assert np.all(np.abs(sample - kernel) <= 4.5 * std_error)
+    wrapped = std**2 * np.exp2(-torus_distance(pos, pos, side) / decorr)
+    assert np.max(np.abs(sample - wrapped) / std_error) > 10
