@@ -324,9 +324,10 @@ def run_experiment(
     Every row is labelled by its ``mode_*`` columns, one per mode field.
     ``mc_trials`` overrides the spec's Monte Carlo budget when given.
     Each (sweep value, scenario) drop is one unit of work, and
-    ``montecarlo.in_order`` runs ``threads`` drops in parallel, or each on
-    the calling thread when ``threads`` is 1; seed and thread count must be
-    integers, not booleans.
+    ``montecarlo.in_order`` runs up to ``threads`` drops in parallel, no
+    more than there are drops, or each on the calling thread when that
+    leaves one worker; seed and thread count must be integers, not
+    booleans.
     For the whole run OpenBLAS is held at one thread
     (``linalg.one_blas_thread``, restored when the run returns or raises),
     and each Monte Carlo estimate runs its chunks on up to
@@ -350,12 +351,13 @@ def run_experiment(
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
-    drops = (
+    drops = [
         (spec, seed, sweep_idx, scen_idx, trials)
         for sweep_idx in range(len(spec.sweep_values))
         for scen_idx in range(spec.n_scenarios)
-    )
-    rows = [row for drop_rows in in_order(_run_drop, drops, threads) for row in drop_rows]
+    ]
+    workers = min(threads, len(drops))
+    rows = [row for drop_rows in in_order(_run_drop, drops, workers) for row in drop_rows]
     csv_path = out_dir / "results.csv"
     with csv_path.open("w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS, lineterminator="\n")

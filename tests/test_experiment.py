@@ -395,10 +395,11 @@ def test_run_experiment_deterministic_across_threads(micro_spec, tmp_path):
     assert a == b == c
 
 
-def test_one_thread_run_starts_no_thread_pool(micro_spec, tmp_path, monkeypatch):
-    """At ``threads=1`` the drops run on the caller's thread, and so do the
-    Monte Carlo estimates, one chunk each here: no pool is started, and the
-    results are those of a run on three drop threads."""
+def test_one_worker_runs_start_no_thread_pool(micro_spec, tmp_path, monkeypatch):
+    """At ``threads=1``, or with one drop, the drops run on the caller's
+    thread, and so do the Monte Carlo estimates, one chunk each here: no
+    pool is started, and the results are those of a run on drop threads."""
+    one_drop = write_spec(tmp_path / "one.yaml", dict(MICRO, n_scenarios=1))
     run_experiment(micro_spec, seed=11, out_dir=tmp_path / "pooled", threads=3)
 
     def no_pool(*args, **kwargs):
@@ -408,6 +409,7 @@ def test_one_thread_run_starts_no_thread_pool(micro_spec, tmp_path, monkeypatch)
     run_experiment(micro_spec, seed=11, out_dir=tmp_path / "inline", threads=1)
     pooled = (tmp_path / "pooled" / "results.csv").read_bytes()
     assert (tmp_path / "inline" / "results.csv").read_bytes() == pooled
+    run_experiment(one_drop, seed=11, out_dir=tmp_path / "one", threads=3)
     with pytest.raises(AssertionError, match="thread pool"):
         run_experiment(micro_spec, seed=11, out_dir=tmp_path / "again", threads=2)
 
