@@ -111,11 +111,11 @@ def gaussian_local_scattering(
     a transition that widens like a^(1/3), so the margin grows with it:
     Q / 2 = ceil(a_max) + max(32, ceil(12 a_max^(1/3))). The largest alias,
     J_{Q/2}(a_max), is 8e-24 at 4 half-wavelength antennas, 3e-19 at 16 and
-    2e-19 at 101. The Gaussian factors fold into that (offset, order) table. Each pair takes one
-    exp(j theta) and its powers up to Q / 2 by a cumulative product; the
-    negative orders are their conjugates. Each row is one ``einsum``
-    against the table, summed elementwise over the Q orders, so a pair's
-    row does not depend on the batch around it.
+    2e-19 at 101. The Gaussian factors fold into that (offset, order)
+    table. Each pair takes one exp(j theta) and its powers up to Q / 2 by a
+    cumulative product; the negative orders are their conjugates. Each row
+    is one ``einsum`` against the table, summed elementwise over the Q
+    orders, so a pair's row does not depend on the batch around it.
     """
     if sigma_phi <= 0.0:
         raise ValueError("sigma_phi must be positive")

@@ -20,14 +20,14 @@ those weights reads.
 Trials run in chunks, up to ``CHUNK_WORKERS`` of them at once on worker
 threads (``in_order``; fewer where fewer CPUs are usable or there are fewer
 chunks, and none where one chunk or one CPU leaves a single worker), with
-OpenBLAS held at one thread (``linalg.one_blas_thread``).  Memory is bounded by ``CHUNK_BYTES``,
-which the chunks in flight share: a chunk holds as many trials as fit
-``CHUNK_BYTES // CHUNK_WORKERS`` (``chunk_trials``), at most
-``CHUNK_TRIALS``, counted from the shapes alone.  Chunk i draws from the
-i-th child of the caller's generator (``Generator.spawn``), and the
-chunks' statistics enter the sums in chunk order, so an estimate is
-bit-for-bit the same whatever the worker count, the CPU count or the
-schedule of the surrounding run.
+OpenBLAS held at one thread (``linalg.one_blas_thread``).  Memory is
+bounded by ``CHUNK_BYTES``, which the chunks in flight share: a chunk
+holds as many trials as fit ``CHUNK_BYTES // CHUNK_WORKERS``
+(``chunk_trials``), at most ``CHUNK_TRIALS``, counted from the shapes
+alone.  Chunk i draws from the i-th child of the caller's generator
+(``Generator.spawn``), and the chunks' statistics enter the sums in chunk
+order, so an estimate is bit-for-bit the same whatever the worker count,
+the CPU count or the schedule of the surrounding run.
 
 The dense oracle that keeps u and its AP-to-AP second moment, with every
 H formed, lives beside the tests (``tests/dense_reference.py``).
