@@ -35,24 +35,22 @@ def aggregated_covariance(r_direct: np.ndarray, surface: Surface) -> ChannelStat
     """Mean and covariance of o_mk from the direct links and the surface.
 
     The covariance is R_mk + Hbar^H Phi Rtilde_k Phi^H Hbar + Q1 + Q2.
-    With Rtilde_k = gain_k R the cascade term is gain_k G_m^H R G_m, the
-    surface's ``gram``. Q1 carries the NLoS RIS-to-AP response to the LoS
-    RIS-to-UE direction, gain_m (Phi zbar_k)^H R (Phi zbar_k) R_m, and Q2
-    the response to the NLoS RIS-to-UE covariance,
-    gain_m gain_k tr(Phi R Phi^H R) R_m, with the surface's ``trace``. The
-    LoS mean and the quadratic forms of Phi zbar_k are GEMMs.
+    The RIS-to-UE NLoS part has covariance Rtilde_k = gain_k R, so the
+    cascade term plus Q2, its response at AP m through the LoS and NLoS
+    RIS-to-AP channels, is gain_k C_m with C_m the surface's
+    ``reflection``. Q1 carries the NLoS RIS-to-AP response to the LoS
+    RIS-to-UE direction, gain_m (Phi zbar_k)^H R (Phi zbar_k) R_m. The LoS
+    mean and the quadratic forms of Phi zbar_k are GEMMs.
     """
     s = surface
     phi_z = s.phi[None, :] * s.zbar
     obar = phi_z @ s.hbar.conj()
-    cascade = s.gain_k[None, :, None, None] * s.gram[:, None]
+    reflected = s.gain_k[None, :, None, None] * s.reflection[:, None]
 
     z_quad = np.sum((phi_z.conj() @ s.R) * phi_z, axis=1).real
     q1_scale = s.gain_m[:, None] * z_quad[None, :]
-    q2_scale = s.gain_m[:, None] * s.gain_k[None, :] * s.trace
     q1 = q1_scale[:, :, None, None] * s.r_m[:, None]
-    q2 = q2_scale[:, :, None, None] * s.r_m[:, None]
-    return ChannelStatistics(obar=obar, r_o=r_direct + cascade + q1 + q2, r_direct=r_direct)
+    return ChannelStatistics(obar=obar, r_o=r_direct + reflected + q1, r_direct=r_direct)
 
 
 class ChannelSampler:

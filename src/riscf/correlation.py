@@ -1,7 +1,7 @@
 """The RIS of one drop: its correlation, phases and the statistics of both hops.
 
 Covers the sinc-kernel RIS correlation, Gaussian local scattering at the
-APs, and ``Surface``, the one record that the cascade term, Q1, Q2, the
+APs, and ``Surface``, the one record that the aggregated covariance, the
 EMI covariance and every Monte Carlo reflection read: the steering-vector
 LoS means, the Kronecker NLoS covariances of the RIS-to-AP channels and
 the RIS-to-UE covariances, all kept in their shared structure.
@@ -29,8 +29,8 @@ class Surface:
     with r_m the (M, L, L) AP-side factors of trace L, and the RIS-to-UE
     channel of UE k has covariance gain_k[k] R; no (NL x NL) matrix is ever
     formed. ``gram`` is G_m^H R G_m with G_m = Phi^H Hbar_m, stacked to
-    (M, L, L), and ``trace`` is tr(Phi R Phi^H R), shared by Q2 and the EMI
-    term Q_m.
+    (M, L, L), and ``trace`` is tr(Phi R Phi^H R); ``reflection`` combines
+    them.
     """
 
     R: np.ndarray
@@ -43,6 +43,17 @@ class Surface:
     gain_k: np.ndarray
     gram: np.ndarray
     trace: float
+
+    @property
+    def reflection(self) -> np.ndarray:
+        """C_m = G_m^H R G_m + gain_m tr(Phi R Phi^H R) R_m, (M, L, L).
+
+        The covariance at AP m of a field with covariance R reflected by
+        the surface: its LoS part through Hbar_m and its NLoS part through
+        the Kronecker RIS-to-AP covariance. The cascade term plus Q2 is
+        gain_k C_m, and the EMI covariance R_mm is sigma_r^2 A_r C_m.
+        """
+        return self.gram + (self.gain_m * self.trace)[:, None, None] * self.r_m
 
     def off(self) -> Surface:
         """The surface switched off: zero LoS means, NLoS gains and Gram."""

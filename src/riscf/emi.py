@@ -35,17 +35,15 @@ def sigma_r2_from_rho(rho_db: float, p_max: float, beta_m: np.ndarray) -> float:
 
 
 def emi_noise_covariance(surface: Surface, sigma_r2: float) -> np.ndarray:
-    """EMI covariance R_mm = sigma_r^2 A_r Hbar^H Phi R Phi^H Hbar + Q_m, (M, L, L).
+    """EMI covariance R_mm = sigma_r^2 A_r C_m, (M, L, L).
 
-    The LoS part is sigma_r^2 A_r G_m^H R G_m with G_m = Phi^H Hbar_m, the
-    surface's ``gram``; the NLoS part is
-    Q_m = sigma_r^2 A_r gain_m tr(Phi R Phi^H R) R_m, with the same
-    ``trace`` as in Q2. The pilot-phase noise covariance is
-    tau_p R_mm + tau_p sigma^2 I, assembled by the caller.
+    C_m is the surface's ``reflection``, the LoS part G_m^H R G_m with
+    G_m = Phi^H Hbar_m plus the NLoS part gain_m tr(Phi R Phi^H R) R_m: the
+    matrix that the cascade term plus Q2 scales by gain_k. The pilot-phase
+    noise covariance is tau_p R_mm + tau_p sigma^2 I, assembled by the
+    caller.
     """
-    scale = sigma_r2 * surface.element_area
-    q_m = (scale * surface.gain_m * surface.trace)[:, None, None] * surface.r_m
-    return scale * surface.gram + q_m
+    return sigma_r2 * surface.element_area * surface.reflection
 
 
 def sample_emi(

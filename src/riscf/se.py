@@ -59,55 +59,39 @@ def closed_form_moments(link: LinkStatistics) -> UatfMoments:
     removed, every UE's simulated SINR falls well below this bound
     (``tests/test_montecarlo.py::test_run_path_matches_closed_form_sinr``).
 
-    Every (k, i) statistic is a trace against R_mi or Omega_mk, so each is
-    one batched GEMM per AP on the flattened L^2 axis, (M, K, L^2) @
-    (M, L^2, K): tr(Omega_mk R_mi), tr(X_mk R_mi) and the LoS forms
-    against P_mk = vec(conj(obar_mk) obar_mk^T), with obar^H obar an
-    (M, K, L) @ (M, L, K) product; w's two terms are GEMMs against the
-    flattened R_mm.
+    Each statistic is a trace against the estimate's second moment
+    D_mk = E{v_mk v_mk^H} = p_hat tau_p Omega_mk + obar_mk obar_mk^H:
+    z = tr D_mk, xi[k, i, m] = tr(D_mk S_mi) with S_mi = R^o_mi +
+    obar_mi obar_mi^H the channel's second moment, and w = tr(D_mk R_mm).
+    On the flattened L^2 axis xi and varpi = tr(X_mk R^o_mi) are each one
+    batched GEMM per AP, (M, K, L^2) @ (M, L^2, K), and w is one GEMM
+    against the flattened R_mm.
     """
-    stats = link.stats
+    obar = link.stats.obar
     est = link.est
-    obar = stats.obar
-    omega = est.omega
     p_hat = link.assignment.power
     tau_p = link.assignment.tau_p
     n_aps, n_ues, n_antennas = obar.shape
     flat = (n_aps, n_ues, n_antennas * n_antennas)
 
-    trace_omega = _real_part(np.trace(omega, axis1=-2, axis2=-1), "trace of omega")
-    obar_norm2 = _real_part(
-        np.einsum("mka,mka->mk", obar.conj(), obar), "LoS norm"
-    )
-    z = p_hat * tau_p * trace_omega + obar_norm2
+    # tr(D_mk B) = vec(D_mk^T) . vec(B): each GEMM gives [m, k, i], moved
+    # to [k, i, m] for xi.
+    los = obar[..., :, None] * obar.conj()[..., None, :]
+    second = p_hat * tau_p * est.omega + los
+    d_t = second.swapaxes(-1, -2).reshape(flat)
+    s_cols = (link.stats.r_o + los).reshape(flat).swapaxes(1, 2)
+    r_cols = link.stats.r_o.reshape(flat).swapaxes(1, 2)
 
-    # tr(A_mk B_mi) = vec(A_mk^T) . vec(B_mi) and obar^H B obar = P . vec(B):
-    # each GEMM gives [m, k, i], moved to [k, i, m] at the end.
-    r_cols = stats.r_o.reshape(flat).swapaxes(1, 2)
-    omega_t = omega.swapaxes(-1, -2).reshape(flat)
-    los_outer = (obar.conj()[..., :, None] * obar[..., None, :]).reshape(flat)
-    est_cross = omega_t @ r_cols
-    los_through = los_outer @ r_cols
-    los_filtered = omega.reshape(flat) @ los_outer.swapaxes(1, 2)
-    los_inner = obar.conj() @ obar.swapaxes(1, 2)
-    xi = _real_part(
-        (
-            p_hat * tau_p * (est_cross + los_filtered)
-            + los_through
-            + np.abs(los_inner) ** 2
-        ).transpose(1, 2, 0),
-        "interference statistic",
+    z = _real_part(np.trace(second, axis1=-2, axis2=-1), "trace of D")
+    xi = _real_part((d_t @ s_cols).transpose(1, 2, 0), "interference statistic")
+    w = _real_part(
+        (d_t @ link.r_mm.reshape(n_aps, -1, 1))[..., 0], "reflected interference statistic"
     )
+    obar_norm2 = _real_part(np.einsum("mka,mka->mk", obar.conj(), obar), "LoS norm")
+    j2 = obar_norm2**2
 
     varpi = est.x.swapaxes(-1, -2).reshape(flat) @ r_cols
     varpi = varpi.transpose(1, 2, 0) * link.assignment.mask[:, :, None]
-
-    j2 = obar_norm2**2
-    r_mm_col = link.r_mm.reshape(n_aps, -1, 1)
-    w = _real_part(
-        (los_outer @ r_mm_col + p_hat * tau_p * (omega_t @ r_mm_col))[..., 0],
-        "reflected interference statistic",
-    )
 
     u = p_hat * tau_p * varpi
     ues = np.arange(n_ues)

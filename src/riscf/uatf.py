@@ -99,7 +99,10 @@ def optimal_lsfd_weights(
     solves B_k a_k = u_kk with B_k = sum_i p_i cov_ki + sum_{i != k} p_i
     u_ki u_ki^H + diag(sigma^2 d_k + w_k) (Bjornson & Sanguinetti, IEEE
     TWC 2020). All K matrices are built as one (K, M, M) stack and solved
-    together.
+    together, each Jacobi-scaled: with S = diag(B_k)^(-1/2) the solve is
+    (S B_k S) y = S u_kk and a_k = S y. The spread of the APs' large-scale
+    gains then leaves the condition number, so a wide cell-free area is
+    not refused for a badly scaled but well-posed system.
     """
     powers = np.asarray(powers, dtype=float)
     u = moments.u
@@ -113,7 +116,9 @@ def optimal_lsfd_weights(
     else:
         b += spread
     b[:, aps, aps] += diag
-    a = solve_hermitian(b, u[ues, ues][:, :, None])[:, :, 0]
+    scale = 1.0 / np.sqrt(b[:, aps, aps].real)
+    scaled = scale[:, :, None] * b * scale[:, None, :]
+    a = scale * solve_hermitian(scaled, (scale * u[ues, ues])[:, :, None])[:, :, 0]
     return Combining(weights=a.T, sinr=uatf_sinr(moments, a.T, powers, noise_power))
 
 

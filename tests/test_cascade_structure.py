@@ -45,6 +45,8 @@ def test_structured_matches_dense(l, side, emi, ris):
         surface.hbar, surface.phi, surface.R, rtilde_m, link.sigma_r2, surface.element_area
     )
     assert _close(link.r_mm, dense["r_mm"]), "r_mm"
+    reflected = link.sigma_r2 * surface.element_area * surface.reflection
+    assert _close(reflected, dense["r_mm"]), "reflection"
     # the NLoS part Q_m alone: R_mm with the LoS Gram left out
     no_gram = dataclasses.replace(surface, gram=np.zeros_like(surface.gram))
     q_m = emi_noise_covariance(no_gram, link.sigma_r2)

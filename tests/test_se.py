@@ -145,7 +145,8 @@ def test_closed_form_moments_map_the_paper_terms(antennas, mode, random_los, val
 
 
 def test_planted_imaginary_residue_is_refused(validation_link):
-    """An omega whose trace carries an imaginary residue above 1e-9 is refused.
+    """An omega whose trace, and so tr D, carries an imaginary residue above
+    1e-9 is refused.
 
     The statistics of this link lie far below unit magnitude, so the bound
     is 1e-9 absolute: a residue of 1e-12 per diagonal entry still passes.
@@ -156,7 +157,7 @@ def test_planted_imaginary_residue_is_refused(validation_link):
         omega = est.omega + 1j * residue * eye
         link = dataclasses.replace(validation_link, est=dataclasses.replace(est, omega=omega))
         if refused:
-            with pytest.raises(ValueError, match="trace of omega"):
+            with pytest.raises(ValueError, match="trace of D"):
                 closed_form_moments(link)
         else:
             closed_form_moments(link)
