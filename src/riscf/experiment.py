@@ -11,7 +11,9 @@ value, scenario) pair: its scenario and mode-independent statistics are
 built once from its sweep value's config, its link statistics once per
 distinct link key among the modes (``pipeline.link_mode``: the surface
 state, and the EMI state with the surface on), and every mode is
-evaluated on them.  Scenario draws are seeded per scenario index, so they
+evaluated on them.  A drop hands back numbers, the SINR arrays of its
+modes; ``run_experiment`` alone prints them, once, into ``results.csv``.
+Scenario draws are seeded per scenario index, so they
 are shared across sweep values for paired comparisons, and Monte Carlo
 draws per (sweep value, scenario, mode); the emitted CSV is therefore
 byte-identical for a given (spec, seed) regardless of thread count.
@@ -27,6 +29,7 @@ import math
 import time
 from collections.abc import Callable, Hashable, Iterable
 from dataclasses import asdict, dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -254,11 +257,14 @@ def _evaluate_mode(
 
 def _run_drop(
     spec: RunSpec, seed: int, sweep_idx: int, scen_idx: int, mc_trials: int
-) -> list[dict]:
-    """Rows of every mode on one (sweep value, scenario) drop, in spec order.
+) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """Closed-form and Monte Carlo SINR of every mode on one drop, in spec order.
 
-    The scenario and its mode-independent drop statistics are built once,
-    from the sweep value's config (``spec.configs``). Link statistics and
+    The drop is one (sweep value, scenario) pair; the Monte Carlo SINR is
+    ``None`` when ``mc_trials`` is 0. Nothing is printed here: the numbers
+    go back to ``run_experiment``, which writes them. The scenario and its
+    mode-independent drop statistics are built once, from the sweep value's
+    config (``spec.configs``). Link statistics and
     the closed-form moments depend on no mode field but the link key
     (``link_mode``), so each distinct key builds them once on the shared
     drop statistics, which hold the aggregated moments of the surface on.
@@ -267,7 +273,6 @@ def _run_drop(
     combiner's full-power ``combine`` runs at most once, shared by its
     ``full`` and ``maxmin`` modes.
     """
-    value = spec.sweep_values[sweep_idx]
     cfg = spec.configs[sweep_idx]
     scenario = generate_scenario(cfg, _scenario_rng(seed, scen_idx))
     drop = build_drop_statistics(scenario, cfg)
@@ -275,7 +280,7 @@ def _run_drop(
     groups: dict[tuple[str, str], list[int]] = {}
     for mode_idx, mode in enumerate(spec.modes):
         groups.setdefault(link_mode(mode), []).append(mode_idx)
-    sinrs = {}
+    sinrs = [None] * len(spec.modes)
     for mode_indices in groups.values():
         link = build_link_statistics(drop, spec.modes[mode_indices[0]])
         moments = closed_form_moments(link)
@@ -285,28 +290,7 @@ def _run_drop(
             mode = spec.modes[mode_idx]
             sinrs[mode_idx] = _evaluate_mode(cfg, mode, link, moments, full, mc_trials, mc_rng)
         del link, moments, full  # freed before the next group builds its bundle
-
-    rows = []
-    for mode_idx, mode in enumerate(spec.modes):
-        sinr_closed, sinr_mc = sinrs[mode_idx]
-        se_closed = spectral_efficiency(sinr_closed, cfg.prelog)
-        se_mc = None if sinr_mc is None else spectral_efficiency(sinr_mc, cfg.prelog)
-        labels = dict(zip(MODE_COLUMNS, mode.values()))
-        for ue in range(cfg.n_ues):
-            rows.append(
-                {
-                    "sweep_param": spec.sweep_param,
-                    "sweep_value": _fmt(value),
-                    "scenario": str(scen_idx),
-                    **labels,
-                    "ue": str(ue),
-                    "sinr_closed": _fmt(float(sinr_closed[ue])),
-                    "se_closed": _fmt(float(se_closed[ue])),
-                    "sinr_mc": _fmt(None if sinr_mc is None else float(sinr_mc[ue])),
-                    "se_mc": _fmt(None if se_mc is None else float(se_mc[ue])),
-                }
-            )
-    return rows
+    return sinrs
 
 
 @one_blas_thread()
@@ -331,15 +315,21 @@ def run_experiment(
     For the whole run OpenBLAS is held at one thread
     (``linalg.one_blas_thread``, restored when the run returns or raises),
     and each Monte Carlo estimate runs its chunks on up to
-    ``montecarlo.CHUNK_WORKERS`` threads of its own. Rows are emitted in
-    sweep, scenario, mode order, and the chunks' random streams and sums
-    depend on the shapes only, so the CSV is byte-stable whatever the
-    thread, worker or CPU count. The manifest holds the schema and package
-    versions, the seed, thread and trial counts, the SHA-256 of the spec
-    bytes that were parsed, sweep, modes and config echo (which has no mode
-    field), the row count, the total ``wall_time_s`` of the run (there is
-    no per-task timing), and the rows whose closed-form and Monte Carlo SE
-    differ by more than 2%.
+    ``montecarlo.CHUNK_WORKERS`` threads of its own.
+
+    The drops hand back SINR arrays (``_run_drop``), from which each mode's
+    SE is computed here. Only once every drop is in is ``results.csv``
+    opened, so a run that raises writes none; then one ``csv.writer``
+    prints every row once, each number through ``_fmt``, in sweep,
+    scenario, mode, UE order. The chunks' random streams and sums depend on
+    the shapes only, so the CSV is byte-stable whatever the thread, worker
+    or CPU count. The manifest holds the schema and package versions, the
+    seed, thread and trial counts, the SHA-256 of the spec bytes that were
+    parsed, sweep, modes and config echo (which has no mode field), the row
+    count, the total ``wall_time_s`` of the run (there is no per-task
+    timing), and the rows whose closed-form and Monte Carlo SE differ by
+    more than 2%, flagged from the computed SE arrays, not from the printed
+    text, and reported at full precision.
     """
     spec = load_run_spec(spec_path)
     if not is_count(seed) or not 0 <= seed < 2**64:
@@ -351,36 +341,45 @@ def run_experiment(
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
-    drops = [
-        (spec, seed, sweep_idx, scen_idx, trials)
-        for sweep_idx in range(len(spec.sweep_values))
-        for scen_idx in range(spec.n_scenarios)
-    ]
-    workers = min(threads, len(drops))
-    rows = [row for drop_rows in in_order(_run_drop, drops, workers) for row in drop_rows]
-    csv_path = out_dir / "results.csv"
-    with csv_path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    drops = list(product(range(len(spec.sweep_values)), range(spec.n_scenarios)))
+    jobs = [(spec, seed, sweep_idx, scen_idx, trials) for sweep_idx, scen_idx in drops]
+    # (sinr_closed, se_closed, sinr_mc, se_mc) of each drop and mode, the MC
+    # pair None without MC; the CSV is opened only once every drop is in
+    results = []
+    for (sweep_idx, _), sinrs in zip(drops, in_order(_run_drop, jobs, min(threads, len(jobs)))):
+        prelog = spec.configs[sweep_idx].prelog
+        for closed, mc in sinrs:
+            se_mc = None if mc is None else spectral_efficiency(mc, prelog)
+            results.append((closed, spectral_efficiency(closed, prelog), mc, se_mc))
 
     warnings = []
-    for row in rows:
-        if row["se_mc"] == "":
-            continue
-        closed, mc = float(row["se_closed"]), float(row["se_mc"])
-        rel = abs(closed - mc) / max(abs(mc), 1e-12)
-        if rel > 0.02:
-            warnings.append(
+    csv_path = out_dir / "results.csv"
+    with csv_path.open("w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for ((sweep_idx, scen_idx), mode), columns in zip(product(drops, spec.modes), results):
+            value = _fmt(spec.sweep_values[sweep_idx])
+            _, se_closed, _, se_mc = columns
+            blank = [None] * len(se_closed)
+            cells = zip(*(blank if column is None else column.tolist() for column in columns))
+            for ue, numbers in enumerate(cells):
+                writer.writerow(
+                    [spec.sweep_param, value, scen_idx, *mode.values(), ue, *map(_fmt, numbers)]
+                )
+            if se_mc is None:
+                continue
+            gaps = np.abs(se_closed - se_mc) / np.maximum(np.abs(se_mc), 1e-12)
+            warnings += [
                 {
-                    "sweep_value": row["sweep_value"],
-                    "scenario": int(row["scenario"]),
-                    "ue": int(row["ue"]),
-                    "se_closed": closed,
-                    "se_mc": mc,
-                    "relative_gap": rel,
+                    "sweep_value": value,
+                    "scenario": scen_idx,
+                    "ue": ue,
+                    "se_closed": float(se_closed[ue]),
+                    "se_mc": float(se_mc[ue]),
+                    "relative_gap": float(gaps[ue]),
                 }
-            )
+                for ue in np.flatnonzero(gaps > 0.02).tolist()
+            ]
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -394,7 +393,7 @@ def run_experiment(
         "n_scenarios": spec.n_scenarios,
         "modes": list(spec.modes),
         "config": asdict(spec.config),
-        "rows": len(rows),
+        "rows": sum(len(se_closed) for _, se_closed, _, _ in results),
         "wall_time_s": time.perf_counter() - started,
         "closed_vs_mc_warnings": warnings,
     }
@@ -409,7 +408,9 @@ def emit_cdf(in_path: str | Path, out_path: str | Path) -> dict:
 
     Rows are grouped by sweep point and mode; samples pool every
     (scenario, UE) pair.  q05 is the empirical 5 percent quantile of the
-    group, repeated on each of its rows.
+    group, repeated on each of its rows.  Rows are printed as
+    ``run_experiment`` prints its own: one ``csv.writer``, numbers through
+    ``_fmt``.
     """
     in_path, out_path = Path(in_path), Path(out_path)
     with in_path.open(newline="") as handle:
@@ -425,22 +426,14 @@ def emit_cdf(in_path: str | Path, out_path: str | Path) -> dict:
     if not groups:
         raise ValueError("input CSV has no data rows")
 
-    out_rows = []
-    for key, samples in groups.items():
-        samples = sorted(samples)
-        n = len(samples)
-        q05 = samples[max(0, math.ceil(0.05 * n) - 1)]
-        for i, value in enumerate(samples):
-            out_rows.append(
-                {
-                    **dict(zip(group_columns, key)),
-                    "se": _fmt(value),
-                    "cdf": _fmt((i + 1) / n),
-                    "q05": _fmt(q05),
-                }
-            )
     with out_path.open("w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=CDF_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(out_rows)
-    return {"cdf": str(out_path), "rows": len(out_rows)}
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(CDF_COLUMNS)
+        for key, samples in groups.items():
+            samples.sort()
+            n = len(samples)
+            q05 = _fmt(samples[max(0, math.ceil(0.05 * n) - 1)])
+            writer.writerows(
+                [*key, _fmt(se), _fmt((i + 1) / n), q05] for i, se in enumerate(samples)
+            )
+    return {"cdf": str(out_path), "rows": sum(map(len, groups.values()))}

@@ -447,6 +447,23 @@ def test_run_holds_blas_at_one_thread_and_restores_it(micro_spec, tmp_path, monk
     assert seen == [1, 1, 1]
 
 
+def test_a_run_that_raises_writes_no_results(micro_spec, tmp_path, monkeypatch):
+    """A drop that raises after the others have returned leaves neither
+    results.csv nor manifest.json behind: no file is opened before every
+    drop is in."""
+    run_drop = experiment._run_drop
+
+    def last_fails(spec, seed, sweep_idx, scen_idx, mc_trials):
+        if scen_idx == spec.n_scenarios - 1:
+            raise RuntimeError("last drop failed")
+        return run_drop(spec, seed, sweep_idx, scen_idx, mc_trials)
+
+    monkeypatch.setattr(experiment, "_run_drop", last_fails)
+    with pytest.raises(RuntimeError, match="last drop failed"):
+        run_experiment(micro_spec, seed=1, out_dir=tmp_path / "out")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_results_do_not_depend_on_the_blas_cap(micro_spec, tmp_path, monkeypatch):
     """Without OpenBLAS's thread entry point the run is uncapped, with the
     same results.csv."""
@@ -575,6 +592,79 @@ def test_full_power_and_maxmin_share_one_lsfd_solve(tmp_path, monkeypatch):
     )
     run_experiment(spec, seed=1, out_dir=tmp_path)
     assert len(calls) == 3 * drops
+
+
+def test_rows_carry_the_numbers_of_their_mode(tmp_path):
+    """Modes whose link keys interleave are evaluated grouped by key, out of
+    spec order, yet each row's closed-form columns are those of a one-mode
+    run of its labelled mode at the same seed, and the rows of each drop
+    follow the spec's mode order. Monte Carlo streams are seeded by mode
+    index, so only the closed-form columns are compared."""
+    modes = [
+        {"ris": "off"},
+        {"ris": "on"},
+        {"combiner": "mr", "ris": "off"},
+        {"emi": "off"},
+    ]
+    payload = dict(MICRO, mc_trials=0, modes=modes)
+    payload["sweep"] = {"param": "rho_db", "values": [20.0, -10.0]}
+    closed = ["sinr_closed", "se_closed"]
+    key = ["sweep_value", "scenario", *experiment.MODE_COLUMNS, "ue"]
+    one_mode = {}
+    for i, mode in enumerate(modes):
+        spec = write_spec(tmp_path / f"mode{i}.yaml", dict(payload, modes=[mode]))
+        run_experiment(spec, seed=7, out_dir=tmp_path / f"mode{i}")
+        for row in read_rows(tmp_path / f"mode{i}" / "results.csv"):
+            one_mode[tuple(row[c] for c in key)] = [row[c] for c in closed]
+    run_experiment(write_spec(tmp_path / "all.yaml", payload), seed=7, out_dir=tmp_path / "all")
+    rows = read_rows(tmp_path / "all" / "results.csv")
+    assert len(rows) == len(one_mode) == 2 * 2 * len(modes) * MICRO["config"]["n_ues"]
+    labels = [tuple(row[c] for c in experiment.MODE_COLUMNS) for row in rows]
+    spec_order = [tuple(mode.values()) for mode in load_run_spec(tmp_path / "all.yaml").modes]
+    assert labels[:: MICRO["config"]["n_ues"]] == spec_order * 2 * 2
+    for row in rows:
+        assert [row[c] for c in closed] == one_mode[tuple(row[c] for c in key)]
+    # within a drop no two rows share numbers, so a label on the wrong numbers would show
+    drop = ["sweep_value", "scenario"]
+    assert len({tuple(row[c] for c in drop + closed) for row in rows}) == len(rows)
+
+
+def test_manifest_flags_exactly_the_rows_off_by_more_than_two_percent(tmp_path):
+    """On configs/example.yaml at seed 1 some rows are flagged and some not.
+    Against the printed SE pair, a flagged row's closed-form and Monte Carlo
+    SE differ by more than 2% and an unflagged row's by at most 2%, up to the
+    12-digit print rounding. Each flag names one row, by its (sweep value,
+    scenario, UE) and its SE pair, which the flag carries unrounded."""
+    spec = Path(__file__).parent.parent / "configs/example.yaml"
+    run_experiment(spec, seed=1, out_dir=tmp_path)
+    rows = read_rows(tmp_path / "results.csv")
+    flags = json.loads((tmp_path / "manifest.json").read_text())["closed_vs_mc_warnings"]
+    assert 0 < len(flags) < len(rows)
+
+    def printed(row, flag):
+        return (row["sweep_value"], int(row["scenario"]), int(row["ue"])) == (
+            flag["sweep_value"], flag["scenario"], flag["ue"]
+        ) and all(
+            math.isclose(float(row[column]), flag[column], rel_tol=1e-11)
+            for column in ("se_closed", "se_mc")
+        )
+
+    matched = []
+    for flag in flags:
+        named = [i for i, row in enumerate(rows) if printed(row, flag)]
+        assert len(named) == 1
+        matched += named
+        gap = abs(flag["se_closed"] - flag["se_mc"]) / flag["se_mc"]
+        assert flag["relative_gap"] == pytest.approx(gap, rel=1e-12)
+    assert len(set(matched)) == len(flags)
+    for i, row in enumerate(rows):
+        closed, mc = float(row["se_closed"]), float(row["se_mc"])
+        gap = abs(closed - mc) / mc
+        rounding = 1e-11 * (closed + mc) / mc  # each printed SE is within 5e-12 of its value
+        if i in matched:
+            assert gap > 0.02 - rounding
+        else:
+            assert gap <= 0.02 + rounding
 
 
 def test_run_experiment_seed_changes_output(micro_spec, tmp_path):
